@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -69,18 +69,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse would sys.exit(2) on bad flags; route that to exit code 1 instead
     def error(self, message):
         raise _CliError(message)
-
-
-def _conv_int(text: str) -> int:
-    return int(text)
-
-
-def _conv_float(text: str) -> float:
-    return float(text)
-
-
-def _conv_str(text: str) -> str:
-    return text
 
 
 def _conv_floats(text: str) -> tuple[float, ...]:
@@ -195,6 +183,47 @@ def _write_csv(out: str | None, header: list[str], rows: list[list]) -> None:
         Path(out).write_text(text)
 
 
+def _coords(dim: int) -> list[str]:
+    return [f"x{j + 1}" for j in range(dim)]
+
+
+def _write_report(out: str | None, report) -> int:
+    """One row: the minimizer and its solve report; exit code 2 unless converged."""
+    header = _coords(report.argmin.size) + ["objective", "grad_norm", "iterations", "converged"]
+    row = list(report.argmin) + [
+        report.objective,
+        report.grad_norm,
+        report.iterations,
+        report.converged,
+    ]
+    _write_csv(out, header, [row])
+    return 0 if report.converged else 2
+
+
+def _write_curves(out: str | None, curves: list, extra: Sequence[tuple[str, bool]] = ()) -> int:
+    """One row per curve point: ``[curve,] param, x1..xd, converged`` then ``extra``.
+
+    ``curves`` holds (name, Curve) pairs; a None name leaves out the curve
+    column.  ``extra`` holds (column, value) pairs repeated on every row.
+    Returns exit code 2 unless every point converged.
+    """
+    named = curves[0][0] is not None
+    header = (["curve"] if named else []) + ["param"] + _coords(curves[0][1].points.shape[1])
+    header += ["converged"] + [column for column, _ in extra]
+    tail = [bool(value) for _, value in extra]
+    rows = [
+        ([name] if named else [])
+        + [curve.params[i]]
+        + list(curve.points[i])
+        + [bool(curve.converged[i])]
+        + tail
+        for name, curve in curves
+        for i in range(curve.params.size)
+    ]
+    _write_csv(out, header, rows)
+    return 0 if all(curve.all_converged for _, curve in curves) else 2
+
+
 # ---------------------------------------------------------------------------
 # model parsing and sample acquisition
 
@@ -252,12 +281,6 @@ def _parse_model(text: str):
     raise ValueError(f"unknown model {text!r}; use a preset ({known}) or a JSON object")
 
 
-def _draw(model, count: int, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(model, CompoundPoissonModel):
-        return simulate_compound(model, count, rng)
-    return simulate(model, count, rng)
-
-
 def _load_sample(path: str) -> np.ndarray:
     try:
         arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -274,18 +297,26 @@ def _default_n(model_text: str) -> int:
     return PRESET_DEFAULT_N.get(model_text.strip(), 10_000)
 
 
-def _get_sample(args) -> np.ndarray:
-    if getattr(args, "data", None) is not None and getattr(args, "model", None) is not None:
-        raise ValueError("pass either --data or --model, not both")
-    if getattr(args, "data", None) is not None:
-        return _load_sample(args.data)
-    if getattr(args, "model", None) is None:
-        raise ValueError("one of --data or --model is required")
+def _draw_sample(args) -> np.ndarray:
+    """--n draws of --model from the 'simulate' substream of --seed."""
     model = _parse_model(args.model)
     n = args.n if args.n is not None else _default_n(args.model)
     if n < 1:
         raise ValueError("--n must be at least 1")
-    return _draw(model, n, substream(args.seed, "simulate"))
+    rng = substream(args.seed, "simulate")
+    if isinstance(model, CompoundPoissonModel):
+        return simulate_compound(model, n, rng)
+    return simulate(model, n, rng)
+
+
+def _get_sample(args) -> np.ndarray:
+    if args.data is not None and args.model is not None:
+        raise ValueError("pass either --data or --model, not both")
+    if args.data is not None:
+        return _load_sample(args.data)
+    if args.model is None:
+        raise ValueError("one of --data or --model is required")
+    return _draw_sample(args)
 
 
 def _solver_config(args) -> SolverConfig:
@@ -310,52 +341,40 @@ def _alpha_for(args, dim: int) -> np.ndarray:
     return alpha
 
 
-def _unit(vec: tuple[float, ...]) -> np.ndarray:
-    d = np.asarray(vec, dtype=float)
+def _direction(args, dim: int) -> np.ndarray:
+    """--direction scaled to a unit vector; it must have ``dim`` components."""
+    d = np.asarray(args.direction, dtype=float)
     norm = np.linalg.norm(d)
     if not np.all(np.isfinite(d)) or norm == 0.0:
         raise ValueError("direction must be a finite nonzero vector")
+    if d.size != dim:
+        raise ValueError("--direction dimension must match the sample")
     return d / norm
 
 
 # ---------------------------------------------------------------------------
 # shared option groups
 
-def _opt_seed() -> _Opt:
-    return _Opt(("--seed",), "seed", _conv_int, 1, "root RNG seed (default 1)")
-
-
-def _opt_out() -> _Opt:
-    return _Opt(("--out",), "out", _conv_str, None, "output CSV path (default stdout)")
-
-
-def _opt_n(default=None) -> _Opt:
-    return _Opt(("--n",), "n", _conv_int, default, "sample size (default: preset's standard size)")
-
-
-def _opt_model() -> _Opt:
-    return _Opt(("--model",), "model", _conv_str, None, "preset name or model JSON")
-
-
-def _opt_data() -> _Opt:
-    return _Opt(("--data",), "data", _conv_str, None, "CSV sample file (columns x1..xd)")
-
-
-def _opt_solver() -> list[_Opt]:
-    return [
-        _Opt(("--tol",), "tol", _conv_float, 1e-8, "relative gradient tolerance"),
-        _Opt(("--max-iter",), "max_iter", _conv_int, 500, "maximum solver iterations"),
-    ]
-
-
-def _opt_threads() -> _Opt:
-    return _Opt(
-        ("--threads",),
-        "threads",
-        _conv_int,
-        None,
-        "worker threads for independent curves (default: GEOMRISK_THREADS or 1)",
-    )
+_SEED = _Opt(("--seed",), "seed", int, 1, "root RNG seed (default 1)")
+_OUT = _Opt(("--out",), "out", str, None, "output CSV path (default stdout)")
+_MODEL = _Opt(("--model",), "model", str, None, "preset name or model JSON")
+_DATA = _Opt(("--data",), "data", str, None, "CSV sample file (columns x1..xd)")
+_N = _Opt(("--n",), "n", int, None, "sample size (default: preset's standard size)")
+_NPHI = _Opt(("--nphi",), "nphi", int, 64, "number of angles")
+_MEASURE = _Opt(
+    ("--measure",), "measure", str, "expectile", "risk measure", choices=("expectile", "var")
+)
+_SOLVER = (
+    _Opt(("--tol",), "tol", float, 1e-8, "relative gradient tolerance"),
+    _Opt(("--max-iter",), "max_iter", int, 500, "maximum solver iterations"),
+)
+_THREADS = _Opt(
+    ("--threads",),
+    "threads",
+    int,
+    None,
+    "worker threads for independent curves (default: GEOMRISK_THREADS or 1)",
+)
 
 
 def _threads(args) -> int:
@@ -366,32 +385,17 @@ def _threads(args) -> int:
 # subcommands
 
 def _cmd_simulate(args) -> int:
-    model = _parse_model(args.model) if args.model is not None else None
-    if model is None:
+    if args.model is None:
         raise ValueError("--model is required")
-    n = args.n if args.n is not None else _default_n(args.model)
-    if n < 1:
-        raise ValueError("--n must be at least 1")
-    sample = _draw(model, n, substream(args.seed, "simulate"))
-    header = [f"x{j + 1}" for j in range(sample.shape[1])]
-    _write_csv(args.out, header, [list(row) for row in sample])
+    sample = _draw_sample(args)
+    _write_csv(args.out, _coords(sample.shape[1]), [list(row) for row in sample])
     return 0
 
 
 def _solve_cmd(args, solver) -> int:
     sample = _get_sample(args)
     alpha = _alpha_for(args, sample.shape[1])
-    report = solver(sample, alpha, _solver_config(args))
-    header = [f"x{j + 1}" for j in range(sample.shape[1])]
-    header += ["objective", "grad_norm", "iterations", "converged"]
-    row = list(report.argmin) + [
-        report.objective,
-        report.grad_norm,
-        report.iterations,
-        report.converged,
-    ]
-    _write_csv(args.out, header, [row])
-    return 0 if report.converged else 2
+    return _write_report(args.out, solver(sample, alpha, _solver_config(args)))
 
 
 def _cmd_expectile(args) -> int:
@@ -432,10 +436,7 @@ def _build_path(args, dim: int):
     if kind == "ray":
         if args.direction is None or args.magnitudes is None:
             raise ValueError("--direction and --magnitudes are required for a ray path")
-        direction = _unit(args.direction)
-        if direction.size != dim:
-            raise ValueError("--direction dimension must match the sample")
-        return RayPath(direction, np.asarray(args.magnitudes, dtype=float))
+        return RayPath(_direction(args, dim), np.asarray(args.magnitudes, dtype=float))
     raise ValueError(f"unknown path {kind!r}")
 
 
@@ -443,13 +444,7 @@ def _cmd_curve(args) -> int:
     sample = _get_sample(args)
     path = _build_path(args, sample.shape[1])
     curve = trace_curve(sample, path, args.measure, _solver_config(args))
-    header = ["param"] + [f"x{j + 1}" for j in range(curve.points.shape[1])] + ["converged"]
-    rows = [
-        [curve.params[i]] + list(curve.points[i]) + [bool(curve.converged[i])]
-        for i in range(curve.params.size)
-    ]
-    _write_csv(args.out, header, rows)
-    return 0 if curve.all_converged else 2
+    return _write_curves(args.out, [(None, curve)])
 
 
 def _cmd_subadd(args) -> int:
@@ -465,18 +460,8 @@ def _cmd_subadd(args) -> int:
         config=_solver_config(args),
         threads=_threads(args),
     )
-    header = ["curve", "param", "x1", "x2", "converged", "included"]
-    rows = []
-    for name, curve in (("sum", result.curve_sum), ("add", result.curve_add)):
-        for i in range(curve.params.size):
-            rows.append(
-                [name, curve.params[i]]
-                + list(curve.points[i])
-                + [bool(curve.converged[i]), bool(result.included)]
-            )
-    _write_csv(args.out, header, rows)
-    ok = result.curve_sum.all_converged and result.curve_add.all_converged
-    return 0 if ok else 2
+    curves = [("sum", result.curve_sum), ("add", result.curve_add)]
+    return _write_curves(args.out, curves, [("included", result.included)])
 
 
 def _cmd_compare_uni(args) -> int:
@@ -507,12 +492,9 @@ def _cmd_compare_uni(args) -> int:
 
 def _cmd_match_magnitude(args) -> int:
     sample = _get_sample(args)
-    direction = _unit(args.direction)
-    if direction.size != sample.shape[1]:
-        raise ValueError("--direction dimension must match the sample")
     m_star, _, converged = match_magnitude(
         sample,
-        direction,
+        _direction(args, sample.shape[1]),
         args.theta,
         config=_solver_config(args),
         tol=args.tol_search,
@@ -537,30 +519,19 @@ def _cmd_marginalize(args) -> int:
         config=_solver_config(args),
         threads=_threads(args),
     )
-    header = ["curve", "param", "x1", "x2", "converged", "included_i4"]
-    rows = []
-    named = [("margin", result.margin_curve)] + [
+    curves = [("margin", result.margin_curve)] + [
         (f"full_{i + 1}", c) for i, c in enumerate(result.full_curves)
     ]
-    for name, curve in named:
-        for i in range(curve.params.size):
-            rows.append(
-                [name, curve.params[i]]
-                + list(curve.points[i])
-                + [bool(curve.converged[i]), bool(result.inclusion_i4)]
-            )
-    _write_csv(args.out, header, rows)
-    ok = result.margin_curve.all_converged and all(c.all_converged for c in result.full_curves)
-    return 0 if ok else 2
+    return _write_curves(args.out, curves, [("included_i4", result.inclusion_i4)])
 
 
 def _cmd_distance(args) -> int:
     sample = _get_sample(args)
-    direction = _unit(args.direction)
-    if direction.size != sample.shape[1]:
-        raise ValueError("--direction dimension must match the sample")
     curve = distance_curve(
-        sample, direction, np.asarray(args.r_grid, dtype=float), _solver_config(args)
+        sample,
+        _direction(args, sample.shape[1]),
+        np.asarray(args.r_grid, dtype=float),
+        _solver_config(args),
     )
     rows = [
         [curve.radii[i], curve.distances[i], bool(curve.converged[i])]
@@ -589,16 +560,7 @@ def _cmd_uniform_analytic(args) -> int:
         raise ValueError("--box must be a1,b1,a2,b2")
     box = UniformBox(*box_vals)
     alpha = np.asarray(args.alpha, dtype=float)
-    report = uniform_expectile(box, alpha, _solver_config(args))
-    header = ["x1", "x2", "objective", "grad_norm", "iterations", "converged"]
-    row = list(report.argmin) + [
-        report.objective,
-        report.grad_norm,
-        report.iterations,
-        report.converged,
-    ]
-    _write_csv(args.out, header, [row])
-    return 0 if report.converged else 2
+    return _write_report(args.out, uniform_expectile(box, alpha, _solver_config(args)))
 
 
 def _cmd_selftest(args) -> int:
@@ -803,52 +765,40 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
     register(
         "simulate",
         _cmd_simulate,
-        [_opt_model(), _opt_n(), _opt_seed(), _opt_out()],
+        [_MODEL, _N, _SEED, _OUT],
         "draw a sample from a model and write it as CSV (columns x1..xd)",
     )
+    sample_opts = [_MODEL, _DATA, _N, _SEED]
     solve_opts = [
-        _opt_model(),
-        _opt_data(),
-        _opt_n(),
-        _opt_seed(),
+        *sample_opts,
         _Opt(("--alpha",), "alpha", _conv_floats, None, "index vector, comma separated"),
-        _Opt(("--level",), "level", _conv_float, None, "classical level l; index (2l-1) e1"),
-        *_opt_solver(),
-        _opt_out(),
+        _Opt(("--level",), "level", float, None, "classical level l; index (2l-1) e1"),
+        *_SOLVER,
+        _OUT,
     ]
     register("expectile", _cmd_expectile, solve_opts, "geometric expectile of a sample")
-    register("var", _cmd_var, list(solve_opts), "geometric value-at-risk of a sample")
+    register("var", _cmd_var, solve_opts, "geometric value-at-risk of a sample")
     register(
         "curve",
         _cmd_curve,
         [
-            _opt_model(),
-            _opt_data(),
-            _opt_n(),
-            _opt_seed(),
+            *sample_opts,
             _Opt(
                 ("--path",),
                 "path",
-                _conv_str,
+                str,
                 "circle",
                 "index path type: circle|ellipse|quarter|ray, optionally with"
                 " inline radii as circle:R, ellipse:R1:R2, quarter:R",
             ),
-            _Opt(("--r",), "r", _conv_float, None, "radius (circle/quarter) or first ellipse radius"),
-            _Opt(("--r2",), "r2", _conv_float, None, "second ellipse radius"),
-            _Opt(("--nphi",), "nphi", _conv_int, 64, "number of angles"),
+            _Opt(("--r",), "r", float, None, "radius (circle/quarter) or first ellipse radius"),
+            _Opt(("--r2",), "r2", float, None, "second ellipse radius"),
+            _NPHI,
             _Opt(("--direction",), "direction", _conv_floats, None, "ray direction (normalized)"),
             _Opt(("--magnitudes",), "magnitudes", _conv_grid, None, "ray magnitudes grid"),
-            _Opt(
-                ("--measure",),
-                "measure",
-                _conv_str,
-                "expectile",
-                "risk measure",
-                choices=("expectile", "var"),
-            ),
-            *_opt_solver(),
-            _opt_out(),
+            _MEASURE,
+            *_SOLVER,
+            _OUT,
         ],
         "trace a risk-measure curve along an index path",
     )
@@ -856,23 +806,13 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
         "subadd",
         _cmd_subadd,
         [
-            _opt_model(),
-            _opt_data(),
-            _opt_n(),
-            _opt_seed(),
-            _Opt(("--r",), "r", _conv_float, 0.2, "index circle radius"),
-            _Opt(("--nphi",), "nphi", _conv_int, 64, "number of angles"),
-            _Opt(
-                ("--measure",),
-                "measure",
-                _conv_str,
-                "expectile",
-                "risk measure",
-                choices=("expectile", "var"),
-            ),
-            _opt_threads(),
-            *_opt_solver(),
-            _opt_out(),
+            *sample_opts,
+            _Opt(("--r",), "r", float, 0.2, "index circle radius"),
+            _NPHI,
+            _MEASURE,
+            _THREADS,
+            *_SOLVER,
+            _OUT,
         ],
         "subadditivity region check on a 4-column sample (X = cols 1-2, Y = cols 3-4)",
     )
@@ -880,10 +820,7 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
         "compare-uni",
         _cmd_compare_uni,
         [
-            _opt_model(),
-            _opt_data(),
-            _opt_n(),
-            _opt_seed(),
+            *sample_opts,
             _Opt(
                 ("--levels",),
                 "levels",
@@ -891,8 +828,8 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
                 (0.8, 0.9, 0.95, 0.99),
                 "comma-separated classical levels",
             ),
-            *_opt_solver(),
-            _opt_out(),
+            *_SOLVER,
+            _OUT,
         ],
         "geometric vs classical univariate measures of the first component",
     )
@@ -900,15 +837,12 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
         "match-magnitude",
         _cmd_match_magnitude,
         [
-            _opt_model(),
-            _opt_data(),
-            _opt_n(),
-            _opt_seed(),
+            *sample_opts,
             _Opt(("--direction",), "direction", _conv_floats, None, "search direction (normalized)"),
-            _Opt(("--theta",), "theta", _conv_float, None, "expectile index magnitude"),
-            _Opt(("--tol-search",), "tol_search", _conv_float, 1e-6, "search tolerance on m"),
-            *_opt_solver(),
-            _opt_out(),
+            _Opt(("--theta",), "theta", float, None, "expectile index magnitude"),
+            _Opt(("--tol-search",), "tol_search", float, 1e-6, "search tolerance on m"),
+            *_SOLVER,
+            _OUT,
         ],
         "value-at-risk magnitude matching a given expectile magnitude",
     )
@@ -916,15 +850,12 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
         "marginalize",
         _cmd_marginalize,
         [
-            _opt_model(),
-            _opt_data(),
-            _opt_n(),
-            _opt_seed(),
-            _Opt(("--r",), "r", _conv_float, 0.1, "planar index radius"),
-            _Opt(("--nphi",), "nphi", _conv_int, 64, "number of angles"),
-            _opt_threads(),
-            *_opt_solver(),
-            _opt_out(),
+            *sample_opts,
+            _Opt(("--r",), "r", float, 0.1, "planar index radius"),
+            _NPHI,
+            _THREADS,
+            *_SOLVER,
+            _OUT,
         ],
         "marginal vs full-model expectile curves (first three sample columns)",
     )
@@ -932,14 +863,11 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
         "distance",
         _cmd_distance,
         [
-            _opt_model(),
-            _opt_data(),
-            _opt_n(),
-            _opt_seed(),
+            *sample_opts,
             _Opt(("--direction",), "direction", _conv_floats, None, "index direction (normalized)"),
             _Opt(("--r-grid",), "r_grid", _conv_grid, _conv_grid("0:0.995:0.005"), "magnitude grid"),
-            *_opt_solver(),
-            _opt_out(),
+            *_SOLVER,
+            _OUT,
         ],
         "distance from the mean to expectiles along one index direction",
     )
@@ -947,12 +875,12 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
         "bounded-support",
         _cmd_bounded_support,
         [
-            _Opt(("--n",), "n", _conv_int, 20_000, "copula sample size"),
-            _opt_seed(),
+            _Opt(("--n",), "n", int, 20_000, "copula sample size"),
+            _SEED,
             _Opt(("--r-list",), "r_list", _conv_grid, DEFAULT_STRESS_RADII, "stress radii"),
-            _Opt(("--nphi",), "nphi", _conv_int, 64, "number of angles"),
-            *_opt_solver(),
-            _opt_out(),
+            _NPHI,
+            *_SOLVER,
+            _OUT,
         ],
         "expectile curves of a Clayton(5) copula sample vs its [0,1]^2 support",
     )
@@ -962,8 +890,8 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
         [
             _Opt(("--box",), "box", _conv_floats, (0.0, 1.0, 0.0, 1.0), "box a1,b1,a2,b2"),
             _Opt(("--alpha",), "alpha", _conv_floats, None, "index vector, comma separated"),
-            *_opt_solver(),
-            _opt_out(),
+            *_SOLVER,
+            _OUT,
         ],
         "closed-form geometric expectile of a bivariate uniform box",
     )

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import as_index
+from .losses import (
+    _expectile_grad_rows,
+    _expectile_rows,
+    _quantile_grad_rows,
+    _quantile_rows,
+    as_index,
+)
 
 __all__ = [
     "SolverConfig",
@@ -157,40 +163,21 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None) -> SolveR
 def _objective_closures(sample: np.ndarray, u: np.ndarray, kind: str):
     """Build fast objective/gradient closures over a prevalidated sample."""
     if kind == "expectile":
-
-        def fun(c):
-            diff = sample - c
-            norms = np.linalg.norm(diff, axis=1)
-            return float(np.mean(0.5 * norms * (norms + diff @ u)))
-
-        def grad(c):
-            diff = sample - c
-            norms = np.linalg.norm(diff, axis=1)
-            safe = np.where(norms == 0.0, 1.0, norms)
-            inner = diff @ u
-            rows = diff * (1.0 + inner / (2.0 * safe))[:, np.newaxis]
-            rows += 0.5 * norms[:, np.newaxis] * u
-            return -rows.mean(axis=0)
-
+        rows, grad_rows = _expectile_rows, _expectile_grad_rows
     else:
+        rows, grad_rows = _quantile_rows, _quantile_grad_rows
 
-        def fun(c):
-            diff = sample - c
-            norms = np.linalg.norm(diff, axis=1)
-            return float(np.mean(0.5 * (norms + diff @ u)))
+    def fun(c):
+        return float(np.mean(rows(u, sample - c)))
 
-        def grad(c):
-            diff = sample - c
-            norms = np.linalg.norm(diff, axis=1)
-            safe = np.where(norms == 0.0, 1.0, norms)
-            rows = 0.5 * (diff / safe[:, np.newaxis] + u)
-            return -rows.mean(axis=0)
+    def grad(c):
+        return -grad_rows(u, sample - c).mean(axis=0)
 
     return fun, grad
 
 
-def empirical_objective(sample, u, c, kind: str = "expectile") -> float:
-    """Mean loss ``(1/n) sum_i L_u(x_i - c)`` of a candidate location ``c``."""
+def _validated_closures(sample, u, c, kind: str):
+    """Validate the public objective arguments; return (fun, grad, location)."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}")
     s = as_sample(sample)
@@ -200,22 +187,19 @@ def empirical_objective(sample, u, c, kind: str = "expectile") -> float:
         raise ValueError("sample, index and location dimensions must agree")
     if not np.all(np.isfinite(cc)):
         raise ValueError("location must be finite")
-    fun, _ = _objective_closures(s, uu, kind)
+    fun, grad = _objective_closures(s, uu, kind)
+    return fun, grad, cc
+
+
+def empirical_objective(sample, u, c, kind: str = "expectile") -> float:
+    """Mean loss ``(1/n) sum_i L_u(x_i - c)`` of a candidate location ``c``."""
+    fun, _, cc = _validated_closures(sample, u, c, kind)
     return fun(cc)
 
 
 def empirical_objective_grad(sample, u, c, kind: str = "expectile") -> np.ndarray:
     """Gradient (subgradient for ``kind='quantile'``) of :func:`empirical_objective` in ``c``."""
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}")
-    s = as_sample(sample)
-    uu = as_index(u)
-    cc = np.asarray(c, dtype=float)
-    if cc.shape != (s.shape[1],) or uu.size != s.shape[1]:
-        raise ValueError("sample, index and location dimensions must agree")
-    if not np.all(np.isfinite(cc)):
-        raise ValueError("location must be finite")
-    _, grad = _objective_closures(s, uu, kind)
+    _, grad, cc = _validated_closures(sample, u, c, kind)
     return grad(cc)
 
 

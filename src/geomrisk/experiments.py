@@ -2,11 +2,14 @@
 
 A curve is the image of a one-parameter family of index vectors under a
 geometric risk measure of one fixed sample.  Adjacent indices have
-nearby minimizers, so tracing warm-starts every solve at the previous
+nearby minimizers, so every experiment traces its indices through one
+warm-started engine, ``_trace``, which starts each solve at the previous
 solution.  On top of curve tracing this module builds the standard
 checks: subadditivity region inclusion, univariate comparison,
 expectile/value-at-risk magnitude matching, marginalization inclusion,
-distance-from-mean profiles and the bounded-support stress test.
+distance-from-mean profiles and the bounded-support stress test.  Only
+the independent curves of ``subadditivity_sets`` and
+``marginalization_curves`` run in parallel, on ``threads`` workers.
 """
 
 from __future__ import annotations
@@ -57,6 +60,44 @@ _MEASURES = ("expectile", "var")
 DEFAULT_STRESS_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.9995, 0.9999, 0.99999)
 
 
+def _circle_indices(radius: float, n_phi: int, dim: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Angles of a full turn of ``n_phi`` equispaced steps and the indices
+    ``radius (cos phi, sin phi)`` on the first two of ``dim`` axes (zero elsewhere)."""
+    if not (0.0 < radius < 1.0):
+        raise ValueError("radius must lie in (0, 1)")
+    if int(n_phi) < 1:
+        raise ValueError("n_phi must be at least 1")
+    if dim < 2:
+        raise ValueError("circle indices need a sample of dimension d >= 2")
+    phi = 2.0 * np.pi * np.arange(int(n_phi)) / int(n_phi)
+    idx = np.zeros((phi.size, dim))
+    idx[:, 0] = radius * np.cos(phi)
+    idx[:, 1] = radius * np.sin(phi)
+    return phi, idx
+
+
+def _unit_direction(direction, dim: int | None = None) -> np.ndarray:
+    """``direction`` as a finite unit 1-D vector, of length ``dim`` when given."""
+    d = np.asarray(direction, dtype=float)
+    if d.ndim != 1 or d.size == 0 or not np.all(np.isfinite(d)):
+        raise ValueError("direction must be a finite 1-D vector")
+    if dim is not None and d.size != dim:
+        raise ValueError("direction must match the sample dimension")
+    if abs(np.linalg.norm(d) - 1.0) > 1e-12:
+        raise ValueError("direction must be a unit vector")
+    return d
+
+
+def _increasing(values, name: str) -> np.ndarray:
+    """``values`` as a finite, non-empty, strictly increasing 1-D array."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be a finite 1-D array")
+    if arr.size > 1 and np.any(np.diff(arr) <= 0.0):
+        raise ValueError(f"{name} must be strictly increasing")
+    return arr
+
+
 @dataclass(frozen=True)
 class CirclePath:
     """Indices r (cos phi, sin phi) over a full turn of n_phi equispaced angles."""
@@ -65,15 +106,10 @@ class CirclePath:
     n_phi: int = 64
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.radius < 1.0):
-            raise ValueError("CirclePath requires 0 < radius < 1")
-        if int(self.n_phi) < 1:
-            raise ValueError("CirclePath requires n_phi >= 1")
+        self.indices()  # validates radius and n_phi
 
     def indices(self) -> tuple[np.ndarray, np.ndarray]:
-        phi = 2.0 * np.pi * np.arange(int(self.n_phi)) / int(self.n_phi)
-        idx = self.radius * np.column_stack([np.cos(phi), np.sin(phi)])
-        return phi, idx
+        return _circle_indices(self.radius, self.n_phi)
 
 
 @dataclass(frozen=True)
@@ -123,18 +159,10 @@ class RayPath:
     magnitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.direction, dtype=float)
-        m = np.asarray(self.magnitudes, dtype=float)
-        if d.ndim != 1 or d.size == 0 or not np.all(np.isfinite(d)):
-            raise ValueError("direction must be a finite 1-D vector")
-        if abs(np.linalg.norm(d) - 1.0) > 1e-12:
-            raise ValueError("direction must be a unit vector")
-        if m.ndim != 1 or m.size == 0 or not np.all(np.isfinite(m)):
-            raise ValueError("magnitudes must be a finite 1-D array")
-        if np.any(m < 0.0) or np.any(m >= 1.0):
+        d = _unit_direction(self.direction)
+        m = _increasing(self.magnitudes, "magnitudes")
+        if m[0] < 0.0 or m[-1] >= 1.0:
             raise ValueError("magnitudes must lie in [0, 1)")
-        if m.size > 1 and np.any(np.diff(m) <= 0.0):
-            raise ValueError("magnitudes must be strictly increasing")
         object.__setattr__(self, "direction", d)
         object.__setattr__(self, "magnitudes", m)
 
@@ -154,13 +182,9 @@ class Curve:
     converged: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.params, dtype=float)
+        p = _increasing(self.params, "params")
         pts = np.asarray(self.points, dtype=float)
         conv = np.asarray(self.converged, dtype=bool)
-        if p.ndim != 1 or p.size == 0 or not np.all(np.isfinite(p)):
-            raise ValueError("params must be a finite 1-D array")
-        if p.size > 1 and np.any(np.diff(p) <= 0.0):
-            raise ValueError("params must be strictly increasing")
         if pts.ndim != 2 or pts.shape[0] != p.size or not np.all(np.isfinite(pts)):
             raise ValueError("points must be a finite (k, d) array matching params")
         if conv.shape != (p.size,):
@@ -174,24 +198,30 @@ class Curve:
         return bool(np.all(self.converged))
 
 
-def _check_measure(measure: str) -> None:
+def _trace(sample, indices, measure: str, config: SolverConfig | None):
+    """Solve ``measure`` at each row of ``indices`` in order; return (points, converged).
+
+    The first solve starts at ``config.initial_point`` (sample mean when
+    None); every later solve starts at the previous minimizer.
+    """
     if measure not in _MEASURES:
         raise ValueError(f"measure must be one of {_MEASURES}")
-
-
-def _trace_indices(sample, params, indices, measure: str, config: SolverConfig | None) -> Curve:
     s = as_sample(sample)
+    idx = np.asarray(indices, dtype=float)
+    if idx.ndim != 2 or idx.shape[1] != s.shape[1]:
+        raise ValueError("path index dimension must match the sample dimension")
+    # looked up per call so the module-level solver names stay the entry points
     solver = geometric_expectile if measure == "expectile" else geometric_var
     cfg = config if config is not None else SolverConfig()
-    points = np.empty((len(params), s.shape[1]))
-    converged = np.empty(len(params), dtype=bool)
+    points = np.empty(idx.shape)
+    converged = np.empty(idx.shape[0], dtype=bool)
     prev = cfg.initial_point
-    for i, alpha in enumerate(indices):
+    for i, alpha in enumerate(idx):
         report = solver(s, alpha, dataclasses.replace(cfg, initial_point=prev))
         points[i] = report.argmin
         converged[i] = report.converged
         prev = report.argmin
-    return Curve(params=np.asarray(params, dtype=float), points=points, converged=converged)
+    return points, converged
 
 
 def trace_curve(
@@ -203,14 +233,11 @@ def trace_curve(
     at ``config.initial_point`` (sample mean when None); every later
     solve starts at the previous minimizer.
     """
-    _check_measure(measure)
     if not isinstance(path, (CirclePath, EllipsePath, QuarterCirclePath, RayPath)):
         raise ValueError(f"unknown path type: {type(path).__name__}")
-    s = as_sample(sample)
     params, idx = path.indices()
-    if idx.shape[1] != s.shape[1]:
-        raise ValueError("path index dimension must match the sample dimension")
-    return _trace_indices(s, params, idx, measure, config)
+    points, converged = _trace(sample, idx, measure, config)
+    return Curve(params=params, points=points, converged=converged)
 
 
 def point_in_polygon(point, vertices, boundary_tol: float = 1e-9) -> bool:
@@ -274,31 +301,16 @@ def subadditivity_sets(
     ``included`` reports whether every point of the sum curve lies
     inside the polygon spanned by the added curve.
     """
-    _check_measure(measure)
     sx = as_sample(sample_x)
     sy = as_sample(sample_y)
     if sx.shape != sy.shape:
         raise ValueError("sample_x and sample_y must have identical shapes (paired samples)")
-    if sx.shape[1] == 2:
-        path: IndexPath = CirclePath(r, n_phi)
-        params, idx = path.indices()
-    else:
-        # circles are planar; for other d trace along the first two axes
-        phi = 2.0 * np.pi * np.arange(int(n_phi)) / int(n_phi)
-        idx = np.zeros((int(n_phi), sx.shape[1]))
-        idx[:, 0] = r * np.cos(phi)
-        idx[:, 1] = r * np.sin(phi)
-        if not (0.0 < r < 1.0):
-            raise ValueError("radius must lie in (0, 1)")
-        params = phi
-    tasks = (sx + sy, sx, sy)
-    curves = _parallel_map(lambda s: _trace_indices(s, params, idx, measure, config), tasks, threads)
-    curve_sum, curve_x, curve_y = curves
-    curve_add = Curve(
-        params=params,
-        points=curve_x.points + curve_y.points,
-        converged=curve_x.converged & curve_y.converged,
-    )
+    # circles are planar; for d > 2 trace along the first two axes
+    params, idx = _circle_indices(r, n_phi, sx.shape[1])
+    traced = _parallel_map(lambda s: _trace(s, idx, measure, config), (sx + sy, sx, sy), threads)
+    (sum_pts, sum_ok), (x_pts, x_ok), (y_pts, y_ok) = traced
+    curve_sum = Curve(params=params, points=sum_pts, converged=sum_ok)
+    curve_add = Curve(params=params, points=x_pts + y_pts, converged=x_ok & y_ok)
     included: bool | None = None
     if sx.shape[1] == 2 and int(n_phi) >= 3:
         included = all(point_in_polygon(pt, curve_add.points) for pt in curve_sum.points)
@@ -328,28 +340,21 @@ def compare_univariate(
     lv = np.asarray(levels, dtype=float)
     if lv.ndim != 1 or lv.size == 0 or not np.all((lv > 0.0) & (lv < 1.0)):
         raise ValueError("levels must be a 1-D array with entries in (0, 1)")
-    cfg = config if config is not None else SolverConfig()
+    idx = np.column_stack([2.0 * lv - 1.0, np.zeros(lv.size)])
+    exp_pts, exp_ok = _trace(s, idx, "expectile", config)
+    var_pts, var_ok = _trace(s, idx, "var", config)
     first = s[:, 0]
-    rows: list[ComparisonRow] = []
-    prev_exp = cfg.initial_point
-    prev_var = cfg.initial_point
-    for level in lv:
-        alpha = np.array([2.0 * level - 1.0, 0.0])
-        rep_exp = geometric_expectile(s, alpha, dataclasses.replace(cfg, initial_point=prev_exp))
-        rep_var = geometric_var(s, alpha, dataclasses.replace(cfg, initial_point=prev_var))
-        prev_exp = rep_exp.argmin
-        prev_var = rep_var.argmin
-        rows.append(
-            ComparisonRow(
-                level=float(level),
-                univariate_var=univariate_quantile(first, level),
-                univariate_expectile=univariate_expectile(first, level),
-                geometric_var_first=float(rep_var.argmin[0]),
-                geometric_expectile_first=float(rep_exp.argmin[0]),
-                converged=bool(rep_exp.converged and rep_var.converged),
-            )
+    return [
+        ComparisonRow(
+            level=float(level),
+            univariate_var=univariate_quantile(first, level),
+            univariate_expectile=univariate_expectile(first, level),
+            geometric_var_first=float(var_pts[i, 0]),
+            geometric_expectile_first=float(exp_pts[i, 0]),
+            converged=bool(exp_ok[i] and var_ok[i]),
         )
-    return rows
+        for i, level in enumerate(lv)
+    ]
 
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -399,11 +404,7 @@ def match_magnitude(
     behavior is detectable.
     """
     s = as_sample(sample)
-    d = np.asarray(direction, dtype=float)
-    if d.shape != (s.shape[1],) or not np.all(np.isfinite(d)):
-        raise ValueError("direction must be a finite vector matching the sample dimension")
-    if abs(np.linalg.norm(d) - 1.0) > 1e-12:
-        raise ValueError("direction must be a unit vector")
+    d = _unit_direction(direction, s.shape[1])
     th = float(theta)
     if not (0.0 <= th < 1.0):
         raise ValueError("theta must lie in [0, 1)")
@@ -451,20 +452,18 @@ def marginalization_curves(
     s = as_sample(sample)
     if s.shape[1] != 3:
         raise ValueError("marginalization requires a trivariate sample")
-    if not (0.0 < r < 1.0):
-        raise ValueError("radius must lie in (0, 1)")
-    if int(n_phi) < 3:
+    phi, planar = _circle_indices(r, n_phi)
+    if phi.size < 3:
         raise ValueError("n_phi must be at least 3 (the curve spans a polygon)")
-    phi = 2.0 * np.pi * np.arange(int(n_phi)) / int(n_phi)
-    planar = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
     heights = (np.arange(1, 8) - 4.0) / 4.0 * np.sqrt(1.0 - r * r)
 
     def trace_height(z: float) -> Curve:
         idx = np.column_stack([planar, np.full(phi.size, z)])
-        full = _trace_indices(s, phi, idx, "expectile", config)
-        return Curve(params=phi, points=full.points[:, :2], converged=full.converged)
+        points, converged = _trace(s, idx, "expectile", config)
+        return Curve(params=phi, points=points[:, :2], converged=converged)
 
-    margin_curve = _trace_indices(s[:, :2], phi, planar, "expectile", config)
+    margin_points, margin_converged = _trace(s[:, :2], planar, "expectile", config)
+    margin_curve = Curve(params=phi, points=margin_points, converged=margin_converged)
     full_curves = tuple(_parallel_map(trace_height, heights, threads))
     inclusion = all(point_in_polygon(pt, full_curves[3].points) for pt in margin_curve.points)
     return MarginalizationResult(
@@ -488,28 +487,13 @@ def distance_curve(sample, direction, r_grid, config: SolverConfig | None = None
     [0, 1).  Solves are warm-started along the grid.
     """
     s = as_sample(sample)
-    d = np.asarray(direction, dtype=float)
-    if d.shape != (s.shape[1],) or not np.all(np.isfinite(d)):
-        raise ValueError("direction must be a finite vector matching the sample dimension")
-    if abs(np.linalg.norm(d) - 1.0) > 1e-12:
-        raise ValueError("direction must be a unit vector")
-    grid = np.asarray(r_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
-        raise ValueError("r_grid must be a finite 1-D array")
-    if np.any(grid < 0.0) or np.any(grid >= 1.0):
+    d = _unit_direction(direction, s.shape[1])
+    grid = _increasing(r_grid, "r_grid")
+    if grid[0] < 0.0 or grid[-1] >= 1.0:
         raise ValueError("r_grid values must lie in [0, 1)")
-    if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
-        raise ValueError("r_grid must be strictly increasing")
-    cfg = config if config is not None else SolverConfig()
+    points, converged = _trace(s, grid[:, np.newaxis] * d, "expectile", config)
     mean = s.mean(axis=0)
-    distances = np.empty(grid.size)
-    converged = np.empty(grid.size, dtype=bool)
-    prev = cfg.initial_point
-    for i, r in enumerate(grid):
-        rep = geometric_expectile(s, r * d, dataclasses.replace(cfg, initial_point=prev))
-        distances[i] = float(np.linalg.norm(rep.argmin - mean))
-        converged[i] = rep.converged
-        prev = rep.argmin
+    distances = np.array([np.linalg.norm(point - mean) for point in points])
     return DistanceCurve(radii=grid.copy(), distances=distances, converged=converged)
 
 
@@ -540,21 +524,21 @@ def bounded_support_check(
     """
     if rng is None:
         raise ValueError("an explicit numpy Generator is required for reproducibility")
-    radii = np.asarray(r_list, dtype=float)
-    if radii.ndim != 1 or radii.size == 0 or np.any(radii <= 0.0) or np.any(radii >= 1.0):
+    if int(count) < 1:
+        raise ValueError(f"count (the sample size n) must be at least 1, got {count}")
+    radii = _increasing(r_list, "r_list")
+    if radii[0] <= 0.0 or radii[-1] >= 1.0:
         raise ValueError("r_list must contain radii strictly between 0 and 1")
-    if radii.size > 1 and np.any(np.diff(radii) <= 0.0):
-        raise ValueError("r_list must be strictly increasing")
     sample = ClaytonCopula(5.0, 2).sample(int(count), rng)
     cfg = config if config is not None else SolverConfig()
     rows: list[BoundedSupportRow] = []
     prev = cfg.initial_point
     for r in radii:
-        params, idx = CirclePath(float(r), n_phi).indices()
-        curve = _trace_indices(
-            sample, params, idx, "expectile", dataclasses.replace(cfg, initial_point=prev)
+        _, idx = _circle_indices(float(r), n_phi)
+        points, converged = _trace(
+            sample, idx, "expectile", dataclasses.replace(cfg, initial_point=prev)
         )
-        prev = curve.points[0]
-        exits = bool(np.any((curve.points < 0.0) | (curve.points > 1.0)))
-        rows.append(BoundedSupportRow(r=float(r), exits_support=exits, all_converged=curve.all_converged))
+        prev = points[0]
+        exits = bool(np.any((points < 0.0) | (points > 1.0)))
+        rows.append(BoundedSupportRow(float(r), exits, bool(np.all(converged))))
     return rows

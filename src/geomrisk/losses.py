@@ -73,6 +73,33 @@ def _check_level(alpha: float) -> float:
     return a
 
 
+# Row formulas of the multivariate losses for an (n, d) batch ``t``.  They do
+# no validation: the public kernels below and the estimators' solver
+# closures validate first and then share these.
+
+def _quantile_rows(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return 0.5 * (np.linalg.norm(t, axis=1) + t @ u)
+
+
+def _quantile_grad_rows(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(t, axis=1)
+    # rows with t = 0 divide by 1 instead, leaving exactly 0.5 * u
+    safe = np.where(norms == 0.0, 1.0, norms)
+    return 0.5 * (t / safe[:, np.newaxis] + u)
+
+
+def _expectile_rows(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(t, axis=1)
+    return 0.5 * norms * (norms + t @ u)
+
+
+def _expectile_grad_rows(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(t, axis=1)
+    # rows with t = 0 divide by 1; both summands vanish there anyway
+    safe = np.where(norms == 0.0, 1.0, norms)
+    return t * (1.0 + (t @ u) / (2.0 * safe))[:, np.newaxis] + 0.5 * norms[:, np.newaxis] * u
+
+
 def check_loss(alpha: float, t):
     """Univariate check loss ``|alpha - 1{t <= 0}| |t|``.
 
@@ -112,8 +139,7 @@ def quantile_loss(u, t):
     """
     uu = as_index(u)
     pts, single = _as_points(t, uu.size)
-    norms = np.linalg.norm(pts, axis=1)
-    vals = 0.5 * (norms + pts @ uu)
+    vals = _quantile_rows(uu, pts)
     return float(vals[0]) if single else vals
 
 
@@ -125,10 +151,7 @@ def quantile_loss_subgrad(u, t):
     """
     uu = as_index(u)
     pts, single = _as_points(t, uu.size)
-    norms = np.linalg.norm(pts, axis=1)
-    # rows with t = 0 divide by 1 instead, leaving exactly 0.5 * u
-    safe = np.where(norms == 0.0, 1.0, norms)
-    out = 0.5 * (pts / safe[:, np.newaxis] + uu)
+    out = _quantile_grad_rows(uu, pts)
     return out[0] if single else out
 
 
@@ -142,8 +165,7 @@ def expectile_loss(u, t):
     """
     uu = as_index(u)
     pts, single = _as_points(t, uu.size)
-    norms = np.linalg.norm(pts, axis=1)
-    vals = 0.5 * norms * (norms + pts @ uu)
+    vals = _expectile_rows(uu, pts)
     return float(vals[0]) if single else vals
 
 
@@ -156,11 +178,7 @@ def expectile_loss_grad(u, t):
     """
     uu = as_index(u)
     pts, single = _as_points(t, uu.size)
-    norms = np.linalg.norm(pts, axis=1)
-    inner = pts @ uu
-    # rows with t = 0 divide by 1; both summands vanish there anyway
-    safe = np.where(norms == 0.0, 1.0, norms)
-    out = pts * (1.0 + inner / (2.0 * safe))[:, np.newaxis] + 0.5 * norms[:, np.newaxis] * uu
+    out = _expectile_grad_rows(uu, pts)
     return out[0] if single else out
 
 
@@ -175,9 +193,7 @@ def expectile_score(u, x, y):
     py, sy = _as_points(y, uu.size)
     if px.shape[0] != py.shape[0] and min(px.shape[0], py.shape[0]) != 1:
         raise ValueError("x and y batches must have equal length or length one")
-    diff = px - py
-    norms = np.linalg.norm(diff, axis=1)
-    vals = 0.5 * norms * (norms + diff @ uu)
+    vals = _expectile_rows(uu, px - py)
     return float(vals[0]) if sx and sy else vals
 
 

@@ -3,12 +3,15 @@ and the in-memory/file round trip."""
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geomrisk
 from geomrisk.cli import main
 
 
@@ -185,6 +188,11 @@ def test_bounded_support_output(tmp_path):
     assert lines[1].split(",")[1] == "false"  # r = 0.1 stays inside
 
 
+def test_bounded_support_rejects_empty_sample(tmp_path, capsys):
+    assert main(["bounded-support", "--n", "0", "--out", str(tmp_path / "b.csv")]) == 1
+    assert "sample size n" in capsys.readouterr().err
+
+
 def test_selftest_passes():
     assert main(["selftest"]) == 0
 
@@ -290,11 +298,15 @@ def test_non_convergence_exits_two_but_writes_output(tmp_path):
 
 def test_console_script_entry_point(tmp_path):
     out = tmp_path / "cli.csv"
+    # the child imports the same package as this process, installed or not
+    package_root = str(Path(geomrisk.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "geomrisk.cli", "simulate", "--model", "X1",
          "--n", "10", "--seed", "1", "--out", str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert out.read_text().startswith("x1,x2")

@@ -15,10 +15,12 @@ from geomrisk import (
     empirical_objective,
     empirical_objective_grad,
     expectile_loss,
+    expectile_loss_grad,
     geometric_expectile,
     geometric_var,
     minimize_convex,
     quantile_loss,
+    quantile_loss_subgrad,
     univariate_expectile,
     univariate_quantile,
 )
@@ -33,6 +35,21 @@ def test_empirical_objective_pinned():
     c = np.array([1.0, 0.0])
     assert empirical_objective(sample, u, c, kind="expectile") == pytest.approx(0.5, abs=1e-14)
     assert empirical_objective(sample, u, c, kind="quantile") == pytest.approx(0.5, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "kind, loss, loss_grad",
+    [("expectile", expectile_loss, expectile_loss_grad),
+     ("quantile", quantile_loss, quantile_loss_subgrad)],
+)
+def test_empirical_objective_is_the_mean_public_kernel(kind, loss, loss_grad):
+    sample = np.random.default_rng(5).standard_normal((200, 3))
+    sample[7] = [0.1, 0.2, -0.3]  # one row at c exercises the t = 0 branch
+    u = np.array([0.3, -0.2, 0.5])
+    c = np.array([0.1, 0.2, -0.3])
+    assert empirical_objective(sample, u, c, kind) == float(np.mean(loss(u, sample - c)))
+    grad = empirical_objective_grad(sample, u, c, kind)
+    assert np.all(grad == -loss_grad(u, sample - c).mean(axis=0))
 
 
 def test_empirical_objective_grad_pinned():
