@@ -343,6 +343,8 @@ def _alpha_for(args, dim: int) -> np.ndarray:
 
 def _direction(args, dim: int) -> np.ndarray:
     """--direction scaled to a unit vector; it must have ``dim`` components."""
+    if args.direction is None:
+        raise ValueError("--direction is required")
     d = np.asarray(args.direction, dtype=float)
     norm = np.linalg.norm(d)
     if not np.all(np.isfinite(d)) or norm == 0.0:
@@ -434,8 +436,8 @@ def _build_path(args, dim: int):
             raise ValueError("--r is required for a quarter-circle path")
         return QuarterCirclePath(args.r, args.nphi)
     if kind == "ray":
-        if args.direction is None or args.magnitudes is None:
-            raise ValueError("--direction and --magnitudes are required for a ray path")
+        if args.magnitudes is None:
+            raise ValueError("--magnitudes is required for a ray path")
         return RayPath(_direction(args, dim), np.asarray(args.magnitudes, dtype=float))
     raise ValueError(f"unknown path {kind!r}")
 
@@ -491,6 +493,8 @@ def _cmd_compare_uni(args) -> int:
 
 
 def _cmd_match_magnitude(args) -> int:
+    if args.theta is None:
+        raise ValueError("--theta is required")
     sample = _get_sample(args)
     m_star, _, converged = match_magnitude(
         sample,
@@ -559,6 +563,8 @@ def _cmd_uniform_analytic(args) -> int:
     if len(box_vals) != 4:
         raise ValueError("--box must be a1,b1,a2,b2")
     box = UniformBox(*box_vals)
+    if args.alpha is None:
+        raise ValueError("--alpha is required")
     alpha = np.asarray(args.alpha, dtype=float)
     return _write_report(args.out, uniform_expectile(box, alpha, _solver_config(args)))
 

@@ -24,8 +24,6 @@ __all__ = [
     "GumbelCopula",
     "FrankCopula",
     "CopulaSpec",
-    "copula_sample",
-    "copula_kendall_tau",
 ]
 
 # keep copula samples strictly inside (0,1): fp underflow at the tails
@@ -190,21 +188,3 @@ def _debye1(x: float) -> float:
 
 
 CopulaSpec = Union[IndependenceCopula, ClaytonCopula, GumbelCopula, FrankCopula]
-
-_COPULA_TYPES = (IndependenceCopula, ClaytonCopula, GumbelCopula, FrankCopula)
-
-
-def copula_sample(copula: CopulaSpec, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` rows from ``copula``; entries lie strictly in (0, 1)."""
-    if not isinstance(copula, _COPULA_TYPES):
-        raise ValueError(f"unknown copula type: {type(copula).__name__}")
-    if int(count) < 0:
-        raise ValueError("count must be nonnegative")
-    return copula.sample(int(count), rng)
-
-
-def copula_kendall_tau(copula: CopulaSpec) -> float:
-    """Population Kendall's tau of a bivariate pair from ``copula``."""
-    if not isinstance(copula, _COPULA_TYPES):
-        raise ValueError(f"unknown copula type: {type(copula).__name__}")
-    return float(copula.kendall_tau())

@@ -25,11 +25,6 @@ __all__ = [
     "Exponential",
     "Uniform",
     "MarginSpec",
-    "margin_quantile",
-    "margin_cdf",
-    "margin_mean",
-    "margin_var",
-    "margin_sample",
     "has_finite_second_moment",
 ]
 
@@ -48,8 +43,15 @@ def _scalar_like(out: np.ndarray, template) -> np.ndarray | float:
     return float(out) if np.ndim(template) == 0 else out
 
 
+class _InverseTransform:
+    """Inverse-transform sampling: uniforms pushed through ``quantile``."""
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return self.quantile(np.maximum(rng.random(int(count)), _U_FLOOR))
+
+
 @dataclass(frozen=True)
-class Normal:
+class Normal(_InverseTransform):
     """Normal distribution with mean ``mu`` and standard deviation ``sigma``."""
 
     mu: float = 0.0
@@ -72,12 +74,9 @@ class Normal:
     def var(self) -> float:
         return self.sigma**2
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return self.quantile(np.maximum(rng.random(int(count)), _U_FLOOR))
-
 
 @dataclass(frozen=True)
-class StudentT:
+class StudentT(_InverseTransform):
     """Student t distribution with ``nu`` degrees of freedom (location 0, scale 1)."""
 
     nu: float
@@ -102,9 +101,6 @@ class StudentT:
         if self.nu <= 2.0:
             raise ValueError("StudentT variance undefined for nu <= 2")
         return self.nu / (self.nu - 2.0)
-
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return self.quantile(np.maximum(rng.random(int(count)), _U_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -176,7 +172,7 @@ class SkewNormal:
 
 
 @dataclass(frozen=True)
-class Gumbel:
+class Gumbel(_InverseTransform):
     """Gumbel (type-I extreme value) distribution, standard form by default."""
 
     loc: float = 0.0
@@ -199,12 +195,9 @@ class Gumbel:
     def var(self) -> float:
         return (np.pi * self.scale) ** 2 / 6.0
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return self.quantile(np.maximum(rng.random(int(count)), _U_FLOOR))
-
 
 @dataclass(frozen=True)
-class Logistic:
+class Logistic(_InverseTransform):
     """Logistic distribution, standard form by default."""
 
     loc: float = 0.0
@@ -229,12 +222,9 @@ class Logistic:
     def var(self) -> float:
         return (np.pi * self.scale) ** 2 / 3.0
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return self.quantile(np.maximum(rng.random(int(count)), _U_FLOOR))
-
 
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(_InverseTransform):
     """Exponential distribution with rate ``rate`` (mean ``1 / rate``)."""
 
     rate: float
@@ -256,12 +246,9 @@ class Exponential:
     def var(self) -> float:
         return 1.0 / self.rate**2
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return self.quantile(np.maximum(rng.random(int(count)), _U_FLOOR))
-
 
 @dataclass(frozen=True)
-class Uniform:
+class Uniform(_InverseTransform):
     """Uniform distribution on the interval [a, b]."""
 
     a: float = 0.0
@@ -284,55 +271,14 @@ class Uniform:
     def var(self) -> float:
         return (self.b - self.a) ** 2 / 12.0
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return self.quantile(np.maximum(rng.random(int(count)), _U_FLOOR))
-
 
 MarginSpec = Union[Normal, StudentT, SkewNormal, Gumbel, Logistic, Exponential, Uniform]
-
-_MARGIN_TYPES = (Normal, StudentT, SkewNormal, Gumbel, Logistic, Exponential, Uniform)
-
-
-def _require_margin(margin) -> None:
-    if not isinstance(margin, _MARGIN_TYPES):
-        raise ValueError(f"unknown margin type: {type(margin).__name__}")
-
-
-def margin_quantile(margin: MarginSpec, p):
-    """Quantile function of ``margin`` evaluated at probability (array) ``p``."""
-    _require_margin(margin)
-    return margin.quantile(p)
-
-
-def margin_cdf(margin: MarginSpec, x):
-    """Cdf of ``margin`` evaluated at ``x``."""
-    _require_margin(margin)
-    return margin.cdf(x)
-
-
-def margin_mean(margin: MarginSpec) -> float:
-    """Mean of ``margin``; raises ValueError when undefined."""
-    _require_margin(margin)
-    return float(margin.mean())
-
-
-def margin_var(margin: MarginSpec) -> float:
-    """Variance of ``margin``; raises ValueError when undefined."""
-    _require_margin(margin)
-    return float(margin.var())
-
-
-def margin_sample(margin: MarginSpec, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` iid variates from ``margin`` using ``rng``."""
-    _require_margin(margin)
-    if int(count) < 0:
-        raise ValueError("count must be nonnegative")
-    return margin.sample(int(count), rng)
 
 
 def has_finite_second_moment(margin: MarginSpec) -> bool:
     """Flag margins with E[X^2] < infinity (required for expectiles to exist)."""
-    _require_margin(margin)
+    if not isinstance(margin, MarginSpec):
+        raise ValueError(f"unknown margin type: {type(margin).__name__}")
     if isinstance(margin, StudentT):
         return margin.nu > 2.0
     return True

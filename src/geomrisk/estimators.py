@@ -48,9 +48,10 @@ class SolverConfig:
     """Tuning knobs for :func:`minimize_convex`.
 
     ``grad_tolerance`` is relative: the iteration stops once
-    ``||grad|| <= grad_tolerance * (1 + |objective|)``.  When
-    ``initial_point`` is None the caller supplies a default (the sample
-    mean for the estimators).
+    ``||grad|| <= grad_tolerance * (1 + |objective|)``.
+    :func:`minimize_convex` starts at ``initial_point`` when it is set,
+    and at its ``x0`` argument otherwise (the sample mean for the
+    estimators).
     """
 
     grad_tolerance: float = 1e-8
@@ -98,9 +99,16 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None) -> SolveR
     subgradient suffices almost everywhere).  Line search is Armijo
     backtracking with halving; steps below 1e-14 stop the iteration as
     stagnation.  The objective never increases across accepted steps.
+    The iteration starts at ``config.initial_point`` when it is set (a
+    finite vector of the shape of ``x0``) and at ``x0`` otherwise.
     """
     cfg = config if config is not None else SolverConfig()
     x = np.array(x0, dtype=float)
+    if cfg.initial_point is not None:
+        start = np.array(cfg.initial_point, dtype=float)
+        if start.shape != x.shape or not np.all(np.isfinite(start)):
+            raise ValueError("initial_point must be a finite vector matching the problem dimension")
+        x = start
     f = float(fun(x))
     g = np.asarray(grad(x), dtype=float)
     dim = x.size
@@ -203,21 +211,11 @@ def empirical_objective_grad(sample, u, c, kind: str = "expectile") -> np.ndarra
     return grad(cc)
 
 
-def _start_point(sample: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    if cfg.initial_point is None:
-        return sample.mean(axis=0)
-    x0 = np.asarray(cfg.initial_point, dtype=float)
-    if x0.shape != (sample.shape[1],) or not np.all(np.isfinite(x0)):
-        raise ValueError("initial_point must be a finite vector matching the sample dimension")
-    return x0
-
-
 def _solve(sample, alpha, config, kind: str) -> SolveReport:
     s = as_sample(sample)
     u = as_index(alpha)
     if u.size != s.shape[1]:
         raise ValueError("index dimension must match the sample dimension")
-    cfg = config if config is not None else SolverConfig()
     if np.all(s == s[0]):
         # all observations identical: the minimizer is that point, loss zero
         return SolveReport(
@@ -228,7 +226,11 @@ def _solve(sample, alpha, config, kind: str) -> SolveReport:
             converged=True,
         )
     fun, grad = _objective_closures(s, u, kind)
-    report = minimize_convex(fun, grad, _start_point(s, cfg), cfg)
+    # a set initial_point overrides x0, whose shape alone then matters; the
+    # sample mean costs about half a kernel pass, so warm starts skip it
+    cold = config is None or config.initial_point is None
+    x0 = s.mean(axis=0) if cold else np.zeros(s.shape[1])
+    report = minimize_convex(fun, grad, x0, config)
     if kind == "quantile" and s.shape[1] >= 2 and _collinear(s):
         report = dataclasses.replace(report, note="degenerate_possible")
     return report

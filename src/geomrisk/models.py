@@ -23,7 +23,6 @@ from .copulas import (
     FrankCopula,
     GumbelCopula,
     IndependenceCopula,
-    copula_sample,
 )
 from .distributions import (
     Exponential,
@@ -33,8 +32,6 @@ from .distributions import (
     Normal,
     SkewNormal,
     StudentT,
-    margin_mean,
-    margin_quantile,
 )
 
 __all__ = [
@@ -52,13 +49,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class JointModel:
-    """d margins coupled by a d-dimensional copula."""
+    """d margins coupled by a d-dimensional copula.
+
+    Construction rejects margins and copulas of unknown type, so
+    :func:`simulate` and :func:`model_mean` call their methods unchecked.
+    """
 
     margins: tuple[MarginSpec, ...]
     copula: CopulaSpec
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "margins", tuple(self.margins))
+        for margin in self.margins:
+            if not isinstance(margin, MarginSpec):
+                raise ValueError(f"unknown margin type: {type(margin).__name__}")
+        if not isinstance(self.copula, CopulaSpec):
+            raise ValueError(f"unknown copula type: {type(self.copula).__name__}")
         if len(self.margins) == 0:
             raise ValueError("JointModel requires at least one margin")
         if len(self.margins) != int(self.copula.dim):
@@ -98,10 +104,10 @@ def simulate(model: JointModel, count: int, rng: np.random.Generator) -> np.ndar
         raise ValueError("simulate expects a JointModel; use simulate_compound for claims")
     if int(count) < 0:
         raise ValueError("count must be nonnegative")
-    u = copula_sample(model.copula, int(count), rng)
+    u = model.copula.sample(int(count), rng)
     out = np.empty((int(count), model.dim), dtype=float)
     for j, margin in enumerate(model.margins):
-        out[:, j] = margin_quantile(margin, u[:, j]) if count else 0.0
+        out[:, j] = margin.quantile(u[:, j]) if count else 0.0
     return out
 
 
@@ -142,7 +148,7 @@ def simulate_compound(
 def model_mean(model: JointModel | CompoundPoissonModel) -> np.ndarray:
     """Population mean vector; Wald's identity for compound Poisson models."""
     if isinstance(model, JointModel):
-        return np.array([margin_mean(m) for m in model.margins])
+        return np.array([m.mean() for m in model.margins], dtype=float)
     if isinstance(model, CompoundPoissonModel):
         return model.claim_rate * model_mean(model.severity)
     raise ValueError(f"unknown model type: {type(model).__name__}")

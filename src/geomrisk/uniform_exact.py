@@ -164,12 +164,12 @@ def uniform_expectile(box: UniformBox, alpha, config: SolverConfig | None = None
 
     Minimizes :func:`uniform_expected_loss` with the same quasi-Newton
     iteration used by the empirical estimators; gradients are central
-    finite differences with step 1e-6.  Starts at the box midpoint.
+    finite differences with step 1e-6.  Starts at ``config.initial_point``
+    when it is set, and at the box midpoint otherwise.
     """
     u = as_index(alpha)
     if u.size != 2:
         raise ValueError("index must be 2-dimensional for a bivariate box")
-    cfg = config if config is not None else SolverConfig()
 
     def fun(c: np.ndarray) -> float:
         return uniform_expected_loss(box, u, c)
@@ -182,10 +182,4 @@ def uniform_expectile(box: UniformBox, alpha, config: SolverConfig | None = None
             out[k] = (fun(c + e_k) - fun(c - e_k)) / (2.0 * _FD_STEP)
         return out
 
-    if cfg.initial_point is None:
-        x0 = box.midpoint
-    else:
-        x0 = np.asarray(cfg.initial_point, dtype=float)
-        if x0.shape != (2,) or not np.all(np.isfinite(x0)):
-            raise ValueError("initial_point must be a finite 2-vector")
-    return minimize_convex(fun, grad, x0, cfg)
+    return minimize_convex(fun, grad, box.midpoint, config)

@@ -20,8 +20,6 @@ from geomrisk import (
     GumbelCopula,
     bounded_support_check,
     compare_univariate,
-    copula_kendall_tau,
-    copula_sample,
     distance_curve,
     empirical_objective,
     empirical_objective_grad,
@@ -248,9 +246,9 @@ def test_criterion_06_copula_calibration():
         ("gumbel2", GumbelCopula(2.0, 2)),
         ("frank3", FrankCopula(3.0, 2)),
     ):
-        u = copula_sample(cop, n, substream(1406, f"c6-{name}"))
+        u = cop.sample(n, substream(1406, f"c6-{name}"))
         emp = stats.kendalltau(u[:, 0], u[:, 1]).statistic
-        assert abs(emp - copula_kendall_tau(cop)) <= 0.015
+        assert abs(emp - cop.kendall_tau()) <= 0.015
         for j in (0, 1):
             assert stats.kstest(u[:, j], "uniform").statistic <= crit_1pct
     _report(6, 60.0, t0, "Kendall tau within 0.015 and marginal KS at 1% for Clayton(5)/Gumbel(2)/Frank(3)")

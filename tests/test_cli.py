@@ -235,6 +235,48 @@ def test_inline_json_model(tmp_path):
     assert a == b
 
 
+def _json_model(copula: str) -> str:
+    return ('{"margins":[{"type":"normal"},{"type":"t","nu":5}],'
+            f'"copula":{copula}}}')
+
+
+_COMPOUND_JSON = ('{"claim_rate":0.5,"severity":{"margins":[{"type":"exponential","rate":0.1},'
+                  '{"type":"exponential","rate":0.2}],"copula":{"type":"clayton","theta":0.9}}}')
+
+
+@pytest.mark.parametrize(
+    "args, header, rows",
+    [
+        (["curve", "--model", "X1", "--n", "500", "--path", "ellipse:0.5:0.3", "--nphi", "4"],
+         "param,x1,x2,converged", 4),
+        (["curve", "--model", "X1", "--n", "500", "--path", "ellipse", "--r", "0.5",
+          "--r2", "0.3", "--nphi", "4"], "param,x1,x2,converged", 4),
+        (["curve", "--model", "X1", "--n", "500", "--path", "quarter", "--r", "0.5",
+          "--nphi", "3"], "param,x1,x2,converged", 3),
+        (["simulate", "--model", _json_model('{"type":"clayton","theta":2}'), "--n", "50"],
+         "x1,x2", 50),
+        (["simulate", "--model", _json_model('{"type":"gumbel","theta":2}'), "--n", "50"],
+         "x1,x2", 50),
+        (["simulate", "--model", _json_model('{"type":"frank","theta":-3}'), "--n", "50"],
+         "x1,x2", 50),
+        (["simulate", "--model", _COMPOUND_JSON, "--n", "50"], "x1,x2", 50),
+        # without --n: the preset's standard size, 10,000 for a JSON model
+        (["simulate", "--model", "cp-paper"], "x1,x2", 100),
+        (["simulate", "--model", _json_model('{"type":"independence"}')], "x1,x2", 10_000),
+    ],
+    ids=["ellipse-inline", "ellipse-flags", "quarter", "json-clayton", "json-gumbel",
+         "json-frank", "json-compound", "default-n-preset", "default-n-json"],
+)
+def test_path_and_model_forms(args, header, rows, tmp_path):
+    lines = run_cli([*args, "--seed", "3"], tmp_path).decode().strip().split("\n")
+    assert lines[0] == header
+    assert len(lines) == rows + 1
+    values = np.array([[float(v) for v in l.split(",")[:2]] for l in lines[1:]])
+    assert np.all(np.isfinite(values))
+    if args[0] == "curve":
+        assert all(l.endswith(",true") for l in lines[1:])
+
+
 # ---------------------------------------------------------------------------
 # config files and validation failures
 
@@ -285,6 +327,26 @@ def test_validation_failures_exit_one(tmp_path):
     # unknown path kind
     assert main(["curve", "--model", "X1", "--n", "100", "--path", "spiral",
                  "--out", out]) == 1
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["match-magnitude", "--model", "X1", "--n", "200", "--direction", "1,0"], "--theta"),
+        (["match-magnitude", "--model", "X1", "--n", "200", "--theta", "0.5"], "--direction"),
+        (["distance", "--model", "X1", "--n", "200"], "--direction"),
+        (["curve", "--model", "X1", "--n", "200", "--path", "ray", "--magnitudes", "0:0.5:0.1"],
+         "--direction"),
+        (["curve", "--model", "X1", "--n", "200", "--path", "ray", "--direction", "1,0"],
+         "--magnitudes"),
+        (["uniform-analytic"], "--alpha"),
+    ],
+    ids=["match-theta", "match-direction", "distance-direction", "ray-direction",
+         "ray-magnitudes", "uniform-alpha"],
+)
+def test_missing_required_flag_exits_one(args, flag, tmp_path, capsys):
+    assert main([*args, "--out", str(tmp_path / "m.csv")]) == 1
+    assert f"error: {flag} is required" in capsys.readouterr().err
 
 
 def test_non_convergence_exits_two_but_writes_output(tmp_path):

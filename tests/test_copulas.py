@@ -13,8 +13,6 @@ from geomrisk import (
     FrankCopula,
     GumbelCopula,
     IndependenceCopula,
-    copula_kendall_tau,
-    copula_sample,
     substream,
 )
 
@@ -25,10 +23,10 @@ N_BIG = 100_000
 # closed-form taus
 
 def test_tau_closed_forms():
-    assert copula_kendall_tau(IndependenceCopula(2)) == 0.0
-    assert copula_kendall_tau(ClaytonCopula(5.0, 2)) == pytest.approx(5.0 / 7.0, rel=1e-12)
-    assert copula_kendall_tau(GumbelCopula(2.0, 2)) == pytest.approx(0.5, rel=1e-12)
-    assert copula_kendall_tau(GumbelCopula(1.0, 2)) == 0.0
+    assert IndependenceCopula(2).kendall_tau() == 0.0
+    assert ClaytonCopula(5.0, 2).kendall_tau() == pytest.approx(5.0 / 7.0, rel=1e-12)
+    assert GumbelCopula(2.0, 2).kendall_tau() == pytest.approx(0.5, rel=1e-12)
+    assert GumbelCopula(1.0, 2).kendall_tau() == 0.0
 
 
 def test_frank_tau_against_trapezoid_debye():
@@ -38,12 +36,12 @@ def test_frank_tau_against_trapezoid_debye():
         s = np.linspace(1e-12, theta, 400_001)
         d1 = integrate.trapezoid(s / np.expm1(s), s) / theta
         target = 1.0 + 4.0 * (d1 - 1.0) / theta
-        assert copula_kendall_tau(FrankCopula(theta, 2)) == pytest.approx(target, abs=1e-9)
+        assert FrankCopula(theta, 2).kendall_tau() == pytest.approx(target, abs=1e-9)
 
 
 def test_frank_tau_sign_antisymmetry():
-    assert copula_kendall_tau(FrankCopula(-3.0, 2)) == pytest.approx(
-        -copula_kendall_tau(FrankCopula(3.0, 2)), abs=1e-12
+    assert FrankCopula(-3.0, 2).kendall_tau() == pytest.approx(
+        -FrankCopula(3.0, 2).kendall_tau(), abs=1e-12
     )
 
 
@@ -62,15 +60,15 @@ def test_frank_tau_sign_antisymmetry():
     ids=["clayton5", "gumbel2", "frank3", "frank-neg3", "independence"],
 )
 def test_sample_tau_matches_closed_form(copula, tol):
-    u = copula_sample(copula, N_BIG, substream(2024, f"tau-{type(copula).__name__}-{copula.theta if hasattr(copula, 'theta') else 0}"))
+    u = copula.sample(N_BIG, substream(2024, f"tau-{type(copula).__name__}-{copula.theta if hasattr(copula, 'theta') else 0}"))
     emp = stats.kendalltau(u[:, 0], u[:, 1]).statistic
-    assert emp == pytest.approx(copula_kendall_tau(copula), abs=tol)
+    assert emp == pytest.approx(copula.kendall_tau(), abs=tol)
 
 
 def test_higher_dimension_pairwise_taus_are_exchangeable():
     cop = ClaytonCopula(5.0, 4)
-    u = copula_sample(cop, 40_000, substream(2025, "tau-4d"))
-    target = copula_kendall_tau(cop)
+    u = cop.sample(40_000, substream(2025, "tau-4d"))
+    target = cop.kendall_tau()
     for i in range(4):
         for j in range(i + 1, 4):
             emp = stats.kendalltau(u[:, i], u[:, j]).statistic
@@ -81,7 +79,7 @@ def test_higher_dimension_pairwise_taus_are_exchangeable():
 # diagonal-probability oracles: P(U1<=u, U2<=u) has a closed form
 
 def _diag_check(copula, exact_fn, stage):
-    u = copula_sample(copula, N_BIG, substream(99, stage))
+    u = copula.sample(N_BIG, substream(99, stage))
     for q in (0.25, 0.5, 0.75):
         exact = exact_fn(q)
         emp = float(np.mean((u[:, 0] <= q) & (u[:, 1] <= q)))
@@ -117,7 +115,7 @@ def test_frank_diagonal_probability():
 
 
 def test_gumbel_theta_one_is_independence():
-    u = copula_sample(GumbelCopula(1.0, 2), N_BIG, substream(99, "diag-gumbel1"))
+    u = GumbelCopula(1.0, 2).sample(N_BIG, substream(99, "diag-gumbel1"))
     emp = float(np.mean((u[:, 0] <= 0.5) & (u[:, 1] <= 0.5)))
     se = np.sqrt(0.25 * 0.75 / N_BIG)
     assert abs(emp - 0.25) <= 4.0 * se
@@ -134,7 +132,7 @@ def test_gumbel_theta_one_is_independence():
 )
 def test_marginal_uniformity_ks_at_one_percent(copula):
     n = 50_000
-    u = copula_sample(copula, n, substream(7, f"unif-{type(copula).__name__}-{copula.theta}-{copula.dim}"))
+    u = copula.sample(n, substream(7, f"unif-{type(copula).__name__}-{copula.theta}-{copula.dim}"))
     crit = 1.63 / np.sqrt(n)  # 1% asymptotic critical value
     for j in range(u.shape[1]):
         assert stats.kstest(u[:, j], "uniform").statistic <= crit
@@ -142,7 +140,7 @@ def test_marginal_uniformity_ks_at_one_percent(copula):
 
 def test_samples_strictly_inside_unit_cube():
     for cop in (ClaytonCopula(5.0, 3), GumbelCopula(4.0, 2), FrankCopula(-8.0, 2)):
-        u = copula_sample(cop, 20_000, substream(8, f"range-{type(cop).__name__}"))
+        u = cop.sample(20_000, substream(8, f"range-{type(cop).__name__}"))
         assert np.all(u > 0.0)
         assert np.all(u < 1.0)
         assert u.shape == (20_000, cop.dim)
@@ -150,8 +148,8 @@ def test_samples_strictly_inside_unit_cube():
 
 def test_sampling_is_deterministic():
     cop = GumbelCopula(2.0, 2)
-    a = copula_sample(cop, 64, substream(5, "det"))
-    b = copula_sample(cop, 64, substream(5, "det"))
+    a = cop.sample(64, substream(5, "det"))
+    b = cop.sample(64, substream(5, "det"))
     np.testing.assert_array_equal(a, b)
 
 

@@ -16,11 +16,6 @@ from geomrisk import (
     StudentT,
     Uniform,
     has_finite_second_moment,
-    margin_cdf,
-    margin_mean,
-    margin_quantile,
-    margin_sample,
-    margin_var,
     substream,
 )
 
@@ -44,38 +39,38 @@ FINITE_FOURTH_MOMENT = tuple(m for m in ALL_MARGINS if not isinstance(m, Student
 
 def test_exponential_quantile_pinned():
     # P(X <= 10) = 1 - e^{-1} for rate 1/10.
-    assert margin_quantile(Exponential(0.1), 1.0 - np.exp(-1.0)) == pytest.approx(
+    assert Exponential(0.1).quantile(1.0 - np.exp(-1.0)) == pytest.approx(
         10.0, rel=1e-12
     )
 
 
 def test_normal_quantile_median_and_symmetry():
     m = Normal(-2.0, 3.0)
-    assert margin_quantile(m, 0.5) == pytest.approx(-2.0, abs=1e-12)
-    assert margin_quantile(m, 0.975) == pytest.approx(-2.0 + 3.0 * 1.959963984540054, abs=1e-9)
+    assert m.quantile(0.5) == pytest.approx(-2.0, abs=1e-12)
+    assert m.quantile(0.975) == pytest.approx(-2.0 + 3.0 * 1.959963984540054, abs=1e-9)
 
 
 def test_uniform_cdf_is_linear():
     m = Uniform(-1.0, 3.0)
     x = np.linspace(-1.0, 3.0, 9)
-    np.testing.assert_allclose(margin_cdf(m, x), (x + 1.0) / 4.0, atol=1e-14)
+    np.testing.assert_allclose(m.cdf(x), (x + 1.0) / 4.0, atol=1e-14)
 
 
 def test_skew_normal_mean_closed_form():
     m = SkewNormal(-1.0, 1.0, 2.0)
     delta = 2.0 / np.sqrt(5.0)
-    assert margin_mean(m) == pytest.approx(-1.0 + delta * np.sqrt(2.0 / np.pi), rel=1e-12)
+    assert m.mean() == pytest.approx(-1.0 + delta * np.sqrt(2.0 / np.pi), rel=1e-12)
 
 
 def test_closed_form_variances():
-    assert margin_var(StudentT(4.0)) == pytest.approx(2.0, rel=1e-12)
-    assert margin_var(Gumbel(1.0, 2.0)) == pytest.approx(np.pi**2 / 6.0 * 4.0, rel=1e-12)
-    assert margin_var(Logistic(-1.0, 0.5)) == pytest.approx(np.pi**2 / 3.0 * 0.25, rel=1e-12)
-    assert margin_var(Exponential(0.1)) == pytest.approx(100.0, rel=1e-12)
-    assert margin_var(Uniform(-1.0, 3.0)) == pytest.approx(16.0 / 12.0, rel=1e-12)
+    assert StudentT(4.0).var() == pytest.approx(2.0, rel=1e-12)
+    assert Gumbel(1.0, 2.0).var() == pytest.approx(np.pi**2 / 6.0 * 4.0, rel=1e-12)
+    assert Logistic(-1.0, 0.5).var() == pytest.approx(np.pi**2 / 3.0 * 0.25, rel=1e-12)
+    assert Exponential(0.1).var() == pytest.approx(100.0, rel=1e-12)
+    assert Uniform(-1.0, 3.0).var() == pytest.approx(16.0 / 12.0, rel=1e-12)
     m = SkewNormal(0.0, 2.0, 1.0)
     delta2 = 0.5
-    assert margin_var(m) == pytest.approx(4.0 * (1.0 - 2.0 * delta2 / np.pi), rel=1e-12)
+    assert m.var() == pytest.approx(4.0 * (1.0 - 2.0 * delta2 / np.pi), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -84,29 +79,29 @@ def test_closed_form_variances():
 @pytest.mark.parametrize("margin", ALL_MARGINS, ids=lambda m: type(m).__name__ + repr(m)[:20])
 def test_cdf_quantile_round_trip(margin):
     p = np.arange(0.01, 0.995, 0.01)
-    x = margin_quantile(margin, p)
-    np.testing.assert_allclose(margin_cdf(margin, x), p, atol=1e-8)
+    x = margin.quantile(p)
+    np.testing.assert_allclose(margin.cdf(x), p, atol=1e-8)
 
 
 def test_quantile_is_monotone():
     p = np.linspace(0.001, 0.999, 200)
     for margin in ALL_MARGINS:
-        q = margin_quantile(margin, p)
+        q = margin.quantile(p)
         assert np.all(np.diff(q) > 0.0)
 
 
 def test_student_t_against_scipy():
     m = StudentT(4.0)
     p = np.array([0.05, 0.3, 0.5, 0.8, 0.99])
-    np.testing.assert_allclose(margin_quantile(m, p), stats.t.ppf(p, 4.0), rtol=1e-10)
+    np.testing.assert_allclose(m.quantile(p), stats.t.ppf(p, 4.0), rtol=1e-10)
     x = np.array([-2.0, 0.0, 1.5])
-    np.testing.assert_allclose(margin_cdf(m, x), stats.t.cdf(x, 4.0), rtol=1e-10)
+    np.testing.assert_allclose(m.cdf(x), stats.t.cdf(x, 4.0), rtol=1e-10)
 
 
 def test_skew_normal_against_scipy():
     m = SkewNormal(-1.0, 1.5, 2.0)
     for p in (0.05, 0.25, 0.5, 0.9, 0.99):
-        assert margin_quantile(m, p) == pytest.approx(
+        assert m.quantile(p) == pytest.approx(
             stats.skewnorm.ppf(p, 2.0, loc=-1.0, scale=1.5), abs=1e-8
         )
 
@@ -125,18 +120,18 @@ def test_skew_normal_cdf_against_quadrature():
 
     for x in (-2.0, 0.0, 1.0, 3.0):
         val, _ = integrate.quad(pdf, -np.inf, x)
-        assert margin_cdf(m, x) == pytest.approx(val, abs=1e-9)
+        assert m.cdf(x) == pytest.approx(val, abs=1e-9)
 
 
 def test_gumbel_and_logistic_cdf_forms():
     x = np.array([-1.0, 0.0, 2.5])
     g = Gumbel(1.0, 2.0)
     np.testing.assert_allclose(
-        margin_cdf(g, x), np.exp(-np.exp(-(x - 1.0) / 2.0)), rtol=1e-12
+        g.cdf(x), np.exp(-np.exp(-(x - 1.0) / 2.0)), rtol=1e-12
     )
     l = Logistic(-1.0, 0.5)
     np.testing.assert_allclose(
-        margin_cdf(l, x), 1.0 / (1.0 + np.exp(-(x + 1.0) / 0.5)), rtol=1e-12
+        l.cdf(x), 1.0 / (1.0 + np.exp(-(x + 1.0) / 0.5)), rtol=1e-12
     )
 
 
@@ -147,8 +142,8 @@ def test_gumbel_and_logistic_cdf_forms():
 def test_sampling_kolmogorov_smirnov(margin):
     n = 10_000
     rng = substream(516, f"ks-{type(margin).__name__}-{hash(margin) & 0xffff}")
-    x = margin_sample(margin, n, rng)
-    stat = stats.kstest(x, lambda v: margin_cdf(margin, v)).statistic
+    x = margin.sample(n, rng)
+    stat = stats.kstest(x, margin.cdf).statistic
     assert stat <= 1.36 / np.sqrt(n)  # 5% asymptotic critical value
 
 
@@ -156,9 +151,9 @@ def test_sampling_mean_within_four_se():
     n = 100_000
     for margin in ALL_MARGINS:
         rng = substream(616, f"mean-{type(margin).__name__}-{hash(margin) & 0xffff}")
-        x = margin_sample(margin, n, rng)
+        x = margin.sample(n, rng)
         se = x.std(ddof=1) / np.sqrt(n)
-        assert abs(x.mean() - margin_mean(margin)) <= 4.0 * se
+        assert abs(x.mean() - margin.mean()) <= 4.0 * se
 
 
 def test_sampling_variance_within_four_se():
@@ -166,25 +161,25 @@ def test_sampling_variance_within_four_se():
     n = 100_000
     for margin in FINITE_FOURTH_MOMENT:
         rng = substream(717, f"var-{type(margin).__name__}-{hash(margin) & 0xffff}")
-        x = margin_sample(margin, n, rng)
+        x = margin.sample(n, rng)
         s2 = x.var(ddof=1)
         m4 = np.mean((x - x.mean()) ** 4)
         se = np.sqrt(max(m4 - s2 * s2, 0.0) / n)
-        assert abs(s2 - margin_var(margin)) <= 4.0 * se
+        assert abs(s2 - margin.var()) <= 4.0 * se
 
 
 def test_skew_normal_sample_mean_within_three_se():
     m = SkewNormal(-1.0, 1.0, 2.0)
     n = 50_000
-    x = margin_sample(m, n, substream(818, "sn-mean"))
+    x = m.sample(n, substream(818, "sn-mean"))
     se = x.std(ddof=1) / np.sqrt(n)
-    assert abs(x.mean() - margin_mean(m)) <= 3.0 * se
+    assert abs(x.mean() - m.mean()) <= 3.0 * se
 
 
 def test_sampling_is_deterministic():
     m = Normal(0.0, 1.0)
-    a = margin_sample(m, 100, substream(1, "same"))
-    b = margin_sample(m, 100, substream(1, "same"))
+    a = m.sample(100, substream(1, "same"))
+    b = m.sample(100, substream(1, "same"))
     np.testing.assert_array_equal(a, b)
 
 
@@ -200,7 +195,7 @@ def test_second_moment_flags():
 
 def test_student_t_small_nu_has_no_variance():
     with pytest.raises(ValueError):
-        margin_var(StudentT(2.0))
+        StudentT(2.0).var()
 
 
 def test_constructor_validation():
@@ -222,6 +217,6 @@ def test_constructor_validation():
 
 def test_quantile_domain_errors():
     with pytest.raises(ValueError):
-        margin_quantile(Normal(0, 1), 0.0)
+        Normal(0, 1).quantile(0.0)
     with pytest.raises(ValueError):
-        margin_quantile(Normal(0, 1), 1.0)
+        Normal(0, 1).quantile(1.0)

@@ -142,6 +142,14 @@ def test_minimize_convex_respects_initial_point():
     rep = minimize_convex(fun, grad, np.zeros(2), cfg)
     assert rep.converged
     np.testing.assert_allclose(rep.argmin, [3.0, 3.0], atol=1e-7)
+    # started at the minimizer, the solver takes no step away from x0 = 0
+    rep = minimize_convex(fun, grad, np.zeros(2), SolverConfig(initial_point=np.array([3.0, 3.0])))
+    assert rep.iterations == 0
+    np.testing.assert_array_equal(rep.argmin, [3.0, 3.0])
+    with pytest.raises(ValueError, match="initial_point"):
+        minimize_convex(fun, grad, np.zeros(2), SolverConfig(initial_point=np.array([np.nan, 3.0])))
+    with pytest.raises(ValueError, match="initial_point"):
+        minimize_convex(fun, grad, np.zeros(2), SolverConfig(initial_point=np.zeros(3)))
 
 
 def test_solver_config_validation():

@@ -19,7 +19,6 @@ from geomrisk import (
     PRESET_DEFAULT_N,
     PRESETS,
     get_preset,
-    margin_mean,
     model_mean,
     simulate,
     simulate_compound,
@@ -81,7 +80,7 @@ def test_x1_sample_moments(x1_sample_10k):
 
 def test_x2_first_margin_mean():
     model = get_preset("X2")
-    target = margin_mean(model.margins[0])
+    target = model.margins[0].mean()
     assert target == pytest.approx(-1.0 + (2.0 / np.sqrt(5.0)) * np.sqrt(2.0 / np.pi), rel=1e-10)
     s = simulate(model, 100_000, substream(32, "x2-mean"))
     se = s[:, 0].std(ddof=1) / np.sqrt(len(s))
@@ -106,7 +105,7 @@ def test_simulate_is_deterministic():
 def test_model_mean_matches_margin_means():
     model = get_preset("Z-clayton5")
     np.testing.assert_allclose(
-        model_mean(model), [margin_mean(m) for m in model.margins], atol=0.0
+        model_mean(model), [m.mean() for m in model.margins], atol=0.0
     )
 
 
@@ -171,6 +170,11 @@ def test_claim_rate_validation():
 def test_joint_model_dimension_validation():
     with pytest.raises(ValueError):
         JointModel((Normal(0, 1),), IndependenceCopula(2))
+    # types are checked before the dimension: a count mismatch reports the type
+    with pytest.raises(ValueError, match="unknown margin type: str"):
+        JointModel(("normal",), IndependenceCopula(2))
+    with pytest.raises(ValueError, match="unknown copula type: dict"):
+        JointModel((Normal(), Normal()), {"type": "gumbel", "dim": 2})
 
 
 # ---------------------------------------------------------------------------
