@@ -8,6 +8,13 @@ for value-at-risk.  Minimization uses a damped quasi-Newton iteration
 back to steepest descent whenever the secant direction fails to be a
 descent direction, which makes it safe on the nonsmooth value-at-risk
 objective as well.
+
+Each solve copies the sample once into a contiguous (d, n) column block,
+and every objective and gradient pass of the solver runs over that block
+with the column-block formulas of :mod:`geomrisk.losses`.
+:func:`empirical_objective` and :func:`empirical_objective_grad` average
+the public kernels' row formulas instead; they are the reference that the
+solver's passes are tested against.
 """
 
 from __future__ import annotations
@@ -18,8 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import (
+    _expectile_block_grad,
+    _expectile_block_mean,
     _expectile_grad_rows,
     _expectile_rows,
+    _quantile_block_grad,
+    _quantile_block_mean,
     _quantile_grad_rows,
     _quantile_rows,
     as_index,
@@ -40,7 +51,17 @@ __all__ = [
 
 _ARMIJO = 1e-4
 _STEP_FLOOR = 1e-14
-_KINDS = ("expectile", "quantile")
+# kind -> (loss, gradient) row formulas of the public kernels: the reference
+# that empirical_objective(_grad) average
+_ROWS = {
+    "expectile": (_expectile_rows, _expectile_grad_rows),
+    "quantile": (_quantile_rows, _quantile_grad_rows),
+}
+# kind -> (mean loss, mean gradient) over a (d, n) column block, for the solver
+_BLOCKS = {
+    "expectile": (_expectile_block_mean, _expectile_block_grad),
+    "quantile": (_quantile_block_mean, _quantile_block_grad),
+}
 
 
 @dataclass(frozen=True)
@@ -137,7 +158,6 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None) -> SolveR
         if step < _STEP_FLOOR:
             break  # stagnation: no measurable descent left
         g_new = np.asarray(grad(x_new), dtype=float)
-        assert f_new <= f + 1e-12 * (1.0 + abs(f))
         s_vec = x_new - x
         y_vec = g_new - g
         sy = float(s_vec @ y_vec)
@@ -168,26 +188,24 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None) -> SolveR
     )
 
 
-def _objective_closures(sample: np.ndarray, u: np.ndarray, kind: str):
-    """Build fast objective/gradient closures over a prevalidated sample."""
-    if kind == "expectile":
-        rows, grad_rows = _expectile_rows, _expectile_grad_rows
-    else:
-        rows, grad_rows = _quantile_rows, _quantile_grad_rows
+def _objective_closures(xt: np.ndarray, u: np.ndarray, kind: str):
+    """Solver objective/gradient closures over a prevalidated sample held as
+    the columns of one contiguous (d, n) block ``xt``."""
+    mean, mean_grad = _BLOCKS[kind]
 
     def fun(c):
-        return float(np.mean(rows(u, sample - c)))
+        return mean(u, xt - c[:, np.newaxis])
 
     def grad(c):
-        return -grad_rows(u, sample - c).mean(axis=0)
+        return -mean_grad(u, xt - c[:, np.newaxis])
 
     return fun, grad
 
 
-def _validated_closures(sample, u, c, kind: str):
-    """Validate the public objective arguments; return (fun, grad, location)."""
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}")
+def _validated(sample, u, c, kind: str):
+    """Validate the public objective arguments; return (sample, index, location)."""
+    if kind not in _ROWS:
+        raise ValueError(f"kind must be one of {tuple(_ROWS)}")
     s = as_sample(sample)
     uu = as_index(u)
     cc = np.asarray(c, dtype=float)
@@ -195,20 +213,21 @@ def _validated_closures(sample, u, c, kind: str):
         raise ValueError("sample, index and location dimensions must agree")
     if not np.all(np.isfinite(cc)):
         raise ValueError("location must be finite")
-    fun, grad = _objective_closures(s, uu, kind)
-    return fun, grad, cc
+    return s, uu, cc
 
 
 def empirical_objective(sample, u, c, kind: str = "expectile") -> float:
     """Mean loss ``(1/n) sum_i L_u(x_i - c)`` of a candidate location ``c``."""
-    fun, _, cc = _validated_closures(sample, u, c, kind)
-    return fun(cc)
+    s, uu, cc = _validated(sample, u, c, kind)
+    rows, _ = _ROWS[kind]
+    return float(np.mean(rows(uu, s - cc)))
 
 
 def empirical_objective_grad(sample, u, c, kind: str = "expectile") -> np.ndarray:
     """Gradient (subgradient for ``kind='quantile'``) of :func:`empirical_objective` in ``c``."""
-    _, grad, cc = _validated_closures(sample, u, c, kind)
-    return grad(cc)
+    s, uu, cc = _validated(sample, u, c, kind)
+    _, grad_rows = _ROWS[kind]
+    return -grad_rows(uu, s - cc).mean(axis=0)
 
 
 def _solve(sample, alpha, config, kind: str) -> SolveReport:
@@ -225,12 +244,10 @@ def _solve(sample, alpha, config, kind: str) -> SolveReport:
             iterations=0,
             converged=True,
         )
-    fun, grad = _objective_closures(s, u, kind)
-    # a set initial_point overrides x0, whose shape alone then matters; the
-    # sample mean costs about half a kernel pass, so warm starts skip it
-    cold = config is None or config.initial_point is None
-    x0 = s.mean(axis=0) if cold else np.zeros(s.shape[1])
-    report = minimize_convex(fun, grad, x0, config)
+    xt = np.ascontiguousarray(s.T)
+    fun, grad = _objective_closures(xt, u, kind)
+    # the sample mean is the cold start; a set config.initial_point overrides it
+    report = minimize_convex(fun, grad, xt.mean(axis=1), config)
     if kind == "quantile" and s.shape[1] >= 2 and _collinear(s):
         report = dataclasses.replace(report, note="degenerate_possible")
     return report

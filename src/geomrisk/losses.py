@@ -100,6 +100,48 @@ def _expectile_grad_rows(u: np.ndarray, t: np.ndarray) -> np.ndarray:
     return t * (1.0 + (t @ u) / (2.0 * safe))[:, np.newaxis] + 0.5 * norms[:, np.newaxis] * u
 
 
+# Column-block formulas: the means over all points of the row formulas above,
+# for the points held as the columns of one contiguous (d, n) block ``t``.
+# The norms and inner products then reduce along the long axis, and a mean
+# gradient is one matrix-vector product with no (n, d) temporary.  The
+# estimators' solver closures use these; the row formulas stay the reference.
+
+def _block_norms(t: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->j", t, t))
+
+
+def _quantile_block_mean(u: np.ndarray, t: np.ndarray) -> float:
+    terms = _block_norms(t)
+    # sum the nonnegative row terms ||t_i|| + <u, t_i>: the split form
+    # sum ||t_i|| + <u, sum t_i> cancels and loses digits near the minimizer
+    terms += u @ t
+    return 0.5 * float(terms.sum()) / t.shape[1]
+
+
+def _quantile_block_grad(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    norms = _block_norms(t)
+    # points with t = 0 divide by 1 instead, contributing exactly 0.5 * u
+    norms[norms == 0.0] = 1.0
+    return 0.5 * (t @ (1.0 / norms) / t.shape[1] + u)
+
+
+def _expectile_block_mean(u: np.ndarray, t: np.ndarray) -> float:
+    norms = _block_norms(t)
+    return 0.5 * float(norms @ (norms + u @ t)) / t.shape[1]
+
+
+def _expectile_block_grad(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    n = t.shape[1]
+    norms = _block_norms(t)
+    mean_norm = float(norms.sum()) / n
+    weights = u @ t
+    # points with t = 0 divide by 1; both summands vanish there anyway
+    norms[norms == 0.0] = 1.0
+    weights /= 2.0 * norms
+    weights += 1.0
+    return t @ weights / n + 0.5 * mean_norm * u
+
+
 def check_loss(alpha: float, t):
     """Univariate check loss ``|alpha - 1{t <= 0}| |t|``.
 

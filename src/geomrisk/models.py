@@ -90,6 +90,8 @@ class CompoundPoissonModel:
     severity: JointModel
 
     def __post_init__(self) -> None:
+        if not isinstance(self.severity, JointModel):
+            raise ValueError("CompoundPoissonModel severity must be a JointModel")
         if not (self.claim_rate > 0.0 and np.isfinite(self.claim_rate)):
             raise ValueError("CompoundPoissonModel requires claim_rate > 0")
 

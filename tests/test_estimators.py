@@ -4,10 +4,13 @@ order statistics)."""
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 from scipy import optimize, special
 
+from geomrisk import estimators
 from geomrisk import (
     SolveReport,
     SolverConfig,
@@ -92,6 +95,60 @@ def test_empirical_objective_grad_matches_central_differences():
             assert abs(fd - grad[k]) <= 1e-6 * (1.0 + abs(fd))
 
 
+def _solver_calls(monkeypatch) -> list[dict]:
+    """Route ``estimators.minimize_convex`` through a wrapper that binds ``fun``
+    and ``grad`` by name, as a profiler would, and counts their calls.  Each
+    call appends a record: the closures received, the pass counts and the
+    result of the real solver."""
+    real = estimators.minimize_convex
+    signature = inspect.signature(real)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        record = {"closures": (bound.arguments["fun"], bound.arguments["grad"]),
+                  "fun": 0, "grad": 0}
+
+        def counted(name, f):
+            def kernel_pass(x):
+                record[name] += 1
+                return f(x)
+            return kernel_pass
+
+        bound.arguments["fun"] = counted("fun", bound.arguments["fun"])
+        bound.arguments["grad"] = counted("grad", bound.arguments["grad"])
+        record["result"] = real(*bound.args, **bound.kwargs)
+        calls.append(record)
+        return record["result"]
+
+    monkeypatch.setattr(estimators, "minimize_convex", wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize(
+    "estimator, loss, loss_grad",
+    [(geometric_expectile, expectile_loss, expectile_loss_grad),
+     (geometric_var, quantile_loss, quantile_loss_subgrad)],
+)
+def test_solver_closures_are_the_mean_public_kernel(monkeypatch, estimator, loss, loss_grad,
+                                                    d, offset):
+    # the solver's passes run over a column block; they must agree with the
+    # mean of the public row kernels up to the order of summation
+    rng = np.random.default_rng(11 + d)
+    sample = rng.standard_normal((300, d)) + offset
+    u = np.linspace(0.4, -0.2, d)
+    c = np.full(d, 0.8) + offset
+    sample[17] = c  # one row at c exercises the t = 0 branch
+    calls = _solver_calls(monkeypatch)
+    estimator(sample, u, SolverConfig(max_iterations=1))
+    fun, grad = calls[0]["closures"]
+    np.testing.assert_allclose(fun(c), float(np.mean(loss(u, sample - c))), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(grad(c), -loss_grad(u, sample - c).mean(axis=0),
+                               rtol=1e-12, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # generic convex solver
 
@@ -150,6 +207,19 @@ def test_minimize_convex_respects_initial_point():
         minimize_convex(fun, grad, np.zeros(2), SolverConfig(initial_point=np.array([np.nan, 3.0])))
     with pytest.raises(ValueError, match="initial_point"):
         minimize_convex(fun, grad, np.zeros(2), SolverConfig(initial_point=np.zeros(3)))
+
+
+@pytest.mark.parametrize("estimator", [geometric_expectile, geometric_var])
+def test_estimators_pass_their_closures_through_minimize_convex(monkeypatch, estimator):
+    # profilers count kernel passes by wrapping the fun/grad arguments of
+    # estimators.minimize_convex; every solve must go through that name
+    sample = np.random.default_rng(3).standard_normal((50, 2))
+    calls = _solver_calls(monkeypatch)
+    report = estimator(sample, [0.3, 0.2])
+    assert len(calls) == 1
+    assert calls[0]["fun"] >= 1 and calls[0]["grad"] >= 1
+    assert report is calls[0]["result"]
+    assert report.converged
 
 
 def test_solver_config_validation():

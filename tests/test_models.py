@@ -167,6 +167,11 @@ def test_claim_rate_validation():
         CompoundPoissonModel(-2.0, get_preset("cp-paper").severity)
 
 
+def test_compound_severity_must_be_a_joint_model():
+    with pytest.raises(ValueError, match="severity must be a JointModel"):
+        CompoundPoissonModel(1.0, get_preset("cp-paper"))
+
+
 def test_joint_model_dimension_validation():
     with pytest.raises(ValueError):
         JointModel((Normal(0, 1),), IndependenceCopula(2))
