@@ -9,9 +9,13 @@ back to steepest descent whenever the secant direction fails to be a
 descent direction, which makes it safe on the nonsmooth value-at-risk
 objective as well.
 
-Each solve copies the sample once into a contiguous (d, n) column block,
-and every objective and gradient pass of the solver runs over that block
-with the column-block formulas of :mod:`geomrisk.losses`.
+A sample is validated once and copied once into a contiguous (d, n)
+column block, and every objective and gradient pass of the solver runs over
+that block with the column-block formulas of :mod:`geomrisk.losses`.  The
+private ``_Prepared`` sample holds the block with the cold-start mean, the
+all-rows-identical flag and the (lazily computed) collinearity flag; a
+direct estimator call prepares its sample once per call, and the experiment
+layer prepares each sample once for every solve on it.
 :func:`empirical_objective` and :func:`empirical_objective_grad` average
 the public kernels' row formulas instead; they are the reference that the
 solver's passes are tested against.
@@ -230,36 +234,85 @@ def empirical_objective_grad(sample, u, c, kind: str = "expectile") -> np.ndarra
     return -grad_rows(uu, s - cc).mean(axis=0)
 
 
+class _Prepared:
+    """A sample validated and laid out once, for every solve on it.
+
+    Holds the validated (n, d) ``rows`` as a read-only view (the caller's
+    array and its flags are untouched), the contiguous (d, n) column
+    ``block`` the solver's passes run over, the block ``mean`` (the cold
+    start), whether all rows are ``identical``, and, computed on first
+    use, whether they are collinear.  To numpy it is the (n, d) sample:
+    it has ``ndim`` and ``shape``, and ``np.asarray`` gives the rows.
+    It holds no workspace, so threads may share it.
+    """
+
+    __slots__ = ("rows", "block", "mean", "identical", "_collinear_flag")
+    ndim = 2
+
+    def __init__(self, sample) -> None:
+        rows = as_sample(sample).view()
+        block = np.ascontiguousarray(rows.T)
+        mean = block.mean(axis=1)
+        for arr in (rows, block, mean):
+            arr.flags.writeable = False
+        self.rows = rows
+        self.block = block
+        self.mean = mean
+        self.identical = bool(np.all(rows == rows[0]))
+        self._collinear_flag = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.rows.shape
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.rows, dtype=dtype, copy=copy)
+
+    def collinear(self) -> bool:
+        """True when all rows lie on one line; the test runs once per sample."""
+        if self._collinear_flag is None:
+            self._collinear_flag = _collinear(self.rows)
+        return self._collinear_flag
+
+
+def _prepare(sample) -> _Prepared:
+    """``sample`` prepared for solving; an already prepared sample is returned as is."""
+    return sample if isinstance(sample, _Prepared) else _Prepared(sample)
+
+
 def _solve(sample, alpha, config, kind: str) -> SolveReport:
-    s = as_sample(sample)
+    prep = _prepare(sample)
     u = as_index(alpha)
-    if u.size != s.shape[1]:
+    if u.size != prep.shape[1]:
         raise ValueError("index dimension must match the sample dimension")
-    if np.all(s == s[0]):
+    if prep.identical:
         # all observations identical: the minimizer is that point, loss zero
         return SolveReport(
-            argmin=s[0].copy(),
+            argmin=prep.rows[0].copy(),
             objective=0.0,
             grad_norm=0.0,
             iterations=0,
             converged=True,
         )
-    xt = np.ascontiguousarray(s.T)
-    fun, grad = _objective_closures(xt, u, kind)
+    fun, grad = _objective_closures(prep.block, u, kind)
     # the sample mean is the cold start; a set config.initial_point overrides it
-    report = minimize_convex(fun, grad, xt.mean(axis=1), config)
-    if kind == "quantile" and s.shape[1] >= 2 and _collinear(s):
+    report = minimize_convex(fun, grad, prep.mean, config)
+    if kind == "quantile" and prep.shape[1] >= 2 and prep.collinear():
         report = dataclasses.replace(report, note="degenerate_possible")
     return report
 
 
 def _collinear(sample: np.ndarray) -> bool:
-    """True when all observations lie on one line (minimizer may be non-unique)."""
+    """True when all observations lie on one line (minimizer may be non-unique).
+
+    The test is relative to the largest singular value, so it does not
+    depend on the scale of the sample; all-identical samples never get here.
+    """
     if sample.shape[0] <= 2:
         return True
     centered = sample - sample.mean(axis=0)
     svals = np.linalg.svd(centered, compute_uv=False)
-    return bool(svals[1] <= 1e-12 * max(svals[0], 1.0))
+    return bool(svals[1] <= 1e-12 * svals[0])
 
 
 def geometric_expectile(sample, alpha, config: SolverConfig | None = None) -> SolveReport:

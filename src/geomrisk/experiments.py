@@ -4,7 +4,10 @@ A curve is the image of a one-parameter family of index vectors under a
 geometric risk measure of one fixed sample.  Adjacent indices have
 nearby minimizers, so every experiment traces its indices through one
 warm-started engine, ``_trace``, which starts each solve at the previous
-solution.  On top of curve tracing this module builds the standard
+solution.  Each distinct sample is prepared once (validated, copied into
+the solver's column block, with its mean and rank tests; see
+:mod:`geomrisk.estimators`) and shared by every solve on it, threads
+included.  On top of curve tracing this module builds the standard
 checks: subadditivity region inclusion, univariate comparison,
 expectile/value-at-risk magnitude matching, marginalization inclusion,
 distance-from-mean profiles and the bounded-support stress test.  Only
@@ -24,7 +27,7 @@ import numpy as np
 from .copulas import ClaytonCopula
 from .estimators import (
     SolverConfig,
-    as_sample,
+    _prepare,
     geometric_expectile,
     geometric_var,
     univariate_expectile,
@@ -201,12 +204,14 @@ class Curve:
 def _trace(sample, indices, measure: str, config: SolverConfig | None):
     """Solve ``measure`` at each row of ``indices`` in order; return (points, converged).
 
-    The first solve starts at ``config.initial_point`` (sample mean when
-    None); every later solve starts at the previous minimizer.
+    ``sample`` is prepared once (or passed in already prepared) and every
+    solve reuses it.  The first solve starts at ``config.initial_point``
+    (sample mean when None); every later solve starts at the previous
+    minimizer.
     """
     if measure not in _MEASURES:
         raise ValueError(f"measure must be one of {_MEASURES}")
-    s = as_sample(sample)
+    s = _prepare(sample)
     idx = np.asarray(indices, dtype=float)
     if idx.ndim != 2 or idx.shape[1] != s.shape[1]:
         raise ValueError("path index dimension must match the sample dimension")
@@ -301,13 +306,14 @@ def subadditivity_sets(
     ``included`` reports whether every point of the sum curve lies
     inside the polygon spanned by the added curve.
     """
-    sx = as_sample(sample_x)
-    sy = as_sample(sample_y)
+    sx = _prepare(sample_x)
+    sy = _prepare(sample_y)
     if sx.shape != sy.shape:
         raise ValueError("sample_x and sample_y must have identical shapes (paired samples)")
     # circles are planar; for d > 2 trace along the first two axes
     params, idx = _circle_indices(r, n_phi, sx.shape[1])
-    traced = _parallel_map(lambda s: _trace(s, idx, measure, config), (sx + sy, sx, sy), threads)
+    samples = (_prepare(sx.rows + sy.rows), sx, sy)
+    traced = _parallel_map(lambda s: _trace(s, idx, measure, config), samples, threads)
     (sum_pts, sum_ok), (x_pts, x_ok), (y_pts, y_ok) = traced
     curve_sum = Curve(params=params, points=sum_pts, converged=sum_ok)
     curve_add = Curve(params=params, points=x_pts + y_pts, converged=x_ok & y_ok)
@@ -334,7 +340,7 @@ def compare_univariate(
 ) -> list[ComparisonRow]:
     """First components of the geometric measures at index (2l - 1, 0) against
     the classical quantile/expectile of the first margin, per level l."""
-    s = as_sample(sample)
+    s = _prepare(sample)
     if s.shape[1] != 2:
         raise ValueError("comparison requires a bivariate sample")
     lv = np.asarray(levels, dtype=float)
@@ -343,7 +349,7 @@ def compare_univariate(
     idx = np.column_stack([2.0 * lv - 1.0, np.zeros(lv.size)])
     exp_pts, exp_ok = _trace(s, idx, "expectile", config)
     var_pts, var_ok = _trace(s, idx, "var", config)
-    first = s[:, 0]
+    first = s.rows[:, 0]
     return [
         ComparisonRow(
             level=float(level),
@@ -403,7 +409,7 @@ def match_magnitude(
     returned alongside when ``return_trace`` is True so non-unimodal
     behavior is detectable.
     """
-    s = as_sample(sample)
+    s = _prepare(sample)
     d = _unit_direction(direction, s.shape[1])
     th = float(theta)
     if not (0.0 <= th < 1.0):
@@ -449,7 +455,7 @@ def marginalization_curves(
     components).  ``inclusion_i4`` reports whether the marginal curve
     lies inside the polygon of the i = 4 (z = 0) projected curve.
     """
-    s = as_sample(sample)
+    s = _prepare(sample)
     if s.shape[1] != 3:
         raise ValueError("marginalization requires a trivariate sample")
     phi, planar = _circle_indices(r, n_phi)
@@ -462,7 +468,7 @@ def marginalization_curves(
         points, converged = _trace(s, idx, "expectile", config)
         return Curve(params=phi, points=points[:, :2], converged=converged)
 
-    margin_points, margin_converged = _trace(s[:, :2], planar, "expectile", config)
+    margin_points, margin_converged = _trace(s.rows[:, :2], planar, "expectile", config)
     margin_curve = Curve(params=phi, points=margin_points, converged=margin_converged)
     full_curves = tuple(_parallel_map(trace_height, heights, threads))
     inclusion = all(point_in_polygon(pt, full_curves[3].points) for pt in margin_curve.points)
@@ -486,13 +492,13 @@ def distance_curve(sample, direction, r_grid, config: SolverConfig | None = None
     ``direction`` is a unit vector; ``r_grid`` is strictly increasing in
     [0, 1).  Solves are warm-started along the grid.
     """
-    s = as_sample(sample)
+    s = _prepare(sample)
     d = _unit_direction(direction, s.shape[1])
     grid = _increasing(r_grid, "r_grid")
     if grid[0] < 0.0 or grid[-1] >= 1.0:
         raise ValueError("r_grid values must lie in [0, 1)")
     points, converged = _trace(s, grid[:, np.newaxis] * d, "expectile", config)
-    mean = s.mean(axis=0)
+    mean = s.rows.mean(axis=0)
     distances = np.array([np.linalg.norm(point - mean) for point in points])
     return DistanceCurve(radii=grid.copy(), distances=distances, converged=converged)
 
@@ -529,7 +535,7 @@ def bounded_support_check(
     radii = _increasing(r_list, "r_list")
     if radii[0] <= 0.0 or radii[-1] >= 1.0:
         raise ValueError("r_list must contain radii strictly between 0 and 1")
-    sample = ClaytonCopula(5.0, 2).sample(int(count), rng)
+    sample = _prepare(ClaytonCopula(5.0, 2).sample(int(count), rng))
     cfg = config if config is not None else SolverConfig()
     rows: list[BoundedSupportRow] = []
     prev = cfg.initial_point

@@ -448,3 +448,12 @@ def test_index_dimension_must_match_sample():
     sample = rng.standard_normal((30, 2))
     with pytest.raises(ValueError):
         geometric_expectile(sample, np.array([0.1, 0.1, 0.1]))
+
+
+def test_collinearity_note_does_not_depend_on_sample_scale():
+    normal = np.random.default_rng(0).standard_normal((500, 2))
+    assert geometric_var(1e-14 * normal, np.array([0.3, 0.1])).note is None
+    t = np.linspace(-1.0, 1.0, 40)
+    line = np.column_stack([t, 2.0 * t])  # rank-1 cloud
+    for scale in (1e-14, 1.0, 1e14):
+        assert geometric_var(scale * line, np.array([0.2, 0.1])).note == "degenerate_possible"

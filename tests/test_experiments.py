@@ -4,9 +4,12 @@ marginalization, distance curves, and the bounded-support sweep."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from geomrisk import estimators, experiments
 from geomrisk import (
     DEFAULT_STRESS_RADII,
     CirclePath,
@@ -128,6 +131,84 @@ def test_trace_dimension_mismatch(symmetric_sample):
     with pytest.raises(ValueError):
         trace_curve(np.random.default_rng(0).standard_normal((50, 3)), CirclePath(0.5, 4))
         # circle paths are planar; 3-D samples need the marginalization driver
+
+
+# ---------------------------------------------------------------------------
+# one prepared sample per path
+
+@pytest.mark.parametrize("measure, solver", [("expectile", geometric_expectile),
+                                             ("var", geometric_var)])
+def test_traced_curve_is_the_chain_of_public_solves(symmetric_sample, measure, solver):
+    sample = np.vstack([symmetric_sample[:300], symmetric_sample[:100]])  # duplicate rows
+    cfg = SolverConfig()
+    path = CirclePath(0.8, 12)
+    curve = trace_curve(sample, path, measure, cfg)
+    prev = cfg.initial_point
+    for k, alpha in enumerate(path.indices()[1]):
+        report = solver(sample, alpha, replace(cfg, initial_point=prev))
+        assert np.all(curve.points[k] == report.argmin)
+        assert curve.converged[k] == report.converged
+        prev = report.argmin
+
+
+@pytest.mark.parametrize("measure", ["expectile", "var"])
+def test_traced_curve_of_identical_rows_is_that_point(measure):
+    sample = np.tile([1.5, -0.25], (30, 1))
+    curve = trace_curve(sample, CirclePath(0.9, 8), measure)
+    assert np.all(curve.points == sample[0])
+    assert curve.all_converged
+
+
+def test_each_sample_is_prepared_once(symmetric_sample, monkeypatch):
+    calls = []
+    collinear = estimators._collinear
+
+    def counted(sample):
+        calls.append(1)
+        return collinear(sample)
+
+    monkeypatch.setattr(estimators, "_collinear", counted)
+    trace_curve(symmetric_sample, CirclePath(0.5, 16), "var")
+    assert len(calls) == 1
+    noise = substream(75, "prepared").standard_normal(symmetric_sample.shape)
+    calls.clear()
+    subadditivity_sets(symmetric_sample, noise, r=0.4, measure="var", n_phi=8)
+    assert len(calls) == 3
+    calls.clear()
+    match_magnitude(symmetric_sample, np.array([1.0, 0.0]), 0.5, tol=1e-3)
+    assert len(calls) == 1
+    calls.clear()
+    for _ in range(2):
+        geometric_var(symmetric_sample, np.array([0.3, 0.1]))
+    assert len(calls) == 2
+
+
+def test_solves_see_the_callers_sample_through_the_module_names(symmetric_sample, monkeypatch):
+    seen = []
+    var = experiments.geometric_var
+
+    def recorded(sample, alpha, config=None):
+        seen.append(sample)
+        return var(sample, alpha, config)
+
+    monkeypatch.setattr(experiments, "geometric_var", recorded)
+    sample = symmetric_sample.copy()
+    curve = trace_curve(sample, CirclePath(0.6, 8), "var")
+    assert len(seen) == 8
+    alpha = np.array([0.6, 0.0])
+    for arg in seen:
+        assert arg.ndim == 2 and arg.shape == sample.shape
+        assert np.array_equal(np.asarray(arg, dtype=float), sample)
+        assert estimators.empirical_objective(arg, alpha, curve.points[0], "quantile") == (
+            estimators.empirical_objective(sample, alpha, curve.points[0], "quantile"))
+    other = substream(76, "prepared").standard_normal(sample.shape)
+    full = substream(77, "prepared").standard_normal((400, 3))
+    before = (sample.copy(), other.copy(), full.copy())
+    subadditivity_sets(sample, other, r=0.3, measure="var", n_phi=8, threads=2)
+    marginalization_curves(full, r=0.2, n_phi=8, threads=2)
+    for arr, copy in zip((sample, other, full), before, strict=True):
+        assert np.array_equal(arr, copy)
+        assert arr.flags.writeable
 
 
 # ---------------------------------------------------------------------------
