@@ -1,11 +1,12 @@
 """Univariate margin distributions for model building.
 
 Each margin is a small frozen dataclass exposing ``quantile``, ``cdf``,
-``mean``, ``var`` and ``sample``.  Quantiles are exact inverse cdfs
-(special functions where available, bracketing bisection for the skew
-normal), so copula samples can be pushed through them without bias.
-Sampling is inverse-transform for every margin except the skew normal,
-which uses its two-normal representation.
+``mean``, ``var`` and ``sample``.  Quantiles are exact inverse cdfs, so
+copula samples can be pushed through them without bias: special
+functions where available, and for the skew normal a safeguarded Newton
+iteration on its cdf, bracketed by the normal and half-normal quantiles
+(see ``SkewNormal``).  Sampling is inverse-transform for every margin
+except the skew normal, which uses its two-normal representation.
 """
 
 from __future__ import annotations
@@ -30,6 +31,12 @@ __all__ = [
 
 # floor for inverse-transform uniforms; random() can return exactly 0.0
 _U_FLOOR = 1e-300
+
+_EPS = np.finfo(float).eps
+_SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
+# cap on skew-normal Newton passes; bisection steps alone shrink the widest
+# bracket (~40) below the stopping tolerance in ~55 passes
+_NEWTON_MAX_ITER = 100
 
 
 def _as_prob(p):
@@ -107,11 +114,29 @@ class StudentT(_InverseTransform):
 class SkewNormal:
     """Skew-normal distribution with location ``xi``, scale ``omega``, shape ``shape``.
 
-    cdf(z) = Phi(z) - 2 T(z, shape) with T Owen's T function; the
-    quantile inverts that cdf by bracketing bisection.  Sampling uses
+    With ``z = (x - xi) / omega`` the cdf is ``F(z) = Phi(z) - 2 T(z, shape)``
+    (Owen's T) and the density ``f(z) = 2 phi(z) Phi(shape z)``.  Sampling uses
     the representation ``delta |Z0| + sqrt(1 - delta^2) Z1`` with
     ``delta = shape / sqrt(1 + shape^2)`` and independent standard
     normals Z0, Z1.
+
+    The quantile is a safeguarded Newton iteration on ``F``.  For
+    ``shape >= 0`` the stochastic order ``N(0, 1) <= SN(shape) <= |Z|``
+    brackets the root in ``[Phi^-1(p), Phi^-1((1 + p) / 2)]`` before any
+    cdf is evaluated; for ``shape < 0`` the mirror ``SN(shape) = -SN(-shape)``
+    gives ``[Phi^-1(p / 2), Phi^-1(p)]``.  Every residual tightens the
+    bracket, and a Newton step that leaves it becomes a bisection step.
+    Above the median it solves ``1 - F(z) = 1 - p``, so the heavy tail keeps
+    full relative accuracy.  Uniform ``p`` take about four cdf evaluations
+    each.
+
+    Accuracy is that of the cdf.  In the light tail (left for
+    ``shape > 0``, right for ``shape < 0``) ``Phi - 2T`` cancels, and the
+    cdf loses relative accuracy below ~1e-12 (4.8e-6 relative at ``z = -3``
+    for shape 2).  Quantiles of smaller probabilities, such as those below
+    the copula floor of 1e-15, are only as good as the cdf there:
+    ``SkewNormal(0, 1, 2).quantile(1e-300)`` is about -3.85, against a true
+    quantile of -16.51.
     """
 
     xi: float = 0.0
@@ -134,28 +159,12 @@ class SkewNormal:
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         z = (x - self.xi) / self.omega
-        return _scalar_like(ndtr(z) - 2.0 * owens_t(z, self.shape), x)
+        # Phi - 2T cancels in the light tail and can stray past [0, 1] by an ulp
+        return _scalar_like(np.clip(ndtr(z) - 2.0 * owens_t(z, self.shape), 0.0, 1.0), x)
 
     def quantile(self, p):
         pp = np.atleast_1d(_as_prob(p)).astype(float)
-        z0 = ndtri(pp)
-        lo = self.xi + self.omega * (z0 - 8.0)
-        hi = self.xi + self.omega * (z0 + 8.0)
-        # widen until the bracket certainly contains the root
-        for _ in range(60):
-            bad_lo = self.cdf(lo) > pp
-            bad_hi = self.cdf(hi) < pp
-            if not (np.any(bad_lo) or np.any(bad_hi)):
-                break
-            width = hi - lo
-            lo = np.where(bad_lo, lo - width, lo)
-            hi = np.where(bad_hi, hi + width, hi)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < pp
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi)
+        out = self.xi + self.omega * _skew_normal_root(pp, self.shape)
         return _scalar_like(out if np.ndim(p) else out[0], p)
 
     def mean(self) -> float:
@@ -169,6 +178,51 @@ class SkewNormal:
         z1 = rng.standard_normal(int(count))
         d = self.delta
         return self.xi + self.omega * (d * np.abs(z0) + np.sqrt(1.0 - d * d) * z1)
+
+
+def _skew_normal_root(p: np.ndarray, a: float) -> np.ndarray:
+    """Root z of ``Phi(z) - 2 T(z, a) = p`` for each element of the 1-d array ``p``."""
+    if a >= 0.0:
+        # Phi^-1((1 + p) / 2), written so that p near 1 does not round it to inf
+        lo, hi = ndtri(p), -ndtri(0.5 * (1.0 - p))
+    else:
+        lo, hi = ndtri(0.5 * p), ndtri(p)
+    # Cornish-Fisher start from the standardised mean, sd and skewness
+    mu = _SQRT_2_OVER_PI * a / np.sqrt(1.0 + a * a)
+    sd = np.sqrt(1.0 - mu * mu)
+    skew = 0.5 * (4.0 - np.pi) * (mu / sd) ** 3
+    w = ndtri(p)
+    z = np.clip(mu + sd * (w + skew * (w * w - 1.0) / 6.0), lo, hi)
+    # Above the median solve 1 - F(z) = Phi(-z) + 2 T(z, a) = 1 - p instead:
+    # 1 - p is exact there, and the heavy right tail (a > 0) keeps full
+    # relative accuracy.  The residual r > 0 always means z is too high.
+    upper = p > 0.5
+    target = np.where(upper, 1.0 - p, p)
+    prev = np.full(p.shape, np.nan)
+    out = z.copy()
+    active = np.arange(p.size)
+    for _ in range(_NEWTON_MAX_ITER):
+        if active.size == 0:
+            break
+        t = 2.0 * owens_t(z, a)
+        r = np.where(upper, target - (ndtr(-z) + t), (ndtr(z) - t) - target)
+        hi = np.where(r > 0.0, z, hi)
+        lo = np.where(r < 0.0, z, lo)
+        f = _SQRT_2_OVER_PI * np.exp(-0.5 * z * z) * ndtr(a * z)
+        # f underflows to 0 deep in the light tail; the bracket catches the inf
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            zn = np.where(r == 0.0, z, z - r / f)
+        zn = np.where((zn >= lo) & (zn <= hi), zn, 0.5 * (lo + hi))
+        tol = 4.0 * _EPS * np.maximum(1.0, np.abs(z))
+        # a step back to the previous iterate is a 2-cycle between the two
+        # bracket ends: the cdf cannot resolve the root any closer
+        done = (np.abs(zn - z) <= tol) | (hi - lo <= tol) | (zn == prev)
+        out[active] = zn
+        keep = ~done
+        active = active[keep]
+        z, prev, lo, hi = zn[keep], z[keep], lo[keep], hi[keep]
+        upper, target = upper[keep], target[keep]
+    return out
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import ndtr, ndtri, owens_t
+
+import geomrisk.distributions as distributions_module
 
 from geomrisk import (
     Exponential,
@@ -121,6 +124,152 @@ def test_skew_normal_cdf_against_quadrature():
     for x in (-2.0, 0.0, 1.0, 3.0):
         val, _ = integrate.quad(pdf, -np.inf, x)
         assert m.cdf(x) == pytest.approx(val, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# skew-normal quantile: bracketed Newton against the bisection it replaced
+
+EPS = np.finfo(float).eps
+
+# shapes 0 and 1e-9 exercise the normal limit, 20 the half-normal limit
+SKEW_NORMALS = tuple(
+    SkewNormal(0.7, 2.5, shape) for shape in (2.0, -3.0, 20.0, 0.0, 1e-9)
+)
+
+# both tails log-spaced, the middle linear
+P_GRID = np.concatenate(
+    [
+        np.logspace(-12.0, -2.0, 41),
+        np.linspace(0.01, 0.99, 99)[1:-1],
+        1.0 - np.logspace(-2.0, -12.0, 41),
+    ]
+)
+
+
+def _bisection_quantile(m: SkewNormal, p: np.ndarray) -> np.ndarray:
+    """The widening-then-bisection skew-normal quantile, kept as a reference."""
+    pp = np.atleast_1d(np.asarray(p, dtype=float))
+    z0 = ndtri(pp)
+    lo = m.xi + m.omega * (z0 - 8.0)
+    hi = m.xi + m.omega * (z0 + 8.0)
+    for _ in range(60):
+        bad_lo = m.cdf(lo) > pp
+        bad_hi = m.cdf(hi) < pp
+        if not (np.any(bad_lo) or np.any(bad_hi)):
+            break
+        width = hi - lo
+        lo = np.where(bad_lo, lo - width, lo)
+        hi = np.where(bad_hi, hi + width, hi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = m.cdf(mid) < pp
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _resolution(m: SkewNormal, q: np.ndarray) -> np.ndarray:
+    """How far apart two quantiles may be when both are right to the cdf's float resolution."""
+    z = (q - m.xi) / m.omega
+    f = 2.0 * stats.norm.pdf(z) * ndtr(m.shape * z)
+    return 1e-12 * np.maximum(1.0, np.abs(q)) + 8.0 * EPS * m.omega / f
+
+
+@pytest.mark.parametrize("shape", (2.0, -2.0, 20.0, -20.0))
+def test_skew_normal_cdf_stays_in_unit_interval(shape):
+    # Phi - 2T cancels: unclipped, shape 2 goes to -1.2e-19, shape -20 to 1 + 2e-16
+    z = np.linspace(-40.0, 40.0, 80_001)
+    c = SkewNormal(0.0, 1.0, shape).cdf(z)
+    assert np.all((c >= 0.0) & (c <= 1.0))
+
+
+@pytest.mark.parametrize("margin", SKEW_NORMALS, ids=lambda m: f"shape={m.shape}")
+def test_skew_normal_quantile_round_trip_to_float_resolution(margin):
+    q = margin.quantile(P_GRID)
+    assert np.all(np.isfinite(q))
+    assert np.max(np.abs(margin.cdf(q) - P_GRID)) <= 4.0 * EPS
+
+
+@pytest.mark.parametrize("margin", SKEW_NORMALS, ids=lambda m: f"shape={m.shape}")
+def test_skew_normal_quantile_matches_bisection_reference(margin):
+    q = margin.quantile(P_GRID)
+    ref = _bisection_quantile(margin, P_GRID)
+    assert np.all(np.abs(q - ref) <= _resolution(margin, ref))
+
+
+def test_skew_normal_shape_zero_is_normal():
+    # to a few ulps; the bisection reference is ~1e-6 off ndtri at 1 - 1e-12
+    q = SkewNormal(0.7, 2.5, 0.0).quantile(P_GRID)
+    ref = Normal(0.7, 2.5).quantile(P_GRID)
+    assert np.all(np.abs(q - ref) <= 8.0 * EPS * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("shape", (2.0, 20.0, 1e-9))
+def test_skew_normal_quantile_mirror_identity(shape):
+    # q_{-a}(p) - xi = -(q_a(1 - p) - xi); dyadic p keep 1 - p exact
+    p = np.concatenate([np.arange(1, 1024) / 1024.0, 2.0 ** -np.arange(11, 40)])
+    pos, neg = SkewNormal(0.7, 2.5, shape), SkewNormal(0.7, 2.5, -shape)
+    left = neg.quantile(p) - 0.7
+    right = -(pos.quantile(1.0 - p) - 0.7)
+    assert np.all(np.abs(left - right) <= _resolution(neg, neg.quantile(p)))
+
+
+@pytest.mark.parametrize("margin", SKEW_NORMALS, ids=lambda m: f"shape={m.shape}")
+def test_skew_normal_quantile_at_copula_clip_bounds(margin):
+    q = margin.quantile(np.array([1e-15, 0.5, 1.0 - 1e-16]))
+    assert np.all(np.isfinite(q))
+    assert q[0] < q[1] < q[2]
+
+
+def test_skew_normal_quantile_return_types():
+    m = SkewNormal(0.7, 2.5, 2.0)
+    assert type(m.quantile(0.3)) is float
+    empty = m.quantile(np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    listed = m.quantile([0.1, 0.5, 0.9])
+    assert isinstance(listed, np.ndarray) and listed.shape == (3,)
+    assert listed[0] == m.quantile(0.1)
+
+
+@pytest.mark.parametrize("shape", (2.0, -3.0, 20.0))
+def test_skew_normal_quantile_owens_t_budget(monkeypatch, shape):
+    # Owen's T is the whole cost of the quantile; count the elements it sees.
+    # Counts are stable from machine to machine, wall time is not.
+    seen = []
+
+    def counting(h, a):
+        seen.append(np.size(h))
+        return owens_t(h, a)
+
+    monkeypatch.setattr(distributions_module, "owens_t", counting)
+    n = 10_000
+    u = np.random.default_rng(6).random(n)
+    SkewNormal(-1.0, 1.0, shape).quantile(u)
+    assert sum(seen) <= 10 * n
+    # no element dithers at the cdf's resolution until the pass cap
+    assert len(seen) < distributions_module._NEWTON_MAX_ITER
+
+
+@pytest.mark.parametrize("shape", (0.5, -0.5))
+def test_skew_normal_quantile_relative_accuracy_in_heavy_tail(shape):
+    # The tail mass beyond the quantile is right to 1e-9 relative, not just to
+    # the cdf's absolute resolution of eps.  Oracle: quadrature of the density.
+    m = SkewNormal(0.0, 1.0, shape)
+
+    def pdf(z):
+        return 2.0 * stats.norm.pdf(z) * stats.norm.cdf(shape * z)
+
+    for k in (4, 8, 12):
+        tail = 10.0**-k
+        if shape > 0.0:
+            p = 1.0 - tail
+            mass, _ = integrate.quad(pdf, m.quantile(p), np.inf, epsabs=0.0, epsrel=1e-13)
+            expected = 1.0 - p  # exact: the double nearest 1 - tail
+        else:
+            p = tail
+            mass, _ = integrate.quad(pdf, -np.inf, m.quantile(p), epsabs=0.0, epsrel=1e-13)
+            expected = p
+        assert mass == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def test_gumbel_and_logistic_cdf_forms():
