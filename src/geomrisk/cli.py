@@ -8,15 +8,13 @@ error, 2 solver non-convergence (output is still written).
 
 Randomness: every subcommand derives its generator from --seed via a
 named substream (see ``models.substream``), so a fixed command line
-yields byte-identical output.  GEOMRISK_THREADS sets the default thread
-count for the multi-curve experiments.
+yields byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,13 +24,7 @@ import numpy as np
 
 from . import distributions as dist
 from .copulas import ClaytonCopula, FrankCopula, GumbelCopula, IndependenceCopula
-from .estimators import (
-    SolverConfig,
-    geometric_expectile,
-    geometric_var,
-    univariate_expectile,
-    univariate_quantile,
-)
+from .estimators import SolverConfig, geometric_expectile, geometric_var
 from .experiments import (
     CirclePath,
     EllipsePath,
@@ -58,7 +50,7 @@ from .models import (
 )
 from .uniform_exact import UniformBox, uniform_expectile
 
-__all__ = ["main", "run_selftest"]
+__all__ = ["main"]
 
 
 class _CliError(Exception):
@@ -154,14 +146,6 @@ def _merge_config(args: argparse.Namespace, spec: dict[str, _Opt]) -> None:
     for dest, opt in spec.items():
         if getattr(args, dest) is None:
             setattr(args, dest, from_file.get(dest, opt.default))
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("GEOMRISK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _fmt(value) -> str:
@@ -370,17 +354,6 @@ _SOLVER = (
     _Opt(("--tol",), "tol", float, 1e-8, "relative gradient tolerance"),
     _Opt(("--max-iter",), "max_iter", int, 500, "maximum solver iterations"),
 )
-_THREADS = _Opt(
-    ("--threads",),
-    "threads",
-    int,
-    None,
-    "worker threads for independent curves (default: GEOMRISK_THREADS or 1)",
-)
-
-
-def _threads(args) -> int:
-    return args.threads if args.threads is not None else _default_threads()
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +433,6 @@ def _cmd_subadd(args) -> int:
         measure=args.measure,
         n_phi=args.nphi,
         config=_solver_config(args),
-        threads=_threads(args),
     )
     curves = [("sum", result.curve_sum), ("add", result.curve_add)]
     return _write_curves(args.out, curves, [("included", result.included)])
@@ -521,7 +493,6 @@ def _cmd_marginalize(args) -> int:
         args.r,
         n_phi=args.nphi,
         config=_solver_config(args),
-        threads=_threads(args),
     )
     curves = [("margin", result.margin_curve)] + [
         (f"full_{i + 1}", c) for i, c in enumerate(result.full_curves)
@@ -567,191 +538,6 @@ def _cmd_uniform_analytic(args) -> int:
         raise ValueError("--alpha is required")
     alpha = np.asarray(args.alpha, dtype=float)
     return _write_report(args.out, uniform_expectile(box, alpha, _solver_config(args)))
-
-
-def _cmd_selftest(args) -> int:
-    results = run_selftest()
-    for name, passed in results:
-        print(f"{'ok  ' if passed else 'FAIL'} {name}")
-    failed = sum(1 for _, passed in results if not passed)
-    print(f"{len(results) - failed}/{len(results)} suites passed")
-    return 0 if failed == 0 else 1
-
-
-# ---------------------------------------------------------------------------
-# selftest suites (quick invariant checks, no file output)
-
-def _random_index(rng: np.random.Generator, dim: int, max_norm: float = 0.95) -> np.ndarray:
-    v = rng.standard_normal(dim)
-    v /= max(np.linalg.norm(v), 1e-300)
-    return v * rng.uniform(0.0, max_norm)
-
-
-def _suite_loss_inequalities() -> bool:
-    from .losses import expectile_loss, expectile_loss_grad, quantile_loss
-
-    rng = np.random.default_rng(20240801)
-    for dim in (1, 2, 3, 5):
-        u = _random_index(rng, dim)
-        unorm = np.linalg.norm(u)
-        t = rng.standard_normal((2000, dim)) * 3.0
-        lam = expectile_loss(u, t)
-        phi = quantile_loss(u, t)
-        norms = np.linalg.norm(t, axis=1)
-        if np.any(lam < -1e-12) or np.any(phi < -1e-12):
-            return False
-        if np.any(lam < 0.5 * (1.0 - unorm) * norms**2 - 1e-9):
-            return False
-        grads = expectile_loss_grad(u, t)
-        if np.any(np.linalg.norm(grads, axis=1) > 2.0 * norms * (1.0 + unorm) + 1e-9):
-            return False
-        x, y = t[:1000], t[1000:]
-        gap = 2 * expectile_loss(u, x) + 2 * expectile_loss(u, y) - expectile_loss(u, x + y)
-        bound = 0.5 * (1.0 - unorm) * np.linalg.norm(x - y, axis=1) ** 2
-        if np.any(gap < bound - 1e-9 * (1.0 + np.abs(gap))):
-            return False
-    return True
-
-
-def _suite_loss_gradient_fd() -> bool:
-    from .losses import expectile_loss, expectile_loss_grad
-
-    rng = np.random.default_rng(7)
-    step = 1e-6
-    for _ in range(40):
-        dim = int(rng.integers(1, 5))
-        u = _random_index(rng, dim)
-        t = rng.standard_normal(dim) * 2.0
-        grad = expectile_loss_grad(u, t)
-        for k in range(dim):
-            e_k = np.zeros(dim)
-            e_k[k] = step
-            fd = (expectile_loss(u, t + e_k) - expectile_loss(u, t - e_k)) / (2 * step)
-            if abs(fd - grad[k]) > 1e-5 * (1.0 + abs(fd)):
-                return False
-    return True
-
-
-def _suite_univariate_reduction() -> bool:
-    from .losses import check_loss, expectile_loss, expectile_loss_1d, quantile_loss
-
-    for u in np.arange(-0.9, 0.95, 0.1):
-        level = (1.0 + u) / 2.0
-        for t in (-2.5, -0.3, 0.0, 0.7, 4.0):
-            if abs(quantile_loss([u], [t]) - check_loss(level, t)) > 1e-12:
-                return False
-            if abs(expectile_loss([u], [t]) - expectile_loss_1d(level, t)) > 1e-12:
-                return False
-    return True
-
-
-def _suite_estimator_identities() -> bool:
-    rng = np.random.default_rng(11)
-    sample = rng.standard_normal((300, 2))
-    rep = geometric_expectile(sample, np.zeros(2))
-    if np.linalg.norm(rep.argmin - sample.mean(axis=0)) > 1e-7:
-        return False
-    alpha = np.array([0.4, -0.2])
-    base = geometric_expectile(sample, alpha).argmin
-    shift = np.array([3.0, -1.0])
-    moved = geometric_expectile(sample + shift, alpha).argmin
-    if np.linalg.norm(moved - base - shift) > 1e-6:
-        return False
-    scaled = geometric_expectile(3.5 * sample, alpha).argmin
-    return np.linalg.norm(scaled - 3.5 * base) <= 1e-6 * 3.5
-
-
-def _suite_univariate_oracles() -> bool:
-    from .losses import check_loss
-
-    rng = np.random.default_rng(13)
-    x = rng.standard_normal(37)
-    for alpha in (0.1, 0.5, 0.8, 0.9):
-        q = univariate_quantile(x, alpha)
-        objective = lambda c: float(np.mean(check_loss(alpha, x - c)))
-        best = min(x, key=objective)
-        if abs(objective(q) - objective(best)) > 1e-12:
-            return False
-        e = univariate_expectile(x, alpha)
-        foc = alpha * np.maximum(x - e, 0.0).sum() - (1 - alpha) * np.maximum(e - x, 0.0).sum()
-        if abs(foc) > 1e-6 * x.size:
-            return False
-    return True
-
-
-def _suite_copula_tau() -> bool:
-    from scipy.stats import kendalltau
-
-    rng = np.random.default_rng(17)
-    u = ClaytonCopula(5.0, 2).sample(20_000, rng)
-    if abs(kendalltau(u[:, 0], u[:, 1]).statistic - 5.0 / 7.0) > 0.03:
-        return False
-    v = GumbelCopula(2.0, 2).sample(20_000, rng)
-    return abs(kendalltau(v[:, 0], v[:, 1]).statistic - 0.5) <= 0.03
-
-
-def _suite_uniform_analytic() -> bool:
-    from .uniform_exact import (
-        expected_squared_distance,
-        norm_primitive,
-        weighted_norm_primitive,
-    )
-
-    rng = np.random.default_rng(19)
-    step = 1e-6
-    for _ in range(25):
-        x, y = rng.uniform(-2.0, 2.0, size=2)
-        d_dy = (norm_primitive(x, y + step) - norm_primitive(x, y - step)) / (2 * step)
-        if abs(d_dy - np.hypot(x, y)) > 1e-5 * (1.0 + np.hypot(x, y)):
-            return False
-        d_dx = (weighted_norm_primitive(x + step, y) - weighted_norm_primitive(x - step, y)) / (
-            2 * step
-        )
-        if abs(d_dx - x * norm_primitive(x, y)) > 1e-5 * (1.0 + abs(x * norm_primitive(x, y))):
-            return False
-    box = UniformBox(0.0, 1.0, 0.0, 1.0)
-    if abs(expected_squared_distance(box, (0.5, 0.5)) - 1.0 / 6.0) > 1e-12:
-        return False
-    rep = uniform_expectile(box, np.zeros(2))
-    return bool(rep.converged and np.linalg.norm(rep.argmin - box.midpoint) <= 1e-6)
-
-
-def _suite_var_reductions() -> bool:
-    rng = np.random.default_rng(23)
-    half = rng.standard_normal((250, 2)) + np.array([1.0, -2.0])
-    sym = np.vstack([half, 2 * half.mean(axis=0) - half])
-    rep = geometric_var(sym, np.zeros(2))
-    if np.linalg.norm(rep.argmin - sym.mean(axis=0)) > 1e-6:
-        return False
-    x = rng.standard_normal(400)
-    for u in (-0.6, 0.0, 0.5):
-        rep1 = geometric_var(x[:, None], np.array([u]))
-        classical = univariate_quantile(x, (1.0 + u) / 2.0)
-        gap = np.max(np.diff(np.sort(x)))
-        if abs(float(rep1.argmin[0]) - classical) > gap + 1e-9:
-            return False
-    return True
-
-
-def run_selftest() -> list[tuple[str, bool]]:
-    """Run the quick invariant suites; returns (name, passed) pairs."""
-    suites = [
-        ("loss-inequalities", _suite_loss_inequalities),
-        ("loss-gradient-fd", _suite_loss_gradient_fd),
-        ("univariate-reduction", _suite_univariate_reduction),
-        ("estimator-identities", _suite_estimator_identities),
-        ("univariate-oracles", _suite_univariate_oracles),
-        ("copula-tau", _suite_copula_tau),
-        ("uniform-analytic", _suite_uniform_analytic),
-        ("var-reductions", _suite_var_reductions),
-    ]
-    results = []
-    for name, fn in suites:
-        try:
-            results.append((name, bool(fn())))
-        except Exception:
-            results.append((name, False))
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -816,7 +602,6 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
             _Opt(("--r",), "r", float, 0.2, "index circle radius"),
             _NPHI,
             _MEASURE,
-            _THREADS,
             *_SOLVER,
             _OUT,
         ],
@@ -859,7 +644,6 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
             *sample_opts,
             _Opt(("--r",), "r", float, 0.1, "planar index radius"),
             _NPHI,
-            _THREADS,
             *_SOLVER,
             _OUT,
         ],
@@ -901,7 +685,6 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
         ],
         "closed-form geometric expectile of a bivariate uniform box",
     )
-    register("selftest", _cmd_selftest, [], "run the quick invariant suites")
     return parser, specs
 
 
@@ -911,13 +694,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _merge_config(args, specs.get(args.cmd, {}))
         return int(args.func(args))
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (_CliError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -243,7 +243,7 @@ class _Prepared:
     start), whether all rows are ``identical``, and, computed on first
     use, whether they are collinear.  To numpy it is the (n, d) sample:
     it has ``ndim`` and ``shape``, and ``np.asarray`` gives the rows.
-    It holds no workspace, so threads may share it.
+    It holds no workspace.
     """
 
     __slots__ = ("rows", "block", "mean", "identical", "_collinear_flag")

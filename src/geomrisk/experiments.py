@@ -6,19 +6,16 @@ nearby minimizers, so every experiment traces its indices through one
 warm-started engine, ``_trace``, which starts each solve at the previous
 solution.  Each distinct sample is prepared once (validated, copied into
 the solver's column block, with its mean and rank tests; see
-:mod:`geomrisk.estimators`) and shared by every solve on it, threads
-included.  On top of curve tracing this module builds the standard
-checks: subadditivity region inclusion, univariate comparison,
-expectile/value-at-risk magnitude matching, marginalization inclusion,
-distance-from-mean profiles and the bounded-support stress test.  Only
-the independent curves of ``subadditivity_sets`` and
-``marginalization_curves`` run in parallel, on ``threads`` workers.
+:mod:`geomrisk.estimators`) and shared by every solve on it.  On top of
+curve tracing this module builds the standard checks: subadditivity
+region inclusion, univariate comparison, expectile/value-at-risk
+magnitude matching, marginalization inclusion, distance-from-mean
+profiles and the bounded-support stress test.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Union
 
@@ -273,14 +270,6 @@ def point_in_polygon(point, vertices, boundary_tol: float = 1e-9) -> bool:
     return bool(np.count_nonzero(crosses & (p[0] < x_int)) % 2)
 
 
-def _parallel_map(fn, items, threads: int):
-    items = list(items)
-    if int(threads) <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        return list(pool.map(fn, items))
-
-
 @dataclass(frozen=True, eq=False)
 class SubadditivityResult:
     """Curves rho(X + Y) and rho(X) + rho(Y); ``included`` is None unless d = 2."""
@@ -297,7 +286,6 @@ def subadditivity_sets(
     measure: str = "expectile",
     n_phi: int = 64,
     config: SolverConfig | None = None,
-    threads: int = 1,
 ) -> SubadditivityResult:
     """Compare the risk set of X + Y against the sum of the X and Y risk sets.
 
@@ -312,9 +300,9 @@ def subadditivity_sets(
         raise ValueError("sample_x and sample_y must have identical shapes (paired samples)")
     # circles are planar; for d > 2 trace along the first two axes
     params, idx = _circle_indices(r, n_phi, sx.shape[1])
-    samples = (_prepare(sx.rows + sy.rows), sx, sy)
-    traced = _parallel_map(lambda s: _trace(s, idx, measure, config), samples, threads)
-    (sum_pts, sum_ok), (x_pts, x_ok), (y_pts, y_ok) = traced
+    sum_pts, sum_ok = _trace(sx.rows + sy.rows, idx, measure, config)
+    x_pts, x_ok = _trace(sx, idx, measure, config)
+    y_pts, y_ok = _trace(sy, idx, measure, config)
     curve_sum = Curve(params=params, points=sum_pts, converged=sum_ok)
     curve_add = Curve(params=params, points=x_pts + y_pts, converged=x_ok & y_ok)
     included: bool | None = None
@@ -444,7 +432,6 @@ def marginalization_curves(
     r: float,
     n_phi: int = 64,
     config: SolverConfig | None = None,
-    threads: int = 1,
 ) -> MarginalizationResult:
     """Marginal bivariate expectile curve against slices of the trivariate one.
 
@@ -470,7 +457,7 @@ def marginalization_curves(
 
     margin_points, margin_converged = _trace(s.rows[:, :2], planar, "expectile", config)
     margin_curve = Curve(params=phi, points=margin_points, converged=margin_converged)
-    full_curves = tuple(_parallel_map(trace_height, heights, threads))
+    full_curves = tuple(trace_height(z) for z in heights)
     inclusion = all(point_in_polygon(pt, full_curves[3].points) for pt in margin_curve.points)
     return MarginalizationResult(
         margin_curve=margin_curve, full_curves=full_curves, inclusion_i4=inclusion

@@ -193,10 +193,6 @@ def test_bounded_support_rejects_empty_sample(tmp_path, capsys):
     assert "sample size n" in capsys.readouterr().err
 
 
-def test_selftest_passes():
-    assert main(["selftest"]) == 0
-
-
 # ---------------------------------------------------------------------------
 # determinism and round trips
 
@@ -309,6 +305,16 @@ def test_unknown_config_key_is_line_numbered_error(tmp_path, capsys):
     assert ":2:" in err and "bogus" in err
 
 
+def test_threads_config_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 200\nthreads = 2\n")
+    rc = main(["subadd", "--model", "Z-clayton5", "--nphi", "4", "--config", str(cfg),
+               "--out", str(tmp_path / "s.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert ":2:" in err and "unknown key 'threads'" in err
+
+
 def test_validation_failures_exit_one(tmp_path):
     out = str(tmp_path / "x.csv")
     # index on the unit sphere
@@ -327,6 +333,11 @@ def test_validation_failures_exit_one(tmp_path):
     # unknown path kind
     assert main(["curve", "--model", "X1", "--n", "100", "--path", "spiral",
                  "--out", out]) == 1
+    # no thread-count flag
+    assert main(["subadd", "--model", "Z-clayton5", "--n", "200", "--nphi", "4",
+                 "--threads", "2", "--out", out]) == 1
+    # no selftest subcommand
+    assert main(["selftest"]) == 1
 
 
 @pytest.mark.parametrize(

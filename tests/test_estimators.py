@@ -332,6 +332,11 @@ def test_var_zero_index_is_spatial_median():
         c = (sample / d[:, None]).sum(axis=0) / (1.0 / d).sum()
     rep = geometric_var(sample, np.zeros(2))
     np.testing.assert_allclose(rep.argmin, c, atol=1e-5)
+    # A centrally symmetrised sample has its centre as spatial median.
+    half = np.random.default_rng(23).standard_normal((250, 2)) + np.array([1.0, -2.0])
+    centre = half.mean(axis=0)
+    rep = geometric_var(np.vstack([half, 2.0 * centre - half]), np.zeros(2))
+    assert np.linalg.norm(rep.argmin - centre) <= 1e-6
 
 
 def test_geometric_expectile_vs_nelder_mead():

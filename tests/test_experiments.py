@@ -204,8 +204,8 @@ def test_solves_see_the_callers_sample_through_the_module_names(symmetric_sample
     other = substream(76, "prepared").standard_normal(sample.shape)
     full = substream(77, "prepared").standard_normal((400, 3))
     before = (sample.copy(), other.copy(), full.copy())
-    subadditivity_sets(sample, other, r=0.3, measure="var", n_phi=8, threads=2)
-    marginalization_curves(full, r=0.2, n_phi=8, threads=2)
+    subadditivity_sets(sample, other, r=0.3, measure="var", n_phi=8)
+    marginalization_curves(full, r=0.2, n_phi=8)
     for arr, copy in zip((sample, other, full), before, strict=True):
         assert np.array_equal(arr, copy)
         assert arr.flags.writeable
@@ -252,28 +252,11 @@ def test_subadditivity_requires_matching_lengths(symmetric_sample):
         subadditivity_sets(column, column, r=0.2, n_phi=8)  # circles need d >= 2
 
 
-def _assert_same_curves(curves_a, curves_b):
-    for a, b in zip(curves_a, curves_b, strict=True):
-        assert np.all(a.points == b.points)
-        assert np.all(a.converged == b.converged)
-
-
-def test_threads_give_identical_curves():
-    sample = substream(74, "threads").standard_normal((600, 4)) @ np.diag([1.0, 0.5, 2.0, 1.5])
-    one, two = (
-        subadditivity_sets(sample[:, :2], sample[:, 2:], r=0.6, measure="var", n_phi=8,
-                           threads=threads)
-        for threads in (1, 2)
-    )
-    _assert_same_curves((one.curve_sum, one.curve_add), (two.curve_sum, two.curve_add))
-    assert one.included == two.included
-    one, two = (
-        marginalization_curves(sample[:, :3], r=0.3, n_phi=8, threads=threads)
-        for threads in (1, 2)
-    )
-    _assert_same_curves((one.margin_curve, *one.full_curves),
-                        (two.margin_curve, *two.full_curves))
-    assert one.inclusion_i4 == two.inclusion_i4
+def test_path_experiments_take_no_threads_keyword(symmetric_sample):
+    with pytest.raises(TypeError, match="threads"):
+        subadditivity_sets(symmetric_sample, symmetric_sample, r=0.2, n_phi=8, threads=2)
+    with pytest.raises(TypeError, match="threads"):
+        marginalization_curves(symmetric_sample, r=0.2, n_phi=8, threads=2)
 
 
 # ---------------------------------------------------------------------------

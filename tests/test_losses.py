@@ -128,6 +128,9 @@ def test_midpoint_convexity():
         # Strict whenever x != y (true by convexity; margin observed empirically).
         gap_xy = np.linalg.norm(x - y, axis=1)
         assert np.all(h[gap_xy > 1e-3] > 0.0)
+        # Strong convexity with modulus 1 - |u|: h >= (1 - |u|)/2 |x - y|^2.
+        bound = 0.5 * (1.0 - np.linalg.norm(u)) * gap_xy**2
+        assert np.all(h >= bound - 1e-9 * (1.0 + np.abs(h)))
 
 
 def test_parallelogram_inequality_two_sided():

@@ -4,7 +4,7 @@ library modules' public names, each resolvable and listed once."""
 from __future__ import annotations
 
 import geomrisk
-from geomrisk import copulas, distributions, estimators, experiments, losses, models, uniform_exact
+from geomrisk import cli, copulas, distributions, estimators, experiments, losses, models, uniform_exact
 
 LIBRARY_MODULES = (losses, estimators, distributions, copulas, models, uniform_exact, experiments)
 
@@ -24,3 +24,8 @@ def test_margin_and_copula_operations_are_methods_only():
     for name in ("margin_quantile", "margin_cdf", "margin_mean", "margin_var",
                  "margin_sample", "copula_sample", "copula_kendall_tau"):
         assert not hasattr(geomrisk, name)
+
+
+def test_cli_exports_only_main():
+    assert cli.__all__ == ["main"]
+    assert not hasattr(cli, "run_selftest")
