@@ -7,15 +7,17 @@ for value-at-risk.  Minimization uses a damped quasi-Newton iteration
 (inverse-Hessian secant updates with Armijo backtracking) that falls
 back to steepest descent whenever the secant direction fails to be a
 descent direction, which makes it safe on the nonsmooth value-at-risk
-objective as well.
+objective as well.  A value-at-risk minimizer on a data atom, where the
+gradient test cannot hold, is certified by the subdifferential test.
 
 A sample is validated once and copied once into a contiguous (d, n)
 column block, and every objective and gradient pass of the solver runs over
 that block with the column-block formulas of :mod:`geomrisk.losses`.  The
 private ``_Prepared`` sample holds the block with the cold-start mean, the
-all-rows-identical flag and the (lazily computed) collinearity flag; a
-direct estimator call prepares its sample once per call, and the experiment
-layer prepares each sample once for every solve on it.
+all-rows-identical flag, and the lazily computed collinearity flag and
+atom multiplicities; a direct estimator call prepares its sample once per
+call, and the experiment layer prepares each sample once for every solve
+on it.
 :func:`empirical_objective` and :func:`empirical_objective_grad` average
 the public kernels' row formulas instead; they are the reference that the
 solver's passes are tested against.
@@ -73,7 +75,9 @@ class SolverConfig:
     """Tuning knobs for :func:`minimize_convex`.
 
     ``grad_tolerance`` is relative: the iteration stops once
-    ``||grad|| <= grad_tolerance * (1 + |objective|)``.
+    ``||grad|| <= grad_tolerance * (1 + |objective|)``.  A value-at-risk
+    solve also stops, without slack, once a data atom satisfies the
+    subdifferential optimality condition (see :class:`SolveReport`).
     :func:`minimize_convex` starts at ``initial_point`` when it is set,
     and at its ``x0`` argument otherwise (the sample mean for the
     estimators).
@@ -95,8 +99,15 @@ class SolveReport:
     """Outcome of a convex minimization.
 
     ``converged`` is True exactly when the final gradient satisfied the
-    relative tolerance; ``note`` carries a warning string (for instance
-    when a quantile minimizer may be non-unique) and is None otherwise.
+    relative tolerance, or when ``argmin`` is a data atom certified
+    optimal: with m of the n rows at ``argmin``, ``0`` lies in the
+    subdifferential, i.e. ``grad_norm <= 0.5 m / n`` (the gradient gives
+    each atom row the value ``-0.5 u / n``).  ``stop_reason`` says which
+    rule ended the solve: ``"converged"``, ``"optimal_at_atom"``,
+    ``"max_iterations"``, ``"stagnation"`` (no measurable descent left)
+    or ``"identical_rows"`` (every row is the same point).  ``note``
+    carries a warning string (for instance when a quantile minimizer may
+    be non-unique) and is None otherwise.
     """
 
     argmin: np.ndarray
@@ -104,6 +115,7 @@ class SolveReport:
     grad_norm: float
     iterations: int
     converged: bool
+    stop_reason: str
     note: str | None = None
 
 
@@ -117,7 +129,8 @@ def as_sample(s) -> np.ndarray:
     return arr
 
 
-def minimize_convex(fun, grad, x0, config: SolverConfig | None = None) -> SolveReport:
+def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
+                    _nearest_atom=None) -> SolveReport:
     """Minimize a convex function with damped quasi-Newton iterations.
 
     ``fun`` maps a d-vector to a float, ``grad`` to a d-vector (a
@@ -126,6 +139,12 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None) -> SolveR
     stagnation.  The objective never increases across accepted steps.
     The iteration starts at ``config.initial_point`` when it is set (a
     finite vector of the shape of ``x0``) and at ``x0`` otherwise.
+    ``converged`` means the relative gradient test held, or a data atom
+    was certified optimal (see :class:`SolveReport`).  Value-at-risk
+    solves pass the private ``_nearest_atom(x) -> (row, 0.5 m / n)``;
+    after a backtracking step, on stagnation and at the iteration cap the
+    row nearest the iterate is tested through ``fun`` and ``grad`` and,
+    when certified, returned exactly.
     """
     cfg = config if config is not None else SolverConfig()
     x = np.array(x0, dtype=float)
@@ -139,10 +158,17 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None) -> SolveR
     dim = x.size
     h_inv = None
     iterations = 0
+    backtracked = False
+    stop_reason = "max_iterations"
     for _ in range(int(cfg.max_iterations)):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= cfg.grad_tolerance * (1.0 + abs(f)):
+            stop_reason = "converged"
             break
+        if backtracked and _nearest_atom is not None:
+            report = _certified_atom(fun, grad, _nearest_atom(x), iterations)
+            if report is not None:
+                return report
         p = -g if h_inv is None else -(h_inv @ g)
         slope = float(g @ p)
         if slope >= 0.0:
@@ -160,7 +186,9 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None) -> SolveR
                 break
             step *= 0.5
         if step < _STEP_FLOOR:
-            break  # stagnation: no measurable descent left
+            stop_reason = "stagnation"  # no measurable descent left
+            break
+        backtracked = step < 1.0
         g_new = np.asarray(grad(x_new), dtype=float)
         s_vec = x_new - x
         y_vec = g_new - g
@@ -182,13 +210,42 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None) -> SolveR
         x, f, g = x_new, f_new, g_new
         iterations += 1
     gnorm = float(np.linalg.norm(g))
-    converged = bool(gnorm <= cfg.grad_tolerance * (1.0 + abs(f)))
+    if stop_reason == "max_iterations" and gnorm <= cfg.grad_tolerance * (1.0 + abs(f)):
+        stop_reason = "converged"
+    if stop_reason != "converged" and _nearest_atom is not None:
+        report = _certified_atom(fun, grad, _nearest_atom(x), iterations)
+        if report is not None:
+            return report
     return SolveReport(
         argmin=x,
         objective=f,
         grad_norm=gnorm,
         iterations=iterations,
-        converged=converged,
+        converged=stop_reason == "converged",
+        stop_reason=stop_reason,
+    )
+
+
+def _certified_atom(fun, grad, candidate, iterations: int) -> SolveReport | None:
+    """The report of a data atom certified optimal, or None if it is not.
+
+    ``candidate`` is ``(c, radius)``: a sample row and ``0.5 m / n`` for
+    the m rows equal to it.  Since ``grad`` gives each of those rows the
+    value ``-0.5 u / n``, the subdifferential at ``c`` is the ball of that
+    radius around ``grad(c)``, and ``c`` is a minimizer iff
+    ``||grad(c)|| <= radius``.
+    """
+    c, radius = candidate
+    gnorm = float(np.linalg.norm(grad(c)))
+    if gnorm > radius:
+        return None
+    return SolveReport(
+        argmin=c,
+        objective=float(fun(c)),
+        grad_norm=gnorm,
+        iterations=iterations,
+        converged=True,
+        stop_reason="optimal_at_atom",
     )
 
 
@@ -241,12 +298,13 @@ class _Prepared:
     array and its flags are untouched), the contiguous (d, n) column
     ``block`` the solver's passes run over, the block ``mean`` (the cold
     start), whether all rows are ``identical``, and, computed on first
-    use, whether they are collinear.  To numpy it is the (n, d) sample:
-    it has ``ndim`` and ``shape``, and ``np.asarray`` gives the rows.
-    It holds no workspace.
+    use, whether they are collinear and how many rows equal each row
+    (its atom multiplicity).  To numpy it is the (n, d) sample: it has
+    ``ndim`` and ``shape``, and ``np.asarray`` gives the rows.  It holds
+    no workspace.
     """
 
-    __slots__ = ("rows", "block", "mean", "identical", "_collinear_flag")
+    __slots__ = ("rows", "block", "mean", "identical", "_collinear_flag", "_multiplicity")
     ndim = 2
 
     def __init__(self, sample) -> None:
@@ -260,6 +318,7 @@ class _Prepared:
         self.mean = mean
         self.identical = bool(np.all(rows == rows[0]))
         self._collinear_flag = None
+        self._multiplicity = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -273,6 +332,19 @@ class _Prepared:
         if self._collinear_flag is None:
             self._collinear_flag = _collinear(self.rows)
         return self._collinear_flag
+
+    def nearest_atom(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """The row nearest ``x`` (an exact copy) and ``0.5 m / n``, m the rows equal to it.
+
+        The multiplicities are counted once per sample, on first use.
+        """
+        if self._multiplicity is None:
+            _, inverse, counts = np.unique(self.rows, axis=0, return_inverse=True,
+                                           return_counts=True)
+            self._multiplicity = counts[inverse.reshape(-1)]
+        t = self.block - x[:, np.newaxis]
+        i = int(np.argmin(np.einsum("ij,ij->j", t, t)))
+        return self.rows[i].copy(), 0.5 * float(self._multiplicity[i]) / self.shape[0]
 
 
 def _prepare(sample) -> _Prepared:
@@ -293,10 +365,14 @@ def _solve(sample, alpha, config, kind: str) -> SolveReport:
             grad_norm=0.0,
             iterations=0,
             converged=True,
+            stop_reason="identical_rows",
         )
     fun, grad = _objective_closures(prep.block, u, kind)
-    # the sample mean is the cold start; a set config.initial_point overrides it
-    report = minimize_convex(fun, grad, prep.mean, config)
+    # the sample mean is the cold start; a set config.initial_point overrides it.
+    # A VaR minimizer may sit on a data atom, where only the subdifferential
+    # test can certify it, so VaR solves get the nearest atom as a candidate.
+    atom = prep.nearest_atom if kind == "quantile" else None
+    report = minimize_convex(fun, grad, prep.mean, config, _nearest_atom=atom)
     if kind == "quantile" and prep.shape[1] >= 2 and prep.collinear():
         report = dataclasses.replace(report, note="degenerate_possible")
     return report

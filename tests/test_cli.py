@@ -369,6 +369,16 @@ def test_non_convergence_exits_two_but_writes_output(tmp_path):
     assert lines[1].split(",")[-1] == "false"
 
 
+def test_var_curve_on_atoms_converges(tmp_path):
+    # cp-paper has many all-zero rows; VaR minimizers on those atoms are
+    # certified by the subdifferential test, so no row reports false
+    raw = run_cli(["curve", "--model", "cp-paper", "--seed", "3", "--path", "circle:0.5",
+                   "--measure", "var"], tmp_path)
+    rows = raw.decode().strip().split("\n")[1:]
+    assert len(rows) == 64
+    assert all(row.split(",")[-1] == "true" for row in rows)
+
+
 def test_console_script_entry_point(tmp_path):
     out = tmp_path / "cli.csv"
     # the child imports the same package as this process, installed or not

@@ -107,11 +107,13 @@ def _solver_calls(monkeypatch) -> list[dict]:
     def wrapper(*args, **kwargs):
         bound = signature.bind(*args, **kwargs)
         record = {"closures": (bound.arguments["fun"], bound.arguments["grad"]),
-                  "fun": 0, "grad": 0}
+                  "fun": 0, "grad": 0, "grad_points": []}
 
         def counted(name, f):
             def kernel_pass(x):
                 record[name] += 1
+                if name == "grad":
+                    record["grad_points"].append(np.array(x))
                 return f(x)
             return kernel_pass
 
@@ -166,6 +168,7 @@ def test_minimize_convex_quadratic_exact():
 
     rep = minimize_convex(fun, grad, np.zeros(3))
     assert rep.converged
+    assert rep.stop_reason == "converged"
     np.testing.assert_allclose(rep.argmin, a, atol=1e-7)
     assert rep.objective == pytest.approx(0.0, abs=1e-12)
     assert rep.iterations <= 50
@@ -186,6 +189,16 @@ def test_minimize_convex_reports_non_convergence():
     assert isinstance(rep, SolveReport)
     assert not rep.converged
     assert rep.iterations == 2
+    assert rep.stop_reason == "max_iterations"
+
+
+def test_minimize_convex_reports_stagnation():
+    # a zero function with a non-zero "gradient" admits no Armijo step at all
+    rep = minimize_convex(lambda x: 0.0, lambda x: np.ones_like(x), np.zeros(2))
+    assert not rep.converged
+    assert rep.stop_reason == "stagnation"
+    assert rep.iterations == 0
+    np.testing.assert_array_equal(rep.argmin, [0.0, 0.0])
 
 
 def test_minimize_convex_respects_initial_point():
@@ -209,17 +222,34 @@ def test_minimize_convex_respects_initial_point():
         minimize_convex(fun, grad, np.zeros(2), SolverConfig(initial_point=np.zeros(3)))
 
 
-@pytest.mark.parametrize("estimator", [geometric_expectile, geometric_var])
-def test_estimators_pass_their_closures_through_minimize_convex(monkeypatch, estimator):
+def _heavy_atom_sample() -> np.ndarray:
+    """60 of 100 rows at (1, 2), the rest scattered: VaR at small indices sits on the atom."""
+    rest = np.random.default_rng(21).standard_normal((40, 2)) * 2.0
+    return np.vstack([np.tile([1.0, 2.0], (60, 1)), rest])
+
+
+@pytest.mark.parametrize("estimator, atom_bound",
+                         [(geometric_expectile, False), (geometric_var, False),
+                          (geometric_var, True)],
+                         ids=["geometric_expectile", "geometric_var", "geometric_var-atom"])
+def test_estimators_pass_their_closures_through_minimize_convex(monkeypatch, estimator,
+                                                                atom_bound):
     # profilers count kernel passes by wrapping the fun/grad arguments of
-    # estimators.minimize_convex; every solve must go through that name
-    sample = np.random.default_rng(3).standard_normal((50, 2))
+    # estimators.minimize_convex; every solve must go through that name, and
+    # so must the passes that certify a minimizer at a data atom
+    if atom_bound:
+        sample = _heavy_atom_sample()
+    else:
+        sample = np.random.default_rng(3).standard_normal((50, 2))
     calls = _solver_calls(monkeypatch)
     report = estimator(sample, [0.3, 0.2])
     assert len(calls) == 1
     assert calls[0]["fun"] >= 1 and calls[0]["grad"] >= 1
     assert report is calls[0]["result"]
     assert report.converged
+    if atom_bound:
+        assert report.stop_reason == "optimal_at_atom"
+        assert any(np.array_equal(x, report.argmin) for x in calls[0]["grad_points"])
 
 
 def test_solver_config_validation():
@@ -425,8 +455,10 @@ def test_degenerate_sample_returns_the_point():
     sample = np.tile([2.0, -1.0], (50, 1))
     rep = geometric_expectile(sample, np.array([0.4, 0.1]))
     assert rep.converged
+    assert rep.stop_reason == "identical_rows"
     np.testing.assert_allclose(rep.argmin, [2.0, -1.0], atol=0.0)
     rep2 = geometric_var(sample, np.array([0.4, 0.1]))
+    assert rep2.stop_reason == "identical_rows"
     np.testing.assert_allclose(rep2.argmin, [2.0, -1.0], atol=0.0)
 
 
@@ -462,3 +494,74 @@ def test_collinearity_note_does_not_depend_on_sample_scale():
     line = np.column_stack([t, 2.0 * t])  # rank-1 cloud
     for scale in (1e-14, 1.0, 1e14):
         assert geometric_var(scale * line, np.array([0.2, 0.1])).note == "degenerate_possible"
+
+
+# ---------------------------------------------------------------------------
+# value-at-risk minimizers on data atoms
+
+def _subdifferential_residual(sample, u, c) -> float:
+    """``||g|| - 0.5 m / n`` at ``c``, with g the public (sub)gradient and m the
+    rows exactly equal to ``c``.  The public gradient gives each such row the
+    value ``-0.5 u / n``, so ``0`` lies in the VaR subdifferential at ``c`` iff
+    the residual is at most 0."""
+    sample = np.asarray(sample, dtype=float)
+    g = float(np.linalg.norm(empirical_objective_grad(sample, u, c, "quantile")))
+    atoms = int(np.count_nonzero(np.all(sample == c, axis=1)))
+    return g - 0.5 * atoms / sample.shape[0]
+
+
+def _assert_certified_atom(sample, u, rep, multiplicity):
+    assert rep.converged
+    assert rep.stop_reason == "optimal_at_atom"
+    assert int(np.count_nonzero(np.all(sample == rep.argmin, axis=1))) == multiplicity
+    assert _subdifferential_residual(sample, u, rep.argmin) <= 1e-12
+
+
+def test_var_on_a_single_atom_equals_the_univariate_quantile():
+    # n * level = 187.5 is not an integer: the minimizer is one data point
+    x = np.random.default_rng(9).standard_normal(250)
+    rep = geometric_var(x[:, None], [0.5])
+    _assert_certified_atom(x[:, None], [0.5], rep, 1)
+    assert rep.argmin[0] == univariate_quantile(x, 0.75)
+    assert rep.iterations < SolverConfig().max_iterations
+
+
+def test_var_on_a_tied_integer_grid():
+    grid = np.repeat(np.arange(4.0), 5)[:, None]
+    rep = geometric_var(grid, [0.3])
+    _assert_certified_atom(grid, [0.3], rep, 5)
+    assert rep.argmin[0] == univariate_quantile(grid[:, 0], 0.65) == 2.0
+
+
+def test_var_on_a_heavy_atom_in_two_dimensions():
+    sample = _heavy_atom_sample()
+    for u in ([0.3, 0.2], [-0.4, 0.1], [0.0, 0.0]):
+        rep = geometric_var(sample, u)
+        _assert_certified_atom(sample, u, rep, 60)
+        np.testing.assert_array_equal(rep.argmin, [1.0, 2.0])
+        assert rep.note is None
+
+
+def test_var_of_two_points_is_the_endpoint_along_the_index():
+    # on the segment the loss is linear in c, so the endpoint further along u wins
+    sample = np.array([[0.0, 0.0], [1.0, 1.0]])
+    rep = geometric_var(sample, [0.2, 0.1])
+    _assert_certified_atom(sample, [0.2, 0.1], rep, 1)
+    np.testing.assert_array_equal(rep.argmin, [1.0, 1.0])
+    assert rep.note == "degenerate_possible"
+
+
+def test_var_does_not_certify_an_atom_that_fails_the_test():
+    # a smooth minimizer off the data: the nearest row is tried at the
+    # iteration cap and must be rejected
+    sample = np.random.default_rng(4).standard_normal((300, 2))
+    u = [0.3, -0.2]
+    rep = geometric_var(sample, u, SolverConfig(max_iterations=2))
+    assert not rep.converged
+    assert rep.stop_reason == "max_iterations"
+    assert not np.any(np.all(sample == rep.argmin, axis=1))
+    nearest = sample[np.argmin(np.linalg.norm(sample - rep.argmin, axis=1))]
+    assert _subdifferential_residual(sample, u, nearest) > 0.0
+    full = geometric_var(sample, u)
+    assert full.stop_reason == "converged"
+    assert not np.any(np.all(sample == full.argmin, axis=1))
