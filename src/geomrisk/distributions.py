@@ -199,6 +199,9 @@ def _skew_normal_root(p: np.ndarray, a: float) -> np.ndarray:
     upper = p > 0.5
     target = np.where(upper, 1.0 - p, p)
     prev = np.full(p.shape, np.nan)
+    # whether each bracket end is an evaluated iterate or still the start value
+    lo_seen = np.zeros(p.shape, dtype=bool)
+    hi_seen = np.zeros(p.shape, dtype=bool)
     out = z.copy()
     active = np.arange(p.size)
     for _ in range(_NEWTON_MAX_ITER):
@@ -208,10 +211,16 @@ def _skew_normal_root(p: np.ndarray, a: float) -> np.ndarray:
         r = np.where(upper, target - (ndtr(-z) + t), (ndtr(z) - t) - target)
         hi = np.where(r > 0.0, z, hi)
         lo = np.where(r < 0.0, z, lo)
+        hi_seen |= r > 0.0
+        lo_seen |= r < 0.0
         f = _SQRT_2_OVER_PI * np.exp(-0.5 * z * z) * ndtr(a * z)
         # f underflows to 0 deep in the light tail; the bracket catches the inf
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             zn = np.where(r == 0.0, z, z - r / f)
+        # a step out through an end never evaluated goes to that end (the
+        # root may sit at or a hair past the start value); through an
+        # evaluated end it bisects
+        zn = np.where((zn > hi) & ~hi_seen, hi, np.where((zn < lo) & ~lo_seen, lo, zn))
         zn = np.where((zn >= lo) & (zn <= hi), zn, 0.5 * (lo + hi))
         tol = 4.0 * _EPS * np.maximum(1.0, np.abs(z))
         # a step back to the previous iterate is a 2-cycle between the two
@@ -221,6 +230,7 @@ def _skew_normal_root(p: np.ndarray, a: float) -> np.ndarray:
         keep = ~done
         active = active[keep]
         z, prev, lo, hi = zn[keep], z[keep], lo[keep], hi[keep]
+        lo_seen, hi_seen = lo_seen[keep], hi_seen[keep]
         upper, target = upper[keep], target[keep]
     return out
 

@@ -6,9 +6,10 @@ asymmetric squared-norm kernel for expectiles and the check-type kernel
 for value-at-risk.  Minimization uses a damped quasi-Newton iteration
 (inverse-Hessian secant updates with Armijo backtracking) that falls
 back to steepest descent whenever the secant direction fails to be a
-descent direction, which makes it safe on the nonsmooth value-at-risk
-objective as well.  A value-at-risk minimizer on a data atom, where the
-gradient test cannot hold, is certified by the subdifferential test.
+descent direction or its line search finds no descent, which makes it
+safe on the nonsmooth value-at-risk objective as well.  A value-at-risk
+minimizer on a data atom, where the gradient test cannot hold, is
+certified by the subdifferential test.
 
 A sample is validated once and copied once into a contiguous (d, n)
 column block, and every objective and gradient pass of the solver runs over
@@ -25,6 +26,7 @@ solver's passes are tested against.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass
 
@@ -130,7 +132,7 @@ def as_sample(s) -> np.ndarray:
 
 
 def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
-                    _nearest_atom=None) -> SolveReport:
+                    _nearest_atom=None, _curvature=None) -> SolveReport:
     """Minimize a convex function with damped quasi-Newton iterations.
 
     ``fun`` maps a d-vector to a float, ``grad`` to a d-vector (a
@@ -144,7 +146,13 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
     solves pass the private ``_nearest_atom(x) -> (row, 0.5 m / n)``;
     after a backtracking step, on stagnation and at the iteration cap the
     row nearest the iterate is tested through ``fun`` and ``grad`` and,
-    when certified, returned exactly.
+    when certified, returned exactly.  Solves along a traced path pass the
+    private ``_curvature``: the iteration starts from the inverse-Hessian
+    estimate in its ``h_inv`` (None: steepest descent) and leaves its own
+    final estimate there for the next solve (None after a certified atom).
+    A line search that finds no descent along the secant direction is
+    retried along steepest descent before the solve stops as stagnation;
+    along a carried estimate's direction only the unit step is tried.
     """
     cfg = config if config is not None else SolverConfig()
     x = np.array(x0, dtype=float)
@@ -156,7 +164,8 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
     f = float(fun(x))
     g = np.asarray(grad(x), dtype=float)
     dim = x.size
-    h_inv = None
+    h_inv = None if _curvature is None else _curvature.h_inv
+    report = None
     iterations = 0
     backtracked = False
     stop_reason = "max_iterations"
@@ -168,7 +177,7 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
         if backtracked and _nearest_atom is not None:
             report = _certified_atom(fun, grad, _nearest_atom(x), iterations)
             if report is not None:
-                return report
+                break
         p = -g if h_inv is None else -(h_inv @ g)
         slope = float(g @ p)
         if slope >= 0.0:
@@ -176,20 +185,25 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
             h_inv = None
             p = -g
             slope = -gnorm * gnorm
-        step = 1.0
-        x_new = x
-        f_new = f
-        while step >= _STEP_FLOOR:
-            x_new = x + step * p
-            f_new = float(fun(x_new))
-            if f_new <= f + _ARMIJO * step * slope:
-                break
-            step *= 0.5
-        if step < _STEP_FLOOR:
+        # an estimate carried in may fit another stretch of the path (near
+        # the unit sphere its long axis turns with the index): it gets the
+        # unit step only, and fails over to steepest descent like any other
+        # secant direction without descent
+        carried = iterations == 0 and h_inv is not None
+        accepted = _line_search(fun, grad, x, f, gnorm, p, slope,
+                                1.0 if carried else _STEP_FLOOR)
+        if accepted is None and h_inv is not None:
+            # the secant model points nowhere useful (at a value-at-risk
+            # minimizer on a data atom, say): retry along steepest descent
+            h_inv = None
+            accepted = _line_search(fun, grad, x, f, gnorm, -g, -gnorm * gnorm)
+        if accepted is None:
             stop_reason = "stagnation"  # no measurable descent left
             break
+        step, x_new, f_new, g_new = accepted
         backtracked = step < 1.0
-        g_new = np.asarray(grad(x_new), dtype=float)
+        if g_new is None:
+            g_new = np.asarray(grad(x_new), dtype=float)
         s_vec = x_new - x
         y_vec = g_new - g
         sy = float(s_vec @ y_vec)
@@ -212,18 +226,51 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
     gnorm = float(np.linalg.norm(g))
     if stop_reason == "max_iterations" and gnorm <= cfg.grad_tolerance * (1.0 + abs(f)):
         stop_reason = "converged"
-    if stop_reason != "converged" and _nearest_atom is not None:
+    if report is None and stop_reason != "converged" and _nearest_atom is not None:
         report = _certified_atom(fun, grad, _nearest_atom(x), iterations)
-        if report is not None:
-            return report
-    return SolveReport(
-        argmin=x,
-        objective=f,
-        grad_norm=gnorm,
-        iterations=iterations,
-        converged=stop_reason == "converged",
-        stop_reason=stop_reason,
-    )
+    if report is None:
+        report = SolveReport(
+            argmin=x,
+            objective=f,
+            grad_norm=gnorm,
+            iterations=iterations,
+            converged=stop_reason == "converged",
+            stop_reason=stop_reason,
+        )
+    if _curvature is not None:
+        # near a data atom the secant pairs measure the kink, not the
+        # curvature of the objective: a certified atom hands on none
+        _curvature.h_inv = None if report.stop_reason == "optimal_at_atom" else h_inv
+    return report
+
+
+def _line_search(fun, grad, x, f: float, gnorm: float, p, slope: float,
+                 floor: float = _STEP_FLOOR):
+    """Armijo backtracking by halving from the unit step along the descent direction ``p``.
+
+    Returns ``(step, x_new, f_new, g_new)`` for the first accepted step, or
+    None once the step falls below ``floor`` or no longer moves ``x``.
+    A step must decrease ``f`` strictly: once ``_ARMIJO * step * |slope|``
+    is below half an ulp of ``f`` the Armijo bound rounds to ``f`` itself.
+    A step that leaves ``f`` unchanged to the last bit there (``f`` cannot
+    resolve the change near a minimizer) is accepted only when it lowers
+    the gradient norm; ``g_new`` is that gradient, and None otherwise.
+    """
+    step = 1.0
+    while step >= floor:
+        x_new = x + step * p
+        f_new = float(fun(x_new))
+        armijo = f_new <= f + _ARMIJO * step * slope
+        if armijo and f_new < f:
+            return step, x_new, f_new, None
+        if np.array_equal(x_new, x):
+            return None  # shorter steps round to x as well
+        if armijo:
+            g_new = np.asarray(grad(x_new), dtype=float)
+            if float(np.linalg.norm(g_new)) < gnorm:
+                return step, x_new, f_new, g_new
+        step *= 0.5
+    return None
 
 
 def _certified_atom(fun, grad, candidate, iterations: int) -> SolveReport | None:
@@ -301,10 +348,11 @@ class _Prepared:
     use, whether they are collinear and how many rows equal each row
     (its atom multiplicity).  To numpy it is the (n, d) sample: it has
     ``ndim`` and ``shape``, and ``np.asarray`` gives the rows.  It holds
-    no workspace.
+    no workspace.  ``curvature`` is None, except on the view that
+    :meth:`on_path` makes for the solves of one traced path.
     """
 
-    __slots__ = ("rows", "block", "mean", "identical", "_collinear_flag", "_multiplicity")
+    __slots__ = ("rows", "block", "mean", "identical", "_lazy", "curvature")
     ndim = 2
 
     def __init__(self, sample) -> None:
@@ -317,8 +365,8 @@ class _Prepared:
         self.block = block
         self.mean = mean
         self.identical = bool(np.all(rows == rows[0]))
-        self._collinear_flag = None
-        self._multiplicity = None
+        self._lazy = {}  # tests computed on first use, shared with every view
+        self.curvature = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -327,24 +375,45 @@ class _Prepared:
     def __array__(self, dtype=None, copy=None):
         return np.array(self.rows, dtype=dtype, copy=copy)
 
+    def on_path(self) -> _Prepared:
+        """A view of this sample for the solves of one traced path.
+
+        It shares the arrays and the tests computed on first use, and
+        carries a fresh :class:`_Curvature` that each of its solves starts
+        from and leaves to the next.
+        """
+        view = copy.copy(self)
+        view.curvature = _Curvature()
+        return view
+
     def collinear(self) -> bool:
         """True when all rows lie on one line; the test runs once per sample."""
-        if self._collinear_flag is None:
-            self._collinear_flag = _collinear(self.rows)
-        return self._collinear_flag
+        if "collinear" not in self._lazy:
+            self._lazy["collinear"] = _collinear(self.rows)
+        return self._lazy["collinear"]
 
     def nearest_atom(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """The row nearest ``x`` (an exact copy) and ``0.5 m / n``, m the rows equal to it.
 
         The multiplicities are counted once per sample, on first use.
         """
-        if self._multiplicity is None:
+        if "multiplicity" not in self._lazy:
             _, inverse, counts = np.unique(self.rows, axis=0, return_inverse=True,
                                            return_counts=True)
-            self._multiplicity = counts[inverse.reshape(-1)]
+            self._lazy["multiplicity"] = counts[inverse.reshape(-1)]
         t = self.block - x[:, np.newaxis]
         i = int(np.argmin(np.einsum("ij,ij->j", t, t)))
-        return self.rows[i].copy(), 0.5 * float(self._multiplicity[i]) / self.shape[0]
+        return self.rows[i].copy(), 0.5 * float(self._lazy["multiplicity"][i]) / self.shape[0]
+
+
+class _Curvature:
+    """The inverse-Hessian estimate ``h_inv`` handed from one solve of a
+    traced path to the next; None until a solve leaves one."""
+
+    __slots__ = ("h_inv",)
+
+    def __init__(self) -> None:
+        self.h_inv = None
 
 
 def _prepare(sample) -> _Prepared:
@@ -371,8 +440,11 @@ def _solve(sample, alpha, config, kind: str) -> SolveReport:
     # the sample mean is the cold start; a set config.initial_point overrides it.
     # A VaR minimizer may sit on a data atom, where only the subdifferential
     # test can certify it, so VaR solves get the nearest atom as a candidate.
+    # On a traced path's view the solve also starts from, and leaves, the
+    # curvature of the path.
     atom = prep.nearest_atom if kind == "quantile" else None
-    report = minimize_convex(fun, grad, prep.mean, config, _nearest_atom=atom)
+    report = minimize_convex(fun, grad, prep.mean, config, _nearest_atom=atom,
+                             _curvature=prep.curvature)
     if kind == "quantile" and prep.shape[1] >= 2 and prep.collinear():
         report = dataclasses.replace(report, note="degenerate_possible")
     return report

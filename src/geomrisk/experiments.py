@@ -2,9 +2,11 @@
 
 A curve is the image of a one-parameter family of index vectors under a
 geometric risk measure of one fixed sample.  Adjacent indices have
-nearby minimizers, so every experiment traces its indices through one
-warm-started engine, ``_trace``, which starts each solve at the previous
-solution.  Each distinct sample is prepared once (validated, copied into
+nearby minimizers on a smooth curve, so every experiment traces its
+indices through one predictor-corrector engine, ``_trace``: each solve
+starts at the secant extrapolation of the two previous minimizers and
+from the inverse-Hessian estimate the previous solve ended with.  Each
+distinct sample is prepared once (validated, copied into
 the solver's column block, with its mean and rank tests; see
 :mod:`geomrisk.estimators`) and shared by every solve on it.  On top of
 curve tracing this module builds the standard checks: subadditivity
@@ -201,14 +203,17 @@ class Curve:
 def _trace(sample, indices, measure: str, config: SolverConfig | None):
     """Solve ``measure`` at each row of ``indices`` in order; return (points, converged).
 
-    ``sample`` is prepared once (or passed in already prepared) and every
-    solve reuses it.  The first solve starts at ``config.initial_point``
-    (sample mean when None); every later solve starts at the previous
-    minimizer.
+    A predictor-corrector continuation.  ``sample`` is prepared once (or
+    passed in already prepared) and every solve of the path runs on one
+    view of it, which hands each solve's final inverse-Hessian estimate to
+    the next (the corrector; the first solve builds its own).  The first
+    solve starts at ``config.initial_point`` (sample mean when None), the
+    second at the first minimizer, and every later one at the secant
+    prediction ``2 c[k-1] - c[k-2]`` from the two previous minimizers.
     """
     if measure not in _MEASURES:
         raise ValueError(f"measure must be one of {_MEASURES}")
-    s = _prepare(sample)
+    s = _prepare(sample).on_path()
     idx = np.asarray(indices, dtype=float)
     if idx.ndim != 2 or idx.shape[1] != s.shape[1]:
         raise ValueError("path index dimension must match the sample dimension")
@@ -217,23 +222,26 @@ def _trace(sample, indices, measure: str, config: SolverConfig | None):
     cfg = config if config is not None else SolverConfig()
     points = np.empty(idx.shape)
     converged = np.empty(idx.shape[0], dtype=bool)
-    prev = cfg.initial_point
+    start = cfg.initial_point
     for i, alpha in enumerate(idx):
-        report = solver(s, alpha, dataclasses.replace(cfg, initial_point=prev))
+        report = solver(s, alpha, dataclasses.replace(cfg, initial_point=start))
         points[i] = report.argmin
         converged[i] = report.converged
-        prev = report.argmin
+        start = report.argmin if i == 0 else 2.0 * points[i] - points[i - 1]
     return points, converged
 
 
 def trace_curve(
     sample, path: IndexPath, measure: str = "expectile", config: SolverConfig | None = None
 ) -> Curve:
-    """Solve the risk measure along ``path``, warm-starting successive solves.
+    """Solve the risk measure along ``path`` by predictor-corrector continuation.
 
     ``measure`` is ``"expectile"`` or ``"var"``.  The first solve starts
-    at ``config.initial_point`` (sample mean when None); every later
-    solve starts at the previous minimizer.
+    at ``config.initial_point`` (sample mean when None), the second at
+    the first minimizer, and every later one at the secant prediction
+    ``2 c[k-1] - c[k-2]``; each solve starts from the inverse-Hessian
+    estimate the previous one ended with.  Points agree with cold solves
+    to the solver's tolerance.
     """
     if not isinstance(path, (CirclePath, EllipsePath, QuarterCirclePath, RayPath)):
         raise ValueError(f"unknown path type: {type(path).__name__}")
@@ -477,7 +485,7 @@ def distance_curve(sample, direction, r_grid, config: SolverConfig | None = None
     """Distance ``||e(r u) - mean||`` as a function of the index magnitude r.
 
     ``direction`` is a unit vector; ``r_grid`` is strictly increasing in
-    [0, 1).  Solves are warm-started along the grid.
+    [0, 1).  The grid is traced as one path (see :func:`trace_curve`).
     """
     s = _prepare(sample)
     d = _unit_direction(direction, s.shape[1])
@@ -510,7 +518,10 @@ def bounded_support_check(
 
     Draws ``count`` bivariate Clayton(theta = 5) copula observations and
     traces the expectile circle curve at every radius in ``r_list``
-    (increasing, warm-started across radii).  A row flags whether any
+    (increasing).  Each radius's circle is one path of the
+    predictor-corrector engine (see :func:`trace_curve`) and starts
+    without curvature; its first solve starts at the first point of the
+    previous radius's curve.  A row flags whether any
     curve point leaves the support box; for radii near 1 the curve must
     eventually exit, illustrating that geometric expectiles need not
     respect bounded supports.

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
-from geomrisk import get_preset, simulate, substream
+from geomrisk import estimators, get_preset, simulate, substream
 
 
 @pytest.fixture(scope="session")
@@ -30,3 +32,40 @@ def symmetric_sample(rng_factory) -> np.ndarray:
     half = rng_factory("symmetric").standard_normal((400, 2)) * np.array([1.0, 0.7])
     centered = np.vstack([half, -half])
     return centered + np.array([0.5, -1.5])
+
+
+@pytest.fixture
+def solver_calls(monkeypatch) -> list[dict]:
+    """Route ``estimators.minimize_convex`` through a wrapper that binds ``fun``
+    and ``grad`` by name, as a profiler would, and counts their calls.  Each
+    call appends a record: the closures received, the pass counts, the
+    private curvature state with a copy of its ``h_inv`` on entry, and the
+    result of the real solver."""
+    real = estimators.minimize_convex
+    signature = inspect.signature(real)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        curvature = bound.arguments.get("_curvature")
+        h_inv = None if curvature is None else curvature.h_inv
+        record = {"closures": (bound.arguments["fun"], bound.arguments["grad"]),
+                  "fun": 0, "grad": 0, "grad_points": [], "curvature": curvature,
+                  "h_inv_in": None if h_inv is None else h_inv.copy()}
+
+        def counted(name, f):
+            def kernel_pass(x):
+                record[name] += 1
+                if name == "grad":
+                    record["grad_points"].append(np.array(x))
+                return f(x)
+            return kernel_pass
+
+        bound.arguments["fun"] = counted("fun", bound.arguments["fun"])
+        bound.arguments["grad"] = counted("grad", bound.arguments["grad"])
+        record["result"] = real(*bound.args, **bound.kwargs)
+        calls.append(record)
+        return record["result"]
+
+    monkeypatch.setattr(estimators, "minimize_convex", wrapper)
+    return calls

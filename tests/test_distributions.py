@@ -250,6 +250,24 @@ def test_skew_normal_quantile_owens_t_budget(monkeypatch, shape):
     assert len(seen) < distributions_module._NEWTON_MAX_ITER
 
 
+def test_skew_normal_newton_step_past_an_unevaluated_end_stops_there(monkeypatch):
+    # at shape 20 the cdf root of this p sits at the half-normal start value
+    # of the bracket's upper end; Newton steps overshoot that end, which is
+    # never evaluated, so bisecting towards it took 26 Owen's T passes
+    calls = []
+
+    def counting(h, a):
+        calls.append(np.size(h))
+        return owens_t(h, a)
+
+    monkeypatch.setattr(distributions_module, "owens_t", counting)
+    p = 0.7513557952504324
+    m = SkewNormal(-1.0, 1.0, 20.0)
+    q = m.quantile(p)
+    assert len(calls) <= 5
+    assert abs(m.cdf(q) - p) <= 4.0 * EPS
+
+
 @pytest.mark.parametrize("shape", (0.5, -0.5))
 def test_skew_normal_quantile_relative_accuracy_in_heavy_tail(shape):
     # The tail mass beyond the quantile is right to 1e-9 relative, not just to

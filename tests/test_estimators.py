@@ -4,8 +4,6 @@ order statistics)."""
 
 from __future__ import annotations
 
-import inspect
-
 import numpy as np
 import pytest
 from scipy import optimize, special
@@ -95,38 +93,6 @@ def test_empirical_objective_grad_matches_central_differences():
             assert abs(fd - grad[k]) <= 1e-6 * (1.0 + abs(fd))
 
 
-def _solver_calls(monkeypatch) -> list[dict]:
-    """Route ``estimators.minimize_convex`` through a wrapper that binds ``fun``
-    and ``grad`` by name, as a profiler would, and counts their calls.  Each
-    call appends a record: the closures received, the pass counts and the
-    result of the real solver."""
-    real = estimators.minimize_convex
-    signature = inspect.signature(real)
-    calls = []
-
-    def wrapper(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        record = {"closures": (bound.arguments["fun"], bound.arguments["grad"]),
-                  "fun": 0, "grad": 0, "grad_points": []}
-
-        def counted(name, f):
-            def kernel_pass(x):
-                record[name] += 1
-                if name == "grad":
-                    record["grad_points"].append(np.array(x))
-                return f(x)
-            return kernel_pass
-
-        bound.arguments["fun"] = counted("fun", bound.arguments["fun"])
-        bound.arguments["grad"] = counted("grad", bound.arguments["grad"])
-        record["result"] = real(*bound.args, **bound.kwargs)
-        calls.append(record)
-        return record["result"]
-
-    monkeypatch.setattr(estimators, "minimize_convex", wrapper)
-    return calls
-
-
 @pytest.mark.parametrize("offset", [0.0, 1e4])
 @pytest.mark.parametrize("d", [1, 2, 4])
 @pytest.mark.parametrize(
@@ -134,7 +100,7 @@ def _solver_calls(monkeypatch) -> list[dict]:
     [(geometric_expectile, expectile_loss, expectile_loss_grad),
      (geometric_var, quantile_loss, quantile_loss_subgrad)],
 )
-def test_solver_closures_are_the_mean_public_kernel(monkeypatch, estimator, loss, loss_grad,
+def test_solver_closures_are_the_mean_public_kernel(solver_calls, estimator, loss, loss_grad,
                                                     d, offset):
     # the solver's passes run over a column block; they must agree with the
     # mean of the public row kernels up to the order of summation
@@ -143,9 +109,8 @@ def test_solver_closures_are_the_mean_public_kernel(monkeypatch, estimator, loss
     u = np.linspace(0.4, -0.2, d)
     c = np.full(d, 0.8) + offset
     sample[17] = c  # one row at c exercises the t = 0 branch
-    calls = _solver_calls(monkeypatch)
     estimator(sample, u, SolverConfig(max_iterations=1))
-    fun, grad = calls[0]["closures"]
+    fun, grad = solver_calls[0]["closures"]
     np.testing.assert_allclose(fun(c), float(np.mean(loss(u, sample - c))), rtol=1e-12, atol=0)
     np.testing.assert_allclose(grad(c), -loss_grad(u, sample - c).mean(axis=0),
                                rtol=1e-12, atol=0)
@@ -201,6 +166,64 @@ def test_minimize_convex_reports_stagnation():
     np.testing.assert_array_equal(rep.argmin, [0.0, 0.0])
 
 
+def test_minimize_convex_flat_function_stagnates():
+    # with |f| ~ 1 the Armijo bound f + 1e-4 step slope rounds to f for tiny
+    # steps; a step that does not lower f must not be accepted there
+    passes = {"fun": 0, "grad": 0}
+
+    def fun(x):
+        passes["fun"] += 1
+        return 1.0
+
+    def grad(x):
+        passes["grad"] += 1
+        return np.ones_like(x)
+
+    rep = minimize_convex(fun, grad, np.zeros(2))
+    assert not rep.converged
+    assert rep.stop_reason == "stagnation"
+    assert rep.iterations == 0
+    assert passes["fun"] <= 100 and passes["grad"] <= 100
+
+
+def test_minimize_convex_converges_below_the_resolution_of_f():
+    # at x0 the gradient (1.4e-8) fails the tolerance (1e-8), yet the
+    # minimizer's f = 1 equals f(x0) to the last bit: the step that leaves f
+    # unchanged is accepted because it lowers the gradient norm
+    def fun(x):
+        return 1.0 + 0.5 * float(x @ x)
+
+    x0 = np.array([1.4e-8, 0.0])
+    assert fun(x0) == fun(np.zeros(2))
+    rep = minimize_convex(fun, lambda x: x, x0, SolverConfig(grad_tolerance=5e-9))
+    assert rep.converged
+    assert rep.iterations == 1
+    np.testing.assert_array_equal(rep.argmin, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("poison", [1e-20 * np.eye(2), -np.eye(2), np.diag([1.0, -1.0])],
+                         ids=["tiny", "negative", "indefinite"])
+@pytest.mark.parametrize("estimator", [geometric_expectile, geometric_var])
+def test_poisoned_carried_curvature_still_converges(estimator, poison):
+    # a traced path hands each solve the inverse Hessian of the previous one;
+    # a useless one costs passes but never the minimizer: its line search
+    # fails over to steepest descent (1e-20 I moves no coordinate of the
+    # start).  The tolerance is tight so that both solves pin the minimizer
+    # well inside 1e-8.
+    sample = np.random.default_rng(9).standard_normal((300, 2)) * [1.0, 3.0]
+    alpha = np.array([0.6, -0.3])
+    cfg = SolverConfig(grad_tolerance=1e-12)
+    cold = estimator(sample, alpha, cfg)
+    path = estimators._prepare(sample).on_path()
+    path.curvature.h_inv = poison.copy()
+    warm = estimator(path, alpha, cfg)
+    assert cold.converged and warm.converged
+    np.testing.assert_allclose(warm.argmin, cold.argmin, rtol=0, atol=1e-8)
+    # the solve hands on the estimate it built, not the poison
+    assert np.all(np.isfinite(path.curvature.h_inv))
+    assert np.all(np.linalg.eigvalsh(path.curvature.h_inv) > 0.0)
+
+
 def test_minimize_convex_respects_initial_point():
     def fun(x):
         return float(np.sum((x - 3.0) ** 2))
@@ -232,7 +255,7 @@ def _heavy_atom_sample() -> np.ndarray:
                          [(geometric_expectile, False), (geometric_var, False),
                           (geometric_var, True)],
                          ids=["geometric_expectile", "geometric_var", "geometric_var-atom"])
-def test_estimators_pass_their_closures_through_minimize_convex(monkeypatch, estimator,
+def test_estimators_pass_their_closures_through_minimize_convex(solver_calls, estimator,
                                                                 atom_bound):
     # profilers count kernel passes by wrapping the fun/grad arguments of
     # estimators.minimize_convex; every solve must go through that name, and
@@ -241,15 +264,24 @@ def test_estimators_pass_their_closures_through_minimize_convex(monkeypatch, est
         sample = _heavy_atom_sample()
     else:
         sample = np.random.default_rng(3).standard_normal((50, 2))
-    calls = _solver_calls(monkeypatch)
     report = estimator(sample, [0.3, 0.2])
-    assert len(calls) == 1
-    assert calls[0]["fun"] >= 1 and calls[0]["grad"] >= 1
-    assert report is calls[0]["result"]
+    assert len(solver_calls) == 1
+    assert solver_calls[0]["fun"] >= 1 and solver_calls[0]["grad"] >= 1
+    assert report is solver_calls[0]["result"]
     assert report.converged
     if atom_bound:
         assert report.stop_reason == "optimal_at_atom"
-        assert any(np.array_equal(x, report.argmin) for x in calls[0]["grad_points"])
+        assert any(np.array_equal(x, report.argmin) for x in solver_calls[0]["grad_points"])
+
+
+def test_certified_atom_hands_on_no_curvature():
+    # near a data atom the secant pairs measure the kink, not the curvature
+    # of the objective; the next solve of a path starts without them
+    path = estimators._prepare(_heavy_atom_sample()).on_path()
+    path.curvature.h_inv = np.eye(2)
+    report = geometric_var(path, [0.3, 0.2])
+    assert report.stop_reason == "optimal_at_atom"
+    assert path.curvature.h_inv is None
 
 
 def test_solver_config_validation():

@@ -1,10 +1,8 @@
-"""Experiment procedures: index paths, warm-started curve tracing, polygon
+"""Experiment procedures: index paths, predictor-corrector curve tracing, polygon
 inclusion, set-level subadditivity, univariate comparison, magnitude matching,
 marginalization, distance curves, and the bounded-support sweep."""
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +11,7 @@ from geomrisk import estimators, experiments
 from geomrisk import (
     DEFAULT_STRESS_RADII,
     CirclePath,
+    ClaytonCopula,
     Curve,
     EllipsePath,
     QuarterCirclePath,
@@ -23,9 +22,11 @@ from geomrisk import (
     distance_curve,
     geometric_expectile,
     geometric_var,
+    get_preset,
     marginalization_curves,
     match_magnitude,
     point_in_polygon,
+    simulate,
     subadditivity_sets,
     substream,
     trace_curve,
@@ -136,19 +137,105 @@ def test_trace_dimension_mismatch(symmetric_sample):
 # ---------------------------------------------------------------------------
 # one prepared sample per path
 
+@pytest.mark.parametrize("measure, solver, kind", [("expectile", geometric_expectile, "expectile"),
+                                                   ("var", geometric_var, "quantile")])
+def test_traced_curve_matches_cold_solves(symmetric_sample, measure, solver, kind):
+    # the traced path starts its solves elsewhere and carries curvature, so
+    # its points are the cold minimizers to the solver's tolerance, not bit
+    # for bit; each passes the first-order test (for VaR, the subdifferential
+    # at rows that sit exactly on the point)
+    sample = np.vstack([symmetric_sample[:300], symmetric_sample[:100]])  # duplicate rows
+    path = CirclePath(0.8, 12)
+    curve = trace_curve(sample, path, measure)
+    for k, alpha in enumerate(path.indices()[1]):
+        cold = solver(sample, alpha)
+        point = curve.points[k]
+        assert np.linalg.norm(point - cold.argmin) <= 1e-6 * (1.0 + np.linalg.norm(cold.argmin))
+        grad = np.linalg.norm(estimators.empirical_objective_grad(sample, alpha, point, kind))
+        if kind == "quantile":
+            atoms = np.count_nonzero(np.all(sample == point, axis=1))
+            grad = max(0.0, grad - 0.5 * atoms / len(sample))
+        assert grad <= 1e-6
+        assert curve.converged[k] == cold.converged
+
+
+def test_trace_starts_each_solve_at_the_secant_prediction(symmetric_sample, monkeypatch):
+    starts = []
+    expectile = experiments.geometric_expectile
+
+    def recorded(sample, alpha, config=None):
+        starts.append(config.initial_point)
+        return expectile(sample, alpha, config)
+
+    monkeypatch.setattr(experiments, "geometric_expectile", recorded)
+    first = np.array([0.4, -1.2])
+    curve = trace_curve(symmetric_sample, CirclePath(0.7, 6),
+                        config=SolverConfig(initial_point=first))
+    assert np.array_equal(starts[0], first)
+    assert np.array_equal(starts[1], curve.points[0])
+    for k in range(2, 6):
+        assert np.array_equal(starts[k], 2.0 * curve.points[k - 1] - curve.points[k - 2])
+
+
+def test_each_trace_starts_without_curvature(symmetric_sample, solver_calls):
+    noise = substream(78, "curvature").standard_normal(symmetric_sample.shape)
+    subadditivity_sets(symmetric_sample, noise, r=0.4, measure="var", n_phi=8)
+    full = substream(79, "curvature").standard_normal((400, 3))
+    marginalization_curves(full, r=0.2, n_phi=8)
+    bounded_support_check(500, r_list=(0.3, 0.6), n_phi=8, rng=substream(80, "curvature"))
+    # group the solves by the curvature state they were handed; the records
+    # keep every state alive, so no id is reused
+    traces = {}
+    for call in solver_calls:
+        assert call["curvature"] is not None
+        traces.setdefault(id(call["curvature"]), []).append(call)
+    assert [len(trace) for trace in traces.values()] == [8] * (3 + 8 + 2)
+    for trace in traces.values():
+        assert trace[0]["h_inv_in"] is None
+        assert any(call["h_inv_in"] is not None for call in trace[1:])
+
+
+def _passes(solver_calls) -> int:
+    """Kernel passes of the recorded solves; clears the record."""
+    total = sum(call["fun"] + call["grad"] for call in solver_calls)
+    solver_calls.clear()
+    return total
+
+
+def _old_chain(sample, path, solver) -> None:
+    """The engine before predictor-corrector tracing: each solve starts at
+    the previous minimizer, without curvature."""
+    prev = None
+    for alpha in path.indices()[1]:
+        prev = solver(sample, alpha, SolverConfig(initial_point=prev)).argmin
+
+
 @pytest.mark.parametrize("measure, solver", [("expectile", geometric_expectile),
                                              ("var", geometric_var)])
-def test_traced_curve_is_the_chain_of_public_solves(symmetric_sample, measure, solver):
-    sample = np.vstack([symmetric_sample[:300], symmetric_sample[:100]])  # duplicate rows
-    cfg = SolverConfig()
-    path = CirclePath(0.8, 12)
-    curve = trace_curve(sample, path, measure, cfg)
-    prev = cfg.initial_point
-    for k, alpha in enumerate(path.indices()[1]):
-        report = solver(sample, alpha, replace(cfg, initial_point=prev))
-        assert np.all(curve.points[k] == report.argmin)
-        assert curve.converged[k] == report.converged
-        prev = report.argmin
+def test_predictor_corrector_saves_kernel_passes(solver_calls, measure, solver):
+    # the paper's 64-point circle curve near the unit sphere
+    sample = simulate(get_preset("X3"), 10_000, substream(81, "x3-passes"))
+    path = CirclePath(0.98, 64)
+    assert trace_curve(sample, path, measure).all_converged
+    traced = _passes(solver_calls)
+    _old_chain(sample, path, solver)
+    assert traced <= 0.75 * _passes(solver_calls)
+
+
+def test_carried_curvature_costs_nothing_near_the_unit_sphere(solver_calls):
+    # on a coarse circle near the unit sphere the long axis of the carried
+    # estimate points the wrong way at the next index; it gets the unit step
+    # only, so the trace costs no more than the old chain (~1.13x without
+    # that rule)
+    sample = ClaytonCopula(5.0, 2).sample(4000, substream(82, "near-sphere"))
+    traced = chain = 0
+    for r in (0.9995, 0.9999, 0.99999):
+        path = CirclePath(r, 16)
+        assert trace_curve(sample, path).all_converged
+        traced += _passes(solver_calls)
+        _old_chain(sample, path, geometric_expectile)
+        chain += _passes(solver_calls)
+    assert traced <= 1.05 * chain
 
 
 @pytest.mark.parametrize("measure", ["expectile", "var"])
