@@ -14,6 +14,7 @@ yields byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -543,7 +544,11 @@ def _cmd_uniform_analytic(args) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
+@functools.cache
 def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
+    # Built once per process: each parse returns a fresh Namespace, every
+    # _Opt default is immutable, and the _cmd_* functions look up the
+    # library names at call time, so reuse shares no state between calls.
     parser = _Parser(prog="geomrisk", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="cmd", required=True)
     specs: dict[str, dict[str, _Opt]] = {}

@@ -208,7 +208,9 @@ def _skew_normal_root(p: np.ndarray, a: float) -> np.ndarray:
         if active.size == 0:
             break
         t = 2.0 * owens_t(z, a)
-        r = np.where(upper, target - (ndtr(-z) + t), (ndtr(z) - t) - target)
+        # one normal cdf per element: Phi(-z) above the median, Phi(z) below
+        phi = ndtr(np.where(upper, -z, z))
+        r = np.where(upper, target - (phi + t), (phi - t) - target)
         hi = np.where(r > 0.0, z, hi)
         lo = np.where(r < 0.0, z, lo)
         hi_seen |= r > 0.0

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import geomrisk
+from geomrisk import FrankCopula, cli
 from geomrisk.cli import main
 
 
@@ -379,17 +380,69 @@ def test_var_curve_on_atoms_converges(tmp_path):
     assert all(row.split(",")[-1] == "true" for row in rows)
 
 
-def test_console_script_entry_point(tmp_path):
-    out = tmp_path / "cli.csv"
+def _child_env() -> dict[str, str]:
     # the child imports the same package as this process, installed or not
     package_root = str(Path(geomrisk.__file__).parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_script_entry_point(tmp_path):
+    out = tmp_path / "cli.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "geomrisk.cli", "simulate", "--model", "X1",
          "--n", "10", "--seed", "1", "--out", str(out)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert out.read_text().startswith("x1,x2")
+
+
+def test_cli_import_loads_no_scipy_integrate_or_optimize():
+    # only FrankCopula.kendall_tau needs scipy.integrate (which pulls in
+    # scipy.optimize), so it imports it on first call
+    code = (
+        "import geomrisk.cli, sys\n"
+        "print(*sorted(m for m in sys.modules"
+        " if m.startswith(('scipy.integrate', 'scipy.optimize'))))\n"
+        "from geomrisk import FrankCopula\n"
+        "print(repr(FrankCopula(3.0, 2).kendall_tau()), repr(FrankCopula(-3.0, 2).kendall_tau()))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, taus = proc.stdout.split("\n")[:2]
+    assert loaded == ""
+    expected = (FrankCopula(3.0, 2).kendall_tau(), FrankCopula(-3.0, 2).kendall_tau())
+    assert taus == f"{expected[0]!r} {expected[1]!r}"
+
+
+def test_parser_is_built_once_and_shares_no_state(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    out = str(tmp_path / "p.csv")
+    assert main(["var", "--bogus"]) == 1
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    # an inline radius sets the parsed --r of its own call only
+    curve = ["curve", "--model", "X1", "--n", "200", "--nphi", "4", "--out", out]
+    assert main([*curve, "--path", "circle:0.5"]) == 0
+    assert main([*curve, "--path", "circle"]) == 1
+    assert "error: --r is required for a circle path" in capsys.readouterr().err
+    # a config file's n applies to its own call only
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 300\n")
+    sim = ["simulate", "--model", "X1", "--out", out]
+    assert main([*sim, "--config", str(cfg)]) == 0
+    assert len(Path(out).read_text().splitlines()) == 1 + 300
+    assert main(sim) == 0
+    assert len(Path(out).read_text().splitlines()) == 1 + 10_000
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "expectile" in capsys.readouterr().out
+    # the next call still works, and a repeated op writes the same bytes
+    op = ["expectile", "--model", "X2", "--n", "500", "--seed", "3", "--alpha", "0.4,-0.2"]
+    first = run_cli(op, tmp_path, "r1.csv")
+    assert run_cli(op, tmp_path, "r2.csv") == first

@@ -250,6 +250,32 @@ def test_skew_normal_quantile_owens_t_budget(monkeypatch, shape):
     assert len(seen) < distributions_module._NEWTON_MAX_ITER
 
 
+@pytest.mark.parametrize("shape", (2.0, -3.0))
+def test_skew_normal_root_one_cdf_ndtr_per_pass(monkeypatch, shape):
+    # Each Newton pass runs one Owen's T over its active set; the normal cdf
+    # should see that set twice, once for the residual (Phi(-z) above the
+    # median, Phi(z) below it) and once for the density's Phi(a z).
+    calls = []
+
+    def counting_t(h, a):
+        calls.append(("t", np.size(h)))
+        return owens_t(h, a)
+
+    def counting_ndtr(x):
+        calls.append(("ndtr", np.size(x)))
+        return ndtr(x)
+
+    monkeypatch.setattr(distributions_module, "owens_t", counting_t)
+    monkeypatch.setattr(distributions_module, "ndtr", counting_ndtr)
+    u = np.random.default_rng(2).random(10_000)
+    SkewNormal(0.0, 1.0, shape).quantile(u)
+    passes = [i for i, (name, _) in enumerate(calls) if name == "t"]
+    assert passes and passes[0] == 0
+    for start, stop in zip(passes, passes[1:] + [len(calls)]):
+        active = calls[start][1]
+        assert sum(size for _, size in calls[start + 1:stop]) <= 2 * active
+
+
 def test_skew_normal_newton_step_past_an_unevaluated_end_stops_there(monkeypatch):
     # at shape 20 the cdf root of this p sits at the half-normal start value
     # of the bracket's upper end; Newton steps overshoot that end, which is
