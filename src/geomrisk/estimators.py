@@ -498,34 +498,29 @@ def _as_univariate(sample) -> np.ndarray:
 
 
 def univariate_expectile(sample, alpha: float) -> float:
-    """Classical alpha-expectile of a 1-D sample by bisection on the FOC.
+    """Classical alpha-expectile of a 1-D sample, solved exactly from its FOC.
 
-    The first-order condition
-    ``G(e) = alpha sum (x_i - e)^+ - (1 - alpha) sum (e - x_i)^+``
-    is strictly decreasing with a root in [min x, max x]; bisection runs
-    to an interval width of 1e-12.
+    ``G(e) = alpha sum (x_i - e)^+ - (1 - alpha) sum (e - x_i)^+`` is
+    decreasing and linear between order statistics.  Prefix sums of the
+    sorted sample, centred on its mean so that they round relative to its
+    spread, locate the segment where G changes sign, and the linear piece
+    is solved there: no loop and no tolerance, at any scale or location.
     """
     x = _as_univariate(sample)
     a = float(alpha)
     if not (0.0 < a < 1.0):
         raise ValueError("alpha must lie in the open interval (0, 1)")
-    lo = float(x.min())
-    hi = float(x.max())
-    if lo == hi:
-        return lo
-
-    def foc(e: float) -> float:
-        return a * float(np.maximum(x - e, 0.0).sum()) - (1.0 - a) * float(
-            np.maximum(e - x, 0.0).sum()
-        )
-
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if foc(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    mean = float(x.mean())
+    y = np.sort(x - mean)
+    n = y.size
+    k = np.arange(1, n + 1)
+    below = np.concatenate(([0.0], np.cumsum(y)))  # below[k]: sum of the k smallest
+    # G at y[k-1], counting the k smallest as below it (ties add 0 either way)
+    g = a * (below[-1] - below[1:] - (n - k) * y) - (1.0 - a) * (k * y - below[1:])
+    j = min(int(np.searchsorted(-g, 0.0)), n - 1)
+    # on [y[j-1], y[j]] exactly j observations lie below e
+    e = (a * (below[-1] - below[j]) + (1.0 - a) * below[j]) / (a * (n - j) + (1.0 - a) * j)
+    return float(np.clip(e, y[max(j - 1, 0)], y[j]) + mean)
 
 
 def univariate_quantile(sample, alpha: float) -> float:

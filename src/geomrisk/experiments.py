@@ -62,13 +62,18 @@ _MEASURES = ("expectile", "var")
 DEFAULT_STRESS_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.9995, 0.9999, 0.99999)
 
 
+def _check_path(radii, n_phi: int, min_phi: int = 1) -> None:
+    """Every path radius lies in (0, 1) and a path has at least ``min_phi`` angles."""
+    if not all(0.0 < r < 1.0 for r in radii):
+        raise ValueError("radius must lie in (0, 1)")
+    if int(n_phi) < min_phi:
+        raise ValueError(f"n_phi must be at least {min_phi}")
+
+
 def _circle_indices(radius: float, n_phi: int, dim: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Angles of a full turn of ``n_phi`` equispaced steps and the indices
     ``radius (cos phi, sin phi)`` on the first two of ``dim`` axes (zero elsewhere)."""
-    if not (0.0 < radius < 1.0):
-        raise ValueError("radius must lie in (0, 1)")
-    if int(n_phi) < 1:
-        raise ValueError("n_phi must be at least 1")
+    _check_path((radius,), n_phi)
     if dim < 2:
         raise ValueError("circle indices need a sample of dimension d >= 2")
     phi = 2.0 * np.pi * np.arange(int(n_phi)) / int(n_phi)
@@ -108,7 +113,7 @@ class CirclePath:
     n_phi: int = 64
 
     def __post_init__(self) -> None:
-        self.indices()  # validates radius and n_phi
+        _check_path((self.radius,), self.n_phi)
 
     def indices(self) -> tuple[np.ndarray, np.ndarray]:
         return _circle_indices(self.radius, self.n_phi)
@@ -123,10 +128,7 @@ class EllipsePath:
     n_phi: int = 64
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.r1 < 1.0 and 0.0 < self.r2 < 1.0):
-            raise ValueError("EllipsePath requires radii in (0, 1)")
-        if int(self.n_phi) < 1:
-            raise ValueError("EllipsePath requires n_phi >= 1")
+        _check_path((self.r1, self.r2), self.n_phi)
 
     def indices(self) -> tuple[np.ndarray, np.ndarray]:
         phi = 2.0 * np.pi * np.arange(int(self.n_phi)) / int(self.n_phi)
@@ -142,10 +144,7 @@ class QuarterCirclePath:
     n_phi: int = 8
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.radius < 1.0):
-            raise ValueError("QuarterCirclePath requires 0 < radius < 1")
-        if int(self.n_phi) < 2:
-            raise ValueError("QuarterCirclePath requires n_phi >= 2")
+        _check_path((self.radius,), self.n_phi, min_phi=2)
 
     def indices(self) -> tuple[np.ndarray, np.ndarray]:
         phi = np.linspace(0.0, 0.5 * np.pi, int(self.n_phi))

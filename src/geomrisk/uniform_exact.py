@@ -16,6 +16,7 @@ where the logarithm degenerates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,8 +33,6 @@ __all__ = [
     "uniform_expected_loss",
     "uniform_expectile",
 ]
-
-_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -116,30 +115,25 @@ def expected_squared_distance(box: UniformBox, c) -> float:
     return ((box.b2 - box.a2) * w1 + (box.b1 - box.a1) * w2) / (3.0 * box.area)
 
 
-def _corner_combination(box: UniformBox, c: np.ndarray) -> float:
-    """Inclusion-exclusion of weighted_norm_primitive over the shifted corners."""
+def _corner_combination(box: UniformBox, c: np.ndarray, prim) -> float:
+    """Inclusion-exclusion of ``prim`` over the corners of ``box`` shifted by -c,
+    divided by the area: the box mean of its mixed second derivative."""
     xb, xa = box.b1 - c[0], box.a1 - c[0]
     yb, ya = box.b2 - c[1], box.a2 - c[1]
-    total = (
-        weighted_norm_primitive(xb, yb)
-        - weighted_norm_primitive(xa, yb)
-        - weighted_norm_primitive(xb, ya)
-        + weighted_norm_primitive(xa, ya)
-    )
+    total = prim(xb, yb) - prim(xa, yb) - prim(xb, ya) + prim(xa, ya)
     return float(total) / box.area
 
 
 def expected_distance_times_dev1(box: UniformBox, c) -> float:
     """E [ ||U - c|| (U_1 - c_1) ] for U uniform on ``box``."""
     cc = _check_location(c)
-    return _corner_combination(box, cc)
+    return _corner_combination(box, cc, weighted_norm_primitive)
 
 
 def expected_distance_times_dev2(box: UniformBox, c) -> float:
     """E [ ||U - c|| (U_2 - c_2) ] for U uniform on ``box``."""
     cc = _check_location(c)
-    swapped = UniformBox(box.a2, box.b2, box.a1, box.b1)
-    return _corner_combination(swapped, cc[::-1])
+    return _corner_combination(box, cc, lambda x, y: weighted_norm_primitive(y, x))
 
 
 def uniform_expected_loss(box: UniformBox, alpha, c) -> float:
@@ -159,27 +153,30 @@ def uniform_expected_loss(box: UniformBox, alpha, c) -> float:
     )
 
 
+def _uniform_loss_grad(box: UniformBox, u: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Exact gradient in ``c`` of :func:`uniform_expected_loss`.
+
+    With ``W = weighted_norm_primitive`` and ``P = norm_primitive``,
+    ``dW/dx = x P(x, y)`` and ``dW/dy = r^3 / 3 + y^3 / 8``, whose ``y^3``
+    term cancels in the corner combination; the swapped W mirrors both.
+    """
+    cross = _corner_combination(box, c, lambda x, y: np.hypot(x, y) ** 3 / 3.0)
+    dev1 = _corner_combination(box, c, lambda x, y: x * norm_primitive(x, y))
+    dev2 = _corner_combination(box, c, lambda x, y: y * norm_primitive(y, x))
+    dev = np.array([u[0] * dev1 + u[1] * cross, u[0] * cross + u[1] * dev2])
+    return c - box.midpoint - 0.5 * dev
+
+
 def uniform_expectile(box: UniformBox, alpha, config: SolverConfig | None = None) -> SolveReport:
     """Population geometric expectile of the uniform distribution on ``box``.
 
     Minimizes :func:`uniform_expected_loss` with the same quasi-Newton
-    iteration used by the empirical estimators; gradients are central
-    finite differences with step 1e-6.  Starts at ``config.initial_point``
-    when it is set, and at the box midpoint otherwise.
+    iteration used by the empirical estimators, using its exact gradient
+    from the same primitives.  Starts at ``config.initial_point`` when it
+    is set, and at the box midpoint otherwise.
     """
     u = as_index(alpha)
     if u.size != 2:
         raise ValueError("index must be 2-dimensional for a bivariate box")
-
-    def fun(c: np.ndarray) -> float:
-        return uniform_expected_loss(box, u, c)
-
-    def grad(c: np.ndarray) -> np.ndarray:
-        out = np.empty(2)
-        for k in range(2):
-            e_k = np.zeros(2)
-            e_k[k] = _FD_STEP
-            out[k] = (fun(c + e_k) - fun(c - e_k)) / (2.0 * _FD_STEP)
-        return out
-
-    return minimize_convex(fun, grad, box.midpoint, config)
+    fun = partial(uniform_expected_loss, box, u)
+    return minimize_convex(fun, partial(_uniform_loss_grad, box, u), box.midpoint, config)

@@ -109,6 +109,19 @@ def test_uniform_analytic_zero_index_midpoint(tmp_path):
     np.testing.assert_allclose(vals, [0.5, 0.5], atol=1e-6)
 
 
+def test_uniform_analytic_row_scales_with_the_box(tmp_path):
+    rows = []
+    for box in ("0,1,0,1", "0,100,0,100"):
+        raw = run_cli(["uniform-analytic", "--box", box, "--alpha", "0.4,0.1"], tmp_path)
+        rows.append(raw.decode().strip().split("\n")[1].split(","))
+    unit, big = ([float(v) for v in row[:4]] for row in rows)
+    np.testing.assert_allclose(big[:2], [100 * unit[0], 100 * unit[1]], rtol=1e-15)
+    assert big[2] == pytest.approx(1e4 * unit[2], rel=1e-14)
+    # the gradient norm is a rounding-level residual: compare it to the data's size
+    assert big[3] == pytest.approx(100 * unit[3], abs=1e-12)
+    assert rows[0][4:] == rows[1][4:]
+
+
 # ---------------------------------------------------------------------------
 # experiment subcommands (small sizes: shape checks only)
 
@@ -398,6 +411,30 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.read_text().startswith("x1,x2")
+
+
+def test_compare_uni_finishes_on_a_margin_of_scale_1e5(tmp_path):
+    # the univariate expectile once bisected to an absolute width of 1e-12,
+    # which never ends for a root of magnitude >= 2**13
+    model = ('{"margins":[{"type":"normal","sigma":1e5},{"type":"normal"}],'
+             '"copula":{"type":"independence"}}')
+    common = ["--model", model, "--n", "1000", "--seed", "1"]
+    out = tmp_path / "cmp.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "geomrisk.cli", "compare-uni", *common, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    sample_file = tmp_path / "sample.csv"
+    assert main(["simulate", *common, "--out", str(sample_file)]) == 0
+    first = np.loadtxt(sample_file, delimiter=",", skiprows=1)[:, 0]
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(0, 2))
+    assert rows.shape == (4, 2)
+    for level, expectile in rows:
+        assert expectile == geomrisk.univariate_expectile(first, level)
 
 
 def test_cli_import_loads_no_scipy_integrate_or_optimize():

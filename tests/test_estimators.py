@@ -4,6 +4,8 @@ order statistics)."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import optimize, special
@@ -317,6 +319,65 @@ def test_univariate_expectile_mean_at_half():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(1000)
     assert univariate_expectile(x, 0.5) == pytest.approx(float(x.mean()), abs=1e-9)
+
+
+def _exact_foc(x, alpha: float, e: float) -> Fraction:
+    """G(e) of the expectile first-order condition in exact rational arithmetic."""
+    a, ee = Fraction(alpha), Fraction(e)
+    xs = [Fraction(v) for v in x]
+    return a * sum(v - ee for v in xs if v > ee) - (1 - a) * sum(ee - v for v in xs if v < ee)
+
+
+def test_univariate_expectile_foc_changes_sign_at_result():
+    rng = np.random.default_rng(5)
+    samples = (
+        rng.standard_normal(200),
+        np.round(rng.standard_normal(200), 1),  # many ties
+        rng.exponential(size=60) * 1e6 + 1e9,
+        np.array([0.0, 0.0, 1.0, 1.0, 1.0]),
+    )
+    for x in samples:
+        step = 1e-12 * float(np.ptp(x))
+        for alpha in (0.01, 0.3, 0.5, 0.8, 0.99):
+            e = univariate_expectile(x, alpha)
+            assert x.min() <= e <= x.max()
+            assert _exact_foc(x, alpha, e - step) > 0 > _exact_foc(x, alpha, e + step)
+
+
+@pytest.mark.parametrize("shift", [8000.0, 8300.0, 1e8])
+def test_univariate_expectile_is_shift_equivariant(shift):
+    # bisection to an absolute width of 1e-12 never ended once the root passed 2**13
+    x = np.random.default_rng(1).standard_normal(1000)
+    for alpha in (0.2, 0.8):
+        assert univariate_expectile(x + shift, alpha) == pytest.approx(
+            univariate_expectile(x, alpha) + shift, rel=0.0, abs=4 * np.spacing(shift)
+        )
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1e-8, 1e3, 1e5, 1e200])
+def test_univariate_expectile_is_scale_equivariant(scale):
+    x = np.random.default_rng(1).standard_normal(1000)
+    for alpha in (0.2, 0.8):
+        assert univariate_expectile(x * scale, alpha) == pytest.approx(
+            scale * univariate_expectile(x, alpha), rel=1e-14
+        )
+
+
+def test_univariate_expectile_single_equal_and_tied_samples():
+    for alpha in (0.1, 0.5, 0.9):
+        assert univariate_expectile(np.array([3.25]), alpha) == 3.25
+        assert univariate_expectile(np.full(7, 0.1), alpha) == 0.1
+        assert univariate_expectile(np.full(5, -8300.7), alpha) == -8300.7
+    # {0.1 x 7, 0.2}: 0.9 (0.2 - e) = 0.1 * 7 (e - 0.1), so e = 0.25 / 1.6
+    assert univariate_expectile(np.array([0.1] * 7 + [0.2]), 0.9) == pytest.approx(
+        0.15625, rel=1e-15
+    )
+    # {0, 0, 1, 1, 1}: 0.25 * 3 (1 - e) = 0.75 * 2 e, so e = 1/3
+    assert univariate_expectile(np.array([0.0, 0.0, 1.0, 1.0, 1.0]), 0.25) == pytest.approx(
+        1.0 / 3.0, rel=1e-15
+    )
+    # the root sits on a tied order statistic
+    assert univariate_expectile(np.array([0.0, 1.0, 1.0, 2.0]), 0.5) == 1.0
 
 
 def test_univariate_quantile_pinned():

@@ -73,15 +73,23 @@ def test_ray_path_indices_and_validation():
         RayPath(np.array([1.0, 0.0]), np.array([0.4, 1.0]))  # magnitude >= 1
 
 
-def test_path_radius_validation():
-    with pytest.raises(ValueError):
-        CirclePath(1.0, 8)
-    with pytest.raises(ValueError):
-        CirclePath(0.0, 8)
-    with pytest.raises(ValueError):
-        EllipsePath(0.5, 1.2, 8)
-    with pytest.raises(ValueError):
-        QuarterCirclePath(-0.1, 8)
+@pytest.mark.parametrize(
+    "make, min_phi",
+    [
+        (CirclePath, 1),
+        (lambda r, n: EllipsePath(r, 0.5, n), 1),
+        (lambda r, n: EllipsePath(0.5, r, n), 1),
+        (QuarterCirclePath, 2),
+    ],
+    ids=["circle", "ellipse-r1", "ellipse-r2", "quarter"],
+)
+def test_path_validation(make, min_phi):
+    for radius in (0.0, 1.0, np.nan, -0.1, 1.2):
+        with pytest.raises(ValueError, match=r"^radius must lie in \(0, 1\)$"):
+            make(radius, 8)
+    with pytest.raises(ValueError, match=f"^n_phi must be at least {min_phi}$"):
+        make(0.5, min_phi - 1)
+    assert make(0.5, min_phi).indices()[1].shape == (min_phi, 2)
 
 
 def test_curve_validation():

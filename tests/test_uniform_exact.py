@@ -22,6 +22,7 @@ from geomrisk import (
     empirical_objective,
     substream,
 )
+from geomrisk.uniform_exact import _uniform_loss_grad
 
 UNIT = UniformBox(0.0, 1.0, 0.0, 1.0)
 
@@ -194,6 +195,47 @@ def test_minimizer_gradient_is_stationary():
             - uniform_expected_loss(UNIT, alpha, rep.argmin - e_k)
         ) / (2 * step)
         assert abs(fd) <= 1e-5
+
+
+def test_exact_gradient_matches_central_differences():
+    rng = substream(65, "grad-fd")
+    step = 1e-6
+    for box in (UNIT, UniformBox(-1.0, 2.0, 0.5, 1.5)):
+        for _ in range(100):
+            alpha = rng.standard_normal(2)
+            alpha *= rng.uniform(0.0, 0.95) / max(np.linalg.norm(alpha), 1e-300)
+            c = rng.uniform(-2.0, 3.0, 2)
+            fd = np.array([
+                uniform_expected_loss(box, alpha, c + step * e)
+                - uniform_expected_loss(box, alpha, c - step * e)
+                for e in np.eye(2)
+            ]) / (2 * step)
+            np.testing.assert_allclose(_uniform_loss_grad(box, alpha, c), fd, rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 7.3, 1e2, 1e6, 1e8])
+def test_exact_gradient_scales_with_the_box(scale):
+    # g(s c; s box) = s g(c; box): the gradient has the units of the data
+    alpha = np.array([0.4, 0.1])
+    for c in ([0.3, 0.7], [0.62, 0.53], [-0.5, 1.8]):
+        c = np.asarray(c)
+        scaled = UniformBox(0.0, scale, 0.0, scale)
+        np.testing.assert_allclose(
+            _uniform_loss_grad(scaled, alpha, scale * c) / scale,
+            _uniform_loss_grad(UNIT, alpha, c),
+            rtol=0.0,
+            atol=1e-14,
+        )
+
+
+def test_unit_box_minimizer_is_pinned():
+    # the argmin first computed with central differences of step 1e-6,
+    # accurate to ~1e-11 at this scale; the exact gradient keeps it
+    rep = uniform_expectile(UNIT, [0.4, 0.1])
+    assert rep.converged
+    np.testing.assert_allclose(
+        rep.argmin, [0.6208100038617077, 0.5303255002345971], rtol=0.0, atol=1e-9
+    )
 
 
 def test_analytic_minimizer_matches_simulation():
