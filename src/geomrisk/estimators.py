@@ -18,7 +18,10 @@ private ``_Prepared`` sample holds the block with the cold-start mean, the
 all-rows-identical flag, and the lazily computed collinearity flag and
 atom multiplicities; a direct estimator call prepares its sample once per
 call, and the experiment layer prepares each sample once for every solve
-on it.
+on it.  The sample also owns one workspace, allocated on its first solve,
+that holds the pass state of the last location evaluated (``x - c``, the
+norms and the inner products with the index): the value and the gradient
+at one location share a single sweep over the block.
 :func:`empirical_objective` and :func:`empirical_objective_grad` average
 the public kernels' row formulas instead; they are the reference that the
 solver's passes are tested against.
@@ -28,19 +31,22 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .losses import (
-    _expectile_block_grad,
-    _expectile_block_mean,
+    _expectile_grad,
     _expectile_grad_rows,
     _expectile_rows,
-    _quantile_block_grad,
-    _quantile_block_mean,
+    _expectile_value,
+    _pass_state,
+    _PassState,
+    _quantile_grad,
     _quantile_grad_rows,
     _quantile_rows,
+    _quantile_value,
     as_index,
 )
 
@@ -65,10 +71,10 @@ _ROWS = {
     "expectile": (_expectile_rows, _expectile_grad_rows),
     "quantile": (_quantile_rows, _quantile_grad_rows),
 }
-# kind -> (mean loss, mean gradient) over a (d, n) column block, for the solver
-_BLOCKS = {
-    "expectile": (_expectile_block_mean, _expectile_block_grad),
-    "quantile": (_quantile_block_mean, _quantile_block_grad),
+# kind -> (mean loss, mean gradient) readers of a pass state, for the solver
+_READERS = {
+    "expectile": (_expectile_value, _expectile_grad),
+    "quantile": (_quantile_value, _quantile_grad),
 }
 
 
@@ -131,6 +137,11 @@ def as_sample(s) -> np.ndarray:
     return arr
 
 
+def _norm(v: np.ndarray) -> float:
+    # what np.linalg.norm computes for a 1-D vector, without its call overhead
+    return math.sqrt(float(v @ v))
+
+
 def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
                     _nearest_atom=None, _curvature=None) -> SolveReport:
     """Minimize a convex function with damped quasi-Newton iterations.
@@ -170,7 +181,7 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
     backtracked = False
     stop_reason = "max_iterations"
     for _ in range(int(cfg.max_iterations)):
-        gnorm = float(np.linalg.norm(g))
+        gnorm = _norm(g)
         if gnorm <= cfg.grad_tolerance * (1.0 + abs(f)):
             stop_reason = "converged"
             break
@@ -207,23 +218,24 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
         s_vec = x_new - x
         y_vec = g_new - g
         sy = float(s_vec @ y_vec)
-        if sy > 1e-12 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
+        if sy > 1e-12 * _norm(s_vec) * _norm(y_vec):
             if h_inv is None:
                 # scale the initial inverse Hessian to the secant pair
                 h_inv = (sy / float(y_vec @ y_vec)) * np.eye(dim)
             rho = 1.0 / sy
             hy = h_inv @ y_vec
+            s_col = s_vec[:, np.newaxis]
             h_inv = (
                 h_inv
-                - rho * np.outer(s_vec, hy)
-                - rho * np.outer(hy, s_vec)
-                + (rho * rho * float(y_vec @ hy) + rho) * np.outer(s_vec, s_vec)
+                - rho * (s_col * hy)
+                - rho * (hy[:, np.newaxis] * s_vec)
+                + (rho * rho * float(y_vec @ hy) + rho) * (s_col * s_vec)
             )
         else:
             h_inv = None  # curvature unusable (kink crossed)
         x, f, g = x_new, f_new, g_new
         iterations += 1
-    gnorm = float(np.linalg.norm(g))
+    gnorm = _norm(g)
     if stop_reason == "max_iterations" and gnorm <= cfg.grad_tolerance * (1.0 + abs(f)):
         stop_reason = "converged"
     if report is None and stop_reason != "converged" and _nearest_atom is not None:
@@ -263,11 +275,11 @@ def _line_search(fun, grad, x, f: float, gnorm: float, p, slope: float,
         armijo = f_new <= f + _ARMIJO * step * slope
         if armijo and f_new < f:
             return step, x_new, f_new, None
-        if np.array_equal(x_new, x):
+        if (x_new == x).all():
             return None  # shorter steps round to x as well
         if armijo:
             g_new = np.asarray(grad(x_new), dtype=float)
-            if float(np.linalg.norm(g_new)) < gnorm:
+            if _norm(g_new) < gnorm:
                 return step, x_new, f_new, g_new
         step *= 0.5
     return None
@@ -283,7 +295,7 @@ def _certified_atom(fun, grad, candidate, iterations: int) -> SolveReport | None
     ``||grad(c)|| <= radius``.
     """
     c, radius = candidate
-    gnorm = float(np.linalg.norm(grad(c)))
+    gnorm = _norm(grad(c))
     if gnorm > radius:
         return None
     return SolveReport(
@@ -296,16 +308,32 @@ def _certified_atom(fun, grad, candidate, iterations: int) -> SolveReport | None
     )
 
 
-def _objective_closures(xt: np.ndarray, u: np.ndarray, kind: str):
-    """Solver objective/gradient closures over a prevalidated sample held as
-    the columns of one contiguous (d, n) block ``xt``."""
-    mean, mean_grad = _BLOCKS[kind]
+def _objective_closures(prep: _Prepared, u: np.ndarray, kind: str):
+    """Solver objective/gradient closures over a prepared sample.
+
+    Both read the pass state of their location from the sample's one
+    workspace.  Its key is the exact bytes of ``(u, c)``, held on the
+    workspace itself, so a gradient at the point just valued reuses the
+    state, and closures of other indices on the same sample recompute it.
+    """
+    value, gradient = _READERS[kind]
+    xt = prep.block
+    state = prep.workspace()
+    u_key = u.tobytes()
+
+    def current(c):
+        key = (u_key, c.tobytes())
+        if state.key != key:
+            state.key = None  # no stale key while the arrays are rewritten
+            _pass_state(state, u, xt, c)
+            state.key = key
+        return state
 
     def fun(c):
-        return mean(u, xt - c[:, np.newaxis])
+        return value(u, current(c))
 
     def grad(c):
-        return -mean_grad(u, xt - c[:, np.newaxis])
+        return -gradient(u, current(c))
 
     return fun, grad
 
@@ -347,9 +375,12 @@ class _Prepared:
     start), whether all rows are ``identical``, and, computed on first
     use, whether they are collinear and how many rows equal each row
     (its atom multiplicity).  To numpy it is the (n, d) sample: it has
-    ``ndim`` and ``shape``, and ``np.asarray`` gives the rows.  It holds
-    no workspace.  ``curvature`` is None, except on the view that
-    :meth:`on_path` makes for the solves of one traced path.
+    ``ndim`` and ``shape``, and ``np.asarray`` gives the rows.  The one
+    mutable part is the pass-state :meth:`workspace` of the solver's
+    closures, allocated on the first solve and shared with every view, so
+    the solves on one prepared sample must run one at a time.
+    ``curvature`` is None, except on the view that :meth:`on_path` makes
+    for the solves of one traced path.
     """
 
     __slots__ = ("rows", "block", "mean", "identical", "_lazy", "curvature")
@@ -378,9 +409,9 @@ class _Prepared:
     def on_path(self) -> _Prepared:
         """A view of this sample for the solves of one traced path.
 
-        It shares the arrays and the tests computed on first use, and
-        carries a fresh :class:`_Curvature` that each of its solves starts
-        from and leaves to the next.
+        It shares the arrays, the tests computed on first use and the
+        workspace, and carries a fresh :class:`_Curvature` that each of its
+        solves starts from and leaves to the next.
         """
         view = copy.copy(self)
         view.curvature = _Curvature()
@@ -392,10 +423,17 @@ class _Prepared:
             self._lazy["collinear"] = _collinear(self.rows)
         return self._lazy["collinear"]
 
+    def workspace(self) -> _PassState:
+        """The pass-state workspace of the solver's closures, allocated on first use."""
+        if "workspace" not in self._lazy:
+            self._lazy["workspace"] = _PassState(*self.block.shape)
+        return self._lazy["workspace"]
+
     def nearest_atom(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """The row nearest ``x`` (an exact copy) and ``0.5 m / n``, m the rows equal to it.
 
         The multiplicities are counted once per sample, on first use.
+        The distances go to temporaries of their own, never to the workspace.
         """
         if "multiplicity" not in self._lazy:
             _, inverse, counts = np.unique(self.rows, axis=0, return_inverse=True,
@@ -436,7 +474,7 @@ def _solve(sample, alpha, config, kind: str) -> SolveReport:
             converged=True,
             stop_reason="identical_rows",
         )
-    fun, grad = _objective_closures(prep.block, u, kind)
+    fun, grad = _objective_closures(prep, u, kind)
     # the sample mean is the cold start; a set config.initial_point overrides it.
     # A VaR minimizer may sit on a data atom, where only the subdifferential
     # test can certify it, so VaR solves get the nearest atom as a candidate.

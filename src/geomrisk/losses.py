@@ -9,7 +9,7 @@ expected loss over translations of a random vector defines the geometric
 value-at-risk (check-type loss) and the geometric expectile
 (square-type loss).
 
-All functions are pure.  Point arguments accept a single vector of
+All public functions are pure.  Point arguments accept a single vector of
 length d or a batch of shape (n, d); batched calls return one value (or
 one gradient row) per input row.
 """
@@ -101,45 +101,75 @@ def _expectile_grad_rows(u: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 # Column-block formulas: the means over all points of the row formulas above,
-# for the points held as the columns of one contiguous (d, n) block ``t``.
-# The norms and inner products then reduce along the long axis, and a mean
-# gradient is one matrix-vector product with no (n, d) temporary.  The
-# estimators' solver closures use these; the row formulas stay the reference.
+# for the points held as the columns of one contiguous (d, n) block ``xt``.
+# The estimators' solver closures use these; the row formulas stay the
+# reference.  ``_pass_state`` computes the state of one location ``c``
+# into a preallocated ``_PassState`` workspace: ``t = xt - c``, its column
+# norms and the inner products ``u @ t``, each reduced along the long axis.
+# The value and gradient readers only read that state (their temporaries go
+# to its scratch row), so a gradient at a point just valued costs one
+# matrix-vector product and no second sweep over the block.
 
-def _block_norms(t: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->j", t, t))
+class _PassState:
+    """Workspace for the pass state of one location over a (d, n) column block.
+
+    ``t``, ``norms`` and ``inner`` hold the state; ``scratch`` is the
+    readers' temporary row.  ``key`` names the arguments the state was
+    computed for, and is None while no valid state is held.
+    """
+
+    __slots__ = ("t", "norms", "inner", "scratch", "key")
+
+    def __init__(self, d: int, n: int) -> None:
+        self.t = np.empty((d, n))
+        self.norms = np.empty(n)
+        self.inner = np.empty(n)
+        self.scratch = np.empty(n)
+        self.key = None
 
 
-def _quantile_block_mean(u: np.ndarray, t: np.ndarray) -> float:
-    terms = _block_norms(t)
+def _pass_state(state: _PassState, u: np.ndarray, xt: np.ndarray, c: np.ndarray) -> None:
+    """Fill ``state`` with ``t = xt - c``, its column norms and ``u @ t``."""
+    np.subtract(xt, c[:, np.newaxis], out=state.t)
+    np.einsum("ij,ij->j", state.t, state.t, out=state.norms)
+    np.sqrt(state.norms, out=state.norms)
+    np.matmul(u, state.t, out=state.inner)
+
+
+def _safe_norms(state: _PassState) -> np.ndarray:
+    """The column norms in the scratch row, with 1 in place of 0."""
+    safe = state.scratch
+    np.copyto(safe, state.norms)
+    safe[safe == 0.0] = 1.0
+    return safe
+
+
+def _quantile_value(u: np.ndarray, state: _PassState) -> float:
     # sum the nonnegative row terms ||t_i|| + <u, t_i>: the split form
     # sum ||t_i|| + <u, sum t_i> cancels and loses digits near the minimizer
-    terms += u @ t
-    return 0.5 * float(terms.sum()) / t.shape[1]
+    terms = np.add(state.norms, state.inner, out=state.scratch)
+    return 0.5 * float(terms.sum()) / terms.size
 
 
-def _quantile_block_grad(u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    norms = _block_norms(t)
+def _quantile_grad(u: np.ndarray, state: _PassState) -> np.ndarray:
     # points with t = 0 divide by 1 instead, contributing exactly 0.5 * u
-    norms[norms == 0.0] = 1.0
-    return 0.5 * (t @ (1.0 / norms) / t.shape[1] + u)
+    inverse = np.divide(1.0, _safe_norms(state), out=state.scratch)
+    return 0.5 * (state.t @ inverse / inverse.size + u)
 
 
-def _expectile_block_mean(u: np.ndarray, t: np.ndarray) -> float:
-    norms = _block_norms(t)
-    return 0.5 * float(norms @ (norms + u @ t)) / t.shape[1]
+def _expectile_value(u: np.ndarray, state: _PassState) -> float:
+    norms = state.norms
+    return 0.5 * float(norms @ np.add(norms, state.inner, out=state.scratch)) / norms.size
 
 
-def _expectile_block_grad(u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    n = t.shape[1]
-    norms = _block_norms(t)
-    mean_norm = float(norms.sum()) / n
-    weights = u @ t
+def _expectile_grad(u: np.ndarray, state: _PassState) -> np.ndarray:
+    n = state.norms.size
+    mean_norm = float(state.norms.sum()) / n
     # points with t = 0 divide by 1; both summands vanish there anyway
-    norms[norms == 0.0] = 1.0
-    weights /= 2.0 * norms
+    weights = np.multiply(_safe_norms(state), 2.0, out=state.scratch)
+    np.divide(state.inner, weights, out=weights)
     weights += 1.0
-    return t @ weights / n + 0.5 * mean_norm * u
+    return state.t @ weights / n + 0.5 * mean_norm * u
 
 
 def check_loss(alpha: float, t):

@@ -39,23 +39,35 @@ def solver_calls(monkeypatch) -> list[dict]:
     """Route ``estimators.minimize_convex`` through a wrapper that binds ``fun``
     and ``grad`` by name, as a profiler would, and counts their calls.  Each
     call appends a record: the closures received, the pass counts, the
-    private curvature state with a copy of its ``h_inv`` on entry, and the
-    result of the real solver."""
+    points each pass was asked for, the number of fresh pass states (calls
+    of ``estimators._pass_state``, the state function the closures look
+    up by name), the private curvature state with a copy of its ``h_inv``
+    on entry, and the result of the real solver."""
     real = estimators.minimize_convex
     signature = inspect.signature(real)
     calls = []
+    fresh = [0]
+    real_state = estimators._pass_state
+
+    def counted_state(*args, **kwargs):
+        fresh[0] += 1
+        return real_state(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_pass_state", counted_state)
 
     def wrapper(*args, **kwargs):
         bound = signature.bind(*args, **kwargs)
         curvature = bound.arguments.get("_curvature")
         h_inv = None if curvature is None else curvature.h_inv
         record = {"closures": (bound.arguments["fun"], bound.arguments["grad"]),
-                  "fun": 0, "grad": 0, "grad_points": [], "curvature": curvature,
+                  "fun": 0, "grad": 0, "grad_points": [], "points": [],
+                  "curvature": curvature,
                   "h_inv_in": None if h_inv is None else h_inv.copy()}
 
         def counted(name, f):
             def kernel_pass(x):
                 record[name] += 1
+                record["points"].append(np.array(x))
                 if name == "grad":
                     record["grad_points"].append(np.array(x))
                 return f(x)
@@ -63,7 +75,9 @@ def solver_calls(monkeypatch) -> list[dict]:
 
         bound.arguments["fun"] = counted("fun", bound.arguments["fun"])
         bound.arguments["grad"] = counted("grad", bound.arguments["grad"])
+        before = fresh[0]
         record["result"] = real(*bound.args, **bound.kwargs)
+        record["states"] = fresh[0] - before
         calls.append(record)
         return record["result"]
 

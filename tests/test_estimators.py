@@ -118,6 +118,63 @@ def test_solver_closures_are_the_mean_public_kernel(solver_calls, estimator, los
                                rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("kind", ["expectile", "quantile"])
+def test_closures_sharing_a_workspace_give_the_bits_of_fresh_ones(kind):
+    # every closure of one sample reads the pass state of its one workspace;
+    # interleaved closures of other indices must never read each other's
+    # state, and a returned gradient must not alias it
+    sample = np.random.default_rng(5).standard_normal((200, 3))
+    sample[7] = [0.1, 0.2, 0.3]  # a row at one of the locations: t = 0
+    index = {"a": np.array([0.5, -0.2, 0.1]), "b": np.array([-0.3, 0.4, 0.0])}
+    where = {1: np.array([0.1, 0.2, 0.3]), 2: np.array([-0.4, 0.0, 0.7])}
+    want = {}
+    for name, u in index.items():
+        for k, c in where.items():
+            fun, grad = estimators._objective_closures(estimators._prepare(sample), u, kind)
+            want[name, "grad", k] = grad(c)  # a fresh workspace per closure
+            want[name, "fun", k] = fun(c)
+    prep = estimators._prepare(sample)
+    closures = {name: dict(zip(("fun", "grad"), estimators._objective_closures(prep, u, kind)))
+                for name, u in index.items()}
+    # fun then grad, grad then fun, grad alone, each interleaved with the
+    # other closure at the same and at another location
+    sequence = [("a", "fun", 1), ("a", "grad", 1), ("b", "fun", 1), ("a", "grad", 1),
+                ("b", "grad", 2), ("b", "fun", 2), ("a", "fun", 2), ("b", "grad", 2),
+                ("a", "grad", 1), ("a", "fun", 1), ("b", "fun", 1), ("a", "fun", 1)]
+    kept = []
+    for name, which, k in sequence:
+        got = closures[name][which](where[k].copy())
+        assert np.array_equal(got, want[name, which, k]), (name, which, k)
+        if which == "grad":
+            kept.append((got, got.copy()))
+    for got, snapshot in kept:
+        assert np.array_equal(got, snapshot)
+
+
+def test_workspace_lifetime():
+    sample = np.random.default_rng(6).standard_normal((50, 2))
+    # a prepared sample that is never solved allocates no workspace
+    prep = estimators._prepare(sample)
+    path = prep.on_path()
+    assert "workspace" not in prep._lazy
+    # nor does a sample of identical rows, which needs no pass at all
+    same = estimators._prepare(np.tile([1.0, 2.0], (20, 1)))
+    assert geometric_expectile(same, [0.3, 0.1]).stop_reason == "identical_rows"
+    assert "workspace" not in same._lazy
+    # the views of a traced path share the workspace of their sample
+    geometric_var(path, [0.3, 0.1])
+    workspace = prep.workspace()
+    assert path.workspace() is workspace
+    assert prep.on_path().workspace() is workspace
+    assert workspace.t.shape == prep.block.shape
+    # nearest_atom computes its distances elsewhere: the state stays valid
+    held = (workspace.key, workspace.t.copy(), workspace.norms.copy(), workspace.inner.copy())
+    path.nearest_atom(np.array([5.0, -5.0]))
+    assert workspace.key == held[0]
+    for now, before in zip((workspace.t, workspace.norms, workspace.inner), held[1:]):
+        assert np.array_equal(now, before)
+
+
 # ---------------------------------------------------------------------------
 # generic convex solver
 

@@ -247,6 +247,18 @@ def test_carried_curvature_costs_nothing_near_the_unit_sphere(solver_calls):
 
 
 @pytest.mark.parametrize("measure", ["expectile", "var"])
+def test_each_point_of_a_trace_costs_one_pass_state(solver_calls, measure):
+    # a gradient at the point just valued reads the state its value pass
+    # computed, so a traced path computes one pass state per distinct point
+    sample = simulate(get_preset("X3"), 2000, substream(83, "pass-states"))
+    assert trace_curve(sample, CirclePath(0.9, 16), measure).all_converged
+    states = sum(call["states"] for call in solver_calls)
+    points = sum(len({x.tobytes() for x in call["points"]}) for call in solver_calls)
+    passes = sum(call["fun"] + call["grad"] for call in solver_calls)
+    assert states == points < passes
+
+
+@pytest.mark.parametrize("measure", ["expectile", "var"])
 def test_traced_curve_of_identical_rows_is_that_point(measure):
     sample = np.tile([1.5, -0.25], (30, 1))
     curve = trace_curve(sample, CirclePath(0.9, 8), measure)
