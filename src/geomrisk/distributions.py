@@ -5,6 +5,7 @@ Each margin is a small frozen dataclass exposing ``quantile``, ``cdf``,
 copula samples can be pushed through them without bias: special
 functions where available, and for the skew normal a safeguarded Newton
 iteration on its cdf, bracketed by the normal and half-normal quantiles
+and, on large inputs, started from an interpolant through tabulated roots
 (see ``SkewNormal``).  Sampling is inverse-transform for every margin
 except the skew normal, which uses its two-normal representation.
 """
@@ -34,9 +35,13 @@ _U_FLOOR = 1e-300
 
 _EPS = np.finfo(float).eps
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
 # cap on skew-normal Newton passes; bisection steps alone shrink the widest
 # bracket (~40) below the stopping tolerance in ~55 passes
 _NEWTON_MAX_ITER = 100
+# nodes of the tabulated skew-normal start, taken by inputs of more than
+# 4 * _TABLE_NODES elements; the nodes themselves start from Cornish-Fisher
+_TABLE_NODES = 128
 
 
 def _as_prob(p):
@@ -127,8 +132,16 @@ class SkewNormal:
     gives ``[Phi^-1(p / 2), Phi^-1(p)]``.  Every residual tightens the
     bracket, and a Newton step that leaves it becomes a bisection step.
     Above the median it solves ``1 - F(z) = 1 - p``, so the heavy tail keeps
-    full relative accuracy.  Uniform ``p`` take about four cdf evaluations
-    each.
+    full relative accuracy.  A Newton step ends the iteration once its
+    predicted error ``|f' / (2 f)| step^2`` is within tolerance.
+
+    Small inputs start from the Cornish-Fisher expansion.  An input of more
+    than 512 elements first solves the root at 128 nodes (``_TABLE_NODES``)
+    equispaced in ``w = Phi^-1(p)`` over its range, and starts every element
+    from the cubic Hermite interpolant of ``z(w)`` through them, with the
+    exact slopes ``dz/dw = phi(w) / f(z)``.  Uniform ``p`` then take about
+    one cdf evaluation each (1.04 at shapes 2 and -3, 1.23 at shape 20, for
+    10,000 draws), against about four from the Cornish-Fisher start.
 
     Accuracy is that of the cdf.  In the light tail (left for
     ``shape > 0``, right for ``shape < 0``) ``Phi - 2T`` cancels, and the
@@ -182,17 +195,20 @@ class SkewNormal:
 
 def _skew_normal_root(p: np.ndarray, a: float) -> np.ndarray:
     """Root z of ``Phi(z) - 2 T(z, a) = p`` for each element of the 1-d array ``p``."""
+    w = ndtri(p)
     if a >= 0.0:
         # Phi^-1((1 + p) / 2), written so that p near 1 does not round it to inf
-        lo, hi = ndtri(p), -ndtri(0.5 * (1.0 - p))
+        lo, hi = w, -ndtri(0.5 * (1.0 - p))
     else:
-        lo, hi = ndtri(0.5 * p), ndtri(p)
-    # Cornish-Fisher start from the standardised mean, sd and skewness
-    mu = _SQRT_2_OVER_PI * a / np.sqrt(1.0 + a * a)
-    sd = np.sqrt(1.0 - mu * mu)
-    skew = 0.5 * (4.0 - np.pi) * (mu / sd) ** 3
-    w = ndtri(p)
-    z = np.clip(mu + sd * (w + skew * (w * w - 1.0) / 6.0), lo, hi)
+        lo, hi = ndtri(0.5 * p), w
+    if p.size > 4 * _TABLE_NODES and w.max() > w.min():
+        z = np.clip(_tabulated_start(p, w, a), lo, hi)
+    else:
+        # Cornish-Fisher start from the standardised mean, sd and skewness
+        mu = _SQRT_2_OVER_PI * a / np.sqrt(1.0 + a * a)
+        sd = np.sqrt(1.0 - mu * mu)
+        skew = 0.5 * (4.0 - np.pi) * (mu / sd) ** 3
+        z = np.clip(mu + sd * (w + skew * (w * w - 1.0) / 6.0), lo, hi)
     # Above the median solve 1 - F(z) = Phi(-z) + 2 T(z, a) = 1 - p instead:
     # 1 - p is exact there, and the heavy right tail (a > 0) keeps full
     # relative accuracy.  The residual r > 0 always means z is too high.
@@ -215,19 +231,27 @@ def _skew_normal_root(p: np.ndarray, a: float) -> np.ndarray:
         lo = np.where(r < 0.0, z, lo)
         hi_seen |= r > 0.0
         lo_seen |= r < 0.0
-        f = _SQRT_2_OVER_PI * np.exp(-0.5 * z * z) * ndtr(a * z)
+        az = a * z
+        phi_az = ndtr(az)
+        f = _SQRT_2_OVER_PI * np.exp(-0.5 * z * z) * phi_az
         # f underflows to 0 deep in the light tail; the bracket catches the inf
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             zn = np.where(r == 0.0, z, z - r / f)
+            # Newton's error after the step is |f' / (2 f)| step^2, with
+            # f' / f = -z + a phi(a z) / Phi(a z)
+            curvature = np.abs(a * np.exp(-0.5 * az * az) / (_SQRT_2PI * phi_az) - z)
+        newton = (zn >= lo) & (zn <= hi)
         # a step out through an end never evaluated goes to that end (the
         # root may sit at or a hair past the start value); through an
         # evaluated end it bisects
         zn = np.where((zn > hi) & ~hi_seen, hi, np.where((zn < lo) & ~lo_seen, lo, zn))
         zn = np.where((zn >= lo) & (zn <= hi), zn, 0.5 * (lo + hi))
+        step = np.abs(zn - z)
         tol = 4.0 * _EPS * np.maximum(1.0, np.abs(z))
         # a step back to the previous iterate is a 2-cycle between the two
         # bracket ends: the cdf cannot resolve the root any closer
-        done = (np.abs(zn - z) <= tol) | (hi - lo <= tol) | (zn == prev)
+        done = (step <= tol) | (hi - lo <= tol) | (zn == prev)
+        done |= newton & (0.5 * curvature * step * step <= tol)
         out[active] = zn
         keep = ~done
         active = active[keep]
@@ -235,6 +259,29 @@ def _skew_normal_root(p: np.ndarray, a: float) -> np.ndarray:
         lo_seen, hi_seen = lo_seen[keep], hi_seen[keep]
         upper, target = upper[keep], target[keep]
     return out
+
+
+def _tabulated_start(p: np.ndarray, w: np.ndarray, a: float) -> np.ndarray:
+    """Cubic Hermite interpolant of the root ``z(w)``, ``w = Phi^-1(p)``, through
+    ``_TABLE_NODES`` roots solved at nodes equispaced over the range of ``w``."""
+    w_lo, w_hi = w.min(), w.max()
+    nodes = np.linspace(w_lo, w_hi, _TABLE_NODES)
+    # ndtr may round the end nodes a hair past the probabilities they came from
+    zn = _skew_normal_root(np.clip(ndtr(nodes), p.min(), p.max()), a)
+    # exact slopes dz/dw = phi(w) / f(z); Phi(a z) underflows to 0 only where
+    # the cdf has no resolution left, and a flat node is start enough there
+    with np.errstate(divide="ignore", over="ignore"):
+        slope = 0.5 * np.exp(0.5 * (zn * zn - nodes * nodes)) / ndtr(a * zn)
+    slope = np.where(np.isfinite(slope), slope, 0.0)
+    width = (w_hi - w_lo) / (_TABLE_NODES - 1)
+    x = (w - w_lo) / width
+    i = np.clip(x.astype(np.intp), 0, _TABLE_NODES - 2)
+    s = x - i
+    s1 = 1.0 - s
+    return (
+        s1 * s1 * ((1.0 + 2.0 * s) * zn[i] + s * width * slope[i])
+        + s * s * ((3.0 - 2.0 * s) * zn[i + 1] - s1 * width * slope[i + 1])
+    )
 
 
 @dataclass(frozen=True)

@@ -77,13 +77,18 @@ class JointModel:
         return len(self.margins)
 
 
+# the claim counts start from exp(-claim_rate), which must be a normal double
+_MAX_CLAIM_RATE = -np.log(np.finfo(float).tiny)
+
+
 @dataclass(frozen=True)
 class CompoundPoissonModel:
     """Vector of compound Poisson sums sharing one claim-count process.
 
     ``claim_rate`` is the expected number of claims per period; each
     claim contributes one severity vector from ``severity``.  Periods
-    with zero claims contribute the zero vector.
+    with zero claims contribute the zero vector.  Rates above ~708.396,
+    where ``exp(-claim_rate)`` is no longer a normal double, are rejected.
     """
 
     claim_rate: float
@@ -92,8 +97,13 @@ class CompoundPoissonModel:
     def __post_init__(self) -> None:
         if not isinstance(self.severity, JointModel):
             raise ValueError("CompoundPoissonModel severity must be a JointModel")
-        if not (self.claim_rate > 0.0 and np.isfinite(self.claim_rate)):
+        if not self.claim_rate > 0.0:
             raise ValueError("CompoundPoissonModel requires claim_rate > 0")
+        if np.exp(-self.claim_rate) < np.finfo(float).tiny:
+            raise ValueError(
+                f"CompoundPoissonModel requires claim_rate <= {_MAX_CLAIM_RATE:.3f}, "
+                "where exp(-claim_rate) is still a normal double"
+            )
 
     @property
     def dim(self) -> int:

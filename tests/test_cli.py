@@ -329,6 +329,14 @@ def test_threads_config_key_is_unknown(tmp_path, capsys):
     assert ":2:" in err and "unknown key 'threads'" in err
 
 
+def test_claim_rate_past_underflow_exits_one(tmp_path, capsys):
+    # exp(-1000) underflows, and the claim counts would all read 0
+    spec = _COMPOUND_JSON.replace('"claim_rate":0.5', '"claim_rate":1000')
+    rc = main(["simulate", "--model", spec, "--n", "10", "--out", str(tmp_path / "c.csv")])
+    assert rc == 1
+    assert "claim_rate <= 708.396" in capsys.readouterr().err
+
+
 def test_validation_failures_exit_one(tmp_path):
     out = str(tmp_path / "x.csv")
     # index on the unit sphere

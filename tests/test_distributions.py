@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from scipy import integrate, stats
-from scipy.special import ndtr, ndtri, owens_t
+from scipy.special import ndtr, ndtri
 
 import geomrisk.distributions as distributions_module
 
@@ -145,6 +145,43 @@ P_GRID = np.concatenate(
     ]
 )
 
+# Inputs of more than 4 * _TABLE_NODES elements start from tabulated roots,
+# smaller ones (P_GRID among them) from the Cornish-Fisher start.  The dense
+# grid runs out to the copula clip bounds 1e-15 and 1 - 1e-16.
+TABLE_NODES = distributions_module._TABLE_NODES
+DENSE_P_GRID = np.concatenate(
+    [
+        np.logspace(-15.0, -2.0, 200),
+        np.linspace(0.01, 0.99, 301)[1:-1],
+        1.0 - np.logspace(-2.0, -16.0, 200),
+    ]
+)
+GRIDS = pytest.mark.parametrize("grid", (P_GRID, DENSE_P_GRID), ids=("grid", "dense"))
+
+
+@pytest.fixture
+def special_calls(monkeypatch) -> list[tuple[str, int]]:
+    """Route ``owens_t`` and ``ndtr`` of the distributions module through
+    counters; each call appends (name, element count), in call order."""
+    calls = []
+
+    def counted(name):
+        real = getattr(distributions_module, name)
+
+        def wrapper(x, *args):
+            calls.append((name, np.size(x)))
+            return real(x, *args)
+
+        monkeypatch.setattr(distributions_module, name, wrapper)
+
+    counted("owens_t")
+    counted("ndtr")
+    return calls
+
+
+def _owens_t_sizes(calls) -> list[int]:
+    return [size for name, size in calls if name == "owens_t"]
+
 
 def _bisection_quantile(m: SkewNormal, p: np.ndarray) -> np.ndarray:
     """The widening-then-bisection skew-normal quantile, kept as a reference."""
@@ -183,25 +220,75 @@ def test_skew_normal_cdf_stays_in_unit_interval(shape):
     assert np.all((c >= 0.0) & (c <= 1.0))
 
 
+def test_grids_take_both_starts(monkeypatch):
+    tabulated = []
+    real = distributions_module._tabulated_start
+
+    def counted(p, *args):
+        tabulated.append(p.size)
+        return real(p, *args)
+
+    monkeypatch.setattr(distributions_module, "_tabulated_start", counted)
+    m = SKEW_NORMALS[0]
+    m.quantile(P_GRID)
+    assert tabulated == []
+    m.quantile(DENSE_P_GRID)
+    assert tabulated == [DENSE_P_GRID.size]
+    assert DENSE_P_GRID.min() <= 1e-15 and DENSE_P_GRID.max() >= 1.0 - 1e-16
+
+
+@GRIDS
 @pytest.mark.parametrize("margin", SKEW_NORMALS, ids=lambda m: f"shape={m.shape}")
-def test_skew_normal_quantile_round_trip_to_float_resolution(margin):
-    q = margin.quantile(P_GRID)
+def test_skew_normal_quantile_round_trip_to_float_resolution(margin, grid):
+    q = margin.quantile(grid)
     assert np.all(np.isfinite(q))
-    assert np.max(np.abs(margin.cdf(q) - P_GRID)) <= 4.0 * EPS
+    assert np.max(np.abs(margin.cdf(q) - grid)) <= 4.0 * EPS
 
 
+@GRIDS
 @pytest.mark.parametrize("margin", SKEW_NORMALS, ids=lambda m: f"shape={m.shape}")
-def test_skew_normal_quantile_matches_bisection_reference(margin):
-    q = margin.quantile(P_GRID)
-    ref = _bisection_quantile(margin, P_GRID)
+def test_skew_normal_quantile_matches_bisection_reference(margin, grid):
+    q = margin.quantile(grid)
+    ref = _bisection_quantile(margin, grid)
     assert np.all(np.abs(q - ref) <= _resolution(margin, ref))
 
 
-def test_skew_normal_shape_zero_is_normal():
+@GRIDS
+def test_skew_normal_shape_zero_is_normal(grid):
     # to a few ulps; the bisection reference is ~1e-6 off ndtri at 1 - 1e-12
-    q = SkewNormal(0.7, 2.5, 0.0).quantile(P_GRID)
-    ref = Normal(0.7, 2.5).quantile(P_GRID)
+    q = SkewNormal(0.7, 2.5, 0.0).quantile(grid)
+    ref = Normal(0.7, 2.5).quantile(grid)
     assert np.all(np.abs(q - ref) <= 8.0 * EPS * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("margin", SKEW_NORMALS, ids=lambda m: f"shape={m.shape}")
+def test_skew_normal_quantile_of_an_array_is_that_of_its_chunks(margin):
+    # the whole array starts from tabulated roots, chunks of at most
+    # _TABLE_NODES elements from the Cornish-Fisher start
+    u = np.concatenate([np.random.default_rng(3).random(5_000), [1e-15, 1.0 - 1e-16]])
+    q = margin.quantile(u)
+    chunks = np.array_split(u, -(-u.size // TABLE_NODES))
+    ref = np.concatenate([margin.quantile(c) for c in chunks])
+    assert np.all(np.abs(q - ref) <= _resolution(margin, ref))
+
+
+@pytest.mark.parametrize(
+    "values",
+    (
+        np.full(1_000, 0.3),
+        np.tile([0.2, 0.9], 500),
+        0.5 + np.logspace(-16.0, np.log10(0.5 - 1e-16), 600),
+    ),
+    ids=("constant", "two-valued", "above-median"),
+)
+@pytest.mark.parametrize("margin", SKEW_NORMALS, ids=lambda m: f"shape={m.shape}")
+def test_skew_normal_quantile_of_degenerate_large_inputs(margin, values):
+    # a constant array spans no range of nodes at all; any warning fails the test
+    assert values.size > 4 * TABLE_NODES
+    q = margin.quantile(values)
+    distinct, where = np.unique(values, return_inverse=True)
+    ref = np.array([margin.quantile(float(v)) for v in distinct])[where]
+    assert np.all(np.abs(q - ref) <= _resolution(margin, ref))
 
 
 @pytest.mark.parametrize("shape", (2.0, 20.0, 1e-9))
@@ -232,65 +319,68 @@ def test_skew_normal_quantile_return_types():
 
 
 @pytest.mark.parametrize("shape", (2.0, -3.0, 20.0))
-def test_skew_normal_quantile_owens_t_budget(monkeypatch, shape):
+def test_skew_normal_quantile_owens_t_budget(special_calls, shape):
     # Owen's T is the whole cost of the quantile; count the elements it sees.
     # Counts are stable from machine to machine, wall time is not.
-    seen = []
-
-    def counting(h, a):
-        seen.append(np.size(h))
-        return owens_t(h, a)
-
-    monkeypatch.setattr(distributions_module, "owens_t", counting)
     n = 10_000
     u = np.random.default_rng(6).random(n)
     SkewNormal(-1.0, 1.0, shape).quantile(u)
-    assert sum(seen) <= 10 * n
+    seen = _owens_t_sizes(special_calls)
+    assert sum(seen) <= 1.5 * n
     # no element dithers at the cdf's resolution until the pass cap
     assert len(seen) < distributions_module._NEWTON_MAX_ITER
 
 
+@pytest.mark.parametrize("n", (4 * TABLE_NODES, 10_000), ids=("cornish-fisher", "tabulated"))
 @pytest.mark.parametrize("shape", (2.0, -3.0))
-def test_skew_normal_root_one_cdf_ndtr_per_pass(monkeypatch, shape):
+def test_skew_normal_root_one_cdf_ndtr_per_pass(special_calls, monkeypatch, shape, n):
     # Each Newton pass runs one Owen's T over its active set; the normal cdf
     # should see that set twice, once for the residual (Phi(-z) above the
-    # median, Phi(z) below it) and once for the density's Phi(a z).
-    calls = []
+    # median, Phi(z) below it) and once for the density's Phi(a z).  Above
+    # 4 * _TABLE_NODES elements the root first solves its nodes; setting
+    # them up (their probabilities, and Phi(a z) for their slopes) is at
+    # most two normal cdfs per node.
+    real = distributions_module._skew_normal_root
 
-    def counting_t(h, a):
-        calls.append(("t", np.size(h)))
-        return owens_t(h, a)
+    def marked(p, a):
+        special_calls.append(("root", p.size))
+        out = real(p, a)
+        special_calls.append(("root", p.size))
+        return out
 
-    def counting_ndtr(x):
-        calls.append(("ndtr", np.size(x)))
-        return ndtr(x)
-
-    monkeypatch.setattr(distributions_module, "owens_t", counting_t)
-    monkeypatch.setattr(distributions_module, "ndtr", counting_ndtr)
-    u = np.random.default_rng(2).random(10_000)
+    monkeypatch.setattr(distributions_module, "_skew_normal_root", marked)
+    u = np.random.default_rng(2).random(n)
     SkewNormal(0.0, 1.0, shape).quantile(u)
-    passes = [i for i, (name, _) in enumerate(calls) if name == "t"]
-    assert passes and passes[0] == 0
-    for start, stop in zip(passes, passes[1:] + [len(calls)]):
-        active = calls[start][1]
-        assert sum(size for _, size in calls[start + 1:stop]) <= 2 * active
+    # a normal cdf after a solve's entry or exit, before its next Owen's T,
+    # is set-up; after an Owen's T it belongs to that pass
+    passes, setup, in_pass = [], 0, False
+    for name, size in special_calls:
+        if name == "root":
+            in_pass = False
+        elif name == "owens_t":
+            in_pass = True
+            passes.append([size, 0])
+        elif in_pass:
+            passes[-1][1] += size
+        else:
+            setup += size
+    assert passes
+    assert all(cdf <= 2 * active for active, cdf in passes)
+    solves = sum(name == "root" for name, _ in special_calls) // 2
+    if n > 4 * TABLE_NODES:
+        assert solves == 2 and setup <= 2 * TABLE_NODES
+    else:
+        assert solves == 1 and setup == 0
 
 
-def test_skew_normal_newton_step_past_an_unevaluated_end_stops_there(monkeypatch):
+def test_skew_normal_newton_step_past_an_unevaluated_end_stops_there(special_calls):
     # at shape 20 the cdf root of this p sits at the half-normal start value
     # of the bracket's upper end; Newton steps overshoot that end, which is
     # never evaluated, so bisecting towards it took 26 Owen's T passes
-    calls = []
-
-    def counting(h, a):
-        calls.append(np.size(h))
-        return owens_t(h, a)
-
-    monkeypatch.setattr(distributions_module, "owens_t", counting)
     p = 0.7513557952504324
     m = SkewNormal(-1.0, 1.0, 20.0)
     q = m.quantile(p)
-    assert len(calls) <= 5
+    assert len(_owens_t_sizes(special_calls)) <= 5
     assert abs(m.cdf(q) - p) <= 4.0 * EPS
 
 

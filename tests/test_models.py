@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import geomrisk.models as models_module
+
 from geomrisk import (
     ClaytonCopula,
     CompoundPoissonModel,
@@ -165,6 +167,16 @@ def test_claim_rate_validation():
         CompoundPoissonModel(0.0, get_preset("cp-paper").severity)
     with pytest.raises(ValueError):
         CompoundPoissonModel(-2.0, get_preset("cp-paper").severity)
+    # exp(-rate) underflows past ~708.396 and every count would read 0
+    for rate in (709.0, 750.0, 1000.0, np.inf):
+        with pytest.raises(ValueError, match="claim_rate <= 708.396"):
+            CompoundPoissonModel(rate, get_preset("cp-paper").severity)
+
+
+def test_largest_claim_rate_draws_its_mean():
+    model = CompoundPoissonModel(708.0, get_preset("cp-paper").severity)
+    counts = models_module._poisson_counts(model.claim_rate, 20_000, substream(41, "cp-max"))
+    assert abs(counts.mean() - 708.0) <= 4.0 * np.sqrt(708.0 / 20_000)
 
 
 def test_compound_severity_must_be_a_joint_model():
