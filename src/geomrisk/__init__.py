@@ -4,172 +4,29 @@ Loss kernels, M-estimators with a shared convex solver, margin and
 copula simulation, a closed-form bivariate-uniform oracle, and the
 experiment harness used to check the mathematical properties of the
 measures on simulated data.
+
+The package exports exactly the public names of its library modules:
+each module's ``__all__`` is the one list of them.
 """
 
-from .copulas import (
-    ClaytonCopula,
-    CopulaSpec,
-    FrankCopula,
-    GumbelCopula,
-    IndependenceCopula,
-)
-from .distributions import (
-    Exponential,
-    Gumbel,
-    Logistic,
-    MarginSpec,
-    Normal,
-    SkewNormal,
-    StudentT,
-    Uniform,
-    has_finite_second_moment,
-)
-from .estimators import (
-    SolveReport,
-    SolverConfig,
-    as_sample,
-    empirical_objective,
-    empirical_objective_grad,
-    geometric_expectile,
-    geometric_var,
-    minimize_convex,
-    univariate_expectile,
-    univariate_quantile,
-)
-from .experiments import (
-    BoundedSupportRow,
-    CirclePath,
-    ComparisonRow,
-    Curve,
-    DistanceCurve,
-    EllipsePath,
-    IndexPath,
-    MarginalizationResult,
-    DEFAULT_STRESS_RADII,
-    QuarterCirclePath,
-    RayPath,
-    SubadditivityResult,
-    bounded_support_check,
-    compare_univariate,
-    distance_curve,
-    marginalization_curves,
-    match_magnitude,
-    point_in_polygon,
-    subadditivity_sets,
-    trace_curve,
-)
-from .losses import (
-    as_index,
-    check_loss,
-    expectile_loss,
-    expectile_loss_1d,
-    expectile_loss_grad,
-    expectile_score,
-    index_from_level,
-    quantile_loss,
-    quantile_loss_subgrad,
-)
-from .models import (
-    CompoundPoissonModel,
-    JointModel,
-    PRESET_DEFAULT_N,
-    PRESETS,
-    get_preset,
-    model_mean,
-    simulate,
-    simulate_compound,
-    substream,
-)
-from .uniform_exact import (
-    UniformBox,
-    expected_distance_times_dev1,
-    expected_distance_times_dev2,
-    expected_squared_distance,
-    norm_primitive,
-    uniform_expected_loss,
-    uniform_expectile,
-    weighted_norm_primitive,
-)
+from . import copulas, distributions, estimators, experiments, losses, models, uniform_exact
+from .copulas import *
+from .distributions import *
+from .estimators import *
+from .experiments import *
+from .losses import *
+from .models import *
+from .uniform_exact import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # losses
-    "as_index",
-    "check_loss",
-    "expectile_loss_1d",
-    "quantile_loss",
-    "quantile_loss_subgrad",
-    "expectile_loss",
-    "expectile_loss_grad",
-    "expectile_score",
-    "index_from_level",
-    # estimators
-    "SolverConfig",
-    "SolveReport",
-    "as_sample",
-    "minimize_convex",
-    "empirical_objective",
-    "empirical_objective_grad",
-    "geometric_expectile",
-    "geometric_var",
-    "univariate_expectile",
-    "univariate_quantile",
-    # distributions
-    "Normal",
-    "StudentT",
-    "SkewNormal",
-    "Gumbel",
-    "Logistic",
-    "Exponential",
-    "Uniform",
-    "MarginSpec",
-    "has_finite_second_moment",
-    # copulas
-    "IndependenceCopula",
-    "ClaytonCopula",
-    "GumbelCopula",
-    "FrankCopula",
-    "CopulaSpec",
-    # models
-    "JointModel",
-    "CompoundPoissonModel",
-    "simulate",
-    "simulate_compound",
-    "model_mean",
-    "substream",
-    "PRESETS",
-    "PRESET_DEFAULT_N",
-    "get_preset",
-    # uniform oracle
-    "UniformBox",
-    "norm_primitive",
-    "weighted_norm_primitive",
-    "expected_squared_distance",
-    "expected_distance_times_dev1",
-    "expected_distance_times_dev2",
-    "uniform_expected_loss",
-    "uniform_expectile",
-    # experiments
-    "CirclePath",
-    "EllipsePath",
-    "RayPath",
-    "QuarterCirclePath",
-    "IndexPath",
-    "Curve",
-    "trace_curve",
-    "point_in_polygon",
-    "SubadditivityResult",
-    "subadditivity_sets",
-    "ComparisonRow",
-    "compare_univariate",
-    "match_magnitude",
-    "MarginalizationResult",
-    "marginalization_curves",
-    "DistanceCurve",
-    "distance_curve",
-    "BoundedSupportRow",
-    "bounded_support_check",
-    "DEFAULT_STRESS_RADII",
+    *losses.__all__,
+    *estimators.__all__,
+    *distributions.__all__,
+    *copulas.__all__,
+    *models.__all__,
+    *uniform_exact.__all__,
+    *experiments.__all__,
 ]

@@ -27,6 +27,8 @@ from . import distributions as dist
 from .copulas import ClaytonCopula, FrankCopula, GumbelCopula, IndependenceCopula
 from .estimators import SolverConfig, geometric_expectile, geometric_var
 from .experiments import (
+    _MEASURES,
+    _check_path,
     CirclePath,
     EllipsePath,
     DEFAULT_STRESS_RADII,
@@ -40,6 +42,7 @@ from .experiments import (
     subadditivity_sets,
     trace_curve,
 )
+from .losses import index_from_level
 from .models import (
     CompoundPoissonModel,
     JointModel,
@@ -80,7 +83,10 @@ def _conv_grid(text: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
         if step <= 0.0 or stop < start:
             raise ValueError("grid requires step > 0 and stop >= start")
-        n = int(np.floor((stop - start) / step + 1e-9)) + 1
+        steps = (stop - start) / step
+        if not np.isfinite(steps):
+            raise ValueError(f"grid {text!r} does not have a finite number of points")
+        n = int(np.floor(steps + 1e-9)) + 1
         return tuple(start + k * step for k in range(n))
     return _conv_floats(text)
 
@@ -159,6 +165,10 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+# a subcommand's output: the CSV header and its rows
+_Table = tuple[list[str], list[list]]
+
+
 def _write_csv(out: str | None, header: list[str], rows: list[list]) -> None:
     text = ",".join(header) + "\n"
     text += "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
@@ -172,8 +182,8 @@ def _coords(dim: int) -> list[str]:
     return [f"x{j + 1}" for j in range(dim)]
 
 
-def _write_report(out: str | None, report) -> int:
-    """One row: the minimizer and its solve report; exit code 2 unless converged."""
+def _report_table(report) -> _Table:
+    """One row: the minimizer and its solve report."""
     header = _coords(report.argmin.size) + ["objective", "grad_norm", "iterations", "converged"]
     row = list(report.argmin) + [
         report.objective,
@@ -181,16 +191,14 @@ def _write_report(out: str | None, report) -> int:
         report.iterations,
         report.converged,
     ]
-    _write_csv(out, header, [row])
-    return 0 if report.converged else 2
+    return header, [row]
 
 
-def _write_curves(out: str | None, curves: list, extra: Sequence[tuple[str, bool]] = ()) -> int:
+def _curve_table(curves: list, extra: Sequence[tuple[str, bool]] = ()) -> _Table:
     """One row per curve point: ``[curve,] param, x1..xd, converged`` then ``extra``.
 
     ``curves`` holds (name, Curve) pairs; a None name leaves out the curve
     column.  ``extra`` holds (column, value) pairs repeated on every row.
-    Returns exit code 2 unless every point converged.
     """
     named = curves[0][0] is not None
     header = (["curve"] if named else []) + ["param"] + _coords(curves[0][1].points.shape[1])
@@ -205,8 +213,7 @@ def _write_curves(out: str | None, curves: list, extra: Sequence[tuple[str, bool
         for name, curve in curves
         for i in range(curve.params.size)
     ]
-    _write_csv(out, header, rows)
-    return 0 if all(curve.all_converged for _, curve in curves) else 2
+    return header, rows
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +325,8 @@ def _alpha_for(args, dim: int) -> np.ndarray:
         if alpha.size != dim:
             raise ValueError(f"--alpha has {alpha.size} components but the sample has {dim}")
         return alpha
-    level = float(args.level)
-    if not (0.0 < level < 1.0):
-        raise ValueError("--level must lie in (0, 1)")
     alpha = np.zeros(dim)
-    alpha[0] = 2.0 * level - 1.0
+    alpha[0] = index_from_level(args.level)
     return alpha
 
 
@@ -348,9 +352,7 @@ _MODEL = _Opt(("--model",), "model", str, None, "preset name or model JSON")
 _DATA = _Opt(("--data",), "data", str, None, "CSV sample file (columns x1..xd)")
 _N = _Opt(("--n",), "n", int, None, "sample size (default: preset's standard size)")
 _NPHI = _Opt(("--nphi",), "nphi", int, 64, "number of angles")
-_MEASURE = _Opt(
-    ("--measure",), "measure", str, "expectile", "risk measure", choices=("expectile", "var")
-)
+_MEASURE = _Opt(("--measure",), "measure", str, "expectile", "risk measure", choices=_MEASURES)
 _SOLVER = (
     _Opt(("--tol",), "tol", float, 1e-8, "relative gradient tolerance"),
     _Opt(("--max-iter",), "max_iter", int, 500, "maximum solver iterations"),
@@ -360,25 +362,24 @@ _SOLVER = (
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> _Table:
     if args.model is None:
         raise ValueError("--model is required")
     sample = _draw_sample(args)
-    _write_csv(args.out, _coords(sample.shape[1]), [list(row) for row in sample])
-    return 0
+    return _coords(sample.shape[1]), [list(row) for row in sample]
 
 
-def _solve_cmd(args, solver) -> int:
+def _solve_cmd(args, solver) -> _Table:
     sample = _get_sample(args)
     alpha = _alpha_for(args, sample.shape[1])
-    return _write_report(args.out, solver(sample, alpha, _solver_config(args)))
+    return _report_table(solver(sample, alpha, _solver_config(args)))
 
 
-def _cmd_expectile(args) -> int:
+def _cmd_expectile(args) -> _Table:
     return _solve_cmd(args, geometric_expectile)
 
 
-def _cmd_var(args) -> int:
+def _cmd_var(args) -> _Table:
     return _solve_cmd(args, geometric_var)
 
 
@@ -416,14 +417,16 @@ def _build_path(args, dim: int):
     raise ValueError(f"unknown path {kind!r}")
 
 
-def _cmd_curve(args) -> int:
+def _cmd_curve(args) -> _Table:
     sample = _get_sample(args)
     path = _build_path(args, sample.shape[1])
     curve = trace_curve(sample, path, args.measure, _solver_config(args))
-    return _write_curves(args.out, [(None, curve)])
+    return _curve_table([(None, curve)])
 
 
-def _cmd_subadd(args) -> int:
+def _cmd_subadd(args) -> _Table:
+    # the inclusion test needs a polygon: the library reports None below 3 angles
+    _check_path((args.r,), args.nphi, min_phi=3)
     sample = _get_sample(args)
     if sample.shape[1] != 4:
         raise ValueError("subadd needs a 4-column sample: columns 1-2 are X, columns 3-4 are Y")
@@ -436,10 +439,10 @@ def _cmd_subadd(args) -> int:
         config=_solver_config(args),
     )
     curves = [("sum", result.curve_sum), ("add", result.curve_add)]
-    return _write_curves(args.out, curves, [("included", result.included)])
+    return _curve_table(curves, [("included", result.included)])
 
 
-def _cmd_compare_uni(args) -> int:
+def _cmd_compare_uni(args) -> _Table:
     sample = _get_sample(args)
     rows = compare_univariate(sample, np.asarray(args.levels, dtype=float), _solver_config(args))
     header = [
@@ -461,11 +464,10 @@ def _cmd_compare_uni(args) -> int:
         ]
         for row in rows
     ]
-    _write_csv(args.out, header, table)
-    return 0 if all(row.converged for row in rows) else 2
+    return header, table
 
 
-def _cmd_match_magnitude(args) -> int:
+def _cmd_match_magnitude(args) -> _Table:
     if args.theta is None:
         raise ValueError("--theta is required")
     sample = _get_sample(args)
@@ -477,15 +479,10 @@ def _cmd_match_magnitude(args) -> int:
         tol=args.tol_search,
         return_trace=True,
     )
-    _write_csv(
-        args.out,
-        ["theta", "matched_magnitude", "converged"],
-        [[args.theta, m_star, bool(converged)]],
-    )
-    return 0 if converged else 2
+    return ["theta", "matched_magnitude", "converged"], [[args.theta, m_star, bool(converged)]]
 
 
-def _cmd_marginalize(args) -> int:
+def _cmd_marginalize(args) -> _Table:
     sample = _get_sample(args)
     if sample.shape[1] < 3:
         raise ValueError("marginalize needs a sample with at least 3 columns")
@@ -498,10 +495,10 @@ def _cmd_marginalize(args) -> int:
     curves = [("margin", result.margin_curve)] + [
         (f"full_{i + 1}", c) for i, c in enumerate(result.full_curves)
     ]
-    return _write_curves(args.out, curves, [("included_i4", result.inclusion_i4)])
+    return _curve_table(curves, [("included_i4", result.inclusion_i4)])
 
 
-def _cmd_distance(args) -> int:
+def _cmd_distance(args) -> _Table:
     sample = _get_sample(args)
     curve = distance_curve(
         sample,
@@ -513,11 +510,10 @@ def _cmd_distance(args) -> int:
         [curve.radii[i], curve.distances[i], bool(curve.converged[i])]
         for i in range(curve.radii.size)
     ]
-    _write_csv(args.out, ["r", "distance", "converged"], rows)
-    return 0 if bool(np.all(curve.converged)) else 2
+    return ["r", "distance", "converged"], rows
 
 
-def _cmd_bounded_support(args) -> int:
+def _cmd_bounded_support(args) -> _Table:
     rows = bounded_support_check(
         args.n,
         r_list=np.asarray(args.r_list, dtype=float),
@@ -526,11 +522,10 @@ def _cmd_bounded_support(args) -> int:
         rng=substream(args.seed, "bounded-support"),
     )
     table = [[row.r, row.exits_support, row.all_converged] for row in rows]
-    _write_csv(args.out, ["r", "exits_support", "converged"], table)
-    return 0 if all(row.all_converged for row in rows) else 2
+    return ["r", "exits_support", "converged"], table
 
 
-def _cmd_uniform_analytic(args) -> int:
+def _cmd_uniform_analytic(args) -> _Table:
     box_vals = args.box
     if len(box_vals) != 4:
         raise ValueError("--box must be a1,b1,a2,b2")
@@ -538,7 +533,7 @@ def _cmd_uniform_analytic(args) -> int:
     if args.alpha is None:
         raise ValueError("--alpha is required")
     alpha = np.asarray(args.alpha, dtype=float)
-    return _write_report(args.out, uniform_expectile(box, alpha, _solver_config(args)))
+    return _report_table(uniform_expectile(box, alpha, _solver_config(args)))
 
 
 # ---------------------------------------------------------------------------
@@ -698,10 +693,17 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _merge_config(args, specs.get(args.cmd, {}))
-        return int(args.func(args))
+        header, rows = args.func(args)
+        _write_csv(args.out, header, rows)
     except (_CliError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # the output is written either way; exit 2 if any row's solve did not converge
+    if "converged" in header:
+        column = header.index("converged")
+        if not all(row[column] for row in rows):
+            return 2
+    return 0
 
 
 if __name__ == "__main__":

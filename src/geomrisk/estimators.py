@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import (
+    _check_level,
     _expectile_grad,
     _expectile_grad_rows,
     _expectile_rows,
@@ -545,9 +546,7 @@ def univariate_expectile(sample, alpha: float) -> float:
     is solved there: no loop and no tolerance, at any scale or location.
     """
     x = _as_univariate(sample)
-    a = float(alpha)
-    if not (0.0 < a < 1.0):
-        raise ValueError("alpha must lie in the open interval (0, 1)")
+    a = _check_level(float(alpha))
     mean = float(x.mean())
     y = np.sort(x - mean)
     n = y.size
@@ -569,9 +568,7 @@ def univariate_quantile(sample, alpha: float) -> float:
     of the set minimizing the empirical check loss.
     """
     x = np.sort(_as_univariate(sample))
-    a = float(alpha)
-    if not (0.0 < a < 1.0):
-        raise ValueError("alpha must lie in the open interval (0, 1)")
+    a = _check_level(float(alpha))
     n = x.size
     # the 1e-12 slack keeps n*alpha values that are integers up to fp noise exact
     k = int(np.ceil(n * a - 1e-12))

@@ -32,6 +32,7 @@ from .estimators import (
     univariate_expectile,
     univariate_quantile,
 )
+from .losses import index_from_level
 
 __all__ = [
     "CirclePath",
@@ -339,9 +340,9 @@ def compare_univariate(
     if s.shape[1] != 2:
         raise ValueError("comparison requires a bivariate sample")
     lv = np.asarray(levels, dtype=float)
-    if lv.ndim != 1 or lv.size == 0 or not np.all((lv > 0.0) & (lv < 1.0)):
-        raise ValueError("levels must be a 1-D array with entries in (0, 1)")
-    idx = np.column_stack([2.0 * lv - 1.0, np.zeros(lv.size)])
+    if lv.ndim != 1 or lv.size == 0:
+        raise ValueError("levels must be a non-empty 1-D array")
+    idx = np.column_stack([index_from_level(lv), np.zeros(lv.size)])
     exp_pts, exp_ok = _trace(s, idx, "expectile", config)
     var_pts, var_ok = _trace(s, idx, "var", config)
     first = s.rows[:, 0]
@@ -376,7 +377,8 @@ def _golden_section(fun, lo: float, hi: float, tol: float):
     d = lo + _GOLDEN * (hi - lo)
     fc = f(c)
     fd = f(d)
-    while hi - lo > tol:
+    # c < d fails once the bracket is down to rounding, whatever ``tol`` is
+    while hi - lo > tol and c < d:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)
@@ -402,13 +404,17 @@ def match_magnitude(
     Minimizes the squared distance between the two minimizers by
     golden-section search on m in [0, 0.999]; the evaluation trace is
     returned alongside when ``return_trace`` is True so non-unimodal
-    behavior is detectable.
+    behavior is detectable.  ``tol``, the final bracket width on m, must be
+    positive and finite.
     """
     s = _prepare(sample)
     d = _unit_direction(direction, s.shape[1])
     th = float(theta)
     if not (0.0 <= th < 1.0):
         raise ValueError("theta must lie in [0, 1)")
+    tol = float(tol)
+    if not (0.0 < tol < np.inf):
+        raise ValueError("tol must be a positive finite number")
     cfg = config if config is not None else SolverConfig()
     target = geometric_expectile(s, th * d, cfg).argmin
     state = {"warm": cfg.initial_point, "all_converged": True}
@@ -419,7 +425,7 @@ def match_magnitude(
         state["all_converged"] = state["all_converged"] and rep.converged
         return float(np.sum((rep.argmin - target) ** 2))
 
-    m_star, trace = _golden_section(gap, 0.0, 0.999, float(tol))
+    m_star, trace = _golden_section(gap, 0.0, 0.999, tol)
     if return_trace:
         return m_star, trace, bool(state["all_converged"])
     return m_star
@@ -452,9 +458,8 @@ def marginalization_curves(
     s = _prepare(sample)
     if s.shape[1] != 3:
         raise ValueError("marginalization requires a trivariate sample")
+    _check_path((r,), n_phi, min_phi=3)  # the inclusion test needs a polygon
     phi, planar = _circle_indices(r, n_phi)
-    if phi.size < 3:
-        raise ValueError("n_phi must be at least 3 (the curve spans a polygon)")
     heights = (np.arange(1, 8) - 4.0) / 4.0 * np.sqrt(1.0 - r * r)
 
     def trace_height(z: float) -> Curve:
@@ -487,14 +492,11 @@ def distance_curve(sample, direction, r_grid, config: SolverConfig | None = None
     [0, 1).  The grid is traced as one path (see :func:`trace_curve`).
     """
     s = _prepare(sample)
-    d = _unit_direction(direction, s.shape[1])
-    grid = _increasing(r_grid, "r_grid")
-    if grid[0] < 0.0 or grid[-1] >= 1.0:
-        raise ValueError("r_grid values must lie in [0, 1)")
-    points, converged = _trace(s, grid[:, np.newaxis] * d, "expectile", config)
+    radii, idx = RayPath(direction, r_grid).indices()
+    points, converged = _trace(s, idx, "expectile", config)
     mean = s.rows.mean(axis=0)
     distances = np.array([np.linalg.norm(point - mean) for point in points])
-    return DistanceCurve(radii=grid.copy(), distances=distances, converged=converged)
+    return DistanceCurve(radii=radii, distances=distances, converged=converged)
 
 
 @dataclass(frozen=True)
@@ -530,8 +532,7 @@ def bounded_support_check(
     if int(count) < 1:
         raise ValueError(f"count (the sample size n) must be at least 1, got {count}")
     radii = _increasing(r_list, "r_list")
-    if radii[0] <= 0.0 or radii[-1] >= 1.0:
-        raise ValueError("r_list must contain radii strictly between 0 and 1")
+    _check_path(radii, n_phi)
     sample = _prepare(ClaytonCopula(5.0, 2).sample(int(count), rng))
     cfg = config if config is not None else SolverConfig()
     rows: list[BoundedSupportRow] = []

@@ -66,11 +66,15 @@ def _as_points(t, dim: int) -> tuple[np.ndarray, bool]:
     return arr, single
 
 
-def _check_level(alpha: float) -> float:
-    a = float(alpha)
-    if not (0.0 < a < 1.0):
+def _check_level(level):
+    """``level`` as a float (or float array) whose entries lie in (0, 1).
+
+    The one statement of the rule for classical levels; NaN fails it.
+    """
+    arr = np.asarray(level, dtype=float)
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("level must lie in the open interval (0, 1)")
-    return a
+    return float(arr) if arr.ndim == 0 else arr
 
 
 # Row formulas of the multivariate losses for an (n, d) batch ``t``.  They do
@@ -277,8 +281,4 @@ def index_from_level(level):
     index ``u`` correspond to classical level ``(1 + u) / 2``; this is
     the inverse of that correspondence.
     """
-    arr = np.asarray(level, dtype=float)
-    if not np.all(np.isfinite(arr)) or not np.all((arr > 0.0) & (arr < 1.0)):
-        raise ValueError("level must lie in the open interval (0, 1)")
-    out = 2.0 * arr - 1.0
-    return float(out) if arr.ndim == 0 else out
+    return 2.0 * _check_level(level) - 1.0

@@ -100,6 +100,13 @@ def weighted_norm_primitive(x, y):
     return float(out) if out.ndim == 0 else out
 
 
+def _box_index(alpha) -> np.ndarray:
+    u = as_index(alpha)
+    if u.size != 2:
+        raise ValueError("index must be 2-dimensional for a bivariate box")
+    return u
+
+
 def _check_location(c) -> np.ndarray:
     cc = np.asarray(c, dtype=float)
     if cc.shape != (2,) or not np.all(np.isfinite(cc)):
@@ -142,9 +149,7 @@ def uniform_expected_loss(box: UniformBox, alpha, c) -> float:
     Equals ``E||U-c||^2 / 2 + alpha_1 E[||U-c||(U_1-c_1)] / 2
     + alpha_2 E[||U-c||(U_2-c_2)] / 2``; strictly convex in ``c``.
     """
-    u = as_index(alpha)
-    if u.size != 2:
-        raise ValueError("index must be 2-dimensional for a bivariate box")
+    u = _box_index(alpha)
     cc = _check_location(c)
     return (
         0.5 * expected_squared_distance(box, cc)
@@ -175,8 +180,6 @@ def uniform_expectile(box: UniformBox, alpha, config: SolverConfig | None = None
     from the same primitives.  Starts at ``config.initial_point`` when it
     is set, and at the box midpoint otherwise.
     """
-    u = as_index(alpha)
-    if u.size != 2:
-        raise ValueError("index must be 2-dimensional for a bivariate box")
+    u = _box_index(alpha)
     fun = partial(uniform_expected_loss, box, u)
     return minimize_convex(fun, partial(_uniform_loss_grad, box, u), box.midpoint, config)

@@ -360,6 +360,26 @@ def test_validation_failures_exit_one(tmp_path):
                  "--threads", "2", "--out", out]) == 1
     # no selftest subcommand
     assert main(["selftest"]) == 1
+    # a search tolerance that is not a positive finite number
+    assert main(["match-magnitude", "--model", "X1", "--n", "200", "--direction", "1,0",
+                 "--theta", "0.5", "--tol-search", "nan", "--out", out]) == 1
+    # an inclusion test needs a polygon of at least 3 angles
+    assert main(["subadd", "--model", "Z-clayton5", "--n", "200", "--nphi", "2",
+                 "--out", out]) == 1
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_grid_without_a_finite_point_count_exits_one(source, tmp_path, capsys):
+    grid = "0:1e300:1e-300"
+    args = ["curve", "--model", "X1", "--n", "50", "--path", "ray", "--direction", "1,0"]
+    if source == "flag":
+        args += ["--magnitudes", grid]
+    else:
+        config = tmp_path / "grid.cfg"
+        config.write_text(f"magnitudes = {grid}\n")
+        args += ["--config", str(config)]
+    assert main([*args, "--out", str(tmp_path / "g.csv")]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -382,13 +402,35 @@ def test_missing_required_flag_exits_one(args, flag, tmp_path, capsys):
     assert f"error: {flag} is required" in capsys.readouterr().err
 
 
-def test_non_convergence_exits_two_but_writes_output(tmp_path):
-    out = tmp_path / "nc.csv"
-    rc = main(["expectile", "--model", "X1", "--n", "500", "--seed", "4",
-               "--alpha", "0.5,0.2", "--max-iter", "1", "--out", str(out)])
-    assert rc == 2
-    lines = out.read_text().strip().split("\n")
-    assert lines[1].split(",")[-1] == "false"
+_SMALL = ["--n", "300", "--seed", "4"]
+# every subcommand whose output has a converged column
+_CONVERGED_COLUMN = {
+    "expectile": ["expectile", "--model", "X1", *_SMALL, "--alpha", "0.5,0.2"],
+    "var": ["var", "--model", "X1", *_SMALL, "--alpha", "0.5,0.2"],
+    "curve": ["curve", "--model", "X1", *_SMALL, "--path", "circle:0.5", "--nphi", "4"],
+    "subadd": ["subadd", "--model", "Z-clayton5", *_SMALL, "--nphi", "4"],
+    "compare-uni": ["compare-uni", "--model", "X1", *_SMALL],
+    "match-magnitude": ["match-magnitude", "--model", "X1", *_SMALL, "--direction", "1,0",
+                        "--theta", "0.5"],
+    "marginalize": ["marginalize", "--model", "frank3-4d", *_SMALL, "--nphi", "4"],
+    "distance": ["distance", "--model", "X1", *_SMALL, "--direction", "1,0",
+                 "--r-grid", "0:0.5:0.25"],
+    "bounded-support": ["bounded-support", *_SMALL, "--r-list", "0.3,0.6", "--nphi", "4"],
+    "uniform-analytic": ["uniform-analytic", "--alpha", "0.3,0.1"],
+}
+
+
+@pytest.mark.parametrize("args", _CONVERGED_COLUMN.values(), ids=_CONVERGED_COLUMN.keys())
+def test_non_convergence_exits_two_but_writes_output(args, tmp_path):
+    def converged(extra, expect):
+        out = tmp_path / "nc.csv"
+        assert main([*args, *extra, "--out", str(out)]) == expect
+        lines = out.read_text().strip().split("\n")
+        column = lines[0].split(",").index("converged")
+        return [line.split(",")[column] for line in lines[1:]]
+
+    assert "false" not in converged([], 0)
+    assert "false" in converged(["--max-iter", "1"], 2)
 
 
 def test_var_curve_on_atoms_converges(tmp_path):

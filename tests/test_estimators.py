@@ -353,6 +353,13 @@ def test_solver_config_validation():
 # ---------------------------------------------------------------------------
 # univariate oracles
 
+@pytest.mark.parametrize("oracle", [univariate_expectile, univariate_quantile])
+@pytest.mark.parametrize("level", [0.0, 1.0, -0.2, 1.5, np.nan, np.inf])
+def test_univariate_oracles_reject_levels_outside_the_unit_interval(oracle, level):
+    with pytest.raises(ValueError, match=r"level must lie in the open interval \(0, 1\)"):
+        oracle(np.array([0.0, 1.0]), level)
+
+
 def test_univariate_expectile_two_point_closed_form():
     # For the sample {0, 1}: alpha (1 - e) = (1 - alpha) e, so e = alpha.
     assert univariate_expectile(np.array([0.0, 1.0]), 0.8) == pytest.approx(0.8, abs=1e-9)

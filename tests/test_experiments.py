@@ -415,6 +415,33 @@ def test_match_magnitude_validates_direction(symmetric_sample):
         match_magnitude(symmetric_sample, np.array([1.0, 0.0]), 1.0)  # theta >= 1
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_match_magnitude_rejects_a_bad_search_tolerance(tol, symmetric_sample, monkeypatch):
+    # rejected before the first solve: a zero or negative width never ends the
+    # search, and a non-finite one skips it
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the tolerance was checked")
+
+    monkeypatch.setattr(experiments, "geometric_expectile", no_solve)
+    monkeypatch.setattr(experiments, "geometric_var", no_solve)
+    with pytest.raises(ValueError, match="tol must be a positive finite number"):
+        match_magnitude(symmetric_sample, np.array([1.0, 0.0]), 0.5, tol=tol)
+
+
+def test_golden_section_ends_at_rounding_below_a_tiny_tolerance():
+    # a width below the spacing of floats near the minimum is never reached
+    def gap(m: float) -> float:
+        gap.calls += 1
+        if gap.calls > 1000:
+            raise AssertionError("the search did not end")
+        return (m - 0.3) ** 2
+
+    gap.calls = 0
+    m, trace = experiments._golden_section(gap, 0.0, 0.999, 1e-300)
+    assert m == pytest.approx(0.3, abs=1e-15)
+    assert len(trace) < 100
+
+
 # ---------------------------------------------------------------------------
 # marginalization, distance, bounded support
 
@@ -433,6 +460,8 @@ def test_marginalization_structure():
 def test_marginalization_validates_dimension(symmetric_sample):
     with pytest.raises(ValueError):
         marginalization_curves(symmetric_sample, r=0.1, n_phi=8)  # needs d = 3
+    with pytest.raises(ValueError, match="n_phi must be at least 3"):
+        marginalization_curves(np.ones((5, 3)), r=0.1, n_phi=2)  # no polygon
 
 
 def test_distance_curve_starts_at_zero(symmetric_sample):
@@ -449,6 +478,20 @@ def test_distance_curve_validates_grid(symmetric_sample):
         distance_curve(symmetric_sample, np.array([0.0, 1.0]), np.array([0.5, 0.2]))
     with pytest.raises(ValueError):
         distance_curve(symmetric_sample, np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError):
+        distance_curve(symmetric_sample, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.5]))
+
+
+@pytest.mark.parametrize("r_list, n_phi", [((0.5, 1.0), 8), ((0.0, 0.5), 8), ((0.5,), 0)])
+def test_bounded_support_validates_its_path(r_list, n_phi):
+    with pytest.raises(ValueError, match="radius must lie|n_phi must be at least 1"):
+        bounded_support_check(100, r_list=r_list, n_phi=n_phi, rng=substream(74, "bs-bad"))
+
+
+@pytest.mark.parametrize("levels", [[0.5, 1.0], [0.0], [np.nan], [], [[0.5]]])
+def test_compare_univariate_validates_levels(levels, symmetric_sample):
+    with pytest.raises(ValueError, match="level"):
+        compare_univariate(symmetric_sample, levels)
 
 
 def test_bounded_support_small_radius_stays_inside():

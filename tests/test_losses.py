@@ -98,6 +98,7 @@ def test_index_from_level_values():
     assert index_from_level(0.99) == pytest.approx(0.98, abs=1e-15)
     assert index_from_level(0.5) == 0.0
     assert index_from_level(0.95) == pytest.approx(0.90, abs=1e-15)
+    np.testing.assert_array_equal(index_from_level(np.array([0.25, 0.5, 0.75])), [-0.5, 0.0, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +275,15 @@ def test_index_validation():
 
 
 def test_level_and_alpha_domain_errors():
-    for bad in (0.0, 1.0, -0.2, 1.5):
+    for bad in (0.0, 1.0, -0.2, 1.5, np.nan, np.inf):
         with pytest.raises(ValueError):
             check_loss(bad, 1.0)
         with pytest.raises(ValueError):
             expectile_loss_1d(bad, 1.0)
         with pytest.raises(ValueError):
             index_from_level(bad)
-
+        with pytest.raises(ValueError):
+            index_from_level(np.array([0.5, bad]))
 
 def test_dimension_and_finiteness_errors():
     with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
 """The package namespace: ``geomrisk.__all__`` is exactly the union of the
-library modules' public names, each resolvable and listed once."""
+library modules' public names, each resolvable and listed once, and the
+package binds no other public name."""
 
 from __future__ import annotations
+
+import inspect
 
 import geomrisk
 from geomrisk import cli, copulas, distributions, estimators, experiments, losses, models, uniform_exact
@@ -15,6 +18,10 @@ def test_package_all_is_the_union_of_module_all():
     union = set().union(*(m.__all__ for m in LIBRARY_MODULES))
     assert set(names) == union
     assert len(union) == 70
+    # a module without __all__ would leak its own imports through the star import
+    bound = {name for name, value in vars(geomrisk).items()
+             if not name.startswith("_") and not inspect.ismodule(value)}
+    assert bound <= union
     for module in LIBRARY_MODULES:
         for name in module.__all__:
             assert getattr(geomrisk, name) is getattr(module, name)
