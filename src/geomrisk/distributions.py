@@ -196,6 +196,8 @@ class SkewNormal:
 def _skew_normal_root(p: np.ndarray, a: float) -> np.ndarray:
     """Root z of ``Phi(z) - 2 T(z, a) = p`` for each element of the 1-d array ``p``."""
     w = ndtri(p)
+    if a == 0.0:
+        return w  # T(z, 0) = 0: the root is the normal quantile
     if a >= 0.0:
         # Phi^-1((1 + p) / 2), written so that p near 1 does not round it to inf
         lo, hi = w, -ndtri(0.5 * (1.0 - p))

@@ -140,7 +140,7 @@ def as_sample(s) -> np.ndarray:
 
 def _norm(v: np.ndarray) -> float:
     # what np.linalg.norm computes for a 1-D vector, without its call overhead
-    return math.sqrt(float(v @ v))
+    return math.sqrt(float(v.dot(v)))
 
 
 def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
@@ -162,17 +162,27 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
     private ``_curvature``: the iteration starts from the inverse-Hessian
     estimate in its ``h_inv`` (None: steepest descent) and leaves its own
     final estimate there for the next solve (None after a certified atom).
-    A line search that finds no descent along the secant direction is
-    retried along steepest descent before the solve stops as stagnation;
-    along a carried estimate's direction only the unit step is tried.
+    It also holds the atom the path's last solve certified: a value-at-risk
+    start equal to that row is tested first, before any line search, and
+    returned with 0 iterations when it passes.  A line search that finds
+    no descent along the secant direction is retried along steepest
+    descent before the solve stops as stagnation; along a carried
+    estimate's direction only the unit step is tried.
     """
     cfg = config if config is not None else SolverConfig()
     x = np.array(x0, dtype=float)
     if cfg.initial_point is not None:
         start = np.array(cfg.initial_point, dtype=float)
-        if start.shape != x.shape or not np.all(np.isfinite(start)):
+        if start.shape != x.shape or not np.isfinite(start).all():
             raise ValueError("initial_point must be a finite vector matching the problem dimension")
         x = start
+    candidate = None if _curvature is None or _nearest_atom is None else _curvature.atom
+    if candidate is not None and (x == candidate[0]).all():
+        # two solves that end on one atom make the path's next start that
+        # atom exactly (2a - a is exact), where the gradient test cannot hold
+        report = _certified_atom(fun, grad, candidate, 0)
+        if report is not None:
+            return report
     f = float(fun(x))
     g = np.asarray(grad(x), dtype=float)
     dim = x.size
@@ -187,11 +197,12 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
             stop_reason = "converged"
             break
         if backtracked and _nearest_atom is not None:
-            report = _certified_atom(fun, grad, _nearest_atom(x), iterations)
+            candidate = _nearest_atom(x)
+            report = _certified_atom(fun, grad, candidate, iterations)
             if report is not None:
                 break
-        p = -g if h_inv is None else -(h_inv @ g)
-        slope = float(g @ p)
+        p = -g if h_inv is None else -h_inv.dot(g)
+        slope = float(g.dot(p))
         if slope >= 0.0:
             # secant model broke down: restart from steepest descent
             h_inv = None
@@ -218,20 +229,25 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
             g_new = np.asarray(grad(x_new), dtype=float)
         s_vec = x_new - x
         y_vec = g_new - g
-        sy = float(s_vec @ y_vec)
+        sy = float(s_vec.dot(y_vec))
         if sy > 1e-12 * _norm(s_vec) * _norm(y_vec):
             if h_inv is None:
                 # scale the initial inverse Hessian to the secant pair
-                h_inv = (sy / float(y_vec @ y_vec)) * np.eye(dim)
+                h_inv = (sy / float(y_vec.dot(y_vec))) * np.eye(dim)
             rho = 1.0 / sy
-            hy = h_inv @ y_vec
+            hy = h_inv.dot(y_vec)
             s_col = s_vec[:, np.newaxis]
-            h_inv = (
-                h_inv
-                - rho * (s_col * hy)
-                - rho * (hy[:, np.newaxis] * s_vec)
-                + (rho * rho * float(y_vec @ hy) + rho) * (s_col * s_vec)
-            )
+            # h_inv - rho s hy^T - rho hy s^T + (rho^2 y.hy + rho) s s^T, in
+            # that order: rho (hy_i s_j) is the transposed a_ji exactly.  The
+            # first subtraction allocates; the estimate carried in is never
+            # written, as it may be the path's
+            a = s_col * hy
+            a *= rho
+            ss = s_col * s_vec
+            ss *= rho * rho * float(y_vec.dot(hy)) + rho
+            h_inv = h_inv - a
+            h_inv -= a.T
+            h_inv += ss
         else:
             h_inv = None  # curvature unusable (kink crossed)
         x, f, g = x_new, f_new, g_new
@@ -240,7 +256,8 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
     if stop_reason == "max_iterations" and gnorm <= cfg.grad_tolerance * (1.0 + abs(f)):
         stop_reason = "converged"
     if report is None and stop_reason != "converged" and _nearest_atom is not None:
-        report = _certified_atom(fun, grad, _nearest_atom(x), iterations)
+        candidate = _nearest_atom(x)
+        report = _certified_atom(fun, grad, candidate, iterations)
     if report is None:
         report = SolveReport(
             argmin=x,
@@ -252,8 +269,11 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
         )
     if _curvature is not None:
         # near a data atom the secant pairs measure the kink, not the
-        # curvature of the objective: a certified atom hands on none
-        _curvature.h_inv = None if report.stop_reason == "optimal_at_atom" else h_inv
+        # curvature of the objective: a certified atom hands on none, and
+        # is held for the next start instead
+        at_atom = report.stop_reason == "optimal_at_atom"
+        _curvature.h_inv = None if at_atom else h_inv
+        _curvature.atom = candidate if at_atom else None
     return report
 
 
@@ -446,13 +466,19 @@ class _Prepared:
 
 
 class _Curvature:
-    """The inverse-Hessian estimate ``h_inv`` handed from one solve of a
-    traced path to the next; None until a solve leaves one."""
+    """What one solve of a traced path hands to the next.
 
-    __slots__ = ("h_inv",)
+    ``h_inv`` is the inverse-Hessian estimate, None until a solve leaves
+    one.  ``atom`` is the ``(row, 0.5 m / n)`` candidate of the data atom
+    the last solve certified (its row is that report's ``argmin``), and
+    None after any other stop.
+    """
+
+    __slots__ = ("h_inv", "atom")
 
     def __init__(self) -> None:
         self.h_inv = None
+        self.atom = None
 
 
 def _prepare(sample) -> _Prepared:

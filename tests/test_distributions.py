@@ -261,6 +261,15 @@ def test_skew_normal_shape_zero_is_normal(grid):
     assert np.all(np.abs(q - ref) <= 8.0 * EPS * np.maximum(1.0, np.abs(ref)))
 
 
+def test_skew_normal_shape_zero_root_is_ndtri_without_owens_t(special_calls):
+    # T(z, 0) = 0, so the root is Phi^-1(p) exactly; more draws than
+    # 4 * _TABLE_NODES would otherwise solve a table of nodes first
+    u = np.random.default_rng(8).random(1_000)
+    assert u.size > 4 * TABLE_NODES
+    np.testing.assert_array_equal(SkewNormal(0.0, 1.0, 0.0).quantile(u), ndtri(u))
+    assert _owens_t_sizes(special_calls) == []
+
+
 @pytest.mark.parametrize("margin", SKEW_NORMALS, ids=lambda m: f"shape={m.shape}")
 def test_skew_normal_quantile_of_an_array_is_that_of_its_chunks(margin):
     # the whole array starts from tabulated roots, chunks of at most

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import optimize, special
 
-from geomrisk import estimators
+from geomrisk import estimators, experiments
 from geomrisk import (
     SolveReport,
     SolverConfig,
@@ -341,6 +341,110 @@ def test_certified_atom_hands_on_no_curvature():
     report = geometric_var(path, [0.3, 0.2])
     assert report.stop_reason == "optimal_at_atom"
     assert path.curvature.h_inv is None
+
+
+def _assert_no_false_atom(sample, u, report):
+    # the certificate holds wherever it is claimed: ||grad|| <= 0.5 m / n
+    # at the m rows equal to the point, by the reference gradient
+    if report.stop_reason == "optimal_at_atom":
+        m = int(np.count_nonzero(np.all(sample == report.argmin, axis=1)))
+        grad = empirical_objective_grad(sample, u, report.argmin, "quantile")
+        assert m >= 1 and np.linalg.norm(grad) <= 0.5 * m / len(sample)
+
+
+def test_traced_var_certifies_a_repeated_atom_in_one_pass(solver_calls):
+    # every index of this circle puts VaR on the heavy atom, so each solve
+    # after the first starts on it exactly (the first minimizer, then
+    # 2a - a) and certifies it without a line search
+    sample = _heavy_atom_sample()
+    phi = np.linspace(0.0, 2.0 * np.pi, 9)[:-1]
+    indices = 0.3 * np.column_stack([np.cos(phi), np.sin(phi)])
+    points, converged = experiments._trace(sample, indices, "var", None)
+    assert converged.all() and len(solver_calls) == len(indices)
+    for call in solver_calls[1:]:
+        report = call["result"]
+        assert report.stop_reason == "optimal_at_atom" and report.iterations == 0
+        assert call["states"] == 1 and call["fun"] == 1 and call["grad"] == 1
+    assert np.array_equal(solver_calls[-1]["curvature"].atom[0], [1.0, 2.0])
+    solver_calls.clear()
+    for k, u in enumerate(indices):
+        cold = geometric_var(sample, u)
+        assert np.array_equal(points[k], cold.argmin)
+        _assert_no_false_atom(sample, u, cold)
+
+
+def test_traced_var_leaves_a_held_atom_that_fails_the_test(solver_calls):
+    # the third solve starts on the held atom, where ||grad|| exceeds
+    # 0.5 m / n at its index: it iterates as usual to a point off the data
+    sample = _heavy_atom_sample()
+    indices = np.array([[0.2, 0.1], [0.25, 0.1], [0.9, 0.0]])
+    atom = np.array([1.0, 2.0])
+    assert np.linalg.norm(empirical_objective_grad(sample, indices[2], atom, "quantile")) > 0.3
+    points, converged = experiments._trace(sample, indices, "var", None)
+    assert converged.all()
+    for call, u in zip(solver_calls, indices):
+        _assert_no_false_atom(sample, u, call["result"])
+    leaving = solver_calls[2]
+    report = leaving["result"]
+    assert np.array_equal(leaving["grad_points"][0], atom)
+    assert report.stop_reason == "converged" and report.iterations > 0
+    assert leaving["states"] > 1
+    assert not np.any(np.all(sample == report.argmin, axis=1))
+    assert leaving["curvature"].atom is None
+    cold = geometric_var(sample, indices[2])
+    assert cold.stop_reason == "converged"
+    assert np.linalg.norm(points[2] - cold.argmin) <= 1e-6 * (1.0 + np.linalg.norm(cold.argmin))
+
+
+@pytest.mark.parametrize("carried", [False, True], ids=["scaled-identity", "carried"])
+def test_bfgs_update_keeps_the_secant_equation(carried):
+    # one iteration at d = 4 on a quadratic: the updated estimate maps the
+    # gradient change onto the step, and is symmetric and positive definite,
+    # all to rounding; the estimate carried in keeps its values
+    rng = np.random.default_rng(31)
+    m = rng.standard_normal((4, 4))
+    a = m @ m.T + np.eye(4)
+    b = rng.standard_normal(4)
+
+    def fun(x):
+        return 0.5 * float(x @ a @ x) - float(b @ x)
+
+    def grad(x):
+        return a @ x - b
+
+    curvature = estimators._Curvature()
+    if carried:
+        # not a multiple of the inverse Hessian, so that H y is not along s
+        curvature.h_inv = 0.5 * np.linalg.inv(a) + 0.05 * np.eye(4)
+    h_in = curvature.h_inv
+    kept = None if h_in is None else h_in.copy()
+    x0 = np.ones(4)
+    rep = minimize_convex(fun, grad, x0, SolverConfig(max_iterations=1), _curvature=curvature)
+    assert rep.iterations == 1
+    h_inv = curvature.h_inv
+    s = rep.argmin - x0
+    y = grad(rep.argmin) - grad(x0)
+    eps = np.finfo(float).eps
+    assert np.linalg.norm(h_inv @ y - s) <= 64.0 * eps * np.linalg.norm(s)
+    assert np.abs(h_inv - h_inv.T).max() <= 8.0 * eps * np.abs(h_inv).max()
+    assert np.linalg.eigvalsh(h_inv).min() > 0.0
+    if carried:
+        assert h_inv is not h_in
+        np.testing.assert_array_equal(h_in, kept)
+
+
+def test_solve_does_not_write_the_path_estimate_in_place():
+    # the second solve of a path starts from the estimate the first left,
+    # takes its unit step and updates a copy of it
+    sample = np.random.default_rng(5).standard_normal((200, 2)) * [1.0, 2.0]
+    path = estimators._prepare(sample).on_path()
+    first = geometric_expectile(path, [0.4, -0.3])
+    h_inv = path.curvature.h_inv
+    kept = h_inv.copy()
+    report = geometric_expectile(path, [0.45, -0.3], SolverConfig(initial_point=first.argmin))
+    assert report.converged and report.iterations >= 1
+    assert path.curvature.h_inv is not h_inv
+    np.testing.assert_array_equal(h_inv, kept)
 
 
 def test_solver_config_validation():
