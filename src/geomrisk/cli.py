@@ -17,7 +17,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -166,10 +166,10 @@ def _fmt(value) -> str:
 
 
 # a subcommand's output: the CSV header and its rows
-_Table = tuple[list[str], list[list]]
+_Table = tuple[list[str], list[Sequence]]
 
 
-def _write_csv(out: str | None, header: list[str], rows: list[list]) -> None:
+def _write_csv(out: str | None, header: list[str], rows: list[Sequence]) -> None:
     text = ",".join(header) + "\n"
     text += "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
     if out is None or out == "-":
@@ -219,38 +219,38 @@ def _curve_table(curves: list, extra: Sequence[tuple[str, bool]] = ()) -> _Table
 # ---------------------------------------------------------------------------
 # model parsing and sample acquisition
 
-_MARGIN_BUILDERS = {
-    "normal": lambda a: dist.Normal(a.get("mu", 0.0), a.get("sigma", 1.0)),
-    "t": lambda a: dist.StudentT(a["nu"]),
-    "skewnormal": lambda a: dist.SkewNormal(a.get("xi", 0.0), a.get("omega", 1.0), a.get("shape", 0.0)),
-    "gumbel": lambda a: dist.Gumbel(a.get("loc", 0.0), a.get("scale", 1.0)),
-    "logistic": lambda a: dist.Logistic(a.get("loc", 0.0), a.get("scale", 1.0)),
-    "exponential": lambda a: dist.Exponential(a["rate"]),
-    "uniform": lambda a: dist.Uniform(a.get("a", 0.0), a.get("b", 1.0)),
+# JSON "type" -> class; every other key of a part is a field of that class
+_MARGINS = {
+    "normal": dist.Normal,
+    "t": dist.StudentT,
+    "skewnormal": dist.SkewNormal,
+    "gumbel": dist.Gumbel,
+    "logistic": dist.Logistic,
+    "exponential": dist.Exponential,
+    "uniform": dist.Uniform,
+}
+_COPULAS = {
+    "independence": IndependenceCopula,
+    "clayton": ClaytonCopula,
+    "gumbel": GumbelCopula,
+    "frank": FrankCopula,
 }
 
 
-def _build_copula(obj: dict, dim: int):
-    kind = obj.get("type")
-    if kind == "independence":
-        return IndependenceCopula(dim)
-    if kind == "clayton":
-        return ClaytonCopula(obj["theta"], dim)
-    if kind == "gumbel":
-        return GumbelCopula(obj["theta"], dim)
-    if kind == "frank":
-        return FrankCopula(obj["theta"], dim)
-    raise ValueError(f"unknown copula type {kind!r}")
+def _build_part(part, table: dict, what: str, **extra):
+    """``table[part["type"]](**other keys, **extra)``; unknown keys raise TypeError."""
+    if not isinstance(part, dict):
+        raise ValueError(f"model JSON {what} must be an object, got {part!r}")
+    fields = dict(part)
+    kind = fields.pop("type", None)
+    if kind not in table:
+        raise ValueError(f"unknown {what} type {kind!r}")
+    return table[kind](**fields, **extra)
 
 
 def _build_joint(obj: dict) -> JointModel:
-    margins = []
-    for m in obj["margins"]:
-        kind = m.get("type")
-        if kind not in _MARGIN_BUILDERS:
-            raise ValueError(f"unknown margin type {kind!r}")
-        margins.append(_MARGIN_BUILDERS[kind](m))
-    return JointModel(tuple(margins), _build_copula(obj["copula"], len(margins)))
+    margins = tuple(_build_part(m, _MARGINS, "margin") for m in obj["margins"])
+    return JointModel(margins, _build_part(obj["copula"], _COPULAS, "copula", dim=len(margins)))
 
 
 def _parse_model(text: str):
@@ -383,38 +383,33 @@ def _cmd_var(args) -> _Table:
     return _solve_cmd(args, geometric_var)
 
 
+# --path kind -> (class, radius flags in argument order, name in messages)
+_ARCS = {
+    "circle": (CirclePath, ("r",), "a circle path"),
+    "quarter": (QuarterCirclePath, ("r",), "a quarter-circle path"),
+    "ellipse": (EllipsePath, ("r", "r2"), "an ellipse path"),
+}
+
+
 def _build_path(args, dim: int):
-    kind = args.path
-    if ":" in kind:
-        # Inline form circle:R, ellipse:R1:R2, quarter:R; radii override --r/--r2.
-        kind, *radii = kind.split(":")
-        try:
-            values = [float(p) for p in radii]
-        except ValueError as exc:
-            raise ValueError(f"bad inline path radius in {args.path!r}") from exc
-        if kind in ("circle", "quarter") and len(values) == 1:
-            args.r = values[0]
-        elif kind == "ellipse" and len(values) == 2:
-            args.r, args.r2 = values
-        else:
-            raise ValueError(f"unknown path {args.path!r}")
-    if kind == "circle":
-        if args.r is None:
-            raise ValueError("--r is required for a circle path")
-        return CirclePath(args.r, args.nphi)
-    if kind == "ellipse":
-        if args.r is None or args.r2 is None:
-            raise ValueError("--r and --r2 are required for an ellipse path")
-        return EllipsePath(args.r, args.r2, args.nphi)
-    if kind == "quarter":
-        if args.r is None:
-            raise ValueError("--r is required for a quarter-circle path")
-        return QuarterCirclePath(args.r, args.nphi)
-    if kind == "ray":
+    # Inline form circle:R, ellipse:R1:R2, quarter:R; radii override --r/--r2.
+    kind, *inline = args.path.split(":")
+    try:
+        inline = [float(p) for p in inline]
+    except ValueError as exc:
+        raise ValueError(f"bad inline path radius in {args.path!r}") from exc
+    if kind == "ray" and not inline:
         if args.magnitudes is None:
             raise ValueError("--magnitudes is required for a ray path")
         return RayPath(_direction(args, dim), np.asarray(args.magnitudes, dtype=float))
-    raise ValueError(f"unknown path {kind!r}")
+    if kind not in _ARCS or len(inline) not in (0, len(_ARCS[kind][1])):
+        raise ValueError(f"unknown path {args.path!r}")
+    cls, flags, name = _ARCS[kind]
+    radii = inline or [getattr(args, flag) for flag in flags]
+    if None in radii:
+        verb = "is" if len(flags) == 1 else "are"
+        raise ValueError(f"{' and '.join('--' + f for f in flags)} {verb} required for {name}")
+    return cls(*radii, args.nphi)
 
 
 def _cmd_curve(args) -> _Table:
@@ -453,18 +448,7 @@ def _cmd_compare_uni(args) -> _Table:
         "geometric_expectile_x1",
         "converged",
     ]
-    table = [
-        [
-            row.level,
-            row.univariate_var,
-            row.univariate_expectile,
-            row.geometric_var_first,
-            row.geometric_expectile_first,
-            row.converged,
-        ]
-        for row in rows
-    ]
-    return header, table
+    return header, [astuple(row) for row in rows]
 
 
 def _cmd_match_magnitude(args) -> _Table:
@@ -506,10 +490,7 @@ def _cmd_distance(args) -> _Table:
         np.asarray(args.r_grid, dtype=float),
         _solver_config(args),
     )
-    rows = [
-        [curve.radii[i], curve.distances[i], bool(curve.converged[i])]
-        for i in range(curve.radii.size)
-    ]
+    rows = list(zip(curve.radii, curve.distances, curve.converged))
     return ["r", "distance", "converged"], rows
 
 
@@ -521,8 +502,7 @@ def _cmd_bounded_support(args) -> _Table:
         config=_solver_config(args),
         rng=substream(args.seed, "bounded-support"),
     )
-    table = [[row.r, row.exits_support, row.all_converged] for row in rows]
-    return ["r", "exits_support", "converged"], table
+    return ["r", "exits_support", "converged"], [astuple(row) for row in rows]
 
 
 def _cmd_uniform_analytic(args) -> _Table:

@@ -250,12 +250,16 @@ def trace_curve(
     return Curve(params=params, points=points, converged=converged)
 
 
-def point_in_polygon(point, vertices, boundary_tol: float = 1e-9) -> bool:
+_BOUNDARY_TOL = 1e-9  # distance to an edge that still counts as inside
+
+
+def point_in_polygon(point, vertices) -> bool:
     """Even-odd (ray casting) test of ``point`` against a closed polygon.
 
     ``vertices`` is a (k, 2) array of polygon corners in order; the edge
     from the last vertex back to the first is implicit.  Points within
-    ``boundary_tol`` of any edge count as inside.
+    ``_BOUNDARY_TOL`` (1e-9, a module constant: no caller needs another
+    band) of any edge count as inside.
     """
     p = np.asarray(point, dtype=float)
     v = np.asarray(vertices, dtype=float)
@@ -269,7 +273,7 @@ def point_in_polygon(point, vertices, boundary_tol: float = 1e-9) -> bool:
     denom = np.einsum("ij,ij->i", ab, ab)
     tpar = np.einsum("ij,ij->i", p - a, ab) / np.where(denom == 0.0, 1.0, denom)
     nearest = a + np.clip(tpar, 0.0, 1.0)[:, np.newaxis] * ab
-    if float(np.min(np.linalg.norm(p - nearest, axis=1))) <= boundary_tol:
+    if float(np.min(np.linalg.norm(p - nearest, axis=1))) <= _BOUNDARY_TOL:
         return True
     ya, yb = a[:, 1], b[:, 1]
     crosses = (ya > p[1]) != (yb > p[1])

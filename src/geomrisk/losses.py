@@ -16,6 +16,8 @@ one gradient row) per input row.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -42,9 +44,10 @@ def as_index(u) -> np.ndarray:
         arr = arr[np.newaxis]
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("index must be a 1-D vector with at least one entry")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("index entries must be finite")
-    if np.linalg.norm(arr) >= 1.0:
+    # sqrt(u.u) is what np.linalg.norm computes for a 1-D float vector
+    if math.sqrt(float(arr.dot(arr))) >= 1.0:
         raise ValueError("index must lie strictly inside the unit ball (||u|| < 1)")
     return arr
 

@@ -6,13 +6,24 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import geomrisk
-from geomrisk import FrankCopula, cli
+from geomrisk import (
+    ClaytonCopula,
+    CopulaSpec,
+    FrankCopula,
+    JointModel,
+    MarginSpec,
+    Normal,
+    SkewNormal,
+    StudentT,
+    cli,
+)
 from geomrisk.cli import main
 
 
@@ -533,3 +544,132 @@ def test_parser_is_built_once_and_shares_no_state(tmp_path, capsys):
     op = ["expectile", "--model", "X2", "--n", "500", "--seed", "3", "--alpha", "0.4,-0.2"]
     first = run_cli(op, tmp_path, "r1.csv")
     assert run_cli(op, tmp_path, "r2.csv") == first
+
+
+# ---------------------------------------------------------------------------
+# model JSON parts are the library's classes
+
+def test_model_json_types_name_every_margin_and_copula_class():
+    for table, spec in ((cli._MARGINS, MarginSpec), (cli._COPULAS, CopulaSpec)):
+        assert len(set(table.values())) == len(table)
+        assert set(table.values()) == set(typing.get_args(spec))
+
+
+def test_model_json_keys_are_class_fields_with_class_defaults():
+    model = cli._parse_model(
+        '{"margins": [{"type": "normal", "mu": 1, "sigma": 2}, {"type": "t", "nu": 4},'
+        ' {"type": "skewnormal", "shape": 3}], "copula": {"type": "frank", "theta": 2}}'
+    )
+    margins = (Normal(1.0, 2.0), StudentT(4.0), SkewNormal(0.0, 1.0, 3.0))
+    assert model == JointModel(margins, FrankCopula(2.0, 3))
+    defaults = cli._parse_model('{"margins": [{"type": "normal"}, {"type": "normal"}],'
+                                ' "copula": {"type": "clayton", "theta": 2}}')
+    assert defaults == JointModel((Normal(), Normal()), ClaytonCopula(2.0, 2))
+
+
+_MALFORMED_MODELS = {
+    "margin-not-object": '{"margins": ["normal"], "copula": {"type": "independence"}}',
+    "copula-not-object": '{"margins": [{"type": "normal"}, {"type": "normal"}], "copula": "gumbel"}',
+    "misspelled-key": '{"margins": [{"type": "normal", "sigam": 2}], "copula": {"type": "independence"}}',
+    "copula-dim-key": '{"margins": [{"type": "normal"}, {"type": "normal"}],'
+                      ' "copula": {"type": "clayton", "theta": 2, "dim": 2}}',
+}
+
+
+@pytest.mark.parametrize("model", _MALFORMED_MODELS.values(), ids=_MALFORMED_MODELS.keys())
+def test_malformed_model_json_exits_one_with_an_error_line(model, tmp_path, capsys):
+    args = ["simulate", "--model", model, "--n", "5"]
+    assert main([*args, "--out", str(tmp_path / "m.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: model JSON ")
+    proc = subprocess.run(
+        [sys.executable, "-m", "geomrisk.cli", *args],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    # one line, no traceback
+    assert proc.stderr.startswith("error: model JSON ") and proc.stderr.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# every check that no test above reaches: exit 1 and its error line
+
+_FILES = {
+    "pair.csv": "x1,x2\n0,1\n1,0\n2,2\n",
+    "nan.csv": "x1,x2\n1,2\nnan,3\n",
+    "text.csv": "x1,x2\n1,a\n",
+    "no-equals.cfg": "seed 3\n",
+    "measure.cfg": "measure = median\n",
+    "alpha.cfg": "alpha = a,b\n",
+    "grid.cfg": "r_grid = 0:1:-0.1\n",
+}
+_PAIR = ["--data", "{tmp}/pair.csv"]
+_INDEPENDENT = '"copula": {"type": "independence"}}'
+# id -> (arguments, start of the error message); {tmp} is the test's directory
+_CLI_REJECTED = {
+    "margin-type": (["simulate", "--model", '{"margins": [{"type": "weird"}], ' + _INDEPENDENT],
+                    "unknown margin type 'weird'"),
+    "margin-without-type": (["simulate", "--model", '{"margins": [{"mu": 1}], ' + _INDEPENDENT],
+                            "unknown margin type None"),
+    "copula-type": (["simulate", "--model",
+                     '{"margins": [{"type": "normal"}], "copula": {"type": "nope"}}'],
+                    "unknown copula type 'nope'"),
+    "json-invalid": (["simulate", "--model", "{bad"], "model JSON is invalid: "),
+    "data-missing": (["expectile", "--data", "{tmp}/none.csv", "--alpha", "0,0"],
+                     "cannot read data file {tmp}/none.csv: "),
+    "data-text": (["expectile", "--data", "{tmp}/text.csv", "--alpha", "0,0"],
+                  "data file {tmp}/text.csv is not numeric CSV: "),
+    "data-nonfinite": (["expectile", "--data", "{tmp}/nan.csv", "--alpha", "0,0"],
+                       "data file {tmp}/nan.csv must contain finite rows"),
+    "n-zero": (["simulate", "--model", "X1", "--n", "0"], "--n must be at least 1"),
+    "simulate-model": (["simulate"], "--model is required"),
+    "alpha-components": (["expectile", *_PAIR, "--alpha", "0.1,0.1,0.1"],
+                         "--alpha has 3 components but the sample has 2"),
+    "direction-zero": (["distance", *_PAIR, "--direction", "0,0"],
+                       "direction must be a finite nonzero vector"),
+    "direction-dim": (["distance", *_PAIR, "--direction", "1,0,0"],
+                      "--direction dimension must match the sample"),
+    "path-radius": (["curve", *_PAIR, "--path", "circle:abc"],
+                    "bad inline path radius in 'circle:abc'"),
+    "subadd-columns": (["subadd", *_PAIR],
+                       "subadd needs a 4-column sample: columns 1-2 are X, columns 3-4 are Y"),
+    "marginalize-columns": (["marginalize", *_PAIR],
+                            "marginalize needs a sample with at least 3 columns"),
+    "box-corners": (["uniform-analytic", "--box", "0,1,0", "--alpha", "0,0"],
+                    "--box must be a1,b1,a2,b2"),
+    "config-missing": (["expectile", "--config", "{tmp}/none.cfg"],
+                       "cannot read config file {tmp}/none.cfg: "),
+    "config-no-equals": (["expectile", "--config", "{tmp}/no-equals.cfg"],
+                         "{tmp}/no-equals.cfg:1: expected 'key = value'"),
+    "config-choice": (["curve", *_PAIR, "--config", "{tmp}/measure.cfg"],
+                      "{tmp}/measure.cfg:1: invalid value for 'measure': "
+                      "must be one of ('expectile', 'var')"),
+    "config-floats": (["expectile", *_PAIR, "--config", "{tmp}/alpha.cfg"],
+                      "{tmp}/alpha.cfg:1: invalid value for 'alpha': "
+                      "expected comma-separated numbers, got 'a,b'"),
+    "config-grid": (["distance", *_PAIR, "--direction", "1,0", "--config", "{tmp}/grid.cfg"],
+                    "{tmp}/grid.cfg:1: invalid value for 'r_grid': "
+                    "grid requires step > 0 and stop >= start"),
+}
+
+
+@pytest.mark.parametrize("args, message", _CLI_REJECTED.values(), ids=_CLI_REJECTED.keys())
+def test_rejected_input_exits_one_with_its_message(args, message, tmp_path, capsys):
+    for name, text in _FILES.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "r.csv"
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in args] + ["--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: " + message.replace("{tmp}", str(tmp_path)))
+
+
+@pytest.mark.parametrize("out", [None, "-"], ids=["no-out", "dash"])
+def test_csv_goes_to_stdout_without_an_out_file(out, tmp_path, capsys):
+    op = ["uniform-analytic", "--alpha", "0.3,0.1"]
+    expected = run_cli(op, tmp_path).decode()
+    capsys.readouterr()
+    assert main(op if out is None else [*op, "--out", out]) == 0
+    assert capsys.readouterr().out == expected

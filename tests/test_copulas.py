@@ -169,3 +169,21 @@ def test_parameter_validation():
         FrankCopula(-3.0, 3)  # negative dependence only exists pairwise
     with pytest.raises(ValueError):
         ClaytonCopula(2.0, 1)
+
+
+# ---------------------------------------------------------------------------
+# every check that no test above reaches: id -> (call, exception, message)
+
+_REJECTED = {
+    "independence-dim": (lambda: IndependenceCopula(0), ValueError,
+                         "IndependenceCopula requires dim >= 1"),
+    "gumbel-dim": (lambda: GumbelCopula(2.0, 1), ValueError, "GumbelCopula requires dim >= 2"),
+    "frank-dim": (lambda: FrankCopula(2.0, 1), ValueError, "FrankCopula requires dim >= 2"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", _REJECTED.values(), ids=_REJECTED.keys())
+def test_rejected_input_raises_its_message(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message

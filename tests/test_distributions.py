@@ -512,3 +512,20 @@ def test_quantile_domain_errors():
         Normal(0, 1).quantile(0.0)
     with pytest.raises(ValueError):
         Normal(0, 1).quantile(1.0)
+
+
+# ---------------------------------------------------------------------------
+# every check that no test above reaches: id -> (call, exception, message)
+
+_REJECTED = {
+    "t-mean": (lambda: StudentT(1.0).mean(), ValueError, "StudentT mean undefined for nu <= 1"),
+    "moment-unknown-margin": (lambda: has_finite_second_moment("normal"), ValueError,
+                              "unknown margin type: str"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", _REJECTED.values(), ids=_REJECTED.keys())
+def test_rejected_input_raises_its_message(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message

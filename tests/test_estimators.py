@@ -826,3 +826,47 @@ def test_var_does_not_certify_an_atom_that_fails_the_test():
     full = geometric_var(sample, u)
     assert full.stop_reason == "converged"
     assert not np.any(np.all(sample == full.argmin, axis=1))
+
+
+def test_iteration_cap_on_a_passing_gradient_reports_converged():
+    # the one allowed step lands on the minimum; the cap ends the loop before
+    # the gradient test runs, so the test after the loop decides
+    report = minimize_convex(lambda x: 0.5 * float(x @ x), lambda x: x.copy(),
+                             np.array([3.0, -4.0]), SolverConfig(max_iterations=1))
+    assert (report.converged, report.stop_reason, report.iterations) == (True, "converged", 1)
+    assert report.grad_norm == 0.0
+
+
+def test_univariate_measures_take_a_single_column():
+    x = np.random.default_rng(5).standard_normal(50)
+    for measure in (univariate_expectile, univariate_quantile):
+        assert measure(x[:, np.newaxis], 0.7) == measure(x, 0.7)
+
+
+# ---------------------------------------------------------------------------
+# every check that no test above reaches: id -> (call, exception, message)
+
+_PAIR = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+
+_REJECTED = {
+    "objective-kind": (lambda: empirical_objective(_PAIR, [0.1, 0.0], [0.0, 0.0], "median"),
+                       ValueError, "kind must be one of ('expectile', 'quantile')"),
+    "objective-dimensions": (
+        lambda: empirical_objective(_PAIR, [0.1, 0.0], [0.0, 0.0, 0.0]),
+        ValueError,
+        "sample, index and location dimensions must agree",
+    ),
+    "objective-location": (lambda: empirical_objective_grad(_PAIR, [0.1, 0.0], [np.nan, 0.0]),
+                           ValueError, "location must be finite"),
+    "univariate-shape": (lambda: univariate_expectile(_PAIR, 0.7), ValueError,
+                         "univariate sample must be a 1-D array with n >= 1"),
+    "univariate-finite": (lambda: univariate_quantile([1.0, np.nan], 0.7), ValueError,
+                          "sample entries must be finite"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", _REJECTED.values(), ids=_REJECTED.keys())
+def test_rejected_input_raises_its_message(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message

@@ -508,3 +508,42 @@ def test_default_stress_radii_exposed():
     assert DEFAULT_STRESS_RADII[-1] == 0.99999
     assert len(DEFAULT_STRESS_RADII) == 14
     assert all(b > a for a, b in zip(DEFAULT_STRESS_RADII, DEFAULT_STRESS_RADII[1:]))
+
+
+# ---------------------------------------------------------------------------
+# every check that no test above reaches: id -> (call, exception, message)
+
+_PAIR = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+_REJECTED = {
+    "ray-direction": (lambda: RayPath([np.nan, 1.0], [0.1]), ValueError,
+                      "direction must be a finite 1-D vector"),
+    "ray-magnitudes": (lambda: RayPath([1.0, 0.0], []), ValueError,
+                       "magnitudes must be a finite 1-D array"),
+    "match-direction-dim": (lambda: match_magnitude(_PAIR, [1.0, 0.0, 0.0], 0.5), ValueError,
+                            "direction must match the sample dimension"),
+    "curve-converged": (lambda: Curve([0.0, 1.0], np.zeros((2, 2)), [True]), ValueError,
+                        "converged must be a boolean array matching params"),
+    "trace-measure": (lambda: trace_curve(_PAIR, CirclePath(0.5, 4), "median"), ValueError,
+                      "measure must be one of ('expectile', 'var')"),
+    "trace-path-type": (lambda: trace_curve(_PAIR, (0.5, 4)), ValueError,
+                        "unknown path type: tuple"),
+    "polygon-point": (lambda: point_in_polygon([0.0, np.nan], _SQUARE), ValueError,
+                      "point must be a finite 2-vector"),
+    "polygon-vertices": (lambda: point_in_polygon([0.0, 0.0], _SQUARE[:2]), ValueError,
+                         "vertices must be a finite (k, 2) array with k >= 3"),
+    "compare-dimension": (lambda: compare_univariate(np.eye(3), [0.9]), ValueError,
+                          "comparison requires a bivariate sample"),
+    "search-not-finite": (lambda: experiments._golden_section(lambda m: np.inf, 0.5, 0.5, 1e-3),
+                          ValueError, "search objective is not finite at m = 0.5"),
+    "bounded-support-rng": (lambda: bounded_support_check(10), ValueError,
+                            "an explicit numpy Generator is required for reproducibility"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", _REJECTED.values(), ids=_REJECTED.keys())
+def test_rejected_input_raises_its_message(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message

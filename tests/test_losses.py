@@ -294,3 +294,34 @@ def test_dimension_and_finiteness_errors():
         expectile_loss([0.5, 0.0], [np.inf, 0.0])
     with pytest.raises(ValueError):
         expectile_loss_grad([0.5, 0.0], [np.nan, 0.0])
+
+
+def test_scalar_index_and_point_are_one_dimensional():
+    np.testing.assert_array_equal(as_index(0.3), [0.3])
+    for loss in (quantile_loss, expectile_loss):
+        value = loss(0.3, -2.0)
+        assert isinstance(value, float)
+        assert value == loss([0.3], [-2.0])
+
+
+# ---------------------------------------------------------------------------
+# every check that no test above reaches: id -> (call, exception, message)
+
+_REJECTED = {
+    "check-argument": (lambda: check_loss(0.5, [1.0, np.nan]), ValueError,
+                       "loss argument must be finite"),
+    "expectile-1d-argument": (lambda: expectile_loss_1d(0.5, np.inf), ValueError,
+                              "loss argument must be finite"),
+    "score-batches": (
+        lambda: expectile_score([0.1, 0.0], np.zeros((2, 2)), np.zeros((3, 2))),
+        ValueError,
+        "x and y batches must have equal length or length one",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", _REJECTED.values(), ids=_REJECTED.keys())
+def test_rejected_input_raises_its_message(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message

@@ -205,3 +205,34 @@ def test_substream_determinism_and_separation():
     d = substream(124, "stage-a").standard_normal(8)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+# ---------------------------------------------------------------------------
+# every check that no test above reaches: id -> (call, exception, message)
+
+_REJECTED = {
+    "joint-without-margins": (lambda: JointModel((), IndependenceCopula(1)), ValueError,
+                              "JointModel requires at least one margin"),
+    "simulate-compound-model": (lambda: simulate(get_preset("cp-paper"), 5, substream(1, "r")),
+                                ValueError,
+                                "simulate expects a JointModel; use simulate_compound for claims"),
+    "simulate-negative-count": (lambda: simulate(get_preset("X1"), -1, substream(1, "r")),
+                                ValueError, "count must be nonnegative"),
+    "compound-joint-model": (lambda: simulate_compound(get_preset("X1"), 5, substream(1, "r")),
+                             ValueError, "simulate_compound expects a CompoundPoissonModel"),
+    "compound-negative-count": (
+        lambda: simulate_compound(get_preset("cp-paper"), -1, substream(1, "r")),
+        ValueError,
+        "count must be nonnegative",
+    ),
+    "mean-unknown-model": (lambda: model_mean("X1"), ValueError, "unknown model type: str"),
+    "substream-empty-stage": (lambda: substream(1, ""), ValueError,
+                              "stage must be a nonempty string"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", _REJECTED.values(), ids=_REJECTED.keys())
+def test_rejected_input_raises_its_message(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message

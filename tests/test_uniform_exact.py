@@ -253,3 +253,23 @@ def test_box_validation():
         UniformBox(0.0, 1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         uniform_expected_loss(UNIT, [0.9, 0.9], [0.5, 0.5])  # index norm >= 1
+
+
+# ---------------------------------------------------------------------------
+# every check that no test above reaches: id -> (call, exception, message)
+
+_REJECTED = {
+    "box-corners": (lambda: UniformBox(np.nan, 1.0, 0.0, 1.0), ValueError,
+                    "box corners must be finite"),
+    "index-dim": (lambda: uniform_expectile(UNIT, [0.1, 0.1, 0.1]), ValueError,
+                  "index must be 2-dimensional for a bivariate box"),
+    "location": (lambda: expected_squared_distance(UNIT, [0.5, np.nan]), ValueError,
+                 "location must be a finite 2-vector"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", _REJECTED.values(), ids=_REJECTED.keys())
+def test_rejected_input_raises_its_message(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message
