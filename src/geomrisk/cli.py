@@ -28,7 +28,6 @@ from .copulas import ClaytonCopula, FrankCopula, GumbelCopula, IndependenceCopul
 from .estimators import SolverConfig, geometric_expectile, geometric_var
 from .experiments import (
     _MEASURES,
-    _check_path,
     CirclePath,
     EllipsePath,
     DEFAULT_STRESS_RADII,
@@ -93,31 +92,37 @@ def _conv_grid(text: str) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class _Opt:
-    flags: tuple[str, ...]
-    dest: str
+    flag: str
     conv: Callable[[str], object]
     default: object
     help: str
     choices: tuple | None = None
 
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
 
 def _add_opts(parser: argparse.ArgumentParser, opts: list[_Opt]) -> dict[str, _Opt]:
-    spec: dict[str, _Opt] = {}
+    # values stay text here: _merge_config converts flags and config lines alike
     for opt in opts:
-        parser.add_argument(
-            *opt.flags,
-            dest=opt.dest,
-            type=opt.conv,
-            default=None,
-            choices=opt.choices,
-            help=opt.help,
-        )
-        spec[opt.dest] = opt
-    return spec
+        parser.add_argument(opt.flag, dest=opt.dest, default=None, help=opt.help)
+    return {opt.dest: opt for opt in opts}
+
+
+def _convert(opt: _Opt, text: str, where: str) -> object:
+    """``opt.conv(text)``, one of ``opt.choices`` when set; ``where`` leads any error."""
+    try:
+        value = opt.conv(text)
+        if opt.choices is not None and value not in opt.choices:
+            raise ValueError(f"must be one of {opt.choices}")
+    except ValueError as exc:
+        raise _CliError(f"{where}: invalid value for {opt.dest!r}: {exc}") from None
+    return value
 
 
 def _read_config(path: str, spec: dict[str, _Opt]) -> dict[str, object]:
-    """Parse a 'key = value' config file; unknown keys are line-numbered errors."""
+    """Parse a 'key = value' config file; every error names its line."""
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -131,28 +136,22 @@ def _read_config(path: str, spec: dict[str, _Opt]) -> dict[str, object]:
             raise _CliError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        value = value.strip()
         if key not in spec:
             raise _CliError(f"{path}:{lineno}: unknown key {key!r}")
-        opt = spec[key]
-        try:
-            parsed = opt.conv(value)
-        except ValueError as exc:
-            raise _CliError(f"{path}:{lineno}: invalid value for {key!r}: {exc}") from None
-        if opt.choices is not None and parsed not in opt.choices:
-            raise _CliError(
-                f"{path}:{lineno}: invalid value for {key!r}: must be one of {opt.choices}"
-            )
-        values[key] = parsed
+        values[key] = _convert(spec[key], value.strip(), f"{path}:{lineno}")
     return values
 
 
 def _merge_config(args: argparse.Namespace, spec: dict[str, _Opt]) -> None:
     """Precedence: explicit flag > config file > built-in default."""
-    from_file = _read_config(args.config, spec) if getattr(args, "config", None) else {}
-    for dest, opt in spec.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, from_file.get(dest, opt.default))
+    flags = {
+        dest: _convert(opt, text, f"argument {opt.flag}")
+        for dest, opt in spec.items()
+        if (text := getattr(args, dest)) is not None
+    }
+    from_file = _read_config(args.config, spec) if args.config else {}
+    defaults = {dest: opt.default for dest, opt in spec.items()}
+    vars(args).update(defaults | from_file | flags)
 
 
 def _fmt(value) -> str:
@@ -316,8 +315,8 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _alpha_for(args, dim: int) -> np.ndarray:
-    has_alpha = getattr(args, "alpha", None) is not None
-    has_level = getattr(args, "level", None) is not None
+    has_alpha = args.alpha is not None
+    has_level = args.level is not None
     if has_alpha == has_level:
         raise ValueError("exactly one of --alpha or --level is required")
     if has_alpha:
@@ -346,16 +345,18 @@ def _direction(args, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # shared option groups
 
-_SEED = _Opt(("--seed",), "seed", int, 1, "root RNG seed (default 1)")
-_OUT = _Opt(("--out",), "out", str, None, "output CSV path (default stdout)")
-_MODEL = _Opt(("--model",), "model", str, None, "preset name or model JSON")
-_DATA = _Opt(("--data",), "data", str, None, "CSV sample file (columns x1..xd)")
-_N = _Opt(("--n",), "n", int, None, "sample size (default: preset's standard size)")
-_NPHI = _Opt(("--nphi",), "nphi", int, 64, "number of angles")
-_MEASURE = _Opt(("--measure",), "measure", str, "expectile", "risk measure", choices=_MEASURES)
+_SEED = _Opt("--seed", int, 1, "root RNG seed (default 1)")
+_OUT = _Opt("--out", str, None, "output CSV path (default stdout)")
+_MODEL = _Opt("--model", str, None, "preset name or model JSON")
+_DATA = _Opt("--data", str, None, "CSV sample file (columns x1..xd)")
+_N = _Opt("--n", int, None, "sample size (default: preset's standard size)")
+_NPHI = _Opt("--nphi", int, 64, "number of angles")
+_MEASURE = _Opt(
+    "--measure", str, "expectile", "risk measure: " + "|".join(_MEASURES), choices=_MEASURES
+)
 _SOLVER = (
-    _Opt(("--tol",), "tol", float, 1e-8, "relative gradient tolerance"),
-    _Opt(("--max-iter",), "max_iter", int, 500, "maximum solver iterations"),
+    _Opt("--tol", float, SolverConfig.grad_tolerance, "relative gradient tolerance"),
+    _Opt("--max-iter", int, SolverConfig.max_iterations, "maximum solver iterations"),
 )
 
 
@@ -420,8 +421,6 @@ def _cmd_curve(args) -> _Table:
 
 
 def _cmd_subadd(args) -> _Table:
-    # the inclusion test needs a polygon: the library reports None below 3 angles
-    _check_path((args.r,), args.nphi, min_phi=3)
     sample = _get_sample(args)
     if sample.shape[1] != 4:
         raise ValueError("subadd needs a 4-column sample: columns 1-2 are X, columns 3-4 are Y")
@@ -461,7 +460,6 @@ def _cmd_match_magnitude(args) -> _Table:
         args.theta,
         config=_solver_config(args),
         tol=args.tol_search,
-        return_trace=True,
     )
     return ["theta", "matched_magnitude", "converged"], [[args.theta, m_star, bool(converged)]]
 
@@ -531,22 +529,21 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
     def register(name: str, func, opts: list[_Opt], help_text: str) -> None:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="key = value config file")
-        specs[name] = _add_opts(p, opts)
+        specs[name] = _add_opts(p, [*opts, _OUT])
         p.set_defaults(func=func)
 
     register(
         "simulate",
         _cmd_simulate,
-        [_MODEL, _N, _SEED, _OUT],
+        [_MODEL, _N, _SEED],
         "draw a sample from a model and write it as CSV (columns x1..xd)",
     )
     sample_opts = [_MODEL, _DATA, _N, _SEED]
     solve_opts = [
         *sample_opts,
-        _Opt(("--alpha",), "alpha", _conv_floats, None, "index vector, comma separated"),
-        _Opt(("--level",), "level", float, None, "classical level l; index (2l-1) e1"),
+        _Opt("--alpha", _conv_floats, None, "index vector, comma separated"),
+        _Opt("--level", float, None, "classical level l; index (2l-1) e1"),
         *_SOLVER,
-        _OUT,
     ]
     register("expectile", _cmd_expectile, solve_opts, "geometric expectile of a sample")
     register("var", _cmd_var, solve_opts, "geometric value-at-risk of a sample")
@@ -556,21 +553,19 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
         [
             *sample_opts,
             _Opt(
-                ("--path",),
-                "path",
+                "--path",
                 str,
                 "circle",
                 "index path type: circle|ellipse|quarter|ray, optionally with"
                 " inline radii as circle:R, ellipse:R1:R2, quarter:R",
             ),
-            _Opt(("--r",), "r", float, None, "radius (circle/quarter) or first ellipse radius"),
-            _Opt(("--r2",), "r2", float, None, "second ellipse radius"),
+            _Opt("--r", float, None, "radius (circle/quarter) or first ellipse radius"),
+            _Opt("--r2", float, None, "second ellipse radius"),
             _NPHI,
-            _Opt(("--direction",), "direction", _conv_floats, None, "ray direction (normalized)"),
-            _Opt(("--magnitudes",), "magnitudes", _conv_grid, None, "ray magnitudes grid"),
+            _Opt("--direction", _conv_floats, None, "ray direction (normalized)"),
+            _Opt("--magnitudes", _conv_grid, None, "ray magnitudes grid"),
             _MEASURE,
             *_SOLVER,
-            _OUT,
         ],
         "trace a risk-measure curve along an index path",
     )
@@ -579,11 +574,10 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
         _cmd_subadd,
         [
             *sample_opts,
-            _Opt(("--r",), "r", float, 0.2, "index circle radius"),
+            _Opt("--r", float, 0.2, "index circle radius"),
             _NPHI,
             _MEASURE,
             *_SOLVER,
-            _OUT,
         ],
         "subadditivity region check on a 4-column sample (X = cols 1-2, Y = cols 3-4)",
     )
@@ -593,14 +587,9 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
         [
             *sample_opts,
             _Opt(
-                ("--levels",),
-                "levels",
-                _conv_floats,
-                (0.8, 0.9, 0.95, 0.99),
-                "comma-separated classical levels",
+                "--levels", _conv_floats, (0.8, 0.9, 0.95, 0.99), "comma-separated classical levels"
             ),
             *_SOLVER,
-            _OUT,
         ],
         "geometric vs classical univariate measures of the first component",
     )
@@ -609,11 +598,10 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
         _cmd_match_magnitude,
         [
             *sample_opts,
-            _Opt(("--direction",), "direction", _conv_floats, None, "search direction (normalized)"),
-            _Opt(("--theta",), "theta", float, None, "expectile index magnitude"),
-            _Opt(("--tol-search",), "tol_search", float, 1e-6, "search tolerance on m"),
+            _Opt("--direction", _conv_floats, None, "search direction (normalized)"),
+            _Opt("--theta", float, None, "expectile index magnitude"),
+            _Opt("--tol-search", float, 1e-6, "search tolerance on m"),
             *_SOLVER,
-            _OUT,
         ],
         "value-at-risk magnitude matching a given expectile magnitude",
     )
@@ -622,10 +610,9 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
         _cmd_marginalize,
         [
             *sample_opts,
-            _Opt(("--r",), "r", float, 0.1, "planar index radius"),
+            _Opt("--r", float, 0.1, "planar index radius"),
             _NPHI,
             *_SOLVER,
-            _OUT,
         ],
         "marginal vs full-model expectile curves (first three sample columns)",
     )
@@ -634,10 +621,9 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
         _cmd_distance,
         [
             *sample_opts,
-            _Opt(("--direction",), "direction", _conv_floats, None, "index direction (normalized)"),
-            _Opt(("--r-grid",), "r_grid", _conv_grid, _conv_grid("0:0.995:0.005"), "magnitude grid"),
+            _Opt("--direction", _conv_floats, None, "index direction (normalized)"),
+            _Opt("--r-grid", _conv_grid, _conv_grid("0:0.995:0.005"), "magnitude grid"),
             *_SOLVER,
-            _OUT,
         ],
         "distance from the mean to expectiles along one index direction",
     )
@@ -645,12 +631,11 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
         "bounded-support",
         _cmd_bounded_support,
         [
-            _Opt(("--n",), "n", int, 20_000, "copula sample size"),
+            _Opt("--n", int, 20_000, "copula sample size"),
             _SEED,
-            _Opt(("--r-list",), "r_list", _conv_grid, DEFAULT_STRESS_RADII, "stress radii"),
+            _Opt("--r-list", _conv_grid, DEFAULT_STRESS_RADII, "stress radii"),
             _NPHI,
             *_SOLVER,
-            _OUT,
         ],
         "expectile curves of a Clayton(5) copula sample vs its [0,1]^2 support",
     )
@@ -658,10 +643,9 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
         "uniform-analytic",
         _cmd_uniform_analytic,
         [
-            _Opt(("--box",), "box", _conv_floats, (0.0, 1.0, 0.0, 1.0), "box a1,b1,a2,b2"),
-            _Opt(("--alpha",), "alpha", _conv_floats, None, "index vector, comma separated"),
+            _Opt("--box", _conv_floats, (0.0, 1.0, 0.0, 1.0), "box a1,b1,a2,b2"),
+            _Opt("--alpha", _conv_floats, None, "index vector, comma separated"),
             *_SOLVER,
-            _OUT,
         ],
         "closed-form geometric expectile of a bivariate uniform box",
     )
@@ -672,7 +656,7 @@ def main(argv=None) -> int:
     parser, specs = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _merge_config(args, specs.get(args.cmd, {}))
+        _merge_config(args, specs[args.cmd])
         header, rows = args.func(args)
         _write_csv(args.out, header, rows)
     except (_CliError, ValueError, KeyError, OSError) as exc:

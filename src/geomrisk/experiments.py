@@ -243,7 +243,7 @@ def trace_curve(
     estimate the previous one ended with.  Points agree with cold solves
     to the solver's tolerance.
     """
-    if not isinstance(path, (CirclePath, EllipsePath, QuarterCirclePath, RayPath)):
+    if not isinstance(path, IndexPath):
         raise ValueError(f"unknown path type: {type(path).__name__}")
     params, idx = path.indices()
     points, converged = _trace(sample, idx, measure, config)
@@ -310,6 +310,9 @@ def subadditivity_sets(
     sy = _prepare(sample_y)
     if sx.shape != sy.shape:
         raise ValueError("sample_x and sample_y must have identical shapes (paired samples)")
+    planar = sx.shape[1] == 2
+    if planar:
+        _check_path((r,), n_phi, min_phi=3)  # the inclusion test needs a polygon
     # circles are planar; for d > 2 trace along the first two axes
     params, idx = _circle_indices(r, n_phi, sx.shape[1])
     sum_pts, sum_ok = _trace(sx.rows + sy.rows, idx, measure, config)
@@ -318,7 +321,7 @@ def subadditivity_sets(
     curve_sum = Curve(params=params, points=sum_pts, converged=sum_ok)
     curve_add = Curve(params=params, points=x_pts + y_pts, converged=x_ok & y_ok)
     included: bool | None = None
-    if sx.shape[1] == 2 and int(n_phi) >= 3:
+    if planar:
         included = all(point_in_polygon(pt, curve_add.points) for pt in curve_sum.points)
     return SubadditivityResult(curve_sum=curve_sum, curve_add=curve_add, included=included)
 
@@ -400,16 +403,16 @@ def match_magnitude(
     theta: float,
     config: SolverConfig | None = None,
     tol: float = 1e-6,
-    return_trace: bool = False,
-):
+) -> tuple[float, list[tuple[float, float]], bool]:
     """Magnitude m* for which the geometric value-at-risk at ``m* direction``
     is closest to the geometric expectile at ``theta * direction``.
 
     Minimizes the squared distance between the two minimizers by
-    golden-section search on m in [0, 0.999]; the evaluation trace is
-    returned alongside when ``return_trace`` is True so non-unimodal
-    behavior is detectable.  ``tol``, the final bracket width on m, must be
-    positive and finite.
+    golden-section search on m in [0, 0.999].  Returns ``(m_star, trace,
+    converged)``: the trace lists every evaluated ``(m, gap)`` so
+    non-unimodal behavior is detectable, and ``converged`` is True when
+    every solve (the expectile and each value-at-risk) converged.  ``tol``,
+    the final bracket width on m, must be positive and finite.
     """
     s = _prepare(sample)
     d = _unit_direction(direction, s.shape[1])
@@ -420,8 +423,9 @@ def match_magnitude(
     if not (0.0 < tol < np.inf):
         raise ValueError("tol must be a positive finite number")
     cfg = config if config is not None else SolverConfig()
-    target = geometric_expectile(s, th * d, cfg).argmin
-    state = {"warm": cfg.initial_point, "all_converged": True}
+    expectile = geometric_expectile(s, th * d, cfg)
+    target = expectile.argmin
+    state = {"warm": cfg.initial_point, "all_converged": expectile.converged}
 
     def gap(m: float) -> float:
         rep = geometric_var(s, m * d, dataclasses.replace(cfg, initial_point=state["warm"]))
@@ -430,9 +434,7 @@ def match_magnitude(
         return float(np.sum((rep.argmin - target) ** 2))
 
     m_star, trace = _golden_section(gap, 0.0, 0.999, tol)
-    if return_trace:
-        return m_star, trace, bool(state["all_converged"])
-    return m_star
+    return m_star, trace, bool(state["all_converged"])
 
 
 @dataclass(frozen=True, eq=False)

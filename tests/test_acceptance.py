@@ -281,7 +281,8 @@ def test_criterion_09_conservativeness(x1_sample_10k):
     u = np.array([1.0, 1.0]) / np.sqrt(2.0)
     gaps = []
     for theta in np.arange(0.1, 0.95, 0.1):
-        m_star = match_magnitude(x1_sample_10k, u, float(theta))
+        m_star, _, converged = match_magnitude(x1_sample_10k, u, float(theta))
+        assert converged, f"a solve of m*({theta:.1f}) did not converge"
         assert m_star < theta, f"m*({theta:.1f}) = {m_star:.4f} not below theta"
         gaps.append(theta - m_star)
     rows = compare_univariate(x1_sample_10k, [0.8, 0.9, 0.95, 0.99])

@@ -3,6 +3,7 @@ and the in-memory/file round trip."""
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
@@ -651,6 +652,24 @@ _CLI_REJECTED = {
     "config-grid": (["distance", *_PAIR, "--direction", "1,0", "--config", "{tmp}/grid.cfg"],
                     "{tmp}/grid.cfg:1: invalid value for 'r_grid': "
                     "grid requires step > 0 and stop >= start"),
+    # a bad line fails even where a flag overrides its key
+    "config-under-flag": (["expectile", *_PAIR, "--alpha", "0,0", "--config", "{tmp}/alpha.cfg"],
+                          "{tmp}/alpha.cfg:1: invalid value for 'alpha': "
+                          "expected comma-separated numbers, got 'a,b'"),
+    "flag-choice": (["curve", *_PAIR, "--measure", "median"],
+                    "argument --measure: invalid value for 'measure': "
+                    "must be one of ('expectile', 'var')"),
+    "flag-floats": (["expectile", *_PAIR, "--alpha", "a,b"],
+                    "argument --alpha: invalid value for 'alpha': "
+                    "expected comma-separated numbers, got 'a,b'"),
+    "flag-grid": (["distance", *_PAIR, "--direction", "1,0", "--r-grid", "0:1:-0.1"],
+                  "argument --r-grid: invalid value for 'r_grid': "
+                  "grid requires step > 0 and stop >= start"),
+    "flag-int": (["simulate", "--model", "X1", "--seed", "x"],
+                 "argument --seed: invalid value for 'seed': "
+                 "invalid literal for int() with base 10: 'x'"),
+    "subadd-polygon": (["subadd", "--model", "Z-clayton5", "--n", "200", "--nphi", "2"],
+                       "n_phi must be at least 3"),
 }
 
 
@@ -664,6 +683,36 @@ def test_rejected_input_exits_one_with_its_message(args, message, tmp_path, caps
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: " + message.replace("{tmp}", str(tmp_path)))
+
+
+# option -> (subcommand and its other flags, the option's value)
+_EITHER_SOURCE = {
+    "measure": (["curve", "--model", "X1", "--n", "200", "--path", "circle:0.5", "--nphi", "4"],
+                "var"),
+    "alpha": (["expectile", "--model", "X1", "--n", "200"], "0.3,-0.2"),
+    "r_grid": (["distance", "--model", "X1", "--n", "200", "--direction", "1,1"], "0:0.5:0.25"),
+}
+
+
+@pytest.mark.parametrize("key", _EITHER_SOURCE)
+def test_flag_and_config_line_give_the_same_csv(key, tmp_path):
+    args, value = _EITHER_SOURCE[key]
+    flag = run_cli([*args, "--" + key.replace("_", "-"), value], tmp_path, "flag.csv")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert run_cli([*args, "--config", str(cfg)], tmp_path, "cfg.csv") == flag
+
+
+def test_every_subcommand_renders_its_help(capsys):
+    parser, _ = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert len(sub.choices) == 11
+    for name, subparser in sub.choices.items():
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0, name
+        assert capsys.readouterr().out == subparser.format_help()
+    assert "risk measure: expectile|var" in sub.choices["curve"].format_help()
 
 
 @pytest.mark.parametrize("out", [None, "-"], ids=["no-out", "dash"])

@@ -4,6 +4,8 @@ marginalization, distance curves, and the bounded-support sweep."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -359,6 +361,23 @@ def test_subadditivity_requires_matching_lengths(symmetric_sample):
         subadditivity_sets(column, column, r=0.2, n_phi=8)  # circles need d >= 2
 
 
+def test_planar_subadditivity_needs_a_polygon_before_any_solve(symmetric_sample, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the polygon was checked")
+
+    monkeypatch.setattr(experiments, "geometric_expectile", no_solve)
+    monkeypatch.setattr(experiments, "geometric_var", no_solve)
+    with pytest.raises(ValueError, match="n_phi must be at least 3"):
+        subadditivity_sets(symmetric_sample, symmetric_sample, r=0.2, n_phi=2)
+
+
+def test_subadditivity_inclusion_is_none_off_the_plane(rng_factory):
+    sample = rng_factory("trivariate").standard_normal((200, 3))
+    res = subadditivity_sets(sample, sample[::-1], r=0.2, n_phi=2)
+    assert res.included is None
+    assert res.curve_sum.points.shape == (2, 3)
+
+
 def test_path_experiments_take_no_threads_keyword(symmetric_sample):
     with pytest.raises(TypeError, match="threads"):
         subadditivity_sets(symmetric_sample, symmetric_sample, r=0.2, n_phi=8, threads=2)
@@ -393,19 +412,32 @@ def test_comparison_univariate_columns_match_oracles(symmetric_sample):
 # magnitude matching
 
 def test_match_magnitude_zero_theta_on_symmetric_sample(symmetric_sample):
-    m_star = match_magnitude(symmetric_sample, np.array([1.0, 0.0]), 0.0)
+    m_star, _, ok = match_magnitude(symmetric_sample, np.array([1.0, 0.0]), 0.0)
+    assert ok
     assert 0.0 <= m_star <= 1e-3
 
 
 def test_match_magnitude_trace_and_domain(symmetric_sample):
-    m_star, trace, ok = match_magnitude(
-        symmetric_sample, np.array([1.0, 1.0]) / np.sqrt(2.0), 0.5, return_trace=True
-    )
+    m_star, trace, ok = match_magnitude(symmetric_sample, np.array([1.0, 1.0]) / np.sqrt(2.0), 0.5)
     assert ok
     assert 0.0 <= m_star <= 0.999
     trace = np.asarray(trace)
     assert trace.ndim == 2 and trace.shape[1] == 2  # (magnitude, gap) evaluations
     assert np.all(trace[:, 1] >= 0.0)
+
+
+def test_match_magnitude_reports_a_target_solve_that_did_not_converge(
+    symmetric_sample, monkeypatch
+):
+    direction = np.array([1.0, 0.0])
+    assert match_magnitude(symmetric_sample, direction, 0.5, tol=1e-2)[2]
+    solve = experiments.geometric_expectile
+    monkeypatch.setattr(
+        experiments,
+        "geometric_expectile",
+        lambda *args: dataclasses.replace(solve(*args), converged=False),
+    )
+    assert not match_magnitude(symmetric_sample, direction, 0.5, tol=1e-2)[2]
 
 
 def test_match_magnitude_validates_direction(symmetric_sample):
