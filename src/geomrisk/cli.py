@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -129,7 +130,8 @@ def _read_config(path: str, spec: dict[str, _Opt]) -> dict[str, object]:
         raise _CliError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, object] = {}
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        # '#' opens a comment at a line's start or after whitespace: 'run#1.csv' is a value
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +41,7 @@ from .losses import (
     _expectile_grad_rows,
     _expectile_rows,
     _expectile_value,
+    _norm,
     _pass_state,
     _PassState,
     _quantile_grad,
@@ -110,13 +110,13 @@ class SolveReport:
     ``converged`` is True exactly when the final gradient satisfied the
     relative tolerance, or when ``argmin`` is a data atom certified
     optimal: with m of the n rows at ``argmin``, ``0`` lies in the
-    subdifferential, i.e. ``grad_norm <= 0.5 m / n`` (the gradient gives
-    each atom row the value ``-0.5 u / n``).  ``stop_reason`` says which
-    rule ended the solve: ``"converged"``, ``"optimal_at_atom"``,
-    ``"max_iterations"``, ``"stagnation"`` (no measurable descent left)
-    or ``"identical_rows"`` (every row is the same point).  ``note``
-    carries a warning string (for instance when a quantile minimizer may
-    be non-unique) and is None otherwise.
+    subdifferential, i.e. ``grad_norm <= 0.5 m / n`` (by the t = 0 rule
+    of ``losses._nonzero``, the gradient gives each atom row the value
+    ``-0.5 u / n``).  ``stop_reason`` says which rule ended the solve:
+    ``"converged"``, ``"optimal_at_atom"``, ``"max_iterations"``,
+    ``"stagnation"`` (no measurable descent left) or ``"identical_rows"``
+    (every row is the same point).  ``note`` carries a warning string (for
+    instance when a quantile minimizer may be non-unique), else None.
     """
 
     argmin: np.ndarray
@@ -136,11 +136,6 @@ def as_sample(s) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("sample entries must be finite")
     return arr
-
-
-def _norm(v: np.ndarray) -> float:
-    # what np.linalg.norm computes for a 1-D vector, without its call overhead
-    return math.sqrt(float(v.dot(v)))
 
 
 def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
@@ -188,13 +183,15 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
     dim = x.size
     h_inv = None if _curvature is None else _curvature.h_inv
     report = None
-    iterations = 0
     backtracked = False
     stop_reason = "max_iterations"
-    for _ in range(int(cfg.max_iterations)):
+    cap = int(cfg.max_iterations)
+    for iterations in range(cap + 1):
         gnorm = _norm(g)
         if gnorm <= cfg.grad_tolerance * (1.0 + abs(f)):
             stop_reason = "converged"
+            break
+        if iterations == cap:
             break
         if backtracked and _nearest_atom is not None:
             candidate = _nearest_atom(x)
@@ -251,10 +248,6 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
         else:
             h_inv = None  # curvature unusable (kink crossed)
         x, f, g = x_new, f_new, g_new
-        iterations += 1
-    gnorm = _norm(g)
-    if stop_reason == "max_iterations" and gnorm <= cfg.grad_tolerance * (1.0 + abs(f)):
-        stop_reason = "converged"
     if report is None and stop_reason != "converged" and _nearest_atom is not None:
         candidate = _nearest_atom(x)
         report = _certified_atom(fun, grad, candidate, iterations)
@@ -311,9 +304,9 @@ def _certified_atom(fun, grad, candidate, iterations: int) -> SolveReport | None
 
     ``candidate`` is ``(c, radius)``: a sample row and ``0.5 m / n`` for
     the m rows equal to it.  Since ``grad`` gives each of those rows the
-    value ``-0.5 u / n``, the subdifferential at ``c`` is the ball of that
-    radius around ``grad(c)``, and ``c`` is a minimizer iff
-    ``||grad(c)|| <= radius``.
+    value ``-0.5 u / n`` (the t = 0 choice of ``losses._nonzero``), the
+    subdifferential at ``c`` is the ball of that radius around
+    ``grad(c)``, and ``c`` is a minimizer iff ``||grad(c)|| <= radius``.
     """
     c, radius = candidate
     gnorm = _norm(grad(c))

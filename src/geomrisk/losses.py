@@ -33,6 +33,24 @@ __all__ = [
 ]
 
 
+def _norm(v: np.ndarray) -> float:
+    # what np.linalg.norm computes for a 1-D vector, without its call overhead
+    return math.sqrt(float(v.dot(v)))
+
+
+def _nonzero(norms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``norms`` with 1 in place of 0: the one statement of the t = 0 rule.
+
+    Every gradient formula divides by it, so a row at (or, by underflow,
+    next to) the origin has check-type subgradient ``0.5 u`` and squared-type
+    gradient 0; a floor at the tiniest float would give it ~1e137 instead.
+    """
+    out = np.empty_like(norms) if out is None else out
+    np.copyto(out, norms)
+    out[norms == 0.0] = 1.0
+    return out
+
+
 def as_index(u) -> np.ndarray:
     """Validate and return ``u`` as an index vector.
 
@@ -46,8 +64,7 @@ def as_index(u) -> np.ndarray:
         raise ValueError("index must be a 1-D vector with at least one entry")
     if not np.isfinite(arr).all():
         raise ValueError("index entries must be finite")
-    # sqrt(u.u) is what np.linalg.norm computes for a 1-D float vector
-    if math.sqrt(float(arr.dot(arr))) >= 1.0:
+    if _norm(arr) >= 1.0:
         raise ValueError("index must lie strictly inside the unit ball (||u|| < 1)")
     return arr
 
@@ -89,10 +106,7 @@ def _quantile_rows(u: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _quantile_grad_rows(u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(t, axis=1)
-    # rows with t = 0 divide by 1 instead, leaving exactly 0.5 * u
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return 0.5 * (t / safe[:, np.newaxis] + u)
+    return 0.5 * (t / _nonzero(np.linalg.norm(t, axis=1))[:, np.newaxis] + u)
 
 
 def _expectile_rows(u: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -102,9 +116,8 @@ def _expectile_rows(u: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _expectile_grad_rows(u: np.ndarray, t: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(t, axis=1)
-    # rows with t = 0 divide by 1; both summands vanish there anyway
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return t * (1.0 + (t @ u) / (2.0 * safe))[:, np.newaxis] + 0.5 * norms[:, np.newaxis] * u
+    weights = 1.0 + (t @ u) / (2.0 * _nonzero(norms))
+    return t * weights[:, np.newaxis] + 0.5 * norms[:, np.newaxis] * u
 
 
 # Column-block formulas: the means over all points of the row formulas above,
@@ -143,14 +156,6 @@ def _pass_state(state: _PassState, u: np.ndarray, xt: np.ndarray, c: np.ndarray)
     np.matmul(u, state.t, out=state.inner)
 
 
-def _safe_norms(state: _PassState) -> np.ndarray:
-    """The column norms in the scratch row, with 1 in place of 0."""
-    safe = state.scratch
-    np.copyto(safe, state.norms)
-    safe[safe == 0.0] = 1.0
-    return safe
-
-
 def _quantile_value(u: np.ndarray, state: _PassState) -> float:
     # sum the nonnegative row terms ||t_i|| + <u, t_i>: the split form
     # sum ||t_i|| + <u, sum t_i> cancels and loses digits near the minimizer
@@ -159,8 +164,7 @@ def _quantile_value(u: np.ndarray, state: _PassState) -> float:
 
 
 def _quantile_grad(u: np.ndarray, state: _PassState) -> np.ndarray:
-    # points with t = 0 divide by 1 instead, contributing exactly 0.5 * u
-    inverse = np.divide(1.0, _safe_norms(state), out=state.scratch)
+    inverse = np.divide(1.0, _nonzero(state.norms, out=state.scratch), out=state.scratch)
     return 0.5 * (state.t @ inverse / inverse.size + u)
 
 
@@ -172,8 +176,7 @@ def _expectile_value(u: np.ndarray, state: _PassState) -> float:
 def _expectile_grad(u: np.ndarray, state: _PassState) -> np.ndarray:
     n = state.norms.size
     mean_norm = float(state.norms.sum()) / n
-    # points with t = 0 divide by 1; both summands vanish there anyway
-    weights = np.multiply(_safe_norms(state), 2.0, out=state.scratch)
+    weights = np.multiply(_nonzero(state.norms, out=state.scratch), 2.0, out=state.scratch)
     np.divide(state.inner, weights, out=weights)
     weights += 1.0
     return state.t @ weights / n + 0.5 * mean_norm * u
@@ -226,7 +229,8 @@ def quantile_loss_subgrad(u, t):
     """A subgradient of :func:`quantile_loss` in ``t``.
 
     Equals the gradient ``0.5 (t / ||t|| + u)`` away from the origin;
-    at ``t = 0`` the chosen element of the subdifferential is ``0.5 u``.
+    at ``t = 0`` it is ``0.5 u``, the choice of the private ``_nonzero``
+    divisor that every gradient formula here and in the solver shares.
     """
     uu = as_index(u)
     pts, single = _as_points(t, uu.size)

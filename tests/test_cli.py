@@ -604,6 +604,7 @@ _FILES = {
     "measure.cfg": "measure = median\n",
     "alpha.cfg": "alpha = a,b\n",
     "grid.cfg": "r_grid = 0:1:-0.1\n",
+    "hash.cfg": "alpha = 0.3,0.1#x\n",
 }
 _PAIR = ["--data", "{tmp}/pair.csv"]
 _INDEPENDENT = '"copula": {"type": "independence"}}'
@@ -649,6 +650,9 @@ _CLI_REJECTED = {
     "config-floats": (["expectile", *_PAIR, "--config", "{tmp}/alpha.cfg"],
                       "{tmp}/alpha.cfg:1: invalid value for 'alpha': "
                       "expected comma-separated numbers, got 'a,b'"),
+    # a '#' right after a value is part of it, not a comment
+    "config-hash": (["expectile", *_PAIR, "--config", "{tmp}/hash.cfg"],
+                    "{tmp}/hash.cfg:1: invalid value for 'alpha': "),
     "config-grid": (["distance", *_PAIR, "--direction", "1,0", "--config", "{tmp}/grid.cfg"],
                     "{tmp}/grid.cfg:1: invalid value for 'r_grid': "
                     "grid requires step > 0 and stop >= start"),
@@ -700,6 +704,25 @@ def test_flag_and_config_line_give_the_same_csv(key, tmp_path):
     flag = run_cli([*args, "--" + key.replace("_", "-"), value], tmp_path, "flag.csv")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {value}\n")
+    assert run_cli([*args, "--config", str(cfg)], tmp_path, "cfg.csv") == flag
+
+
+def test_config_value_may_contain_a_hash(tmp_path):
+    data = tmp_path / "run#1.csv"
+    data.write_text(_FILES["pair.csv"])
+    args = ["expectile", "--alpha", "0.3,0.1"]
+    flag = run_cli([*args, "--data", str(data)], tmp_path, "flag.csv")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"data = {data}\n")
+    assert run_cli([*args, "--config", str(cfg)], tmp_path, "cfg.csv") == flag
+
+
+def test_config_comments_start_a_line_or_follow_whitespace(tmp_path):
+    (tmp_path / "pair.csv").write_text(_FILES["pair.csv"])
+    args = ["expectile", "--data", str(tmp_path / "pair.csv")]
+    flag = run_cli([*args, "--alpha", "0.3,0.1"], tmp_path, "flag.csv")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# note\n  # indented note\nalpha = 0.3,0.1  # note\n")
     assert run_cli([*args, "--config", str(cfg)], tmp_path, "cfg.csv") == flag
 
 

@@ -151,6 +151,16 @@ def test_closures_sharing_a_workspace_give_the_bits_of_fresh_ones(kind):
         assert np.array_equal(got, snapshot)
 
 
+def test_solver_subgradient_is_bounded_next_to_a_row():
+    # the squared distance to a row 1e-170 away underflows to 0: the row
+    # takes the t = 0 subgradient, not a unit vector divided by a tiny floor
+    sample = np.random.default_rng(12).standard_normal((50, 3))
+    sample[0] = 0.0
+    u = np.array([0.5, -0.2, 0.1])
+    _, grad = estimators._objective_closures(estimators._prepare(sample), u, "quantile")
+    assert np.linalg.norm(grad(np.array([1e-170, 0.0, 0.0]))) <= (1.0 + np.linalg.norm(u)) / 2.0
+
+
 def test_workspace_lifetime():
     sample = np.random.default_rng(6).standard_normal((50, 2))
     # a prepared sample that is never solved allocates no workspace

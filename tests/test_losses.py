@@ -232,6 +232,21 @@ def test_quantile_subgrad_satisfies_subgradient_inequality():
         assert lhs >= rhs - 1e-12
 
 
+@pytest.mark.parametrize("scale", [0.0, 1e-170], ids=["origin", "underflow"])
+def test_quantile_subgrad_at_and_next_to_the_origin(scale):
+    # ||t||^2 underflows to 0 at t = 1e-170 e_1: that row must take the
+    # t = 0 subgradient, not a unit vector divided by some tiny floor
+    rng = np.random.default_rng(809)
+    for dim in (1, 2, 4):
+        u = _random_index(rng, dim)
+        t = np.zeros(dim)
+        t[0] = scale
+        for g in (quantile_loss_subgrad(u, t), quantile_loss_subgrad(u, np.stack([t, t]))[1]):
+            assert np.linalg.norm(g) <= (1.0 + np.linalg.norm(u)) / 2.0
+            tp = rng.standard_normal(dim) * 2.0
+            assert quantile_loss(u, tp) >= quantile_loss(u, t) + g @ (tp - t) - 1e-12
+
+
 # ---------------------------------------------------------------------------
 # reductions, batching, validation
 
