@@ -11,7 +11,7 @@ uses conditional inversion of dC/du1.
 
 ``scipy.integrate`` is imported lazily, inside the Debye function that
 Frank's Kendall's tau integrates: nothing else in the package needs it, and
-importing it with the module would nearly double every process's start-up.
+importing it with the module would quadruple the CPU of ``import geomrisk.cli``.
 """
 
 from __future__ import annotations
@@ -180,8 +180,8 @@ class FrankCopula:
 
 def _debye1(x: float) -> float:
     """First Debye function D1(x) = (1/x) * int_0^x t / (e^t - 1) dt."""
-    # imported here, not at module level: scipy.integrate costs ~0.25 s of
-    # CPU at import (2-core Xeon), and only FrankCopula.kendall_tau needs it
+    # imported here, not at module level: with the scipy.special it loads,
+    # scipy.integrate costs ~0.43 s of CPU (2-core Xeon); only Frank's tau needs it
     from scipy.integrate import quad
 
     def integrand(t: float) -> float:

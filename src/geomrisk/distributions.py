@@ -8,15 +8,18 @@ iteration on its cdf, bracketed by the normal and half-normal quantiles
 and, on large inputs, started from an interpolant through tabulated roots
 (see ``SkewNormal``).  Sampling is inverse-transform for every margin
 except the skew normal, which uses its two-normal representation.
+
+``scipy.special`` is imported on a special function's first call, so only the
+normal, Student t and skew-normal margins pay for it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtr, ndtri, owens_t, stdtr, stdtrit
 
 __all__ = [
     "Normal",
@@ -42,6 +45,23 @@ _NEWTON_MAX_ITER = 100
 # nodes of the tabulated skew-normal start, taken by inputs of more than
 # 4 * _TABLE_NODES elements; the nodes themselves start from Cornish-Fisher
 _TABLE_NODES = 128
+
+
+def _special(name: str):
+    # scipy.special is imported on the first call, not with the module: it
+    # took ~0.2 of the ~0.33 s of CPU of an `import geomrisk.cli` (2-core
+    # Xeon), and margins without a special function never need it
+    def call(*args):
+        import scipy.special
+
+        return getattr(scipy.special, name)(*args)
+
+    call.__name__ = name
+    return call
+
+
+# module attributes looked up at call time, so that each can be patched
+ndtr, ndtri, owens_t, stdtr, stdtrit = map(_special, "ndtr ndtri owens_t stdtr stdtrit".split())
 
 
 def _as_prob(p):
@@ -167,7 +187,7 @@ class SkewNormal:
 
     @property
     def delta(self) -> float:
-        return self.shape / np.sqrt(1.0 + self.shape**2)
+        return self.shape / math.hypot(1.0, self.shape)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)

@@ -519,6 +519,41 @@ def test_cli_import_loads_no_scipy_integrate_or_optimize():
     assert taus == f"{expected[0]!r} {expected[1]!r}"
 
 
+def test_scipy_special_loads_with_the_first_special_function(tmp_path):
+    # ops whose margins need no special function never import scipy.special;
+    # the first that does imports it and prints what an eager import prints
+    data = tmp_path / "pair.csv"
+    data.write_text("x1,x2\n0,1\n1,0\n2,2\n0.5,0.3\n")
+    ops = [
+        ["var", "--model", "cp-paper", "--n", "200", "--seed", "1", "--alpha=0.2,0.1"],
+        ["expectile", "--data", str(data), "--alpha=0.3,0.2"],
+        ["bounded-support", "--nphi", "4", "--seed", "1"],
+        ["uniform-analytic", "--alpha=0.2,0.1"],
+        ["expectile", "--model", "X1", "--n", "500", "--seed", "2", "--alpha=0.3,0.2"],
+    ]
+    body = (
+        "import geomrisk.cli\n"
+        "def loaded():\n"
+        "    return any(m == 'scipy.special' or m.startswith('scipy.special.')"
+        " for m in sys.modules)\n"
+        f"seen = [loaded()]\nfor argv in {ops!r}:\n"
+        "    assert geomrisk.cli.main(argv) == 0\n"
+        "    seen.append(loaded())\n"
+        "print(seen, file=sys.stderr)\n"
+    )
+    stdout = {}
+    for eager in (False, True):
+        first = "import sys, scipy.special\n" if eager else "import sys\n"
+        proc = subprocess.run([sys.executable, "-c", first + body],
+                              capture_output=True, env=_child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        stdout[eager] = proc.stdout
+        if not eager:
+            assert proc.stderr.decode().strip() == str([False] * 5 + [True])
+    assert stdout[False] == stdout[True]
+    assert stdout[False].count(b"\n") > len(ops)
+
+
 def test_parser_is_built_once_and_shares_no_state(tmp_path, capsys):
     assert cli._build_parser() is cli._build_parser()
     out = str(tmp_path / "p.csv")

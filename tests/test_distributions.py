@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate, stats
 from scipy.special import ndtr, ndtri
 
+import geomrisk
 import geomrisk.distributions as distributions_module
 
 from geomrisk import (
@@ -63,6 +64,15 @@ def test_skew_normal_mean_closed_form():
     m = SkewNormal(-1.0, 1.0, 2.0)
     delta = 2.0 / np.sqrt(5.0)
     assert m.mean() == pytest.approx(-1.0 + delta * np.sqrt(2.0 / np.pi), rel=1e-12)
+
+
+def test_skew_normal_moments_at_a_huge_shape():
+    # shape**2 overflows a float past |shape| ~ 1.3e154; delta must still be 1
+    m = SkewNormal(0.0, 1.0, 1e160)
+    assert abs(m.mean() - np.sqrt(2.0 / np.pi)) <= 1e-15
+    assert abs(m.var() - (1.0 - 2.0 / np.pi)) <= 1e-15
+    assert SkewNormal(0.0, 1.0, -1e160).delta == -1.0
+    assert np.all(m.sample(100, substream(1, "huge-shape")) >= 0.0)
 
 
 def test_closed_form_variances():
@@ -177,6 +187,41 @@ def special_calls(monkeypatch) -> list[tuple[str, int]]:
     counted("owens_t")
     counted("ndtr")
     return calls
+
+
+SPECIAL_NAMES = ("ndtr", "ndtri", "owens_t", "stdtr", "stdtrit")
+
+
+def test_special_functions_are_patchable_module_attributes(monkeypatch):
+    # each margin calls its special functions through the module's names
+    calls = []
+
+    def counted(name):
+        real = getattr(distributions_module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(distributions_module, name, wrapper)
+
+    for name in SPECIAL_NAMES:
+        counted(name)
+    uses = (
+        (lambda: Normal(1.0, 2.0).quantile(0.3), 1.0 + 2.0 * ndtri(0.3), {"ndtri"}),
+        (lambda: Normal(1.0, 2.0).cdf(0.5), ndtr(-0.25), {"ndtr"}),
+        (lambda: StudentT(4.0).quantile(0.3), stats.t.ppf(0.3, 4.0), {"stdtrit"}),
+        (lambda: StudentT(4.0).cdf(0.5), stats.t.cdf(0.5, 4.0), {"stdtr"}),
+        (lambda: SkewNormal(0.0, 1.0, 2.0).cdf(0.5), stats.skewnorm.cdf(0.5, 2.0),
+         {"owens_t", "ndtr"}),
+    )
+    for op, expected, names in uses:
+        calls.clear()
+        assert op() == pytest.approx(expected, rel=1e-12)
+        assert set(calls) == names
+    # the names stay private to the module
+    assert not set(SPECIAL_NAMES) & {*distributions_module.__all__, *geomrisk.__all__}
+    assert len(geomrisk.__all__) == 71
 
 
 def _owens_t_sizes(calls) -> list[int]:
