@@ -18,6 +18,7 @@ import functools
 import json
 import re
 import sys
+import warnings
 from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -276,7 +277,10 @@ def _parse_model(text: str):
 
 def _load_sample(path: str) -> np.ndarray:
     try:
-        arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # the size test below reports a file with no rows as an error
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
         raise ValueError(f"cannot read data file {path}: {exc}") from None
     except ValueError as exc:
@@ -386,32 +390,32 @@ def _cmd_var(args) -> _Table:
     return _solve_cmd(args, geometric_var)
 
 
-# --path kind -> (class, radius flags in argument order, name in messages)
+# --path kind -> (class, the one form of its --path value)
 _ARCS = {
-    "circle": (CirclePath, ("r",), "a circle path"),
-    "quarter": (QuarterCirclePath, ("r",), "a quarter-circle path"),
-    "ellipse": (EllipsePath, ("r", "r2"), "an ellipse path"),
+    "circle": (CirclePath, "circle:R"),
+    "quarter": (QuarterCirclePath, "quarter:R"),
+    "ellipse": (EllipsePath, "ellipse:R1:R2"),
 }
+_PATH_FORMS = ", ".join(form for _, form in _ARCS.values()) + " or ray"
 
 
 def _build_path(args, dim: int):
-    # Inline form circle:R, ellipse:R1:R2, quarter:R; radii override --r/--r2.
-    kind, *inline = args.path.split(":")
-    try:
-        inline = [float(p) for p in inline]
-    except ValueError as exc:
-        raise ValueError(f"bad inline path radius in {args.path!r}") from exc
-    if kind == "ray" and not inline:
+    if args.path is None:
+        raise ValueError(f"--path is required: {_PATH_FORMS}")
+    kind, *radii = args.path.split(":")
+    if args.path == "ray":
         if args.magnitudes is None:
             raise ValueError("--magnitudes is required for a ray path")
         return RayPath(_direction(args, dim), np.asarray(args.magnitudes, dtype=float))
-    if kind not in _ARCS or len(inline) not in (0, len(_ARCS[kind][1])):
-        raise ValueError(f"unknown path {args.path!r}")
-    cls, flags, name = _ARCS[kind]
-    radii = inline or [getattr(args, flag) for flag in flags]
-    if None in radii:
-        verb = "is" if len(flags) == 1 else "are"
-        raise ValueError(f"{' and '.join('--' + f for f in flags)} {verb} required for {name}")
+    if kind not in _ARCS:
+        raise ValueError(f"unknown path {args.path!r}; use {_PATH_FORMS}")
+    cls, form = _ARCS[kind]
+    if len(radii) != form.count(":"):
+        raise ValueError(f"path {args.path!r} must have the form {form}")
+    try:
+        radii = [float(r) for r in radii]
+    except ValueError:
+        raise ValueError(f"bad inline path radius in {args.path!r}") from None
     return cls(*radii, args.nphi)
 
 
@@ -554,15 +558,7 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
         _cmd_curve,
         [
             *sample_opts,
-            _Opt(
-                "--path",
-                str,
-                "circle",
-                "index path type: circle|ellipse|quarter|ray, optionally with"
-                " inline radii as circle:R, ellipse:R1:R2, quarter:R",
-            ),
-            _Opt("--r", float, None, "radius (circle/quarter) or first ellipse radius"),
-            _Opt("--r2", float, None, "second ellipse radius"),
+            _Opt("--path", str, None, "index path: " + _PATH_FORMS),
             _NPHI,
             _Opt("--direction", _conv_floats, None, "ray direction (normalized)"),
             _Opt("--magnitudes", _conv_grid, None, "ray magnitudes grid"),

@@ -15,10 +15,9 @@ A sample is validated once and copied once into a contiguous (d, n)
 column block, and every objective and gradient pass of the solver runs over
 that block with the column-block formulas of :mod:`geomrisk.losses`.  The
 private ``_Prepared`` sample holds the block with the cold-start mean, the
-all-rows-identical flag, and the lazily computed collinearity flag and
-atom multiplicities; a direct estimator call prepares its sample once per
-call, and the experiment layer prepares each sample once for every solve
-on it.  The sample also owns one workspace, allocated on its first solve,
+all-rows-identical flag, and the lazily computed collinearity flag; a
+direct estimator call prepares its sample once per call, and the
+experiment layer prepares each sample once for every solve on it.  The sample also owns one workspace, allocated on its first solve,
 that holds the pass state of the last location evaluated (``x - c``, the
 norms and the inner products with the index): the value and the gradient
 at one location share a single sweep over the block.
@@ -87,9 +86,9 @@ class SolverConfig:
     ``||grad|| <= grad_tolerance * (1 + |objective|)``.  A value-at-risk
     solve also stops, without slack, once a data atom satisfies the
     subdifferential optimality condition (see :class:`SolveReport`).
-    :func:`minimize_convex` starts at ``initial_point`` when it is set,
-    and at its ``x0`` argument otherwise (the sample mean for the
-    estimators).
+    ``initial_point``, when set, starts a direct solve or a traced path's
+    first solve instead of :func:`minimize_convex`'s ``x0`` argument (the
+    sample mean for the estimators); see :class:`_Curvature` for the rest.
     """
 
     grad_tolerance: float = 1e-8
@@ -146,20 +145,21 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
     subgradient suffices almost everywhere).  Line search is Armijo
     backtracking with halving; steps below 1e-14 stop the iteration as
     stagnation.  The objective never increases across accepted steps.
-    The iteration starts at ``config.initial_point`` when it is set (a
-    finite vector of the shape of ``x0``) and at ``x0`` otherwise.
     ``converged`` means the relative gradient test held, or a data atom
     was certified optimal (see :class:`SolveReport`).  Value-at-risk
     solves pass the private ``_nearest_atom(x) -> (row, 0.5 m / n)``;
     after a backtracking step, on stagnation and at the iteration cap the
     row nearest the iterate is tested through ``fun`` and ``grad`` and,
-    when certified, returned exactly.  Solves along a traced path pass the
-    private ``_curvature``: the iteration starts from the inverse-Hessian
-    estimate in its ``h_inv`` (None: steepest descent) and leaves its own
-    final estimate there for the next solve (None after a certified atom).
-    It also holds the atom the path's last solve certified: a value-at-risk
-    start equal to that row is tested first, before any line search, and
-    returned with 0 iterations when it passes.  A line search that finds
+    when certified, returned exactly.  A direct solve, or the first of a
+    traced path, starts at ``config.initial_point`` when it is set (a
+    finite vector of the shape of ``x0``) and at ``x0`` otherwise.  Solves
+    along a path pass the private ``_curvature`` (:class:`_Curvature`):
+    every later one starts at its ``start()`` and from the inverse-Hessian
+    estimate in its ``h_inv`` (None: steepest descent), and each leaves its
+    minimizer and final estimate there (no estimate after a certified
+    atom).  A value-at-risk start equal to the atom the path's last solve
+    certified is tested first, before any line search, and returned with 0
+    iterations when it passes.  A line search that finds
     no descent along the secant direction is retried along steepest
     descent before the solve stops as stagnation; along a carried
     estimate's direction only the unit step is tried.
@@ -171,10 +171,13 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
         if start.shape != x.shape or not np.isfinite(start).all():
             raise ValueError("initial_point must be a finite vector matching the problem dimension")
         x = start
+    if _curvature is not None and _curvature.last is not None:
+        x = _curvature.start()
     candidate = None if _curvature is None or _nearest_atom is None else _curvature.atom
     if candidate is not None and (x == candidate[0]).all():
-        # two solves that end on one atom make the path's next start that
-        # atom exactly (2a - a is exact), where the gradient test cannot hold
+        # a path's start after a solve that ended on an atom is that atom
+        # exactly when the solve before ended there too (2a - a is exact),
+        # or when it was the first; there the gradient test cannot hold
         report = _certified_atom(fun, grad, candidate, 0)
         if report is not None:
             return report
@@ -267,6 +270,7 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
         at_atom = report.stop_reason == "optimal_at_atom"
         _curvature.h_inv = None if at_atom else h_inv
         _curvature.atom = candidate if at_atom else None
+        _curvature.before, _curvature.last = _curvature.last, report.argmin
     return report
 
 
@@ -387,9 +391,8 @@ class _Prepared:
     array and its flags are untouched), the contiguous (d, n) column
     ``block`` the solver's passes run over, the block ``mean`` (the cold
     start), whether all rows are ``identical``, and, computed on first
-    use, whether they are collinear and how many rows equal each row
-    (its atom multiplicity).  To numpy it is the (n, d) sample: it has
-    ``ndim`` and ``shape``, and ``np.asarray`` gives the rows.  The one
+    use, whether they are collinear.  To numpy it is the (n, d) sample: it
+    has ``ndim`` and ``shape``, and ``np.asarray`` gives the rows.  The one
     mutable part is the pass-state :meth:`workspace` of the solver's
     closures, allocated on the first solve and shared with every view, so
     the solves on one prepared sample must run one at a time.
@@ -434,7 +437,9 @@ class _Prepared:
     def collinear(self) -> bool:
         """True when all rows lie on one line; the test runs once per sample."""
         if "collinear" not in self._lazy:
-            self._lazy["collinear"] = _collinear(self.rows)
+            # centred through block.T, the rows come out in Fortran order, which
+            # the SVD reads 2-3x faster than the C-ordered rows at n = 10k
+            self._lazy["collinear"] = _collinear(self.block.T - self.mean)
         return self._lazy["collinear"]
 
     def workspace(self) -> _PassState:
@@ -446,32 +451,39 @@ class _Prepared:
     def nearest_atom(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """The row nearest ``x`` (an exact copy) and ``0.5 m / n``, m the rows equal to it.
 
-        The multiplicities are counted once per sample, on first use.
         The distances go to temporaries of their own, never to the workspace.
         """
-        if "multiplicity" not in self._lazy:
-            _, inverse, counts = np.unique(self.rows, axis=0, return_inverse=True,
-                                           return_counts=True)
-            self._lazy["multiplicity"] = counts[inverse.reshape(-1)]
         t = self.block - x[:, np.newaxis]
-        i = int(np.argmin(np.einsum("ij,ij->j", t, t)))
-        return self.rows[i].copy(), 0.5 * float(self._lazy["multiplicity"][i]) / self.shape[0]
+        row = self.rows[int(np.argmin(np.einsum("ij,ij->j", t, t)))]
+        m = np.count_nonzero((self.rows == row).all(axis=1))
+        return row.copy(), 0.5 * float(m) / self.shape[0]
 
 
 class _Curvature:
-    """What one solve of a traced path hands to the next.
+    """What the solves of one traced path hand to the next.
 
-    ``h_inv`` is the inverse-Hessian estimate, None until a solve leaves
-    one.  ``atom`` is the ``(row, 0.5 m / n)`` candidate of the data atom
-    the last solve certified (its row is that report's ``argmin``), and
-    None after any other stop.
+    ``last`` and ``before`` are the minimizers of its last two solves (None
+    until there are that many): ``SolverConfig.initial_point`` starts a
+    path's first solve, and :meth:`start` every later one.  ``h_inv`` is
+    the inverse-Hessian estimate, None until a solve leaves one.  ``atom``
+    is the ``(row, 0.5 m / n)`` candidate of the data atom the last solve
+    certified (its row is ``last``), and None after any other stop.
     """
 
-    __slots__ = ("h_inv", "atom")
+    __slots__ = ("h_inv", "atom", "last", "before")
 
     def __init__(self) -> None:
         self.h_inv = None
         self.atom = None
+        self.last = None
+        self.before = None
+
+    def start(self) -> np.ndarray:
+        """The next solve's start, a new array: the first minimizer after one
+        solve, and the secant prediction ``2 c[k-1] - c[k-2]`` after more."""
+        if self.before is None:
+            return self.last.copy()
+        return 2.0 * self.last - self.before
 
 
 def _prepare(sample) -> _Prepared:
@@ -499,7 +511,7 @@ def _solve(sample, alpha, config, kind: str) -> SolveReport:
     # A VaR minimizer may sit on a data atom, where only the subdifferential
     # test can certify it, so VaR solves get the nearest atom as a candidate.
     # On a traced path's view the solve also starts from, and leaves, the
-    # curvature of the path.
+    # minimizers and curvature of the path.
     atom = prep.nearest_atom if kind == "quantile" else None
     report = minimize_convex(fun, grad, prep.mean, config, _nearest_atom=atom,
                              _curvature=prep.curvature)
@@ -508,16 +520,15 @@ def _solve(sample, alpha, config, kind: str) -> SolveReport:
     return report
 
 
-def _collinear(sample: np.ndarray) -> bool:
-    """True when all observations lie on one line (minimizer may be non-unique).
+def _collinear(centred: np.ndarray) -> bool:
+    """True when the rows of a centred (n, d) sample lie on one line (non-unique minimizer).
 
     The test is relative to the largest singular value, so it does not
     depend on the scale of the sample; all-identical samples never get here.
     """
-    if sample.shape[0] <= 2:
+    if centred.shape[0] <= 2:
         return True
-    centered = sample - sample.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
+    svals = np.linalg.svd(centred, compute_uv=False)
     return bool(svals[1] <= 1e-12 * svals[0])
 
 

@@ -71,19 +71,6 @@ def _check_path(radii, n_phi: int, min_phi: int = 1) -> None:
         raise ValueError(f"n_phi must be at least {min_phi}")
 
 
-def _circle_indices(radius: float, n_phi: int, dim: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """Angles of a full turn of ``n_phi`` equispaced steps and the indices
-    ``radius (cos phi, sin phi)`` on the first two of ``dim`` axes (zero elsewhere)."""
-    _check_path((radius,), n_phi)
-    if dim < 2:
-        raise ValueError("circle indices need a sample of dimension d >= 2")
-    phi = 2.0 * np.pi * np.arange(int(n_phi)) / int(n_phi)
-    idx = np.zeros((phi.size, dim))
-    idx[:, 0] = radius * np.cos(phi)
-    idx[:, 1] = radius * np.sin(phi)
-    return phi, idx
-
-
 def _unit_direction(direction, dim: int | None = None) -> np.ndarray:
     """``direction`` as a finite unit 1-D vector, of length ``dim`` when given."""
     d = np.asarray(direction, dtype=float)
@@ -106,6 +93,11 @@ def _increasing(values, name: str) -> np.ndarray:
     return arr
 
 
+def _arc(phi: np.ndarray, r1: float, r2: float) -> tuple[np.ndarray, np.ndarray]:
+    """The angles ``phi`` and the indices ``(r1 cos phi, r2 sin phi)``: every arc path's rule."""
+    return phi, np.column_stack([r1 * np.cos(phi), r2 * np.sin(phi)])
+
+
 @dataclass(frozen=True)
 class CirclePath:
     """Indices r (cos phi, sin phi) over a full turn of n_phi equispaced angles."""
@@ -117,7 +109,7 @@ class CirclePath:
         _check_path((self.radius,), self.n_phi)
 
     def indices(self) -> tuple[np.ndarray, np.ndarray]:
-        return _circle_indices(self.radius, self.n_phi)
+        return EllipsePath(self.radius, self.radius, self.n_phi).indices()
 
 
 @dataclass(frozen=True)
@@ -133,8 +125,7 @@ class EllipsePath:
 
     def indices(self) -> tuple[np.ndarray, np.ndarray]:
         phi = 2.0 * np.pi * np.arange(int(self.n_phi)) / int(self.n_phi)
-        idx = np.column_stack([self.r1 * np.cos(phi), self.r2 * np.sin(phi)])
-        return phi, idx
+        return _arc(phi, self.r1, self.r2)
 
 
 @dataclass(frozen=True)
@@ -148,9 +139,7 @@ class QuarterCirclePath:
         _check_path((self.radius,), self.n_phi, min_phi=2)
 
     def indices(self) -> tuple[np.ndarray, np.ndarray]:
-        phi = np.linspace(0.0, 0.5 * np.pi, int(self.n_phi))
-        idx = self.radius * np.column_stack([np.cos(phi), np.sin(phi)])
-        return phi, idx
+        return _arc(np.linspace(0.0, 0.5 * np.pi, int(self.n_phi)), self.radius, self.radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,11 +194,11 @@ def _trace(sample, indices, measure: str, config: SolverConfig | None):
 
     A predictor-corrector continuation.  ``sample`` is prepared once (or
     passed in already prepared) and every solve of the path runs on one
-    view of it, which hands each solve's final inverse-Hessian estimate to
-    the next (the corrector; the first solve builds its own).  The first
-    solve starts at ``config.initial_point`` (sample mean when None), the
-    second at the first minimizer, and every later one at the secant
-    prediction ``2 c[k-1] - c[k-2]`` from the two previous minimizers.
+    view of it, whose :class:`~geomrisk.estimators._Curvature` hands each
+    solve's minimizer and final inverse-Hessian estimate to the next and
+    starts every solve after the first from the ones before it (the
+    secant prediction); ``config.initial_point`` (sample mean when None)
+    starts only the first.
     """
     if measure not in _MEASURES:
         raise ValueError(f"measure must be one of {_MEASURES}")
@@ -219,15 +208,12 @@ def _trace(sample, indices, measure: str, config: SolverConfig | None):
         raise ValueError("path index dimension must match the sample dimension")
     # looked up per call so the module-level solver names stay the entry points
     solver = geometric_expectile if measure == "expectile" else geometric_var
-    cfg = config if config is not None else SolverConfig()
     points = np.empty(idx.shape)
     converged = np.empty(idx.shape[0], dtype=bool)
-    start = cfg.initial_point
     for i, alpha in enumerate(idx):
-        report = solver(s, alpha, dataclasses.replace(cfg, initial_point=start))
+        report = solver(s, alpha, config)
         points[i] = report.argmin
         converged[i] = report.converged
-        start = report.argmin if i == 0 else 2.0 * points[i] - points[i - 1]
     return points, converged
 
 
@@ -236,12 +222,10 @@ def trace_curve(
 ) -> Curve:
     """Solve the risk measure along ``path`` by predictor-corrector continuation.
 
-    ``measure`` is ``"expectile"`` or ``"var"``.  The first solve starts
-    at ``config.initial_point`` (sample mean when None), the second at
-    the first minimizer, and every later one at the secant prediction
-    ``2 c[k-1] - c[k-2]``; each solve starts from the inverse-Hessian
-    estimate the previous one ended with.  Points agree with cold solves
-    to the solver's tolerance.
+    ``measure`` is ``"expectile"`` or ``"var"``.  Each solve starts from
+    the ones before it (see ``_trace``); ``config.initial_point`` starts
+    only the first.  Points agree with cold solves to the solver's
+    tolerance.
     """
     if not isinstance(path, IndexPath):
         raise ValueError(f"unknown path type: {type(path).__name__}")
@@ -313,8 +297,11 @@ def subadditivity_sets(
     planar = sx.shape[1] == 2
     if planar:
         _check_path((r,), n_phi, min_phi=3)  # the inclusion test needs a polygon
+    if sx.shape[1] < 2:
+        raise ValueError("subadditivity circles need samples of dimension d >= 2")
     # circles are planar; for d > 2 trace along the first two axes
-    params, idx = _circle_indices(r, n_phi, sx.shape[1])
+    params, circle = CirclePath(r, n_phi).indices()
+    idx = np.pad(circle, ((0, 0), (0, sx.shape[1] - 2)))
     sum_pts, sum_ok = _trace(sx.rows + sy.rows, idx, measure, config)
     x_pts, x_ok = _trace(sx, idx, measure, config)
     y_pts, y_ok = _trace(sy, idx, measure, config)
@@ -465,7 +452,7 @@ def marginalization_curves(
     if s.shape[1] != 3:
         raise ValueError("marginalization requires a trivariate sample")
     _check_path((r,), n_phi, min_phi=3)  # the inclusion test needs a polygon
-    phi, planar = _circle_indices(r, n_phi)
+    phi, planar = CirclePath(r, n_phi).indices()
     heights = (np.arange(1, 8) - 4.0) / 4.0 * np.sqrt(1.0 - r * r)
 
     def trace_height(z: float) -> Curve:
@@ -500,8 +487,8 @@ def distance_curve(sample, direction, r_grid, config: SolverConfig | None = None
     s = _prepare(sample)
     radii, idx = RayPath(direction, r_grid).indices()
     points, converged = _trace(s, idx, "expectile", config)
-    mean = s.rows.mean(axis=0)
-    distances = np.array([np.linalg.norm(point - mean) for point in points])
+    # from the cold start itself, so that r = 0 reads exactly 0
+    distances = np.array([np.linalg.norm(point - s.mean) for point in points])
     return DistanceCurve(radii=radii, distances=distances, converged=converged)
 
 
@@ -544,7 +531,7 @@ def bounded_support_check(
     rows: list[BoundedSupportRow] = []
     prev = cfg.initial_point
     for r in radii:
-        _, idx = _circle_indices(float(r), n_phi)
+        _, idx = CirclePath(float(r), n_phi).indices()
         points, converged = _trace(
             sample, idx, "expectile", dataclasses.replace(cfg, initial_point=prev)
         )

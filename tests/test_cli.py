@@ -92,14 +92,6 @@ def test_curve_inline_circle_radius(tmp_path):
     assert all(l.split(",")[-1] == "true" for l in lines[1:])
 
 
-def test_curve_flag_radius_equals_inline_radius(tmp_path):
-    a = run_cli(["curve", "--model", "X1", "--seed", "5", "--n", "1000", "--path",
-                 "circle:0.5", "--nphi", "4"], tmp_path, "a.csv")
-    b = run_cli(["curve", "--model", "X1", "--seed", "5", "--n", "1000", "--path",
-                 "circle", "--r", "0.5", "--nphi", "4"], tmp_path, "b.csv")
-    assert a == b
-
-
 def test_curve_ray_path(tmp_path):
     raw = run_cli(
         ["curve", "--model", "X1", "--seed", "5", "--n", "1000", "--path", "ray",
@@ -271,10 +263,10 @@ _COMPOUND_JSON = ('{"claim_rate":0.5,"severity":{"margins":[{"type":"exponential
     [
         (["curve", "--model", "X1", "--n", "500", "--path", "ellipse:0.5:0.3", "--nphi", "4"],
          "param,x1,x2,converged", 4),
-        (["curve", "--model", "X1", "--n", "500", "--path", "ellipse", "--r", "0.5",
-          "--r2", "0.3", "--nphi", "4"], "param,x1,x2,converged", 4),
-        (["curve", "--model", "X1", "--n", "500", "--path", "quarter", "--r", "0.5",
-          "--nphi", "3"], "param,x1,x2,converged", 3),
+        (["curve", "--model", "X1", "--n", "500", "--path", "ellipse:0.3:0.5", "--nphi", "4"],
+         "param,x1,x2,converged", 4),
+        (["curve", "--model", "X1", "--n", "500", "--path", "quarter:0.5", "--nphi", "3"],
+         "param,x1,x2,converged", 3),
         (["simulate", "--model", _json_model('{"type":"clayton","theta":2}'), "--n", "50"],
          "x1,x2", 50),
         (["simulate", "--model", _json_model('{"type":"gumbel","theta":2}'), "--n", "50"],
@@ -286,7 +278,7 @@ _COMPOUND_JSON = ('{"claim_rate":0.5,"severity":{"margins":[{"type":"exponential
         (["simulate", "--model", "cp-paper"], "x1,x2", 100),
         (["simulate", "--model", _json_model('{"type":"independence"}')], "x1,x2", 10_000),
     ],
-    ids=["ellipse-inline", "ellipse-flags", "quarter", "json-clayton", "json-gumbel",
+    ids=["ellipse-inline", "ellipse-tall", "quarter", "json-clayton", "json-gumbel",
          "json-frank", "json-compound", "default-n-preset", "default-n-json"],
 )
 def test_path_and_model_forms(args, header, rows, tmp_path):
@@ -559,11 +551,11 @@ def test_parser_is_built_once_and_shares_no_state(tmp_path, capsys):
     out = str(tmp_path / "p.csv")
     assert main(["var", "--bogus"]) == 1
     assert "unrecognized arguments: --bogus" in capsys.readouterr().err
-    # an inline radius sets the parsed --r of its own call only
+    # a --path value of one call is not the default of the next
     curve = ["curve", "--model", "X1", "--n", "200", "--nphi", "4", "--out", out]
     assert main([*curve, "--path", "circle:0.5"]) == 0
-    assert main([*curve, "--path", "circle"]) == 1
-    assert "error: --r is required for a circle path" in capsys.readouterr().err
+    assert main(curve) == 1
+    assert "error: --path is required: circle:R, " in capsys.readouterr().err
     # a config file's n applies to its own call only
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 300\n")
@@ -635,6 +627,7 @@ _FILES = {
     "pair.csv": "x1,x2\n0,1\n1,0\n2,2\n",
     "nan.csv": "x1,x2\n1,2\nnan,3\n",
     "text.csv": "x1,x2\n1,a\n",
+    "empty.csv": "x1,x2\n",
     "no-equals.cfg": "seed 3\n",
     "measure.cfg": "measure = median\n",
     "alpha.cfg": "alpha = a,b\n",
@@ -659,6 +652,9 @@ _CLI_REJECTED = {
                   "data file {tmp}/text.csv is not numeric CSV: "),
     "data-nonfinite": (["expectile", "--data", "{tmp}/nan.csv", "--alpha", "0,0"],
                        "data file {tmp}/nan.csv must contain finite rows"),
+    # numpy warns on a header-only file; under -W error that warning must not escape
+    "data-header-only": (["var", "--data", "{tmp}/empty.csv", "--alpha", "0.1,0"],
+                         "data file {tmp}/empty.csv must contain finite rows"),
     "n-zero": (["simulate", "--model", "X1", "--n", "0"], "--n must be at least 1"),
     "simulate-model": (["simulate"], "--model is required"),
     "alpha-components": (["expectile", *_PAIR, "--alpha", "0.1,0.1,0.1"],
@@ -669,6 +665,17 @@ _CLI_REJECTED = {
                       "--direction dimension must match the sample"),
     "path-radius": (["curve", *_PAIR, "--path", "circle:abc"],
                     "bad inline path radius in 'circle:abc'"),
+    "path-form": (["curve", *_PAIR, "--path", "ellipse:0.5"],
+                  "path 'ellipse:0.5' must have the form ellipse:R1:R2"),
+    "path-bare": (["curve", *_PAIR, "--path", "circle"],
+                  "path 'circle' must have the form circle:R"),
+    "path-kind": (["curve", *_PAIR, "--path", "square:0.5"],
+                  "unknown path 'square:0.5'; use circle:R, quarter:R, ellipse:R1:R2 or ray"),
+    # radii are given in --path only
+    "curve-r": (["curve", *_PAIR, "--path", "circle:0.5", "--r", "0.5"],
+                "unrecognized arguments: --r 0.5"),
+    "curve-r2": (["curve", *_PAIR, "--path", "ellipse:0.5:0.3", "--r2", "0.3"],
+                 "unrecognized arguments: --r2 0.3"),
     "subadd-columns": (["subadd", *_PAIR],
                        "subadd needs a 4-column sample: columns 1-2 are X, columns 3-4 are Y"),
     "marginalize-columns": (["marginalize", *_PAIR],

@@ -343,6 +343,32 @@ def test_estimators_pass_their_closures_through_minimize_convex(solver_calls, es
         assert any(np.array_equal(x, report.argmin) for x in solver_calls[0]["grad_points"])
 
 
+def test_nearest_atom_counts_the_rows_equal_to_it():
+    # -0.0 and 0.0 are one point; a row one ulp away is another
+    sample = np.array([[1.0, 2.0], [3.0, 3.0], [1.0, 2.0], [0.0, -0.0], [-0.0, 0.0],
+                       [1.0, np.nextafter(2.0, 3.0)], [1.0, 2.0]])
+    prep = estimators._prepare(sample)
+    row, radius = prep.nearest_atom(np.array([1.0, 1.9]))
+    assert np.array_equal(row, [1.0, 2.0]) and radius == 0.5 * 3 / 7
+    row, radius = prep.nearest_atom(np.array([0.1, 0.0]))
+    assert np.array_equal(row, [0.0, 0.0]) and radius == 0.5 * 2 / 7
+    row, radius = prep.nearest_atom(np.array([1.0, 2.1]))
+    assert row[1] > 2.0 and radius == 0.5 / 7
+
+
+def test_path_view_starts_from_its_own_minimizers():
+    # initial_point starts a path's first solve; every later one starts from
+    # the path's minimizers, whatever its config says
+    sample = np.random.default_rng(8).standard_normal((200, 2))
+    path = estimators._prepare(sample).on_path()
+    elsewhere = SolverConfig(initial_point=np.array([5.0, -5.0]))
+    first = geometric_expectile(path, [0.3, 0.1], elsewhere)
+    second = geometric_expectile(path, [0.3, 0.1], elsewhere)
+    assert first.iterations > 0 and second.iterations == 0
+    assert np.array_equal(second.argmin, first.argmin)
+    assert path.curvature.before is first.argmin and path.curvature.last is second.argmin
+
+
 def test_certified_atom_hands_on_no_curvature():
     # near a data atom the secant pairs measure the kink, not the curvature
     # of the objective; the next solve of a path starts without them
@@ -444,14 +470,14 @@ def test_bfgs_update_keeps_the_secant_equation(carried):
 
 
 def test_solve_does_not_write_the_path_estimate_in_place():
-    # the second solve of a path starts from the estimate the first left,
-    # takes its unit step and updates a copy of it
+    # the second solve of a path starts at the first minimizer, from the
+    # estimate the first left, takes its unit step and updates a copy of it
     sample = np.random.default_rng(5).standard_normal((200, 2)) * [1.0, 2.0]
     path = estimators._prepare(sample).on_path()
-    first = geometric_expectile(path, [0.4, -0.3])
+    geometric_expectile(path, [0.4, -0.3])
     h_inv = path.curvature.h_inv
     kept = h_inv.copy()
-    report = geometric_expectile(path, [0.45, -0.3], SolverConfig(initial_point=first.argmin))
+    report = geometric_expectile(path, [0.45, -0.3])
     assert report.converged and report.iterations >= 1
     assert path.curvature.h_inv is not h_inv
     np.testing.assert_array_equal(h_inv, kept)

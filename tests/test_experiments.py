@@ -169,22 +169,31 @@ def test_traced_curve_matches_cold_solves(symmetric_sample, measure, solver, kin
         assert curve.converged[k] == cold.converged
 
 
-def test_trace_starts_each_solve_at_the_secant_prediction(symmetric_sample, monkeypatch):
-    starts = []
-    expectile = experiments.geometric_expectile
-
-    def recorded(sample, alpha, config=None):
-        starts.append(config.initial_point)
-        return expectile(sample, alpha, config)
-
-    monkeypatch.setattr(experiments, "geometric_expectile", recorded)
+@pytest.mark.parametrize("measure", ["expectile", "var"])
+def test_trace_starts_each_solve_at_the_secant_prediction(symmetric_sample, solver_calls,
+                                                          measure):
+    # the first point a solve evaluates is its start: the caller's
+    # initial_point for the path's first solve only, the first minimizer for
+    # the second, and the secant prediction from the two before for every later one
     first = np.array([0.4, -1.2])
-    curve = trace_curve(symmetric_sample, CirclePath(0.7, 6),
+    curve = trace_curve(symmetric_sample, CirclePath(0.7, 6), measure,
                         config=SolverConfig(initial_point=first))
+    starts = [call["points"][0] for call in solver_calls]
+    assert len(starts) == 6
     assert np.array_equal(starts[0], first)
     assert np.array_equal(starts[1], curve.points[0])
     for k in range(2, 6):
         assert np.array_equal(starts[k], 2.0 * curve.points[k - 1] - curve.points[k - 2])
+
+
+def test_bounded_support_starts_each_circle_at_the_previous_first_point(solver_calls):
+    first = np.array([0.9, 0.1])
+    rows = bounded_support_check(300, r_list=(0.3, 0.6), n_phi=4,
+                                 config=SolverConfig(initial_point=first),
+                                 rng=substream(85, "first-start"))
+    assert all(row.all_converged for row in rows) and len(solver_calls) == 8
+    assert np.array_equal(solver_calls[0]["points"][0], first)
+    assert np.array_equal(solver_calls[4]["points"][0], solver_calls[0]["result"].argmin)
 
 
 def test_each_trace_starts_without_curvature(symmetric_sample, solver_calls):
@@ -357,8 +366,8 @@ def test_subadditivity_requires_matching_lengths(symmetric_sample):
     with pytest.raises(ValueError):
         subadditivity_sets(symmetric_sample, symmetric_sample[:-1], r=0.2, n_phi=8)
     column = symmetric_sample[:, :1]
-    with pytest.raises(ValueError):
-        subadditivity_sets(column, column, r=0.2, n_phi=8)  # circles need d >= 2
+    with pytest.raises(ValueError, match="dimension d >= 2"):
+        subadditivity_sets(column, column, r=0.2, n_phi=8)
 
 
 def test_planar_subadditivity_needs_a_polygon_before_any_solve(symmetric_sample, monkeypatch):
@@ -499,7 +508,7 @@ def test_marginalization_validates_dimension(symmetric_sample):
 def test_distance_curve_starts_at_zero(symmetric_sample):
     grid = np.array([0.0, 0.2, 0.5, 0.8])
     res = distance_curve(symmetric_sample, np.array([0.0, 1.0]), grid)
-    assert res.distances[0] <= 1e-6
+    assert res.distances[0] == 0.0
     assert np.all(res.distances >= 0.0)
     assert np.all(res.converged)
     np.testing.assert_allclose(res.radii, grid, atol=0.0)
