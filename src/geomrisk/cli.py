@@ -399,16 +399,25 @@ _ARCS = {
 _PATH_FORMS = ", ".join(form for _, form in _ARCS.values()) + " or ray"
 
 
+def _unused(args, kind: str, *dests: str) -> None:
+    """Reject a flag or config line that a ``kind`` path would ignore."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            raise ValueError(f"--{dest} does not apply to a {kind} path")
+
+
 def _build_path(args, dim: int):
     if args.path is None:
         raise ValueError(f"--path is required: {_PATH_FORMS}")
     kind, *radii = args.path.split(":")
     if args.path == "ray":
+        _unused(args, kind, "nphi")
         if args.magnitudes is None:
             raise ValueError("--magnitudes is required for a ray path")
         return RayPath(_direction(args, dim), np.asarray(args.magnitudes, dtype=float))
     if kind not in _ARCS:
         raise ValueError(f"unknown path {args.path!r}; use {_PATH_FORMS}")
+    _unused(args, kind, "direction", "magnitudes")
     cls, form = _ARCS[kind]
     if len(radii) != form.count(":"):
         raise ValueError(f"path {args.path!r} must have the form {form}")
@@ -416,7 +425,7 @@ def _build_path(args, dim: int):
         radii = [float(r) for r in radii]
     except ValueError:
         raise ValueError(f"bad inline path radius in {args.path!r}") from None
-    return cls(*radii, args.nphi)
+    return cls(*radii, _NPHI.default if args.nphi is None else args.nphi)
 
 
 def _cmd_curve(args) -> _Table:
@@ -559,7 +568,9 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
         [
             *sample_opts,
             _Opt("--path", str, None, "index path: " + _PATH_FORMS),
-            _NPHI,
+            # each path kind's flags have no default, so that one set for
+            # the other kind is seen and rejected
+            _Opt("--nphi", int, None, f"arc path angles (default {_NPHI.default})"),
             _Opt("--direction", _conv_floats, None, "ray direction (normalized)"),
             _Opt("--magnitudes", _conv_grid, None, "ray magnitudes grid"),
             _MEASURE,

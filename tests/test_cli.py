@@ -406,6 +406,35 @@ def test_missing_required_flag_exits_one(args, flag, tmp_path, capsys):
     assert f"error: {flag} is required" in capsys.readouterr().err
 
 
+_RAY = ["--path", "ray", "--direction", "1,0", "--magnitudes", "0:0.5:0.25"]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "path, key, value",
+    [
+        (["--path", "circle:0.5"], "direction", "1,0"),
+        (["--path", "ellipse:0.5:0.3"], "magnitudes", "0:0.5:0.1"),
+        (_RAY, "nphi", "3"),
+    ],
+    ids=["arc-direction", "arc-magnitudes", "ray-nphi"],
+)
+def test_curve_rejects_a_flag_its_path_does_not_use(path, key, value, source, tmp_path, capsys):
+    args = ["curve", "--model", "X1", "--n", "50", *path]
+    assert main([*args, "--out", str(tmp_path / "ok.csv")]) == 0
+    if source == "flag":
+        args += [f"--{key}", value]
+    else:
+        config = tmp_path / "path.cfg"
+        config.write_text(f"{key} = {value}\n")
+        args += ["--config", str(config)]
+    out = tmp_path / "unused.csv"
+    assert main([*args, "--out", str(out)]) == 1
+    assert not out.exists()
+    kind = path[1].split(":")[0]
+    assert capsys.readouterr().err == f"error: --{key} does not apply to a {kind} path\n"
+
+
 _SMALL = ["--n", "300", "--seed", "4"]
 # every subcommand whose output has a converged column
 _CONVERGED_COLUMN = {
@@ -512,26 +541,33 @@ def test_cli_import_loads_no_scipy_integrate_or_optimize():
 
 
 def test_scipy_special_loads_with_the_first_special_function(tmp_path):
-    # ops whose margins need no special function never import scipy.special;
-    # the first that does imports it and prints what an eager import prints
+    # normal and t4 quantiles are NumPy code, so ops whose margins need no
+    # other special function load no SciPy module at all; the first that
+    # does (a skew normal) imports scipy.special and prints what an eager
+    # import prints
     data = tmp_path / "pair.csv"
     data.write_text("x1,x2\n0,1\n1,0\n2,2\n0.5,0.3\n")
+    small = ["--n", "500", "--seed", "2"]
     ops = [
         ["var", "--model", "cp-paper", "--n", "200", "--seed", "1", "--alpha=0.2,0.1"],
         ["expectile", "--data", str(data), "--alpha=0.3,0.2"],
         ["bounded-support", "--nphi", "4", "--seed", "1"],
         ["uniform-analytic", "--alpha=0.2,0.1"],
-        ["expectile", "--model", "X1", "--n", "500", "--seed", "2", "--alpha=0.3,0.2"],
+        ["curve", "--model", "X3", *small, "--path", "circle:0.9", "--nphi", "4"],
+        ["subadd", "--model", "Z-clayton5", *small, "--nphi", "4"],
+        ["marginalize", "--model", "Z-clayton5", *small, "--nphi", "4"],
+        ["expectile", "--model", "frank3-4d", *small, "--alpha=0.3,0.2,0.1,0"],
+        ["var", "--model", "X1", *small, "--alpha=0.3,0.2"],
+        ["expectile", "--model", "X2", *small, "--alpha=0.3,0.2"],
     ]
     body = (
         "import geomrisk.cli\n"
         "def loaded():\n"
-        "    return any(m == 'scipy.special' or m.startswith('scipy.special.')"
-        " for m in sys.modules)\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         f"seen = [loaded()]\nfor argv in {ops!r}:\n"
         "    assert geomrisk.cli.main(argv) == 0\n"
         "    seen.append(loaded())\n"
-        "print(seen, file=sys.stderr)\n"
+        "print([bool(s) for s in seen], 'scipy.special' in seen[-1], file=sys.stderr)\n"
     )
     stdout = {}
     for eager in (False, True):
@@ -541,7 +577,7 @@ def test_scipy_special_loads_with_the_first_special_function(tmp_path):
         assert proc.returncode == 0, proc.stderr.decode()
         stdout[eager] = proc.stdout
         if not eager:
-            assert proc.stderr.decode().strip() == str([False] * 5 + [True])
+            assert proc.stderr.decode().strip() == f"{[False] * len(ops) + [True]} True"
     assert stdout[False] == stdout[True]
     assert stdout[False].count(b"\n") > len(ops)
 

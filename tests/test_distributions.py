@@ -137,6 +137,82 @@ def test_skew_normal_cdf_against_quadrature():
 
 
 # ---------------------------------------------------------------------------
+# normal (AS 241) and Student t4 (closed form) quantiles in NumPy
+
+# both tails log-spaced out to 1e-300 and 1 - 2^-53, across the AS 241 branch
+# points |p - 1/2| = 0.425 and p = e^-25, and 1/2 +- 2^-k; 1/2 itself is left
+# out so that every relative error is defined
+_HALF_OFFSETS = 2.0 ** -np.arange(2, 54)
+NORMAL_P_GRID = np.concatenate(
+    [
+        np.logspace(-300.0, np.log10(0.49), 400),
+        1.0 - np.logspace(np.log10(0.49), np.log10(2.0**-53), 300),
+        [0.075, 0.925, np.exp(-25.0), 1.0 - np.exp(-25.0)],
+        0.5 + _HALF_OFFSETS,
+        0.5 - _HALF_OFFSETS,
+    ]
+)
+# dyadic p, so that 1 - p is exact
+DYADIC_P = np.concatenate([np.arange(1, 4096) / 4096.0, 2.0 ** -np.arange(13, 54)])
+
+
+def test_normal_quantile_matches_scipy_ndtri():
+    ours = distributions_module.ndtri(NORMAL_P_GRID)
+    ref = ndtri(NORMAL_P_GRID)
+    assert np.all(np.abs(ours - ref) <= 4.0 * EPS * np.abs(ref))
+
+
+def test_normal_quantile_is_zero_at_the_median_and_odd():
+    assert distributions_module.ndtri(0.5) == 0.0
+    assert Normal(-2.0, 3.0).quantile(0.5) == -2.0
+    np.testing.assert_array_equal(Normal().quantile(1.0 - DYADIC_P), -Normal().quantile(DYADIC_P))
+
+
+def test_normal_quantile_ends_and_outside_as_scipy():
+    p = np.array([0.0, 1.0, -0.5, 1.5, np.nan])
+    np.testing.assert_array_equal(distributions_module.ndtri(p), ndtri(p))
+
+
+@pytest.mark.parametrize("margin", ALL_MARGINS, ids=lambda m: type(m).__name__ + repr(m)[:20])
+def test_quantile_types_follow_the_input(margin):
+    assert type(margin.quantile(0.3)) is float
+    for p, shape in (([0.2, 0.7], (2,)), ([], (0,)), (np.full((2, 3), 0.4), (2, 3))):
+        q = margin.quantile(p)
+        assert isinstance(q, np.ndarray) and q.shape == shape and q.dtype == float
+
+
+def test_t4_quantile_near_the_median_is_linear():
+    # t(p) = (8/3)(p - 1/2) + O((p - 1/2)^3); stdtrit returned 0 for
+    # |p - 1/2| up to ~1e-9 and was 12% off at 1e-8
+    p = 0.5 + np.concatenate([_HALF_OFFSETS, -_HALF_OFFSETS, np.logspace(-16.0, -9.1, 200)])
+    off = p - 0.5  # exact
+    keep = (off != 0.0) & (np.abs(off) <= 2.0**-30)
+    p, off = p[keep], off[keep]
+    assert p.size > 200
+    linear = 8.0 / 3.0 * off
+    assert np.all(np.abs(StudentT(4.0).quantile(p) - linear) <= 4.0 * EPS * np.abs(linear))
+    assert StudentT(4.0).quantile(0.5 + 1e-9) > 0.0
+    assert StudentT(4.0).quantile(0.5) == 0.0
+
+
+def test_t4_quantile_round_trips_through_the_exact_cdf():
+    p = np.concatenate([NORMAL_P_GRID, np.random.default_rng(11).random(2_000)])
+    t = StudentT(4.0).quantile(p)
+    cdf = 0.5 + t * (t * t + 6.0) / (2.0 * (t * t + 4.0) ** 1.5)
+    assert np.max(np.abs(cdf - p)) <= 4.0 * EPS
+
+
+def test_t4_quantile_against_scipy_away_from_the_median():
+    p = NORMAL_P_GRID[np.abs(NORMAL_P_GRID - 0.5) >= 1e-3]
+    np.testing.assert_allclose(StudentT(4.0).quantile(p), stats.t.ppf(p, 4.0), rtol=1e-10)
+
+
+def test_t4_quantile_is_odd():
+    m = StudentT(4.0)
+    np.testing.assert_array_equal(m.quantile(1.0 - DYADIC_P), -m.quantile(DYADIC_P))
+
+
+# ---------------------------------------------------------------------------
 # skew-normal quantile: bracketed Newton against the bisection it replaced
 
 EPS = np.finfo(float).eps
@@ -210,7 +286,8 @@ def test_special_functions_are_patchable_module_attributes(monkeypatch):
     uses = (
         (lambda: Normal(1.0, 2.0).quantile(0.3), 1.0 + 2.0 * ndtri(0.3), {"ndtri"}),
         (lambda: Normal(1.0, 2.0).cdf(0.5), ndtr(-0.25), {"ndtr"}),
-        (lambda: StudentT(4.0).quantile(0.3), stats.t.ppf(0.3, 4.0), {"stdtrit"}),
+        (lambda: StudentT(3.0).quantile(0.3), stats.t.ppf(0.3, 3.0), {"stdtrit"}),
+        (lambda: StudentT(4.0).quantile(0.3), stats.t.ppf(0.3, 4.0), set()),
         (lambda: StudentT(4.0).cdf(0.5), stats.t.cdf(0.5, 4.0), {"stdtr"}),
         (lambda: SkewNormal(0.0, 1.0, 2.0).cdf(0.5), stats.skewnorm.cdf(0.5, 2.0),
          {"owens_t", "ndtr"}),
@@ -311,7 +388,8 @@ def test_skew_normal_shape_zero_root_is_ndtri_without_owens_t(special_calls):
     # 4 * _TABLE_NODES would otherwise solve a table of nodes first
     u = np.random.default_rng(8).random(1_000)
     assert u.size > 4 * TABLE_NODES
-    np.testing.assert_array_equal(SkewNormal(0.0, 1.0, 0.0).quantile(u), ndtri(u))
+    np.testing.assert_array_equal(SkewNormal(0.0, 1.0, 0.0).quantile(u),
+                                  distributions_module.ndtri(u))
     assert _owens_t_sizes(special_calls) == []
 
 
