@@ -541,13 +541,16 @@ def test_cli_import_loads_no_scipy_integrate_or_optimize():
 
 
 def test_scipy_special_loads_with_the_first_special_function(tmp_path):
-    # normal and t4 quantiles are NumPy code, so ops whose margins need no
-    # other special function load no SciPy module at all; the first that
-    # does (a skew normal) imports scipy.special and prints what an eager
-    # import prints
+    # normal and t4 quantiles and the skew-normal cdf pass are NumPy code, so
+    # ops whose margins need no other special function load no SciPy module
+    # at all; the first that does (a t margin with nu = 3) imports
+    # scipy.special and prints what an eager import prints.  Importing the
+    # CLI builds none of the NumPy kernels' tables.
     data = tmp_path / "pair.csv"
     data.write_text("x1,x2\n0,1\n1,0\n2,2\n0.5,0.3\n")
     small = ["--n", "500", "--seed", "2"]
+    t3_model = ('{"margins":[{"type":"normal"},{"type":"t","nu":3}],'
+                '"copula":{"type":"independence"}}')
     ops = [
         ["var", "--model", "cp-paper", "--n", "200", "--seed", "1", "--alpha=0.2,0.1"],
         ["expectile", "--data", str(data), "--alpha=0.3,0.2"],
@@ -559,9 +562,14 @@ def test_scipy_special_loads_with_the_first_special_function(tmp_path):
         ["expectile", "--model", "frank3-4d", *small, "--alpha=0.3,0.2,0.1,0"],
         ["var", "--model", "X1", *small, "--alpha=0.3,0.2"],
         ["expectile", "--model", "X2", *small, "--alpha=0.3,0.2"],
+        ["var", "--model", "X4", *small, "--alpha=0.3,0.2"],
+        ["expectile", "--model", t3_model, *small, "--alpha=0.3,0.2"],
     ]
     body = (
         "import geomrisk.cli\n"
+        "d = geomrisk.cli.dist\n"
+        "tables = (d._tail_table, d._owens_t_basis, d._owens_t_rules)\n"
+        "assert [t.cache_info().currsize for t in tables] == [0, 0, 0], 'built at import'\n"
         "def loaded():\n"
         "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         f"seen = [loaded()]\nfor argv in {ops!r}:\n"

@@ -212,6 +212,129 @@ def test_t4_quantile_is_odd():
     np.testing.assert_array_equal(m.quantile(1.0 - DYADIC_P), -m.quantile(DYADIC_P))
 
 
+@pytest.mark.parametrize("nu", (0.5, 3.0, 6.0, 30.0, 1e3))
+def test_t_quantile_next_to_the_median_matches_mpmath(nu):
+    # below |p - 1/2| = 1e-4 the quantile is the inverse series (measured
+    # within 1.9 eps); stdtrit beyond it is within 1e-12 (measured 2.7e-13
+    # at nu = 3), and returned 0 at nu = 6 for |p - 1/2| <= ~1e-9
+    mpmath = pytest.importorskip("mpmath")
+    offsets = np.concatenate([np.logspace(-16.0, -4.0001, 9), [2e-4, 1e-3, 1e-2]])
+    p = np.concatenate([0.5 + offsets, 0.5 - offsets])
+    q = StudentT(nu).quantile(p)
+    with mpmath.workdps(40):
+        n = mpmath.mpf(nu)
+        f0 = mpmath.gamma((n + 1) / 2) / (mpmath.sqrt(n * mpmath.pi) * mpmath.gamma(n / 2))
+
+        def cdf(t):
+            return 0.5 + t * f0 * mpmath.hyp2f1(0.5, (n + 1) / 2, 1.5, -t * t / n)
+
+        ref = np.array([float(mpmath.findroot(lambda t: cdf(t) - pi, qi)) for pi, qi in zip(p, q)])
+    rel = np.abs(q - ref) / np.abs(ref)
+    series = np.abs(p - 0.5) < 1e-4
+    assert np.all(rel[series] <= 4.0 * EPS)
+    assert np.all(rel[~series] <= 1e-12)
+    assert StudentT(nu).quantile(0.5 + 1e-9) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# normal tail and Owen's T in NumPy, against mpmath and SciPy
+
+TINY = np.finfo(float).tiny
+TAIL_X = np.concatenate([np.linspace(0.0, 37.5, 1201), np.random.default_rng(4).uniform(0.0, 37.5, 300)])
+
+
+@pytest.fixture(scope="module")
+def tail_reference() -> np.ndarray:
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return np.array([float(mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)) / 2) for x in TAIL_X])
+
+
+def test_normal_tail_matches_mpmath(tail_reference):
+    # measured within 5.5 eps relative on [0, 37.5]
+    ours = distributions_module._normal_tail(TAIL_X)
+    assert np.all(np.abs(ours - tail_reference) <= 6.0 * EPS * tail_reference)
+
+
+def test_normal_tail_matches_scipy_ndtr(tail_reference):
+    # SciPy's ndtr is the looser of the two: measured 1,027 eps apart on
+    # [0, 37.5], 259 eps for x <= 20
+    diff = np.abs(distributions_module._normal_tail(TAIL_X) - ndtr(-TAIL_X)) / tail_reference
+    assert np.all(diff <= 1_100 * EPS)
+    assert np.all(diff[TAIL_X <= 20.0] <= 280 * EPS)
+
+
+def test_normal_cdf_ends_and_symmetry():
+    x = np.array([-np.inf, -40.0, 0.0, 40.0, np.inf, np.nan])
+    np.testing.assert_array_equal(distributions_module.ndtr(x), [0.0, 0.0, 0.5, 1.0, 1.0, np.nan])
+    x = np.linspace(0.0, 9.0, 361)
+    np.testing.assert_array_equal(distributions_module.ndtr(x), 1.0 - distributions_module.ndtr(-x))
+    assert distributions_module.ndtr(0.3).shape == ()
+
+
+OWENS_H = np.concatenate([np.linspace(0.0, 40.0, 41), [0.3, 2.9, 3.0, 3.1, 5.5, 37.5, 37.7]])
+OWENS_A = (0.1, 0.5, 1.0, 2.0, 20.0, 1e3)
+
+
+@pytest.fixture(scope="module")
+def owens_t_reference() -> np.ndarray:
+    """T(h, a) for OWENS_H x OWENS_A, by quadrature of
+    (e^{-h^2/2} / 2 pi h) int_0^{a h} e^{-s^2/2} / (1 + s^2 / h^2) ds."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def owens_t(h, a):
+        h, a = mpmath.mpf(h), mpmath.mpf(a)
+        if h == 0:
+            return mpmath.atan(a) / (2 * mpmath.pi)
+        b = a * h
+        breaks = [0] + [x for x in (1, 3, 6, 10) if x < b] + [b]
+        integral = mpmath.quad(lambda s: mpmath.exp(-s * s / 2) / (1 + s * s / (h * h)), breaks)
+        return mpmath.exp(-h * h / 2) / h * integral / (2 * mpmath.pi)
+
+    with mpmath.workdps(20):
+        return np.array([[float(owens_t(h, a)) for h in OWENS_H] for a in OWENS_A])
+
+
+def _owens_t(h, a):
+    return distributions_module._skew_normal_pass(np.asarray(h, dtype=float), a)[2] / 2.0
+
+
+@pytest.mark.parametrize("signs", ((1, 1), (-1, 1), (1, -1), (-1, -1)), ids=str)
+def test_owens_t_matches_mpmath_and_scipy(owens_t_reference, signs):
+    # T(-h, a) = T(h, a) and T(h, -a) = -T(h, a).  e^{-h^2/2} carries the
+    # rounding of h^2, so errors grow as (1 + h^2) eps: measured within
+    # 1.2 (1 + h^2) eps of mpmath, SciPy's owens_t within 0.85 (1 + h^2) eps
+    # of this code on this grid (and up to 33 (1 + h^2) eps off mpmath at
+    # a = 0.7, |h| <= 12).
+    # Past h = 37.6 the result is flushed to 0, where T < 1e-307.
+    from scipy.special import owens_t
+
+    sh, sa = signs
+    scale = (1.0 + OWENS_H**2) * EPS
+    for a, ref in zip(OWENS_A, owens_t_reference):
+        ours, ref = _owens_t(sh * OWENS_H, sa * a), sa * ref
+        normal = np.abs(ref) >= TINY
+        assert np.all(np.abs(ours - ref)[normal] <= 1.5 * scale[normal] * np.abs(ref[normal]))
+        assert np.all(np.abs(ours[~normal]) <= TINY)
+        diff = np.abs(ours - owens_t(sh * OWENS_H, sa * a))
+        assert np.all(diff[normal] <= 1.5 * scale[normal] * np.abs(ref[normal]))
+
+
+@pytest.mark.parametrize("a", (2.0, -3.0, 0.5, 1.0, 20.0, 1e-9))
+def test_skew_normal_pass_is_the_same_for_scalar_array_and_chunks(a):
+    # every element's value depends on that element alone: no matrix
+    # product or length-dependent reduction runs inside the pass
+    z = np.concatenate([np.linspace(-9.0, 9.0, 601), [-40.0, -3.0, 3.0, 37.7, 40.0]])
+    whole = distributions_module._skew_normal_pass(z, a)
+    chunks = [distributions_module._skew_normal_pass(c, a) for c in np.array_split(z, 37)]
+    for i, part in enumerate(whole):
+        np.testing.assert_array_equal(part, np.concatenate([c[i] for c in chunks]))
+        single = [distributions_module._skew_normal_pass(z[j : j + 1], a)[i][0] for j in range(z.size)]
+        np.testing.assert_array_equal(part, single)
+    m = SkewNormal(0.0, 1.0, a)
+    np.testing.assert_array_equal(m.cdf(z), [m.cdf(v) for v in z])
+
+
 # ---------------------------------------------------------------------------
 # skew-normal quantile: bracketed Newton against the bisection it replaced
 
@@ -247,8 +370,9 @@ GRIDS = pytest.mark.parametrize("grid", (P_GRID, DENSE_P_GRID), ids=("grid", "de
 
 @pytest.fixture
 def special_calls(monkeypatch) -> list[tuple[str, int]]:
-    """Route ``owens_t`` and ``ndtr`` of the distributions module through
-    counters; each call appends (name, element count), in call order."""
+    """Route the skew-normal cdf pass (two normal tails and one Owen's T)
+    and ``ndtr`` of the distributions module through counters; each call
+    appends (name, element count), in call order."""
     calls = []
 
     def counted(name):
@@ -260,12 +384,12 @@ def special_calls(monkeypatch) -> list[tuple[str, int]]:
 
         monkeypatch.setattr(distributions_module, name, wrapper)
 
-    counted("owens_t")
+    counted("_skew_normal_pass")
     counted("ndtr")
     return calls
 
 
-SPECIAL_NAMES = ("ndtr", "ndtri", "owens_t", "stdtr", "stdtrit")
+SPECIAL_NAMES = ("ndtr", "ndtri", "_skew_normal_pass", "stdtr", "stdtrit")
 
 
 def test_special_functions_are_patchable_module_attributes(monkeypatch):
@@ -290,7 +414,7 @@ def test_special_functions_are_patchable_module_attributes(monkeypatch):
         (lambda: StudentT(4.0).quantile(0.3), stats.t.ppf(0.3, 4.0), set()),
         (lambda: StudentT(4.0).cdf(0.5), stats.t.cdf(0.5, 4.0), {"stdtr"}),
         (lambda: SkewNormal(0.0, 1.0, 2.0).cdf(0.5), stats.skewnorm.cdf(0.5, 2.0),
-         {"owens_t", "ndtr"}),
+         {"_skew_normal_pass"}),
     )
     for op, expected, names in uses:
         calls.clear()
@@ -301,8 +425,8 @@ def test_special_functions_are_patchable_module_attributes(monkeypatch):
     assert len(geomrisk.__all__) == 71
 
 
-def _owens_t_sizes(calls) -> list[int]:
-    return [size for name, size in calls if name == "owens_t"]
+def _pass_sizes(calls) -> list[int]:
+    return [size for name, size in calls if name == "_skew_normal_pass"]
 
 
 def _bisection_quantile(m: SkewNormal, p: np.ndarray) -> np.ndarray:
@@ -390,7 +514,7 @@ def test_skew_normal_shape_zero_root_is_ndtri_without_owens_t(special_calls):
     assert u.size > 4 * TABLE_NODES
     np.testing.assert_array_equal(SkewNormal(0.0, 1.0, 0.0).quantile(u),
                                   distributions_module.ndtri(u))
-    assert _owens_t_sizes(special_calls) == []
+    assert _pass_sizes(special_calls) == []
 
 
 @pytest.mark.parametrize("margin", SKEW_NORMALS, ids=lambda m: f"shape={m.shape}")
@@ -452,12 +576,13 @@ def test_skew_normal_quantile_return_types():
 
 @pytest.mark.parametrize("shape", (2.0, -3.0, 20.0))
 def test_skew_normal_quantile_owens_t_budget(special_calls, shape):
-    # Owen's T is the whole cost of the quantile; count the elements it sees.
-    # Counts are stable from machine to machine, wall time is not.
+    # The cdf pass (two normal tails and Owen's T) is the whole cost of the
+    # quantile; count the elements it sees.  Counts are stable from machine
+    # to machine, wall time is not.
     n = 10_000
     u = np.random.default_rng(6).random(n)
     SkewNormal(-1.0, 1.0, shape).quantile(u)
-    seen = _owens_t_sizes(special_calls)
+    seen = _pass_sizes(special_calls)
     assert sum(seen) <= 1.5 * n
     # no element dithers at the cdf's resolution until the pass cap
     assert len(seen) < distributions_module._NEWTON_MAX_ITER
@@ -466,9 +591,10 @@ def test_skew_normal_quantile_owens_t_budget(special_calls, shape):
 @pytest.mark.parametrize("n", (4 * TABLE_NODES, 10_000), ids=("cornish-fisher", "tabulated"))
 @pytest.mark.parametrize("shape", (2.0, -3.0))
 def test_skew_normal_root_one_cdf_ndtr_per_pass(special_calls, monkeypatch, shape, n):
-    # Each Newton pass runs one Owen's T over its active set; the normal cdf
-    # should see that set twice, once for the residual (Phi(-z) above the
-    # median, Phi(z) below it) and once for the density's Phi(a z).  Above
+    # Each Newton pass runs one cdf pass over its active set, whose tails
+    # Q(|z|) and Q(|a z|) give the residual's Phi(-z) above the median and
+    # Phi(z) below it, and the density's Phi(a z); a normal cdf besides it
+    # may see that set at most twice.  Above
     # 4 * _TABLE_NODES elements the root first solves its nodes; setting
     # them up (their probabilities, and Phi(a z) for their slopes) is at
     # most two normal cdfs per node.
@@ -483,13 +609,13 @@ def test_skew_normal_root_one_cdf_ndtr_per_pass(special_calls, monkeypatch, shap
     monkeypatch.setattr(distributions_module, "_skew_normal_root", marked)
     u = np.random.default_rng(2).random(n)
     SkewNormal(0.0, 1.0, shape).quantile(u)
-    # a normal cdf after a solve's entry or exit, before its next Owen's T,
-    # is set-up; after an Owen's T it belongs to that pass
+    # a normal cdf after a solve's entry or exit, before its next cdf pass,
+    # is set-up; after a cdf pass it belongs to that pass
     passes, setup, in_pass = [], 0, False
     for name, size in special_calls:
         if name == "root":
             in_pass = False
-        elif name == "owens_t":
+        elif name == "_skew_normal_pass":
             in_pass = True
             passes.append([size, 0])
         elif in_pass:
@@ -508,11 +634,11 @@ def test_skew_normal_root_one_cdf_ndtr_per_pass(special_calls, monkeypatch, shap
 def test_skew_normal_newton_step_past_an_unevaluated_end_stops_there(special_calls):
     # at shape 20 the cdf root of this p sits at the half-normal start value
     # of the bracket's upper end; Newton steps overshoot that end, which is
-    # never evaluated, so bisecting towards it took 26 Owen's T passes
+    # never evaluated, so bisecting towards it took 26 cdf passes
     p = 0.7513557952504324
     m = SkewNormal(-1.0, 1.0, 20.0)
     q = m.quantile(p)
-    assert len(_owens_t_sizes(special_calls)) <= 5
+    assert len(_pass_sizes(special_calls)) <= 5
     assert abs(m.cdf(q) - p) <= 4.0 * EPS
 
 
