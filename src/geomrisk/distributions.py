@@ -174,21 +174,12 @@ def _owens_t_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=16)
 def _owens_t_rules(a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The constants of ``_owens_t_reduced`` for one ``a``: the exponents
-    ``-x_i^2 / 2`` and weights of its Gauss-Legendre rule, and the
-    coefficients of its series T3, as two polynomials in ``1 / h^2``."""
+    ``-x_i^2 / 2`` and weights of its Gauss-Legendre rule, and the power
+    coefficients ``c_k`` of its series T3."""
     nodes, weights, c = _owens_t_basis()
     x2 = (0.5 * a * (nodes + 1.0)) ** 2
     weights = a / (4.0 * math.pi) * weights / (1.0 + x2)
-    k = np.arange(_T3_DEGREE + 1)
-    d = np.concatenate([[1.0], np.cumprod(2.0 * k[1:] - 1.0)])  # (2k - 1)!!
-    # A(y) = sum_k c_k d_k y^k; B(y) = sum_m y^m sum_j c_{j+m} d_{j+m} / d_{j+1} a^{2j+1}
-    m, j = k[:, None], k[None, :]
-    jm = np.minimum(m + j, _T3_DEGREE)
-    terms = c[jm] * d[jm] / d[np.minimum(j + 1, _T3_DEGREE)] * a ** (2.0 * j + 1.0)
-    beta = np.where((m >= 1) & (m + j <= _T3_DEGREE), terms, 0.0).sum(axis=1)
-    # rows of A's and B's coefficients, highest power first
-    coeffs = np.stack([c * d, beta], axis=1)[::-1, :, None]
-    return -0.5 * x2[:, None], weights[:, None], coeffs
+    return -0.5 * x2[:, None], weights[:, None], c
 
 
 def _gauss(x: np.ndarray) -> np.ndarray:
@@ -204,7 +195,7 @@ def _owens_t_reduced(h: np.ndarray, a: float, b: np.ndarray, qb: np.ndarray) -> 
 
     Sums run in a fixed order, never through a matrix product, so that an
     element's value does not depend on the length of the array it is in."""
-    exponents, weights, coeffs = _owens_t_rules(a)
+    exponents, weights, c = _owens_t_rules(a)
     far = np.flatnonzero(b >= _OWENS_T_SPLIT)
     near = np.flatnonzero(b < _OWENS_T_SPLIT) if far.size else None
     out = np.empty_like(h)
@@ -228,25 +219,19 @@ def _owens_t_reduced(h: np.ndarray, a: float, b: np.ndarray, qb: np.ndarray) -> 
             return acc
         out[near] = acc
     if far.size:
-        # T = phi(h) sum_k c_k z_k, z_k = h^{-2k-1} int_0^b y^{2k} phi(y) dy,
+        # T = phi(h) sum_k c_k z_k, z_k = h^{-2k-1} int_0^b t^{2k} phi(t) dt,
         # by the moments' recursion z_0 = (1/2 - Q(b)) / h,
-        # z_{k+1} = y ((2k + 1) z_k - a^{2k+1} phi(b)), y = 1 / h^2, unrolled:
-        # sum_k c_k z_k = z_0 A(y) - phi(b) B(y), with A and B evaluated
-        # together by Horner's rule: 2 NumPy calls a term where the
-        # recursion takes 6, and as accurate (5.2 eps at a = 1, h = 3;
-        # splitting A and B into even and odd parts in y^2 lost 28 eps there)
+        # z_{k+1} = y ((2k + 1) z_k - a^{2k+1} phi(b)), y = 1 / h^2
         hf = h[far]
         y = 1.0 / (hf * hf)
-        acc = coeffs[0] * y
-        for row in coeffs[1:-1]:
-            acc += row
-            acc *= y
-        acc += coeffs[-1]
-        acc[0] *= (0.5 - qb[far]) / hf
-        acc[1] *= _gauss(b[far]) / _SQRT_2PI
-        acc[0] -= acc[1]
-        acc[0] *= _gauss(hf) / _SQRT_2PI
-        out[far] = acc[0]
+        phi_b = _gauss(b[far]) / _SQRT_2PI
+        z = (0.5 - qb[far]) / hf
+        acc = c[0] * z
+        for k in range(_T3_DEGREE):
+            z = y * ((2 * k + 1) * z - a ** (2 * k + 1) * phi_b)
+            acc += c[k + 1] * z
+        acc *= _gauss(hf) / _SQRT_2PI
+        out[far] = acc
     return out
 
 

@@ -86,14 +86,13 @@ class SolverConfig:
     ``||grad|| <= grad_tolerance * (1 + |objective|)``.  A value-at-risk
     solve also stops, without slack, once a data atom satisfies the
     subdifferential optimality condition (see :class:`SolveReport`).
-    ``initial_point``, when set, starts a direct solve or a traced path's
-    first solve instead of :func:`minimize_convex`'s ``x0`` argument (the
-    sample mean for the estimators); see :class:`_Curvature` for the rest.
+    A solve starts at :func:`minimize_convex`'s ``x0`` (the sample mean
+    for the estimators), or on a traced path where :class:`_Curvature`
+    says.
     """
 
     grad_tolerance: float = 1e-8
     max_iterations: int = 500
-    initial_point: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if not (self.grad_tolerance > 0.0 and np.isfinite(self.grad_tolerance)):
@@ -150,29 +149,20 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
     solves pass the private ``_nearest_atom(x) -> (row, 0.5 m / n)``;
     after a backtracking step, on stagnation and at the iteration cap the
     row nearest the iterate is tested through ``fun`` and ``grad`` and,
-    when certified, returned exactly.  A direct solve, or the first of a
-    traced path, starts at ``config.initial_point`` when it is set (a
-    finite vector of the shape of ``x0``) and at ``x0`` otherwise.  Solves
-    along a path pass the private ``_curvature`` (:class:`_Curvature`):
-    every later one starts at its ``start()`` and from the inverse-Hessian
-    estimate in its ``h_inv`` (None: steepest descent), and each leaves its
-    minimizer and final estimate there (no estimate after a certified
-    atom).  A value-at-risk start equal to the atom the path's last solve
-    certified is tested first, before any line search, and returned with 0
-    iterations when it passes.  A line search that finds
-    no descent along the secant direction is retried along steepest
-    descent before the solve stops as stagnation; along a carried
+    when certified, returned exactly.  A solve starts at ``x0``, unless it
+    runs along a path and passes the private ``_curvature``
+    (:class:`_Curvature`): then it starts at ``_curvature.start(x0)`` and
+    from the inverse-Hessian estimate in its ``h_inv`` (None: steepest
+    descent), and leaves its minimizer and final estimate there (no
+    estimate after a certified atom).  A value-at-risk start equal to the
+    atom the path's last solve certified is tested first, before any line
+    search, and returned with 0 iterations when it passes.  A line search
+    that finds no descent along the secant direction is retried along
+    steepest descent before the solve stops as stagnation; along a carried
     estimate's direction only the unit step is tried.
     """
     cfg = config if config is not None else SolverConfig()
-    x = np.array(x0, dtype=float)
-    if cfg.initial_point is not None:
-        start = np.array(cfg.initial_point, dtype=float)
-        if start.shape != x.shape or not np.isfinite(start).all():
-            raise ValueError("initial_point must be a finite vector matching the problem dimension")
-        x = start
-    if _curvature is not None and _curvature.last is not None:
-        x = _curvature.start()
+    x = np.array(x0, dtype=float) if _curvature is None else _curvature.start(x0)
     candidate = None if _curvature is None or _nearest_atom is None else _curvature.atom
     if candidate is not None and (x == candidate[0]).all():
         # a path's start after a solve that ended on an atom is that atom
@@ -423,15 +413,16 @@ class _Prepared:
     def __array__(self, dtype=None, copy=None):
         return np.array(self.rows, dtype=dtype, copy=copy)
 
-    def on_path(self) -> _Prepared:
+    def on_path(self, first=None) -> _Prepared:
         """A view of this sample for the solves of one traced path.
 
         It shares the arrays, the tests computed on first use and the
         workspace, and carries a fresh :class:`_Curvature` that each of its
-        solves starts from and leaves to the next.
+        solves starts from and leaves to the next; ``first``, when given,
+        seeds the path's first solve.
         """
         view = copy.copy(self)
-        view.curvature = _Curvature()
+        view.curvature = _Curvature(first)
         return view
 
     def collinear(self) -> bool:
@@ -462,25 +453,29 @@ class _Prepared:
 class _Curvature:
     """What the solves of one traced path hand to the next.
 
-    ``last`` and ``before`` are the minimizers of its last two solves (None
-    until there are that many): ``SolverConfig.initial_point`` starts a
-    path's first solve, and :meth:`start` every later one.  ``h_inv`` is
-    the inverse-Hessian estimate, None until a solve leaves one.  ``atom``
-    is the ``(row, 0.5 m / n)`` candidate of the data atom the last solve
-    certified (its row is ``last``), and None after any other stop.
+    ``first`` is the optional seed of the path's first solve.  ``last`` and
+    ``before`` are the minimizers of its last two solves (None until there
+    are that many); the seed is neither.  ``h_inv`` is the inverse-Hessian
+    estimate, None until a solve leaves one.  ``atom`` is the ``(row, 0.5
+    m / n)`` candidate of the data atom the last solve certified (its row
+    is ``last``), and None after any other stop.
     """
 
-    __slots__ = ("h_inv", "atom", "last", "before")
+    __slots__ = ("first", "h_inv", "atom", "last", "before")
 
-    def __init__(self) -> None:
+    def __init__(self, first=None) -> None:
+        self.first = first
         self.h_inv = None
         self.atom = None
         self.last = None
         self.before = None
 
-    def start(self) -> np.ndarray:
-        """The next solve's start, a new array: the first minimizer after one
-        solve, and the secant prediction ``2 c[k-1] - c[k-2]`` after more."""
+    def start(self, cold) -> np.ndarray:
+        """The next solve's start, a new array: the seed ``first`` (``cold``
+        when there is none) for the first solve, the first minimizer for the
+        second, and the secant prediction ``2 c[k-1] - c[k-2]`` after that."""
+        if self.last is None:
+            return np.array(cold if self.first is None else self.first, dtype=float)
         if self.before is None:
             return self.last.copy()
         return 2.0 * self.last - self.before
@@ -507,11 +502,10 @@ def _solve(sample, alpha, config, kind: str) -> SolveReport:
             stop_reason="identical_rows",
         )
     fun, grad = _objective_closures(prep, u, kind)
-    # the sample mean is the cold start; a set config.initial_point overrides it.
-    # A VaR minimizer may sit on a data atom, where only the subdifferential
-    # test can certify it, so VaR solves get the nearest atom as a candidate.
-    # On a traced path's view the solve also starts from, and leaves, the
-    # minimizers and curvature of the path.
+    # the sample mean is the cold start.  A VaR minimizer may sit on a data
+    # atom, where only the subdifferential test can certify it, so VaR solves
+    # get the nearest atom as a candidate.  On a traced path's view the solve
+    # starts where the path's _Curvature says, and leaves its own there.
     atom = prep.nearest_atom if kind == "quantile" else None
     report = minimize_convex(fun, grad, prep.mean, config, _nearest_atom=atom,
                              _curvature=prep.curvature)
@@ -525,9 +519,13 @@ def _collinear(centred: np.ndarray) -> bool:
 
     The test is relative to the largest singular value, so it does not
     depend on the scale of the sample; all-identical samples never get here.
+    The rows are centred once more: a mean that is large against the
+    spread leaves the rounding error of its computation in every row,
+    off the line, and the verdict would depend on how the caller centred.
     """
     if centred.shape[0] <= 2:
         return True
+    centred = centred - centred.mean(axis=0)  # keeps the Fortran order the SVD reads fast
     svals = np.linalg.svd(centred, compute_uv=False)
     return bool(svals[1] <= 1e-12 * svals[0])
 

@@ -177,8 +177,7 @@ def uniform_expectile(box: UniformBox, alpha, config: SolverConfig | None = None
 
     Minimizes :func:`uniform_expected_loss` with the same quasi-Newton
     iteration used by the empirical estimators, using its exact gradient
-    from the same primitives.  Starts at ``config.initial_point`` when it
-    is set, and at the box midpoint otherwise.
+    from the same primitives, starting at the box midpoint.
     """
     u = _box_index(alpha)
     fun = partial(uniform_expected_loss, box, u)

@@ -293,25 +293,20 @@ def test_poisoned_carried_curvature_still_converges(estimator, poison):
     assert np.all(np.linalg.eigvalsh(path.curvature.h_inv) > 0.0)
 
 
-def test_minimize_convex_respects_initial_point():
+def test_minimize_convex_starts_at_x0():
     def fun(x):
         return float(np.sum((x - 3.0) ** 2))
 
     def grad(x):
         return 2.0 * (x - 3.0)
 
-    cfg = SolverConfig(initial_point=np.array([2.9, 3.1]))
-    rep = minimize_convex(fun, grad, np.zeros(2), cfg)
+    rep = minimize_convex(fun, grad, np.array([2.9, 3.1]))
     assert rep.converged
     np.testing.assert_allclose(rep.argmin, [3.0, 3.0], atol=1e-7)
-    # started at the minimizer, the solver takes no step away from x0 = 0
-    rep = minimize_convex(fun, grad, np.zeros(2), SolverConfig(initial_point=np.array([3.0, 3.0])))
+    # started at the minimizer, the solver takes no step
+    rep = minimize_convex(fun, grad, np.array([3.0, 3.0]))
     assert rep.iterations == 0
     np.testing.assert_array_equal(rep.argmin, [3.0, 3.0])
-    with pytest.raises(ValueError, match="initial_point"):
-        minimize_convex(fun, grad, np.zeros(2), SolverConfig(initial_point=np.array([np.nan, 3.0])))
-    with pytest.raises(ValueError, match="initial_point"):
-        minimize_convex(fun, grad, np.zeros(2), SolverConfig(initial_point=np.zeros(3)))
 
 
 def _heavy_atom_sample() -> np.ndarray:
@@ -356,15 +351,17 @@ def test_nearest_atom_counts_the_rows_equal_to_it():
     assert row[1] > 2.0 and radius == 0.5 / 7
 
 
-def test_path_view_starts_from_its_own_minimizers():
-    # initial_point starts a path's first solve; every later one starts from
-    # the path's minimizers, whatever its config says
+def test_path_view_starts_from_its_own_minimizers(solver_calls):
+    # the seed starts a path's first solve only; the second starts at the
+    # first minimizer, not at a secant prediction from the seed
     sample = np.random.default_rng(8).standard_normal((200, 2))
-    path = estimators._prepare(sample).on_path()
-    elsewhere = SolverConfig(initial_point=np.array([5.0, -5.0]))
-    first = geometric_expectile(path, [0.3, 0.1], elsewhere)
-    second = geometric_expectile(path, [0.3, 0.1], elsewhere)
+    seed = np.array([5.0, -5.0])
+    path = estimators._prepare(sample).on_path(seed)
+    first = geometric_expectile(path, [0.3, 0.1])
+    assert path.curvature.before is None and path.curvature.last is first.argmin
+    second = geometric_expectile(path, [0.3, 0.1])
     assert first.iterations > 0 and second.iterations == 0
+    assert np.array_equal(solver_calls[0]["points"][0], seed)
     assert np.array_equal(second.argmin, first.argmin)
     assert path.curvature.before is first.argmin and path.curvature.last is second.argmin
 
@@ -488,6 +485,9 @@ def test_solver_config_validation():
         SolverConfig(grad_tolerance=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
+    # a solve starts at x0, or on a traced path where the path says
+    with pytest.raises(TypeError):
+        SolverConfig(initial_point=np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -791,6 +791,21 @@ def test_collinearity_note_does_not_depend_on_sample_scale():
     line = np.column_stack([t, 2.0 * t])  # rank-1 cloud
     for scale in (1e-14, 1.0, 1e14):
         assert geometric_var(scale * line, np.array([0.2, 0.1])).note == "degenerate_possible"
+
+
+def test_collinearity_verdict_does_not_depend_on_how_the_rows_were_centred():
+    # rows on a line far from the origin: the two centrings round the mean
+    # differently, and each leaves its rounding error in every row, off the line
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        direction = rng.standard_normal(2)
+        direction /= np.linalg.norm(direction)
+        shift = rng.standard_normal(2)
+        shift *= rng.uniform(1e3, 3e4) / np.linalg.norm(shift)
+        rows = shift + rng.standard_normal((200, 1)) * direction
+        prep = estimators._prepare(rows)
+        assert (estimators._collinear(rows - rows.mean(axis=0))
+                == estimators._collinear(prep.block.T - prep.mean))
 
 
 # ---------------------------------------------------------------------------

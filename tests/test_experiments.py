@@ -172,28 +172,31 @@ def test_traced_curve_matches_cold_solves(symmetric_sample, measure, solver, kin
 @pytest.mark.parametrize("measure", ["expectile", "var"])
 def test_trace_starts_each_solve_at_the_secant_prediction(symmetric_sample, solver_calls,
                                                           measure):
-    # the first point a solve evaluates is its start: the caller's
-    # initial_point for the path's first solve only, the first minimizer for
-    # the second, and the secant prediction from the two before for every later one
+    # the first point a solve evaluates is its start: the path's seed for
+    # its first solve only, the first minimizer for the second, and the
+    # secant prediction from the two before for every later one
     first = np.array([0.4, -1.2])
-    curve = trace_curve(symmetric_sample, CirclePath(0.7, 6), measure,
-                        config=SolverConfig(initial_point=first))
+    points, _ = experiments._trace(symmetric_sample, CirclePath(0.7, 6).indices()[1], measure,
+                                   None, first=first)
     starts = [call["points"][0] for call in solver_calls]
     assert len(starts) == 6
     assert np.array_equal(starts[0], first)
-    assert np.array_equal(starts[1], curve.points[0])
+    assert np.array_equal(starts[1], points[0])
     for k in range(2, 6):
-        assert np.array_equal(starts[k], 2.0 * curve.points[k - 1] - curve.points[k - 2])
+        assert np.array_equal(starts[k], 2.0 * points[k - 1] - points[k - 2])
 
 
 def test_bounded_support_starts_each_circle_at_the_previous_first_point(solver_calls):
-    first = np.array([0.9, 0.1])
+    # the first circle starts at the sample mean; each later one is seeded
+    # with the first point of the one before, and its second solve starts at
+    # its own first minimizer, not at a secant prediction from the seed
     rows = bounded_support_check(300, r_list=(0.3, 0.6), n_phi=4,
-                                 config=SolverConfig(initial_point=first),
                                  rng=substream(85, "first-start"))
     assert all(row.all_converged for row in rows) and len(solver_calls) == 8
-    assert np.array_equal(solver_calls[0]["points"][0], first)
+    sample = ClaytonCopula(5.0, 2).sample(300, substream(85, "first-start"))
+    assert np.array_equal(solver_calls[0]["points"][0], estimators._prepare(sample).mean)
     assert np.array_equal(solver_calls[4]["points"][0], solver_calls[0]["result"].argmin)
+    assert np.array_equal(solver_calls[5]["points"][0], solver_calls[4]["result"].argmin)
 
 
 def test_each_trace_starts_without_curvature(symmetric_sample, solver_calls):
@@ -224,9 +227,10 @@ def _passes(solver_calls) -> int:
 def _old_chain(sample, path, solver) -> None:
     """The engine before predictor-corrector tracing: each solve starts at
     the previous minimizer, without curvature."""
+    prep = estimators._prepare(sample)
     prev = None
     for alpha in path.indices()[1]:
-        prev = solver(sample, alpha, SolverConfig(initial_point=prev)).argmin
+        prev = solver(prep.on_path(prev), alpha).argmin
 
 
 @pytest.mark.parametrize("measure, solver", [("expectile", geometric_expectile),
@@ -447,6 +451,21 @@ def test_match_magnitude_reports_a_target_solve_that_did_not_converge(
         lambda *args: dataclasses.replace(solve(*args), converged=False),
     )
     assert not match_magnitude(symmetric_sample, direction, 0.5, tol=1e-2)[2]
+
+
+def test_match_magnitude_chains_each_var_start_from_the_last_minimizer(symmetric_sample,
+                                                                       solver_calls):
+    # the expectile target and the first VaR solve start at the sample mean;
+    # every later VaR solve starts at the minimizer of the one before it,
+    # without curvature
+    match_magnitude(symmetric_sample, np.array([1.0, 0.0]), 0.5, tol=1e-3)
+    mean = estimators._prepare(symmetric_sample).mean
+    starts = [call["points"][0] for call in solver_calls]
+    assert len(starts) > 3
+    assert np.array_equal(starts[0], mean) and np.array_equal(starts[1], mean)
+    for k in range(2, len(solver_calls)):
+        assert np.array_equal(starts[k], solver_calls[k - 1]["result"].argmin)
+    assert all(call["h_inv_in"] is None for call in solver_calls[1:])
 
 
 def test_match_magnitude_validates_direction(symmetric_sample):
