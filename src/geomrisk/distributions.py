@@ -8,10 +8,10 @@ by Shaw's closed form for ``nu = 4`` (within ~2 eps) and for other ``nu`` by
 SciPy's ``stdtrit`` (within 1e-12 relative) and, next to the median, an
 inverse series (within ~2 eps), and for the skew normal a safeguarded
 Newton iteration on its cdf, bracketed by the normal and half-normal
-quantiles and, on large inputs, started from an interpolant through
-tabulated roots (see ``SkewNormal``).  Sampling is inverse-transform for
-every margin except the skew normal, which uses its two-normal
-representation.
+quantiles and started from an interpolant through a table of roots that
+is built once per shape (see ``SkewNormal``).  Sampling is
+inverse-transform for every margin except the skew normal, which uses its
+two-normal representation.
 
 The normal cdf and the skew-normal cdf are NumPy code too: one kernel gives
 the normal tail ``Q(x) = Phi(-x)`` within 5.5 eps relative on [0, 37.5]
@@ -55,9 +55,11 @@ _NEWTON_MAX_ITER = 100
 # stdtrit is within 1e-12 relative only beyond ~3e-5 (nu = 1, 3, 6), and
 # returns 0 for |p - 1/2| <= ~1e-9 at nu = 6
 _T_MEDIAN_SERIES = 1e-4
-# nodes of the tabulated skew-normal start, taken by inputs of more than
-# 4 * _TABLE_NODES elements; the nodes themselves start from Cornish-Fisher
-_TABLE_NODES = 128
+# nodes of the skew-normal start table, equispaced in w = Phi^-1(p) over
+# [-_TABLE_W, _TABLE_W] (p from ~1e-9 to 1 - 1e-9); elements outside start
+# from Cornish-Fisher
+_TABLE_NODES = 192
+_TABLE_W = 6.0
 
 
 def _special(name: str):
@@ -155,20 +157,32 @@ def ndtr(x):
 # s in [0, 1], smooth for any h while b < 3, and T3's first moment
 # 1/2 - Q(b) cancels for small b.
 _OWENS_T_SPLIT = 3.0
-_GAUSS_NODES = 13
 _T3_DEGREE = 20
 
-
-@functools.cache
-def _owens_t_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], and the power-basis
-    coefficients of the degree-20 Chebyshev interpolant of 1 / (1 + t) on
-    [0, 1] (~2 ms with the import of ``numpy.polynomial``)."""
-    from numpy.polynomial import Chebyshev, Polynomial, legendre
-
-    nodes, weights = legendre.leggauss(_GAUSS_NODES)
-    series = Chebyshev.interpolate(lambda t: 1.0 / (1.0 + t), _T3_DEGREE, domain=[0.0, 1.0])
-    return nodes, weights, series.convert(kind=Polynomial).coef
+# the 13-node Gauss-Legendre rule on [-1, 1], and the power coefficients,
+# lowest first, of the degree-20 Chebyshev interpolant of 1 / (1 + t) on
+# [0, 1]: the reprs of numpy.polynomial's legendre.leggauss(13) and
+# Chebyshev.interpolate(..., 20, domain=[0, 1]).convert(kind=Polynomial)
+_GAUSS_NODES = np.array([
+    -0.9841830547185881, -0.9175983992229779, -0.8015780907333099, -0.6423493394403402,
+    -0.44849275103644687, -0.2304583159551348, 0.0, 0.2304583159551348,
+    0.44849275103644687, 0.6423493394403402, 0.8015780907333099, 0.9175983992229779,
+    0.9841830547185881,
+])
+_GAUSS_WEIGHTS = np.array([
+    0.04048400476531557, 0.0921214998377288, 0.13887351021978733, 0.17814598076194552,
+    0.2078160475368885, 0.22628318026289737, 0.23255155323087393, 0.22628318026289737,
+    0.2078160475368885, 0.17814598076194552, 0.13887351021978733, 0.0921214998377288,
+    0.04048400476531557,
+])
+_T3_COEFFS = np.array([
+    0.9999999999999962, -0.9999999999981385, 0.9999999997873059, -0.99999998952661,
+    0.9999997186520023, -0.9999953022329064, 0.9999471047733604, -0.999575837260424,
+    0.997482780804883, -0.9886300838906057, 0.9600749689242344, -0.8891612282666408,
+    0.7531516238624422, -0.5524484416811997, 0.327481060402867, -0.1411179316423195,
+    0.033475017533781994, 0.0036179728902335615, -0.006079233575609355,
+    0.0020330716707778183, -0.0002552712274331239,
+])
 
 
 @functools.lru_cache(maxsize=16)
@@ -176,10 +190,9 @@ def _owens_t_rules(a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The constants of ``_owens_t_reduced`` for one ``a``: the exponents
     ``-x_i^2 / 2`` and weights of its Gauss-Legendre rule, and the power
     coefficients ``c_k`` of its series T3."""
-    nodes, weights, c = _owens_t_basis()
-    x2 = (0.5 * a * (nodes + 1.0)) ** 2
-    weights = a / (4.0 * math.pi) * weights / (1.0 + x2)
-    return -0.5 * x2[:, None], weights[:, None], c
+    x2 = (0.5 * a * (_GAUSS_NODES + 1.0)) ** 2
+    weights = a / (4.0 * math.pi) * _GAUSS_WEIGHTS / (1.0 + x2)
+    return -0.5 * x2[:, None], weights[:, None], _T3_COEFFS
 
 
 def _gauss(x: np.ndarray) -> np.ndarray:
@@ -465,13 +478,17 @@ class SkewNormal:
     full relative accuracy.  A Newton step ends the iteration once its
     predicted error ``|f' / (2 f)| step^2`` is within tolerance.
 
-    Small inputs start from the Cornish-Fisher expansion.  An input of more
-    than 512 elements first solves the root at 128 nodes (``_TABLE_NODES``)
-    equispaced in ``w = Phi^-1(p)`` over its range, and starts every element
-    from the cubic Hermite interpolant of ``z(w)`` through them, with the
-    exact slopes ``dz/dw = phi(w) / f(z)``.  Uniform ``p`` then take about
-    one cdf evaluation each (1.04 at shapes 2 and -3, 1.23 at shape 20, for
-    10,000 draws), against about four from the Cornish-Fisher start.
+    Every element starts by one rule, so the quantile is element-wise: an
+    element's result does not depend on the array it is in.  The first
+    quantile at a shape solves the root at 192 nodes (``_TABLE_NODES``)
+    equispaced in ``w = Phi^-1(p)`` over ``[-6, 6]`` (``_TABLE_W``; p from
+    ~1e-9 to 1 - 1e-9), from Cornish-Fisher starts, and keeps them with the
+    exact slopes ``dz/dw = phi(w) / f(z)`` (~1.5 ms, once per shape for up
+    to 16 shapes).  An element inside that range starts from the cubic
+    Hermite interpolant of ``z(w)`` through the nodes, one outside it from
+    the Cornish-Fisher expansion.  Uniform ``p`` then take about one cdf
+    evaluation each (1.00 at shape 2, 1.01 at -3, 1.27 at 20, for 10,000
+    draws), against about four from the Cornish-Fisher start.
 
     Accuracy is that of the cdf, one pass of ``_skew_normal_pass``: the
     normal tails within 5.5 eps relative and Owen's T within
@@ -529,23 +546,73 @@ class SkewNormal:
 
 
 def _skew_normal_root(p: np.ndarray, a: float) -> np.ndarray:
-    """Root z of ``Phi(z) - 2 T(z, a) = p`` for each element of the 1-d array ``p``."""
+    """Root z of ``Phi(z) - 2 T(z, a) = p`` for each element of the 1-d array ``p``.
+
+    Each element is solved on its own, from ``_tabulated_start``: its root
+    does not depend on the other elements of ``p``."""
     w = ndtri(p)
     if a == 0.0:
         return w  # T(z, 0) = 0: the root is the normal quantile
+    return _newton_root(p, w, a, _tabulated_start(w, a))
+
+
+def _cornish_fisher(w: np.ndarray, a: float) -> np.ndarray:
+    """Cornish-Fisher start from the standardised mean, sd and skewness."""
+    mu = _SQRT_2_OVER_PI * a / math.sqrt(1.0 + a * a)
+    sd = math.sqrt(1.0 - mu * mu)
+    skew = 0.5 * (4.0 - math.pi) * (mu / sd) ** 3
+    return mu + sd * (w + skew * (w * w - 1.0) / 6.0)
+
+
+@functools.lru_cache(maxsize=16)
+def _root_table(a: float) -> tuple[np.ndarray, np.ndarray]:
+    """The roots ``z`` and the exact slopes ``dz/dw = phi(w) / f(z)`` at
+    ``_TABLE_NODES`` nodes ``w`` equispaced over ``[-_TABLE_W, _TABLE_W]``,
+    solved from Cornish-Fisher starts.  Built on first use for each shape
+    (~1.5 ms), not at import."""
+    nodes = np.linspace(-_TABLE_W, _TABLE_W, _TABLE_NODES)
+    p = ndtr(nodes)
+    w = ndtri(p)
+    z = _newton_root(p, w, a, _cornish_fisher(w, a))
+    # Phi(a z) underflows to 0 only where the cdf has no resolution left,
+    # and a flat node is start enough there
+    with np.errstate(divide="ignore", over="ignore"):
+        slope = 0.5 * np.exp(0.5 * (z * z - nodes * nodes)) / ndtr(a * z)
+    slope = np.where(np.isfinite(slope), slope, 0.0)
+    # every quantile at this shape shares the arrays
+    z.flags.writeable = slope.flags.writeable = False
+    return z, slope
+
+
+def _tabulated_start(w: np.ndarray, a: float) -> np.ndarray:
+    """The start of the root at ``w = Phi^-1(p)``: inside the range of
+    ``_root_table(a)`` the cubic Hermite interpolant of ``z(w)`` through its
+    nodes, outside it the Cornish-Fisher expansion."""
+    zn, slope = _root_table(a)
+    width = 2.0 * _TABLE_W / (_TABLE_NODES - 1)
+    x = (w + _TABLE_W) / width
+    i = np.clip(x.astype(np.intp), 0, _TABLE_NODES - 2)
+    s = x - i
+    s1 = 1.0 - s
+    z = (
+        s1 * s1 * ((1.0 + 2.0 * s) * zn[i] + s * width * slope[i])
+        + s * s * ((3.0 - 2.0 * s) * zn[i + 1] - s1 * width * slope[i + 1])
+    )
+    outside = np.flatnonzero(np.abs(w) > _TABLE_W)
+    if outside.size:
+        z[outside] = _cornish_fisher(w[outside], a)
+    return z
+
+
+def _newton_root(p: np.ndarray, w: np.ndarray, a: float, z: np.ndarray) -> np.ndarray:
+    """The safeguarded Newton iteration of ``_skew_normal_root`` from the
+    start ``z``, for ``a != 0`` and ``w = Phi^-1(p)``."""
     if a >= 0.0:
         # Phi^-1((1 + p) / 2), written so that p near 1 does not round it to inf
         lo, hi = w, -ndtri(0.5 * (1.0 - p))
     else:
         lo, hi = ndtri(0.5 * p), w
-    if p.size > 4 * _TABLE_NODES and w.max() > w.min():
-        z = np.clip(_tabulated_start(p, w, a), lo, hi)
-    else:
-        # Cornish-Fisher start from the standardised mean, sd and skewness
-        mu = _SQRT_2_OVER_PI * a / np.sqrt(1.0 + a * a)
-        sd = np.sqrt(1.0 - mu * mu)
-        skew = 0.5 * (4.0 - np.pi) * (mu / sd) ** 3
-        z = np.clip(mu + sd * (w + skew * (w * w - 1.0) / 6.0), lo, hi)
+    z = np.clip(z, lo, hi)
     # Above the median solve 1 - F(z) = Phi(-z) + 2 T(z, a) = 1 - p instead:
     # 1 - p is exact there, and the heavy right tail (a > 0) keeps full
     # relative accuracy.  The residual r > 0 always means z is too high.
@@ -596,29 +663,6 @@ def _skew_normal_root(p: np.ndarray, a: float) -> np.ndarray:
         lo_seen, hi_seen = lo_seen[keep], hi_seen[keep]
         upper, target = upper[keep], target[keep]
     return out
-
-
-def _tabulated_start(p: np.ndarray, w: np.ndarray, a: float) -> np.ndarray:
-    """Cubic Hermite interpolant of the root ``z(w)``, ``w = Phi^-1(p)``, through
-    ``_TABLE_NODES`` roots solved at nodes equispaced over the range of ``w``."""
-    w_lo, w_hi = w.min(), w.max()
-    nodes = np.linspace(w_lo, w_hi, _TABLE_NODES)
-    # ndtr may round the end nodes a hair past the probabilities they came from
-    zn = _skew_normal_root(np.clip(ndtr(nodes), p.min(), p.max()), a)
-    # exact slopes dz/dw = phi(w) / f(z); Phi(a z) underflows to 0 only where
-    # the cdf has no resolution left, and a flat node is start enough there
-    with np.errstate(divide="ignore", over="ignore"):
-        slope = 0.5 * np.exp(0.5 * (zn * zn - nodes * nodes)) / ndtr(a * zn)
-    slope = np.where(np.isfinite(slope), slope, 0.0)
-    width = (w_hi - w_lo) / (_TABLE_NODES - 1)
-    x = (w - w_lo) / width
-    i = np.clip(x.astype(np.intp), 0, _TABLE_NODES - 2)
-    s = x - i
-    s1 = 1.0 - s
-    return (
-        s1 * s1 * ((1.0 + 2.0 * s) * zn[i] + s * width * slope[i])
-        + s * s * ((3.0 - 2.0 * s) * zn[i + 1] - s1 * width * slope[i + 1])
-    )
 
 
 @dataclass(frozen=True)

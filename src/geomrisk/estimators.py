@@ -381,11 +381,13 @@ class _Prepared:
     array and its flags are untouched), the contiguous (d, n) column
     ``block`` the solver's passes run over, the block ``mean`` (the cold
     start), whether all rows are ``identical``, and, computed on first
-    use, whether they are collinear.  To numpy it is the (n, d) sample: it
-    has ``ndim`` and ``shape``, and ``np.asarray`` gives the rows.  The one
-    mutable part is the pass-state :meth:`workspace` of the solver's
-    closures, allocated on the first solve and shared with every view, so
-    the solves on one prepared sample must run one at a time.
+    use, whether they are collinear (``_collinear``: a d x d Gram
+    certificate clears most samples, and an SVD decides the rest).  To
+    numpy it is the (n, d) sample: it has ``ndim`` and ``shape``, and
+    ``np.asarray`` gives the rows.  The one mutable part is the pass-state
+    :meth:`workspace` of the solver's closures, allocated on the first
+    solve and shared with every view, so the solves on one prepared
+    sample must run one at a time.
     ``curvature`` is None, except on the view that :meth:`on_path` makes
     for the solves of one traced path.
     """
@@ -429,7 +431,8 @@ class _Prepared:
         """True when all rows lie on one line; the test runs once per sample."""
         if "collinear" not in self._lazy:
             # centred through block.T, the rows come out in Fortran order, which
-            # the SVD reads 2-3x faster than the C-ordered rows at n = 10k
+            # the SVD, when the Gram certificate leaves it the verdict, reads
+            # 2-3x faster than the C-ordered rows at n = 10k
             self._lazy["collinear"] = _collinear(self.block.T - self.mean)
         return self._lazy["collinear"]
 
@@ -517,15 +520,33 @@ def _solve(sample, alpha, config, kind: str) -> SolveReport:
 def _collinear(centred: np.ndarray) -> bool:
     """True when the rows of a centred (n, d) sample lie on one line (non-unique minimizer).
 
-    The test is relative to the largest singular value, so it does not
-    depend on the scale of the sample; all-identical samples never get here.
-    The rows are centred once more: a mean that is large against the
-    spread leaves the rounding error of its computation in every row,
-    off the line, and the verdict would depend on how the caller centred.
+    The test, ``sigma_2 <= 1e-12 sigma_1``, is relative to the largest
+    singular value, so it does not depend on the scale of the sample;
+    all-identical samples never get here.  The rows are centred once more:
+    a mean that is large against the spread leaves the rounding error of
+    its computation in every row, off the line, and the verdict would
+    depend on how the caller centred.
+
+    The d x d Gram matrix ``G = C^T C`` clears most samples first: the sum
+    ``e2`` of its 2 x 2 principal minors is at most ``C(d, 2) lambda_1
+    lambda_2`` and ``tr G >= lambda_1``, so ``e2 > C(d, 2) 1e-6 (tr G)^2``
+    proves ``sigma_2 / sigma_1 > 1e-3``, six orders above the Gram's
+    rounding (~n eps relative).  The SVD decides the rest, so the verdict
+    is the SVD's.
     """
-    if centred.shape[0] <= 2:
+    n, d = centred.shape
+    if n <= 2:
         return True
     centred = centred - centred.mean(axis=0)  # keeps the Fortran order the SVD reads fast
+    # e2 = ((tr G)^2 - ||G||_F^2) / 2.  A trace near underflow leaves G and
+    # its squares to subnormal rounding; an overflow gives inf or nan, which
+    # fails the comparison
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = centred.T @ centred
+        trace = np.trace(gram)
+        e2 = 0.5 * (trace * trace - np.vdot(gram, gram))
+        if trace > 1e-150 and e2 > 0.5 * d * (d - 1) * 1e-6 * trace * trace:
+            return False
     svals = np.linalg.svd(centred, compute_uv=False)
     return bool(svals[1] <= 1e-12 * svals[0])
 

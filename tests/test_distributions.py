@@ -320,6 +320,22 @@ def test_owens_t_matches_mpmath_and_scipy(owens_t_reference, signs):
         assert np.all(diff[normal] <= 1.5 * scale[normal] * np.abs(ref[normal]))
 
 
+def test_owens_t_constants_match_numpy_polynomial():
+    # the literals are the reprs of these values under NumPy 2; another
+    # NumPy may round its LAPACK eigenvalues or its basis conversion
+    # differently, by an ulp or two
+    from numpy.polynomial import Chebyshev, Polynomial, legendre
+
+    nodes, weights = legendre.leggauss(13)
+    series = Chebyshev.interpolate(lambda t: 1.0 / (1.0 + t), 20, domain=[0.0, 1.0])
+    coeffs = series.convert(kind=Polynomial).coef
+    for ours, ref in ((distributions_module._GAUSS_NODES, nodes),
+                      (distributions_module._GAUSS_WEIGHTS, weights),
+                      (distributions_module._T3_COEFFS, coeffs)):
+        assert ours.shape == ref.shape
+        assert np.all(np.abs(ours - ref) <= 2.0 * np.spacing(np.abs(ref)))
+
+
 @pytest.mark.parametrize("a", (2.0, -3.0, 0.5, 1.0, 20.0, 1e-9))
 def test_skew_normal_pass_is_the_same_for_scalar_array_and_chunks(a):
     # every element's value depends on that element alone: no matrix
@@ -354,10 +370,10 @@ P_GRID = np.concatenate(
     ]
 )
 
-# Inputs of more than 4 * _TABLE_NODES elements start from tabulated roots,
-# smaller ones (P_GRID among them) from the Cornish-Fisher start.  The dense
-# grid runs out to the copula clip bounds 1e-15 and 1 - 1e-16.
-TABLE_NODES = distributions_module._TABLE_NODES
+# Elements with |Phi^-1(p)| <= _TABLE_W start from the table of roots,
+# the others from the Cornish-Fisher start; both grids hold both kinds.
+# The dense grid runs out to the copula clip bounds 1e-15 and 1 - 1e-16.
+TABLE_W = distributions_module._TABLE_W
 DENSE_P_GRID = np.concatenate(
     [
         np.logspace(-15.0, -2.0, 200),
@@ -466,20 +482,20 @@ def test_skew_normal_cdf_stays_in_unit_interval(shape):
     assert np.all((c >= 0.0) & (c <= 1.0))
 
 
-def test_grids_take_both_starts(monkeypatch):
-    tabulated = []
-    real = distributions_module._tabulated_start
-
-    def counted(p, *args):
-        tabulated.append(p.size)
-        return real(p, *args)
-
-    monkeypatch.setattr(distributions_module, "_tabulated_start", counted)
-    m = SKEW_NORMALS[0]
-    m.quantile(P_GRID)
-    assert tabulated == []
-    m.quantile(DENSE_P_GRID)
-    assert tabulated == [DENSE_P_GRID.size]
+@pytest.mark.parametrize("shape", (2.0, -3.0, 20.0))
+def test_grids_take_both_starts(shape):
+    # inside the table's range the start is the interpolant through its
+    # roots, close enough to the root for about one cdf pass; outside it,
+    # the Cornish-Fisher expansion
+    for grid in (P_GRID, DENSE_P_GRID):
+        w = distributions_module.ndtri(grid)
+        inside = np.abs(w) <= TABLE_W
+        assert inside.any() and not inside.all()
+        start = distributions_module._tabulated_start(w, shape)
+        root = distributions_module._skew_normal_root(grid, shape)
+        np.testing.assert_array_equal(start[~inside],
+                                      distributions_module._cornish_fisher(w[~inside], shape))
+        assert np.all(np.abs(start - root)[inside] <= 1e-4 * np.maximum(1.0, np.abs(root[inside])))
     assert DENSE_P_GRID.min() <= 1e-15 and DENSE_P_GRID.max() >= 1.0 - 1e-16
 
 
@@ -508,24 +524,23 @@ def test_skew_normal_shape_zero_is_normal(grid):
 
 
 def test_skew_normal_shape_zero_root_is_ndtri_without_owens_t(special_calls):
-    # T(z, 0) = 0, so the root is Phi^-1(p) exactly; more draws than
-    # 4 * _TABLE_NODES would otherwise solve a table of nodes first
+    # T(z, 0) = 0, so the root is Phi^-1(p) exactly, with no table of roots
     u = np.random.default_rng(8).random(1_000)
-    assert u.size > 4 * TABLE_NODES
     np.testing.assert_array_equal(SkewNormal(0.0, 1.0, 0.0).quantile(u),
                                   distributions_module.ndtri(u))
     assert _pass_sizes(special_calls) == []
 
 
 @pytest.mark.parametrize("margin", SKEW_NORMALS, ids=lambda m: f"shape={m.shape}")
-def test_skew_normal_quantile_of_an_array_is_that_of_its_chunks(margin):
-    # the whole array starts from tabulated roots, chunks of at most
-    # _TABLE_NODES elements from the Cornish-Fisher start
-    u = np.concatenate([np.random.default_rng(3).random(5_000), [1e-15, 1.0 - 1e-16]])
-    q = margin.quantile(u)
-    chunks = np.array_split(u, -(-u.size // TABLE_NODES))
-    ref = np.concatenate([margin.quantile(c) for c in chunks])
-    assert np.all(np.abs(q - ref) <= _resolution(margin, ref))
+def test_skew_normal_quantile_is_elementwise(margin):
+    # every element starts by one rule and iterates on its own, so its
+    # quantile is the same bits alone, in any chunk and in the whole array
+    draws = np.concatenate([np.random.default_rng(3).random(2_000), [1e-15, 1.0 - 1e-16]])
+    for u in (draws, DENSE_P_GRID):
+        q = margin.quantile(u)
+        np.testing.assert_array_equal(q, [margin.quantile(float(v)) for v in u])
+        np.testing.assert_array_equal(
+            q, np.concatenate([margin.quantile(c) for c in np.array_split(u, 37)]))
 
 
 @pytest.mark.parametrize(
@@ -539,12 +554,11 @@ def test_skew_normal_quantile_of_an_array_is_that_of_its_chunks(margin):
 )
 @pytest.mark.parametrize("margin", SKEW_NORMALS, ids=lambda m: f"shape={m.shape}")
 def test_skew_normal_quantile_of_degenerate_large_inputs(margin, values):
-    # a constant array spans no range of nodes at all; any warning fails the test
-    assert values.size > 4 * TABLE_NODES
+    # repeated and one-sided inputs get the quantiles of their distinct
+    # values; any warning fails the test
     q = margin.quantile(values)
     distinct, where = np.unique(values, return_inverse=True)
-    ref = np.array([margin.quantile(float(v)) for v in distinct])[where]
-    assert np.all(np.abs(q - ref) <= _resolution(margin, ref))
+    np.testing.assert_array_equal(q, np.array([margin.quantile(float(v)) for v in distinct])[where])
 
 
 @pytest.mark.parametrize("shape", (2.0, 20.0, 1e-9))
@@ -578,9 +592,11 @@ def test_skew_normal_quantile_return_types():
 def test_skew_normal_quantile_owens_t_budget(special_calls, shape):
     # The cdf pass (two normal tails and Owen's T) is the whole cost of the
     # quantile; count the elements it sees.  Counts are stable from machine
-    # to machine, wall time is not.
+    # to machine, wall time is not.  The count includes building the
+    # shape's table of roots, as in the first quantile of a process.
     n = 10_000
     u = np.random.default_rng(6).random(n)
+    distributions_module._root_table.cache_clear()
     SkewNormal(-1.0, 1.0, shape).quantile(u)
     seen = _pass_sizes(special_calls)
     assert sum(seen) <= 1.5 * n
@@ -588,16 +604,17 @@ def test_skew_normal_quantile_owens_t_budget(special_calls, shape):
     assert len(seen) < distributions_module._NEWTON_MAX_ITER
 
 
-@pytest.mark.parametrize("n", (4 * TABLE_NODES, 10_000), ids=("cornish-fisher", "tabulated"))
+@pytest.mark.parametrize("n", (1, 10_000), ids=("scalar", "draws"))
 @pytest.mark.parametrize("shape", (2.0, -3.0))
 def test_skew_normal_root_one_cdf_ndtr_per_pass(special_calls, monkeypatch, shape, n):
     # Each Newton pass runs one cdf pass over its active set, whose tails
     # Q(|z|) and Q(|a z|) give the residual's Phi(-z) above the median and
     # Phi(z) below it, and the density's Phi(a z); a normal cdf besides it
-    # may see that set at most twice.  Above
-    # 4 * _TABLE_NODES elements the root first solves its nodes; setting
-    # them up (their probabilities, and Phi(a z) for their slopes) is at
-    # most two normal cdfs per node.
+    # may see that set at most twice.  The shape's table of roots is built
+    # before counting, so the count does not depend on which test ran first;
+    # with it built, a root runs no normal cdf outside its passes.
+    distributions_module._root_table(shape)
+    special_calls.clear()
     real = distributions_module._skew_normal_root
 
     def marked(p, a):
@@ -625,21 +642,40 @@ def test_skew_normal_root_one_cdf_ndtr_per_pass(special_calls, monkeypatch, shap
     assert passes
     assert all(cdf <= 2 * active for active, cdf in passes)
     solves = sum(name == "root" for name, _ in special_calls) // 2
-    if n > 4 * TABLE_NODES:
-        assert solves == 2 and setup <= 2 * TABLE_NODES
-    else:
-        assert solves == 1 and setup == 0
+    assert solves == 1 and setup == 0
+
+
+@pytest.mark.parametrize("shape", (2.0, -3.0, 20.0))
+def test_skew_normal_root_table_is_built_once_per_shape(special_calls, shape):
+    # the first quantile at a shape solves its table's nodes, in well under
+    # the pass cap; later quantiles at that shape reuse it
+    table = distributions_module._root_table
+    table.cache_clear()
+    m = SkewNormal(0.0, 1.0, shape)
+    m.quantile(0.3)
+    built = _pass_sizes(special_calls)
+    assert table.cache_info().misses == 1
+    assert sum(built) <= 6 * distributions_module._TABLE_NODES
+    assert len(built) < distributions_module._NEWTON_MAX_ITER // 2
+    special_calls.clear()
+    m.quantile(np.random.default_rng(5).random(1_000))
+    assert table.cache_info().misses == 1 and table.cache_info().hits == 1
+    assert sum(_pass_sizes(special_calls)) <= 1.5 * 1_000
 
 
 def test_skew_normal_newton_step_past_an_unevaluated_end_stops_there(special_calls):
     # at shape 20 the cdf root of this p sits at the half-normal start value
-    # of the bracket's upper end; Newton steps overshoot that end, which is
-    # never evaluated, so bisecting towards it took 26 cdf passes
-    p = 0.7513557952504324
-    m = SkewNormal(-1.0, 1.0, 20.0)
-    q = m.quantile(p)
+    # of the bracket's upper end; Newton steps from the Cornish-Fisher start
+    # overshoot that end, which is never evaluated, so bisecting towards it
+    # took 26 cdf passes
+    p = np.array([0.7513557952504324])
+    w = distributions_module.ndtri(p)
+    start = distributions_module._cornish_fisher(w, 20.0)
+    z = distributions_module._newton_root(p, w, 20.0, start)
     assert len(_pass_sizes(special_calls)) <= 5
-    assert abs(m.cdf(q) - p) <= 4.0 * EPS
+    m = SkewNormal(-1.0, 1.0, 20.0)
+    assert abs(m.cdf(z[0] - 1.0) - p[0]) <= 4.0 * EPS
+    assert abs(m.cdf(m.quantile(p[0])) - p[0]) <= 4.0 * EPS
 
 
 @pytest.mark.parametrize("shape", (0.5, -0.5))

@@ -21,9 +21,12 @@ from geomrisk import (
     expectile_loss_grad,
     geometric_expectile,
     geometric_var,
+    get_preset,
     minimize_convex,
     quantile_loss,
     quantile_loss_subgrad,
+    simulate,
+    substream,
     univariate_expectile,
     univariate_quantile,
 )
@@ -806,6 +809,69 @@ def test_collinearity_verdict_does_not_depend_on_how_the_rows_were_centred():
         prep = estimators._prepare(rows)
         assert (estimators._collinear(rows - rows.mean(axis=0))
                 == estimators._collinear(prep.block.T - prep.mean))
+
+
+def _collinear_by_svd(centred: np.ndarray) -> bool:
+    """The collinearity rule by the SVD alone, as a reference."""
+    if centred.shape[0] <= 2:
+        return True
+    centred = centred - centred.mean(axis=0)
+    svals = np.linalg.svd(centred, compute_uv=False)
+    return bool(svals[1] <= 1e-12 * svals[0])
+
+
+def _near_line(rng, noise: float, scale: float, shift: float = 0.0) -> np.ndarray:
+    """A random d = 2-4 cloud along a line, off it by ``noise`` of its spread."""
+    d = int(rng.integers(2, 5))
+    n = int(rng.integers(3, 301))
+    direction = rng.standard_normal(d)
+    direction /= np.linalg.norm(direction)
+    line = rng.standard_normal((n, 1)) * direction + noise * rng.standard_normal((n, d))
+    return scale * (shift * rng.standard_normal(d) + line)
+
+
+def test_collinearity_certificate_agrees_with_the_svd(monkeypatch):
+    svds = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        svds.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng(26)
+    # off-line noise from 1e-16 to 1 of the spread, shifted up to 1e5
+    # spreads from the origin, at scales 1e-10 to 1e10; then scales where
+    # the Gram's entries or their squares near underflow or overflow
+    samples = [_near_line(rng, 10.0 ** rng.uniform(-16.0, 0.0), 10.0 ** rng.uniform(-10.0, 10.0),
+                          10.0 ** rng.uniform(0.0, 5.0)) for _ in range(3_000)]
+    samples += [_near_line(rng, noise, scale)
+                for scale in [*10.0 ** np.arange(-90.0, -73.0, 0.5), 1e150, 1e155, 1e160]
+                for noise in (0.0, 1e-16, 1e-13, 1e-6) for _ in range(5)]
+    verdicts, certified = [], 0
+    for rows in samples:
+        prep = estimators._prepare(rows)
+        centred = prep.block.T - prep.mean
+        before = len(svds)
+        verdict = estimators._collinear(centred)
+        certified += len(svds) == before
+        assert verdict == _collinear_by_svd(centred)
+        verdicts.append(verdict)
+    # both verdicts, and both routes to "not collinear", are exercised
+    assert 0 < sum(verdicts) < len(verdicts)
+    assert 0 < certified < len(verdicts) - sum(verdicts)
+
+
+def test_spread_samples_are_certified_without_the_svd(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the collinearity test ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    normal = np.random.default_rng(27).standard_normal((10_000, 2))
+    clayton = simulate(get_preset("Z-clayton5"), 20_000, substream(27, "clayton"))
+    for sample in (normal, clayton):
+        u = np.full(sample.shape[1], 0.2)
+        assert geometric_var(sample, u).note is None
 
 
 # ---------------------------------------------------------------------------
