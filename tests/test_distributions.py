@@ -647,16 +647,17 @@ def test_skew_normal_root_one_cdf_ndtr_per_pass(special_calls, monkeypatch, shap
 
 @pytest.mark.parametrize("shape", (2.0, -3.0, 20.0))
 def test_skew_normal_root_table_is_built_once_per_shape(special_calls, shape):
-    # the first quantile at a shape solves its table's nodes, in well under
-    # the pass cap; later quantiles at that shape reuse it
+    # the first quantile at a shape solves its table's nodes in a few passes
+    # (4, 4 and 8 at these shapes; 14, 19 and 21 with every node started
+    # from Cornish-Fisher); later quantiles at that shape reuse the table
     table = distributions_module._root_table
     table.cache_clear()
     m = SkewNormal(0.0, 1.0, shape)
     m.quantile(0.3)
     built = _pass_sizes(special_calls)
     assert table.cache_info().misses == 1
-    assert sum(built) <= 6 * distributions_module._TABLE_NODES
-    assert len(built) < distributions_module._NEWTON_MAX_ITER // 2
+    assert sum(built) <= 4 * distributions_module._TABLE_NODES
+    assert len(built) <= 10
     special_calls.clear()
     m.quantile(np.random.default_rng(5).random(1_000))
     assert table.cache_info().misses == 1 and table.cache_info().hits == 1
@@ -667,13 +668,17 @@ def test_skew_normal_newton_step_past_an_unevaluated_end_stops_there(special_cal
     # at shape 20 the cdf root of this p sits at the half-normal start value
     # of the bracket's upper end; Newton steps from the Cornish-Fisher start
     # overshoot that end, which is never evaluated, so bisecting towards it
-    # took 26 cdf passes
+    # took 26 cdf passes.  The public quantile starts it from the table.
     p = np.array([0.7513557952504324])
     w = distributions_module.ndtri(p)
     start = distributions_module._cornish_fisher(w, 20.0)
     z = distributions_module._newton_root(p, w, 20.0, start)
     assert len(_pass_sizes(special_calls)) <= 5
     m = SkewNormal(-1.0, 1.0, 20.0)
+    distributions_module._root_table(20.0)
+    special_calls.clear()
+    m.quantile(p[0])
+    assert len(_pass_sizes(special_calls)) <= 5
     assert abs(m.cdf(z[0] - 1.0) - p[0]) <= 4.0 * EPS
     assert abs(m.cdf(m.quantile(p[0])) - p[0]) <= 4.0 * EPS
 
