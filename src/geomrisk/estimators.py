@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +67,15 @@ __all__ = [
 
 _ARMIJO = 1e-4
 _STEP_FLOOR = 1e-14
+# a traced path starts each solve at the polynomial extrapolation of its
+# last _ORDER minimizers (fewer at its start), and at the secant when that
+# lands farther than _GUARD secant steps from the secant's prediction
+_ORDER = 5
+_GUARD = 0.5
+# k -> oldest-first weights of the degree k - 1 extrapolation from k equal
+# steps, (-1)^(k-1-j) C(k, j): [1], [-1, 2] (the secant), ..., [1, -5, 10, -10, 5]
+_EXTRAPOLATION = {k: tuple(float((-1) ** (k - 1 - j) * math.comb(k, j)) for j in range(k))
+                  for k in range(1, _ORDER + 1)}
 # kind -> (loss, gradient) row formulas of the public kernels: the reference
 # that empirical_objective(_grad) average
 _ROWS = {
@@ -166,8 +177,9 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
     candidate = None if _curvature is None or _nearest_atom is None else _curvature.atom
     if candidate is not None and (x == candidate[0]).all():
         # a path's start after a solve that ended on an atom is that atom
-        # exactly when the solve before ended there too (2a - a is exact),
-        # or when it was the first; there the gradient test cannot hold
+        # exactly when the solve before ended there too (a zero secant step
+        # leaves the secant, and 2a - a is exact), or when it was the first;
+        # there the gradient test cannot hold
         report = _certified_atom(fun, grad, candidate, 0)
         if report is not None:
             return report
@@ -260,7 +272,7 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
         at_atom = report.stop_reason == "optimal_at_atom"
         _curvature.h_inv = None if at_atom else h_inv
         _curvature.atom = candidate if at_atom else None
-        _curvature.before, _curvature.last = _curvature.last, report.argmin
+        _curvature.past.append(report.argmin)
     return report
 
 
@@ -456,32 +468,53 @@ class _Prepared:
 class _Curvature:
     """What the solves of one traced path hand to the next.
 
-    ``first`` is the optional seed of the path's first solve.  ``last`` and
-    ``before`` are the minimizers of its last two solves (None until there
-    are that many); the seed is neither.  ``h_inv`` is the inverse-Hessian
-    estimate, None until a solve leaves one.  ``atom`` is the ``(row, 0.5
-    m / n)`` candidate of the data atom the last solve certified (its row
-    is ``last``), and None after any other stop.
+    ``first`` is the optional seed of the path's first solve.  ``past``
+    holds the minimizers of its last ``_ORDER`` solves, oldest first; the
+    seed is not one.  ``h_inv`` is the inverse-Hessian estimate, None until
+    a solve leaves one.  ``atom`` is the ``(row, 0.5 m / n)`` candidate of
+    the data atom the last solve certified (its row is ``past[-1]``), and
+    None after any other stop.
     """
 
-    __slots__ = ("first", "h_inv", "atom", "last", "before")
+    __slots__ = ("first", "h_inv", "atom", "past")
 
     def __init__(self, first=None) -> None:
         self.first = first
         self.h_inv = None
         self.atom = None
-        self.last = None
-        self.before = None
+        self.past = deque(maxlen=_ORDER)
 
     def start(self, cold) -> np.ndarray:
-        """The next solve's start, a new array: the seed ``first`` (``cold``
-        when there is none) for the first solve, the first minimizer for the
-        second, and the secant prediction ``2 c[k-1] - c[k-2]`` after that."""
-        if self.last is None:
+        """The next solve's start, a new array.
+
+        The first solve starts at the seed ``first`` (``cold`` when there is
+        none).  Every later one starts at the equal-step extrapolation of the
+        k = min(solves so far, ``_ORDER``) last minimizers: the degree k - 1
+        polynomial through them, read one step on.  The order ramps up from
+        the first minimizer (k = 1) and the secant prediction ``2 c[-1] -
+        c[-2]`` (k = 2) to ``c[-5] - 5 c[-4] + 10 c[-3] - 10 c[-2] + 5
+        c[-1]``.  A prediction farther than ``_GUARD`` ``||c[-1] - c[-2]||``
+        from the secant's (the minimizers turned or jumped, say between the
+        data atoms of a value-at-risk path) gives way to the secant, which is
+        also the start whenever the last two minimizers are equal: that
+        point, bit for bit.  The sums run elementwise in a fixed order, so a
+        start does not depend on the BLAS build or its thread count.
+        """
+        past = self.past
+        if not past:
             return np.array(cold if self.first is None else self.first, dtype=float)
-        if self.before is None:
-            return self.last.copy()
-        return 2.0 * self.last - self.before
+        weights = _EXTRAPOLATION[len(past)]
+        start = weights[0] * past[0]
+        for w, c in zip(weights[1:], list(past)[1:]):
+            start += w * c
+        if len(past) < 2:
+            return start
+        secant = 2.0 * past[-1] - past[-2]
+        miss = start - secant
+        step = past[-1] - past[-2]
+        if (miss * miss).sum() < _GUARD * _GUARD * (step * step).sum():
+            return start
+        return secant
 
 
 def _prepare(sample) -> _Prepared:

@@ -4,8 +4,9 @@ A curve is the image of a one-parameter family of index vectors under a
 geometric risk measure of one fixed sample.  Adjacent indices have
 nearby minimizers on a smooth curve, so every experiment traces its
 indices through one predictor-corrector engine, ``_trace``: each solve
-after the second starts at the secant extrapolation of the two previous
-minimizers, and every solve after the first from the inverse-Hessian
+after the first starts at the polynomial extrapolation of up to five
+previous minimizers (the secant when that turns too sharply; see
+:class:`~geomrisk.estimators._Curvature`), and from the inverse-Hessian
 estimate the previous one ended with.  Each
 distinct sample is prepared once (validated, copied into
 the solver's column block, with its mean and rank tests; see
@@ -196,9 +197,11 @@ def _trace(sample, indices, measure: str, config: SolverConfig | None, first=Non
     passed in already prepared) and every solve of the path runs on one
     view of it, whose :class:`~geomrisk.estimators._Curvature` hands each
     solve's minimizer and final inverse-Hessian estimate to the next.  The
-    first solve starts at ``first`` (the sample mean when None), the second
-    at the first minimizer, and every later one at the secant prediction
-    from the two before it.
+    first solve starts at ``first`` (the sample mean when None), and every
+    later one at the equal-step extrapolation of the last k <= 5
+    minimizers: the first minimizer, then the secant prediction, up to
+    order 5, with the secant taken whenever the extrapolation lands farther
+    than half a secant step from it.
     """
     if measure not in _MEASURES:
         raise ValueError(f"measure must be one of {_MEASURES}")
@@ -223,8 +226,9 @@ def trace_curve(
     """Solve the risk measure along ``path`` by predictor-corrector continuation.
 
     ``measure`` is ``"expectile"`` or ``"var"``.  The first solve starts
-    at the sample mean and every later one from the ones before it (see
-    ``_trace``).  Points agree with cold solves to the solver's tolerance.
+    at the sample mean and every later one at an extrapolation of the
+    minimizers before it (see ``_trace``).  Points agree with cold solves
+    to the solver's tolerance.
     """
     if not isinstance(path, IndexPath):
         raise ValueError(f"unknown path type: {type(path).__name__}")

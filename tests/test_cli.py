@@ -496,6 +496,24 @@ def test_console_script_entry_point(tmp_path):
     assert out.read_text().startswith("x1,x2")
 
 
+def test_curve_output_does_not_depend_on_the_blas_thread_count():
+    # a traced path's starts are elementwise NumPy sums in a fixed order, so
+    # the curve's bytes are the same whatever BLAS threading the child gets
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "geomrisk.cli", "curve", "--model", "X3",
+             "--path", "circle:0.9", "--nphi", "64"],
+            capture_output=True,
+            env={**_child_env(), "OPENBLAS_NUM_THREADS": threads},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].count(b"\n") == 65
+    assert outputs[0] == outputs[1]
+
+
 def test_compare_uni_finishes_on_a_margin_of_scale_1e5(tmp_path):
     # the univariate expectile once bisected to an absolute width of 1e-12,
     # which never ends for a root of magnitude >= 2**13

@@ -4,6 +4,7 @@ order statistics)."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -361,12 +362,75 @@ def test_path_view_starts_from_its_own_minimizers(solver_calls):
     seed = np.array([5.0, -5.0])
     path = estimators._prepare(sample).on_path(seed)
     first = geometric_expectile(path, [0.3, 0.1])
-    assert path.curvature.before is None and path.curvature.last is first.argmin
+    assert len(path.curvature.past) == 1 and path.curvature.past[0] is first.argmin
     second = geometric_expectile(path, [0.3, 0.1])
     assert first.iterations > 0 and second.iterations == 0
     assert np.array_equal(solver_calls[0]["points"][0], seed)
     assert np.array_equal(second.argmin, first.argmin)
-    assert path.curvature.before is first.argmin and path.curvature.last is second.argmin
+    assert [id(c) for c in path.curvature.past] == [id(first.argmin), id(second.argmin)]
+
+
+def _history(points) -> estimators._Curvature:
+    """A path's curvature state after solves that ended at ``points``, oldest first."""
+    curvature = estimators._Curvature()
+    curvature.past.extend(np.array(c, dtype=float) for c in points)
+    return curvature
+
+
+# c_k = sum_j a_j k^j, led by its linear term: each start of the path stays
+# well inside half a secant step of the secant prediction
+_POLY = np.array([[0.3, -1.2], [1.0, 0.5], [0.02, -0.03], [-0.002, 0.001], [1e-4, 2e-4],
+                  [1e-5, -2e-5]])
+
+
+def _poly(coef, k: float) -> np.ndarray:
+    return sum(a * k ** j for j, a in enumerate(coef))
+
+
+@pytest.mark.parametrize("solves", [5, 7])
+@pytest.mark.parametrize("degree", range(5))
+def test_path_start_extrapolates_a_polynomial_history_exactly(degree, solves):
+    # a history of degree <= 4 is continued exactly, up to rounding (the
+    # weights sum to 31 in absolute value); beyond five solves the oldest drop
+    coef = _POLY[:degree + 1]
+    start = _history([_poly(coef, k) for k in range(solves)]).start(None)
+    expected = _poly(coef, float(solves))
+    np.testing.assert_allclose(start, expected, rtol=0.0,
+                               atol=64.0 * np.finfo(float).eps * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("solves", range(1, 6))
+def test_path_start_order_ramps_up_with_the_solves(solves):
+    # after k <= 5 solves the start continues a history of degree k - 1
+    # exactly, and one of degree k only to its k-th difference a_k k!
+    exact = _history([_poly(_POLY[:solves], k) for k in range(solves)]).start(None)
+    np.testing.assert_allclose(exact, _poly(_POLY[:solves], float(solves)), rtol=0.0,
+                               atol=1e-12)
+    coef = _POLY[:solves + 1]
+    missed = _history([_poly(coef, k) for k in range(solves)]).start(None)
+    np.testing.assert_allclose(_poly(coef, float(solves)) - missed,
+                               coef[solves] * math.factorial(solves), rtol=1e-9)
+
+
+@pytest.mark.parametrize("bend, guarded", [(0.19, False), (0.21, True)])
+def test_path_start_falls_back_to_the_secant_past_half_a_step(bend, guarded):
+    # x = 0, 1, 2, 3, 4 + e: order 5 predicts 5 + 5e and the secant 5 + 2e,
+    # 3e apart, against half a step of (1 + e) / 2: the guard trips at e = 0.2
+    x = [0.0, 1.0, 2.0, 3.0, 4.0 + bend]
+    start = _history([[v, 0.0] for v in x]).start(None)
+    secant = 2.0 * x[4] - x[3]
+    extrapolated = x[0] - 5.0 * x[1] + 10.0 * x[2] - 10.0 * x[3] + 5.0 * x[4]
+    assert start[0] == (secant if guarded else extrapolated) and start[1] == 0.0
+
+
+@pytest.mark.parametrize("solves", [2, 3, 5, 7])
+def test_path_start_after_two_equal_minimizers_is_that_point(solves):
+    # a zero secant step admits no higher order: the start is the point,
+    # bit for bit, whatever the minimizers before it
+    atom = np.array([0.1 + 0.2, 1.0 / 3.0])
+    rng = np.random.default_rng(41)
+    history = [*rng.standard_normal((solves - 2, 2)) * 3.0, atom, atom.copy()]
+    assert _history(history).start(None).tobytes() == atom.tobytes()
 
 
 def test_certified_atom_hands_on_no_curvature():
@@ -390,15 +454,17 @@ def _assert_no_false_atom(sample, u, report):
 
 def test_traced_var_certifies_a_repeated_atom_in_one_pass(solver_calls):
     # every index of this circle puts VaR on the heavy atom, so each solve
-    # after the first starts on it exactly (the first minimizer, then
-    # 2a - a) and certifies it without a line search
+    # after the first starts on it exactly (the first minimizer, then the
+    # secant 2a - a, as a zero step admits no higher order, also once the
+    # path holds five minimizers) and certifies it without a line search
     sample = _heavy_atom_sample()
-    phi = np.linspace(0.0, 2.0 * np.pi, 9)[:-1]
+    phi = np.linspace(0.0, 2.0 * np.pi, 13)[:-1]
     indices = 0.3 * np.column_stack([np.cos(phi), np.sin(phi)])
     points, converged = experiments._trace(sample, indices, "var", None)
     assert converged.all() and len(solver_calls) == len(indices)
     for call in solver_calls[1:]:
         report = call["result"]
+        assert call["points"][0].tobytes() == points[0].tobytes()
         assert report.stop_reason == "optimal_at_atom" and report.iterations == 0
         assert call["states"] == 1 and call["fun"] == 1 and call["grad"] == 1
     assert np.array_equal(solver_calls[-1]["curvature"].atom[0], [1.0, 2.0])

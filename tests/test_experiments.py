@@ -170,20 +170,35 @@ def test_traced_curve_matches_cold_solves(symmetric_sample, measure, solver, kin
 
 
 @pytest.mark.parametrize("measure", ["expectile", "var"])
-def test_trace_starts_each_solve_at_the_secant_prediction(symmetric_sample, solver_calls,
-                                                          measure):
+def test_trace_starts_each_solve_at_the_extrapolated_prediction(symmetric_sample, solver_calls,
+                                                                measure):
     # the first point a solve evaluates is its start: the path's seed for
-    # its first solve only, the first minimizer for the second, and the
-    # secant prediction from the two before for every later one
+    # its first solve only, the first minimizer for the second, and from the
+    # sixth on the order-5 extrapolation of the five minimizers before it,
+    # bit for bit, on a circle fine enough that none of them turns sharply
     first = np.array([0.4, -1.2])
+    points, _ = experiments._trace(symmetric_sample, CirclePath(0.8, 64).indices()[1], measure,
+                                   None, first=first)
+    starts = [call["points"][0] for call in solver_calls]
+    assert len(starts) == 64
+    assert np.array_equal(starts[0], first)
+    assert np.array_equal(starts[1], points[0])
+    for k in range(5, 64):
+        p = points[k - 5:k]
+        assert np.array_equal(starts[k], p[0] - 5.0 * p[1] + 10.0 * p[2] - 10.0 * p[3] + 5.0 * p[4])
+    # on a 6-point circle the extrapolations of order 3 to 5 land farther
+    # than half a secant step from the secant prediction, which is taken
+    solver_calls.clear()
     points, _ = experiments._trace(symmetric_sample, CirclePath(0.7, 6).indices()[1], measure,
                                    None, first=first)
     starts = [call["points"][0] for call in solver_calls]
-    assert len(starts) == 6
-    assert np.array_equal(starts[0], first)
-    assert np.array_equal(starts[1], points[0])
     for k in range(2, 6):
-        assert np.array_equal(starts[k], 2.0 * points[k - 1] - points[k - 2])
+        secant = 2.0 * points[k - 1] - points[k - 2]
+        assert np.array_equal(starts[k], secant)
+        if k >= 3:
+            extrapolated = np.polyval(np.polyfit(np.arange(k), points[:k], k - 1), k)
+            assert np.linalg.norm(extrapolated - secant) > 0.5 * np.linalg.norm(
+                points[k - 1] - points[k - 2])
 
 
 def test_bounded_support_starts_each_circle_at_the_previous_first_point(solver_calls):
@@ -259,6 +274,44 @@ def test_carried_curvature_costs_nothing_near_the_unit_sphere(solver_calls):
         _old_chain(sample, path, geometric_expectile)
         chain += _passes(solver_calls)
     assert traced <= 1.05 * chain
+
+
+def _secant_start(self, cold):
+    """The start rule of a path before the order-5 predictor: the seed, the
+    first minimizer, then the secant prediction ``2 c[k-1] - c[k-2]``."""
+    past = self.past
+    if not past:
+        return np.array(cold if self.first is None else self.first, dtype=float)
+    if len(past) < 2:
+        return past[-1].copy()
+    return 2.0 * past[-1] - past[-2]
+
+
+def _secant_passes(monkeypatch, solver_calls, run) -> int:
+    """Kernel passes of ``run()`` with every path started by the secant rule."""
+    with monkeypatch.context() as patched:
+        patched.setattr(estimators._Curvature, "start", _secant_start)
+        run()
+    return _passes(solver_calls)
+
+
+@pytest.mark.parametrize("experiment", [
+    lambda s: marginalization_curves(s[:, :3], r=0.1, n_phi=64),
+    lambda s: subadditivity_sets(s[:, :2], s[:, 2:], r=0.2, measure="expectile", n_phi=64),
+], ids=["marginalization", "subadditivity-expectile"])
+def test_extrapolated_starts_save_kernel_passes(solver_calls, monkeypatch, experiment):
+    # the paper's 64-point circles: the order-5 start took 0.69x
+    # (marginalization, 2,180 / 3,166 passes) and 0.71x (subadditivity,
+    # 830 / 1,170) the passes of the secant start
+    sample = simulate(get_preset("Z-clayton5"), 2000, substream(84, "extrapolated-passes"))
+
+    def run():
+        experiment(sample)
+
+    run()
+    extrapolated = _passes(solver_calls)
+    secant = _secant_passes(monkeypatch, solver_calls, run)
+    assert extrapolated <= 0.8 * secant
 
 
 @pytest.mark.parametrize("measure", ["expectile", "var"])
