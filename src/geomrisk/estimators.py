@@ -31,7 +31,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,12 +159,12 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
     solves pass the private ``_nearest_atom(x) -> (row, 0.5 m / n)``;
     after a backtracking step, on stagnation and at the iteration cap the
     row nearest the iterate is tested through ``fun`` and ``grad`` and,
-    when certified, returned exactly.  A solve starts at ``x0``, unless it
-    runs along a path and passes the private ``_curvature``
-    (:class:`_Curvature`): then it starts at ``_curvature.start(x0)`` and
-    from the inverse-Hessian estimate in its ``h_inv`` (None: steepest
-    descent), and leaves its minimizer and final estimate there (no
-    estimate after a certified atom).  A value-at-risk start equal to the
+    when certified, returned exactly.  A solve starts at
+    ``_curvature.start(x0)``, from the inverse-Hessian estimate in its
+    ``h_inv`` (None: steepest descent), and leaves its minimizer and final
+    estimate there (none after a certified atom); the private
+    ``_curvature`` (:class:`_Curvature`) is a traced path's, and a fresh one
+    (which starts at ``x0``) when None.  A value-at-risk start equal to the
     atom the path's last solve certified is tested first, before any line
     search, and returned with 0 iterations when it passes.  A line search
     that finds no descent along the secant direction is retried along
@@ -173,8 +172,9 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
     estimate's direction only the unit step is tried.
     """
     cfg = config if config is not None else SolverConfig()
-    x = np.array(x0, dtype=float) if _curvature is None else _curvature.start(x0)
-    candidate = None if _curvature is None or _nearest_atom is None else _curvature.atom
+    curvature = _Curvature() if _curvature is None else _curvature
+    x = curvature.start(x0)
+    candidate = curvature.atom
     if candidate is not None and (x == candidate[0]).all():
         # a path's start after a solve that ended on an atom is that atom
         # exactly when the solve before ended there too (a zero secant step
@@ -186,7 +186,7 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
     f = float(fun(x))
     g = np.asarray(grad(x), dtype=float)
     dim = x.size
-    h_inv = None if _curvature is None else _curvature.h_inv
+    h_inv = curvature.h_inv
     report = None
     backtracked = False
     stop_reason = "max_iterations"
@@ -265,14 +265,13 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
             converged=stop_reason == "converged",
             stop_reason=stop_reason,
         )
-    if _curvature is not None:
-        # near a data atom the secant pairs measure the kink, not the
-        # curvature of the objective: a certified atom hands on none, and
-        # is held for the next start instead
-        at_atom = report.stop_reason == "optimal_at_atom"
-        _curvature.h_inv = None if at_atom else h_inv
-        _curvature.atom = candidate if at_atom else None
-        _curvature.past.append(report.argmin)
+    # near a data atom the secant pairs measure the kink, not the curvature
+    # of the objective: a certified atom hands on none, and is held for the
+    # next start instead
+    at_atom = report.stop_reason == "optimal_at_atom"
+    curvature.h_inv = None if at_atom else h_inv
+    curvature.atom = candidate if at_atom else None
+    curvature.past.append(report.argmin)
     return report
 
 
@@ -427,16 +426,16 @@ class _Prepared:
     def __array__(self, dtype=None, copy=None):
         return np.array(self.rows, dtype=dtype, copy=copy)
 
-    def on_path(self, first=None) -> _Prepared:
+    def on_path(self) -> _Prepared:
         """A view of this sample for the solves of one traced path.
 
         It shares the arrays, the tests computed on first use and the
         workspace, and carries a fresh :class:`_Curvature` that each of its
-        solves starts from and leaves to the next; ``first``, when given,
-        seeds the path's first solve.
+        solves starts from and leaves to the next; the first starts at the
+        sample mean.
         """
         view = copy.copy(self)
-        view.curvature = _Curvature(first)
+        view.curvature = _Curvature()
         return view
 
     def collinear(self) -> bool:
@@ -468,44 +467,43 @@ class _Prepared:
 class _Curvature:
     """What the solves of one traced path hand to the next.
 
-    ``first`` is the optional seed of the path's first solve.  ``past``
-    holds the minimizers of its last ``_ORDER`` solves, oldest first; the
-    seed is not one.  ``h_inv`` is the inverse-Hessian estimate, None until
+    ``past`` holds the minimizers of its solves, oldest first (a list: the
+    block a deque allocates made each direct expectile solve at n = 10k
+    ~2.5% slower).  ``h_inv`` is the inverse-Hessian estimate, None until
     a solve leaves one.  ``atom`` is the ``(row, 0.5 m / n)`` candidate of
     the data atom the last solve certified (its row is ``past[-1]``), and
-    None after any other stop.
+    None after any other stop.  A direct solve gets a fresh one of its own.
     """
 
-    __slots__ = ("first", "h_inv", "atom", "past")
+    __slots__ = ("h_inv", "atom", "past")
 
-    def __init__(self, first=None) -> None:
-        self.first = first
+    def __init__(self) -> None:
         self.h_inv = None
         self.atom = None
-        self.past = deque(maxlen=_ORDER)
+        self.past = []
 
     def start(self, cold) -> np.ndarray:
         """The next solve's start, a new array.
 
-        The first solve starts at the seed ``first`` (``cold`` when there is
-        none).  Every later one starts at the equal-step extrapolation of the
-        k = min(solves so far, ``_ORDER``) last minimizers: the degree k - 1
-        polynomial through them, read one step on.  The order ramps up from
-        the first minimizer (k = 1) and the secant prediction ``2 c[-1] -
-        c[-2]`` (k = 2) to ``c[-5] - 5 c[-4] + 10 c[-3] - 10 c[-2] + 5
-        c[-1]``.  A prediction farther than ``_GUARD`` ``||c[-1] - c[-2]||``
-        from the secant's (the minimizers turned or jumped, say between the
-        data atoms of a value-at-risk path) gives way to the secant, which is
-        also the start whenever the last two minimizers are equal: that
-        point, bit for bit.  The sums run elementwise in a fixed order, so a
-        start does not depend on the BLAS build or its thread count.
+        The first solve starts at ``cold``.  Every later one starts at the
+        equal-step extrapolation of the k = min(solves so far, ``_ORDER``)
+        last minimizers: the degree k - 1 polynomial through them, read one
+        step on.  The order ramps up from the first minimizer (k = 1) and
+        the secant prediction ``2 c[-1] - c[-2]`` (k = 2) to ``c[-5] - 5
+        c[-4] + 10 c[-3] - 10 c[-2] + 5 c[-1]``.  A prediction farther than
+        ``_GUARD`` ``||c[-1] - c[-2]||`` from the secant's (the minimizers
+        turned or jumped, say between the data atoms of a value-at-risk
+        path) gives way to the secant, which is also the start whenever the
+        last two minimizers are equal: that point, bit for bit.  The sums
+        run elementwise in a fixed order, so a start does not depend on the
+        BLAS build or its thread count.
         """
-        past = self.past
+        past = self.past[-_ORDER:]
         if not past:
-            return np.array(cold if self.first is None else self.first, dtype=float)
+            return np.array(cold, dtype=float)
         weights = _EXTRAPOLATION[len(past)]
         start = weights[0] * past[0]
-        for w, c in zip(weights[1:], list(past)[1:]):
+        for w, c in zip(weights[1:], past[1:]):
             start += w * c
         if len(past) < 2:
             return start
@@ -545,7 +543,7 @@ def _solve(sample, alpha, config, kind: str) -> SolveReport:
     atom = prep.nearest_atom if kind == "quantile" else None
     report = minimize_convex(fun, grad, prep.mean, config, _nearest_atom=atom,
                              _curvature=prep.curvature)
-    if kind == "quantile" and prep.shape[1] >= 2 and prep.collinear():
+    if kind == "quantile" and prep.collinear():
         report = dataclasses.replace(report, note="degenerate_possible")
     return report
 
@@ -555,7 +553,8 @@ def _collinear(centred: np.ndarray) -> bool:
 
     The test, ``sigma_2 <= 1e-12 sigma_1``, is relative to the largest
     singular value, so it does not depend on the scale of the sample;
-    all-identical samples never get here.  The rows are centred once more:
+    all-identical samples never get here, and a sample with d = 1 or
+    n <= 2 is collinear by shape.  The rows are centred once more:
     a mean that is large against the spread leaves the rounding error of
     its computation in every row, off the line, and the verdict would
     depend on how the caller centred.
@@ -568,7 +567,7 @@ def _collinear(centred: np.ndarray) -> bool:
     is the SVD's.
     """
     n, d = centred.shape
-    if n <= 2:
+    if n <= 2 or d == 1:
         return True
     centred = centred - centred.mean(axis=0)  # keeps the Fortran order the SVD reads fast
     # e2 = ((tr G)^2 - ||G||_F^2) / 2.  A trace near underflow leaves G and
@@ -599,10 +598,10 @@ def geometric_var(sample, alpha, config: SolverConfig | None = None) -> SolveRep
     """Geometric value-at-risk (geometric quantile) of a sample at index ``alpha``.
 
     Minimizes the empirical check-type loss.  At ``alpha = 0`` this is
-    the spatial median.  For d >= 2 the minimizer is unique unless all
-    observations are collinear, in which case the report carries
-    ``note='degenerate_possible'``; for d = 1 flat regions of the
-    objective mean any point of the interval minimizer may be returned.
+    the spatial median.  The minimizer is unique unless all observations
+    are collinear, which every sample with d = 1 is; then the report
+    carries ``note='degenerate_possible'``, as the minimizer set may be an
+    interval of which any point may be returned.
     """
     return _solve(sample, alpha, config, "quantile")
 

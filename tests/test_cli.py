@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shlex
 import subprocess
 import sys
 import typing
@@ -853,3 +854,37 @@ def test_csv_goes_to_stdout_without_an_out_file(out, tmp_path, capsys):
     capsys.readouterr()
     assert main(op if out is None else [*op, "--out", out]) == 0
     assert capsys.readouterr().out == expected
+
+
+# ---------------------------------------------------------------------------
+# the README's examples run as written
+
+def _readme_examples() -> list[tuple[str, list[str]]]:
+    """``(comment, argv)`` of each ``geomrisk`` command in the ``sh`` block
+    after "Examples:" in README.md: continuations joined, each command with
+    the comment above it."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("Examples:", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands, comment = [], ""
+    for line in block.replace("\\\n", " ").splitlines():
+        line = line.strip()
+        if line.startswith("#"):
+            comment = line
+        elif line:
+            program, *argv = shlex.split(line)
+            assert program == "geomrisk", line
+            commands.append((comment, argv))
+    return commands
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    examples = _readme_examples()
+    assert len(examples) == 7
+    identical = []
+    for comment, argv in examples:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if "byte-identical" in comment and argv[0] == "expectile":
+            identical.append(out)
+    assert len(identical) == 2 and identical[0] and identical[0] == identical[1]

@@ -356,16 +356,17 @@ def test_nearest_atom_counts_the_rows_equal_to_it():
 
 
 def test_path_view_starts_from_its_own_minimizers(solver_calls):
-    # the seed starts a path's first solve only; the second starts at the
-    # first minimizer, not at a secant prediction from the seed
+    # a path's first solve starts at the sample mean, and the second at the
+    # first minimizer
     sample = np.random.default_rng(8).standard_normal((200, 2))
-    seed = np.array([5.0, -5.0])
-    path = estimators._prepare(sample).on_path(seed)
+    prep = estimators._prepare(sample)
+    path = prep.on_path()
     first = geometric_expectile(path, [0.3, 0.1])
     assert len(path.curvature.past) == 1 and path.curvature.past[0] is first.argmin
     second = geometric_expectile(path, [0.3, 0.1])
     assert first.iterations > 0 and second.iterations == 0
-    assert np.array_equal(solver_calls[0]["points"][0], seed)
+    assert np.array_equal(solver_calls[0]["points"][0], prep.mean)
+    assert np.array_equal(solver_calls[1]["points"][0], first.argmin)
     assert np.array_equal(second.argmin, first.argmin)
     assert [id(c) for c in path.curvature.past] == [id(first.argmin), id(second.argmin)]
 
@@ -975,6 +976,17 @@ def test_var_on_a_tied_integer_grid():
     rep = geometric_var(grid, [0.3])
     _assert_certified_atom(grid, [0.3], rep, 5)
     assert rep.argmin[0] == univariate_quantile(grid[:, 0], 0.65) == 2.0
+
+
+def test_var_in_one_dimension_notes_a_flat_minimizer_set():
+    # every 1-D sample is collinear: on rows 1, 2, 3, 4 the objective is flat
+    # on [2, 3] at u = 0, on [3, 4] at 0.5 and on [1, 2] at -0.5, and the
+    # point returned from each set carries the note
+    rows = np.array([[1.0], [2.0], [3.0], [4.0]])
+    for u, (lo, hi) in ((0.0, (2.0, 3.0)), (0.5, (3.0, 4.0)), (-0.5, (1.0, 2.0))):
+        rep = geometric_var(rows, [u])
+        assert rep.converged and lo <= rep.argmin[0] <= hi
+        assert rep.note == "degenerate_possible"
 
 
 def test_var_on_a_heavy_atom_in_two_dimensions():

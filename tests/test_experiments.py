@@ -29,6 +29,7 @@ from geomrisk import (
     match_magnitude,
     point_in_polygon,
     simulate,
+    simulate_compound,
     subadditivity_sets,
     substream,
     trace_curve,
@@ -172,16 +173,15 @@ def test_traced_curve_matches_cold_solves(symmetric_sample, measure, solver, kin
 @pytest.mark.parametrize("measure", ["expectile", "var"])
 def test_trace_starts_each_solve_at_the_extrapolated_prediction(symmetric_sample, solver_calls,
                                                                 measure):
-    # the first point a solve evaluates is its start: the path's seed for
-    # its first solve only, the first minimizer for the second, and from the
-    # sixth on the order-5 extrapolation of the five minimizers before it,
-    # bit for bit, on a circle fine enough that none of them turns sharply
-    first = np.array([0.4, -1.2])
+    # the first point a solve evaluates is its start: the sample mean for
+    # the path's first solve, the first minimizer for the second, and from
+    # the sixth on the order-5 extrapolation of the five minimizers before
+    # it, bit for bit, on a circle fine enough that none of them turns sharply
     points, _ = experiments._trace(symmetric_sample, CirclePath(0.8, 64).indices()[1], measure,
-                                   None, first=first)
+                                   None)
     starts = [call["points"][0] for call in solver_calls]
     assert len(starts) == 64
-    assert np.array_equal(starts[0], first)
+    assert np.array_equal(starts[0], estimators._prepare(symmetric_sample).mean)
     assert np.array_equal(starts[1], points[0])
     for k in range(5, 64):
         p = points[k - 5:k]
@@ -190,7 +190,7 @@ def test_trace_starts_each_solve_at_the_extrapolated_prediction(symmetric_sample
     # than half a secant step from the secant prediction, which is taken
     solver_calls.clear()
     points, _ = experiments._trace(symmetric_sample, CirclePath(0.7, 6).indices()[1], measure,
-                                   None, first=first)
+                                   None)
     starts = [call["points"][0] for call in solver_calls]
     for k in range(2, 6):
         secant = 2.0 * points[k - 1] - points[k - 2]
@@ -201,17 +201,18 @@ def test_trace_starts_each_solve_at_the_extrapolated_prediction(symmetric_sample
                 points[k - 1] - points[k - 2])
 
 
-def test_bounded_support_starts_each_circle_at_the_previous_first_point(solver_calls):
-    # the first circle starts at the sample mean; each later one is seeded
-    # with the first point of the one before, and its second solve starts at
-    # its own first minimizer, not at a secant prediction from the seed
+def test_bounded_support_starts_each_circle_at_the_sample_mean(solver_calls):
+    # every circle is a path of its own: its first solve starts at the
+    # sample mean, and its second at its own first minimizer
     rows = bounded_support_check(300, r_list=(0.3, 0.6), n_phi=4,
                                  rng=substream(85, "first-start"))
     assert all(row.all_converged for row in rows) and len(solver_calls) == 8
     sample = ClaytonCopula(5.0, 2).sample(300, substream(85, "first-start"))
-    assert np.array_equal(solver_calls[0]["points"][0], estimators._prepare(sample).mean)
-    assert np.array_equal(solver_calls[4]["points"][0], solver_calls[0]["result"].argmin)
-    assert np.array_equal(solver_calls[5]["points"][0], solver_calls[4]["result"].argmin)
+    mean = estimators._prepare(sample).mean
+    for first in (0, 4):
+        assert np.array_equal(solver_calls[first]["points"][0], mean)
+        assert np.array_equal(solver_calls[first + 1]["points"][0],
+                              solver_calls[first]["result"].argmin)
 
 
 def test_each_trace_starts_without_curvature(symmetric_sample, solver_calls):
@@ -239,24 +240,25 @@ def _passes(solver_calls) -> int:
     return total
 
 
-def _old_chain(sample, path, solver) -> None:
+def _old_chain(sample, indices, kind: str) -> None:
     """The engine before predictor-corrector tracing: each solve starts at
-    the previous minimizer, without curvature."""
+    the previous minimizer (the first at the sample mean), without curvature."""
     prep = estimators._prepare(sample)
-    prev = None
-    for alpha in path.indices()[1]:
-        prev = solver(prep.on_path(prev), alpha).argmin
+    x = prep.mean
+    atom = prep.nearest_atom if kind == "quantile" else None
+    for alpha in indices:
+        fun, grad = estimators._objective_closures(prep, np.asarray(alpha, dtype=float), kind)
+        x = estimators.minimize_convex(fun, grad, x, _nearest_atom=atom).argmin
 
 
-@pytest.mark.parametrize("measure, solver", [("expectile", geometric_expectile),
-                                             ("var", geometric_var)])
-def test_predictor_corrector_saves_kernel_passes(solver_calls, measure, solver):
+@pytest.mark.parametrize("measure, kind", [("expectile", "expectile"), ("var", "quantile")])
+def test_predictor_corrector_saves_kernel_passes(solver_calls, measure, kind):
     # the paper's 64-point circle curve near the unit sphere
     sample = simulate(get_preset("X3"), 10_000, substream(81, "x3-passes"))
     path = CirclePath(0.98, 64)
     assert trace_curve(sample, path, measure).all_converged
     traced = _passes(solver_calls)
-    _old_chain(sample, path, solver)
+    _old_chain(sample, path.indices()[1], kind)
     assert traced <= 0.75 * _passes(solver_calls)
 
 
@@ -271,17 +273,17 @@ def test_carried_curvature_costs_nothing_near_the_unit_sphere(solver_calls):
         path = CirclePath(r, 16)
         assert trace_curve(sample, path).all_converged
         traced += _passes(solver_calls)
-        _old_chain(sample, path, geometric_expectile)
+        _old_chain(sample, path.indices()[1], "expectile")
         chain += _passes(solver_calls)
     assert traced <= 1.05 * chain
 
 
 def _secant_start(self, cold):
-    """The start rule of a path before the order-5 predictor: the seed, the
+    """The start rule of a path before the order-5 predictor: ``cold``, the
     first minimizer, then the secant prediction ``2 c[k-1] - c[k-2]``."""
     past = self.past
     if not past:
-        return np.array(cold if self.first is None else self.first, dtype=float)
+        return np.array(cold, dtype=float)
     if len(past) < 2:
         return past[-1].copy()
     return 2.0 * past[-1] - past[-2]
@@ -506,19 +508,61 @@ def test_match_magnitude_reports_a_target_solve_that_did_not_converge(
     assert not match_magnitude(symmetric_sample, direction, 0.5, tol=1e-2)[2]
 
 
-def test_match_magnitude_chains_each_var_start_from_the_last_minimizer(symmetric_sample,
-                                                                       solver_calls):
-    # the expectile target and the first VaR solve start at the sample mean;
-    # every later VaR solve starts at the minimizer of the one before it,
-    # without curvature
+def test_match_magnitude_starts_its_var_path_at_the_sample_mean(symmetric_sample, solver_calls):
+    # the expectile target starts at the sample mean; the VaR solves of the
+    # search share one path, whose first solve starts at the mean, whose
+    # second starts at the first VaR minimizer, and whose later solves carry
+    # the estimate the one before left
     match_magnitude(symmetric_sample, np.array([1.0, 0.0]), 0.5, tol=1e-3)
     mean = estimators._prepare(symmetric_sample).mean
-    starts = [call["points"][0] for call in solver_calls]
-    assert len(starts) > 3
-    assert np.array_equal(starts[0], mean) and np.array_equal(starts[1], mean)
-    for k in range(2, len(solver_calls)):
-        assert np.array_equal(starts[k], solver_calls[k - 1]["result"].argmin)
-    assert all(call["h_inv_in"] is None for call in solver_calls[1:])
+    target, first, second, *later = solver_calls
+    assert target["curvature"] is None and np.array_equal(target["points"][0], mean)
+    path = first["curvature"]
+    assert path is not None and len(later) > 1
+    assert all(call["curvature"] is path for call in (second, *later))
+    assert np.array_equal(first["points"][0], mean) and first["h_inv_in"] is None
+    assert np.array_equal(second["points"][0], first["result"].argmin)
+    assert all(call["h_inv_in"] is not None for call in later)
+
+
+def test_match_magnitude_searches_on_one_path(solver_calls):
+    # the search's VaR solves as one traced path cost at most 0.9x the fresh
+    # pass states of starting each at the minimizer before it, without
+    # curvature, over the same magnitudes (0.73 here; 0.68-0.82 on X1 at
+    # n = 2,000 over seeds 1-3, along e1 and the diagonal, theta 0.3/0.5/0.8)
+    sample = simulate(get_preset("X1"), 2000, substream(86, "one-path"))
+    direction = np.array([1.0, 0.0])
+    _, trace, ok = match_magnitude(sample, direction, 0.5)
+    assert ok
+    one_path = sum(call["states"] for call in solver_calls[1:])
+    solver_calls.clear()
+    _old_chain(sample, [m * direction for m, _ in trace], "quantile")
+    chain = sum(call["states"] for call in solver_calls)
+    assert len(solver_calls) == len(trace)
+    assert one_path <= 0.9 * chain
+
+
+@pytest.mark.parametrize("name, n, seeds, bound", [
+    # the largest |m* - m*_tight| measured: 8.0e-5 on cp-paper over seeds
+    # 1-16 (these 96 cases), 7.9e-6 on X1 at n = 2,000 over seeds 1-8
+    ("cp-paper", 100, range(1, 17), 1e-4),
+    ("X1", 2000, range(1, 4), 1e-5),
+], ids=["cp-paper", "X1"])
+def test_match_magnitude_is_as_precise_as_its_var_solves(name, n, seeds, bound):
+    # tol bounds the search bracket, not the error of m*: at the default
+    # config m* stays this near a search with grad_tolerance = 1e-13 (whose
+    # solves may stop as stagnation short of that tolerance)
+    model = get_preset(name)
+    draw = simulate_compound if name == "cp-paper" else simulate
+    tight = SolverConfig(grad_tolerance=1e-13)
+    for seed in seeds:
+        sample = draw(model, n, substream(seed, "simulate"))
+        for direction in (np.array([1.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2.0)):
+            for theta in (0.3, 0.6, 0.9):
+                m_star, _, ok = match_magnitude(sample, direction, theta)
+                m_tight = match_magnitude(sample, direction, theta, tight)[0]
+                assert ok
+                assert abs(m_star - m_tight) <= bound, (seed, direction, theta)
 
 
 def test_match_magnitude_validates_direction(symmetric_sample):
