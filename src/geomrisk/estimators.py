@@ -71,6 +71,10 @@ _STEP_FLOOR = 1e-14
 # lands farther than _GUARD secant steps from the secant's prediction
 _ORDER = 5
 _GUARD = 0.5
+# an expectile path's carried estimate is not turned between indices whose
+# unit vectors sum to less than this (opposite up to rounding: ||a^ + b^|| is
+# 2 sin(delta / 2) for a turn of pi - delta)
+_ANTIPARALLEL = 1e-8
 # k -> oldest-first weights of the degree k - 1 extrapolation from k equal
 # steps, (-1)^(k-1-j) C(k, j): [1], [-1, 2] (the secant), ..., [1, -5, 10, -10, 5]
 _EXTRAPOLATION = {k: tuple(float((-1) ** (k - 1 - j) * math.comb(k, j)) for j in range(k))
@@ -109,6 +113,9 @@ class SolverConfig:
             raise ValueError("grad_tolerance must be a positive finite number")
         if int(self.max_iterations) < 1:
             raise ValueError("max_iterations must be at least 1")
+
+
+_DEFAULT_CONFIG = SolverConfig()
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,17 +168,18 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
     row nearest the iterate is tested through ``fun`` and ``grad`` and,
     when certified, returned exactly.  A solve starts at
     ``_curvature.start(x0)``, from the inverse-Hessian estimate in its
-    ``h_inv`` (None: steepest descent), and leaves its minimizer and final
-    estimate there (none after a certified atom); the private
-    ``_curvature`` (:class:`_Curvature`) is a traced path's, and a fresh one
-    (which starts at ``x0``) when None.  A value-at-risk start equal to the
+    ``h_inv`` (None: steepest descent) as it finds it, and leaves its
+    minimizer and final estimate there (none after a certified atom); the
+    private ``_curvature`` (:class:`_Curvature`) is a traced path's (whose
+    expectile solves turn ``h_inv`` with the index before they get here),
+    and a fresh one (which starts at ``x0``) when None.  A value-at-risk start equal to the
     atom the path's last solve certified is tested first, before any line
     search, and returned with 0 iterations when it passes.  A line search
     that finds no descent along the secant direction is retried along
     steepest descent before the solve stops as stagnation; along a carried
     estimate's direction only the unit step is tried.
     """
-    cfg = config if config is not None else SolverConfig()
+    cfg = config if config is not None else _DEFAULT_CONFIG
     curvature = _Curvature() if _curvature is None else _curvature
     x = curvature.start(x0)
     candidate = curvature.atom
@@ -210,10 +218,10 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
             h_inv = None
             p = -g
             slope = -gnorm * gnorm
-        # an estimate carried in may fit another stretch of the path (near
-        # the unit sphere its long axis turns with the index): it gets the
-        # unit step only, and fails over to steepest descent like any other
-        # secant direction without descent
+        # an estimate carried in may fit another stretch of the path (an
+        # expectile's is turned with the index, but not rescaled; a VaR's
+        # is not turned): it gets the unit step only, and fails over to
+        # steepest descent like any other secant direction without descent
         carried = iterations == 0 and h_inv is not None
         accepted = _line_search(fun, grad, x, f, gnorm, p, slope,
                                 1.0 if carried else _STEP_FLOOR)
@@ -470,17 +478,46 @@ class _Curvature:
     ``past`` holds the minimizers of its solves, oldest first (a list: the
     block a deque allocates made each direct expectile solve at n = 10k
     ~2.5% slower).  ``h_inv`` is the inverse-Hessian estimate, None until
-    a solve leaves one.  ``atom`` is the ``(row, 0.5 m / n)`` candidate of
-    the data atom the last solve certified (its row is ``past[-1]``), and
-    None after any other stop.  A direct solve gets a fresh one of its own.
+    a solve leaves one; before each expectile solve :meth:`turn` turns it
+    with the index, and ``direction`` is the unit direction of the last
+    expectile solve's index (None before the first, and after a zero
+    index).  ``atom`` is the ``(row, 0.5 m / n)`` candidate of the data
+    atom the last solve certified (its row is ``past[-1]``), and None after
+    any other stop.  A direct solve gets a fresh one of its own.
     """
 
-    __slots__ = ("h_inv", "atom", "past")
+    __slots__ = ("h_inv", "atom", "past", "direction")
 
     def __init__(self) -> None:
         self.h_inv = None
         self.atom = None
         self.past = []
+        self.direction = None
+
+    def turn(self, index: np.ndarray) -> None:
+        """Turn ``h_inv`` from the last expectile solve's index to ``index``.
+
+        The expectile Hessian at ``c`` is ``(1 + 0.5 mean r) I + 0.5 (a u^T
+        + u a^T) - 0.5 mean(r t t^T / ||t||^2)``, with ``t = x - c``, ``r =
+        u.t / ||t||`` and ``a = mean(t / ||t||)``: every anisotropic term is
+        linear in ``u``, so along a path the long axis of the curvature
+        turns with the index (near the unit sphere the estimate of the last
+        index points the wrong way at the next).  ``h_inv`` becomes a new
+        array ``R h_inv R^T``, R the plane rotation of :func:`_rotation`
+        between the two directions; the array carried in is never written.
+        A zero index has no direction, and a turn from or to it leaves
+        ``h_inv`` as it is.  A value-at-risk Hessian, ``0.5 mean((I - t
+        t^T / ||t||^2) / ||t||)``, holds no ``u``, and its solves do not
+        call this.
+        """
+        norm = _norm(index)
+        last = self.direction
+        self.direction = index / norm if norm > 0.0 else None
+        if self.h_inv is None or last is None or self.direction is None:
+            return
+        r = _rotation(last, self.direction)
+        if r is not None:
+            self.h_inv = r @ self.h_inv @ r.T
 
     def start(self, cold) -> np.ndarray:
         """The next solve's start, a new array.
@@ -515,12 +552,47 @@ class _Curvature:
         return secant
 
 
+def _rotation(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """The rotation in the plane of the unit vectors ``a`` and ``b`` that takes ``a`` onto ``b``.
+
+    It is ``R = I + K + K^2 / (1 + c)`` with ``K = b a^T - a b^T`` and ``c
+    = a.b``, and fixes every vector orthogonal to both.  It is computed as
+    ``I + 2 b a^T - 2 m m^T``, m the unit vector along ``a + b``: the
+    product of the reflections that take ``a`` to ``-b`` and ``-b`` to
+    ``b``; it is orthogonal to ``~eps / ||a + b||``, where the K form loses
+    ``eps / (1 + c)``.  None stands for the identity, when ``||a + b|| <
+    _ANTIPARALLEL``: the vectors are opposite up to rounding, and no plane
+    is singled out (at d = 2 the half-turn ``-I`` gives ``R H R^T = H``,
+    as the identity does, and at d = 1 a flip of the index is the only
+    turn).
+    """
+    m = a + b
+    nm = _norm(m)
+    if nm < _ANTIPARALLEL:
+        return None
+    m /= nm
+    r = b[:, np.newaxis] * (2.0 * a)
+    r -= m[:, np.newaxis] * (2.0 * m)
+    r.flat[::a.size + 1] += 1.0
+    return r
+
+
 def _prepare(sample) -> _Prepared:
     """``sample`` prepared for solving; an already prepared sample is returned as is."""
     return sample if isinstance(sample, _Prepared) else _Prepared(sample)
 
 
 def _solve(sample, alpha, config, kind: str) -> SolveReport:
+    """Solve the ``kind`` objective of ``sample`` at index ``alpha``.
+
+    The sample mean is the cold start.  A VaR minimizer may sit on a data
+    atom, where only the subdifferential test can certify it, so VaR solves
+    get the nearest atom as a candidate.  On a traced path's view the solve
+    starts where the path's :class:`_Curvature` says and leaves its own
+    state there; an expectile solve first has it turn the carried estimate
+    from the last index to ``alpha`` (:meth:`_Curvature.turn`), a VaR solve
+    takes the estimate as it is.
+    """
     prep = _prepare(sample)
     u = as_index(alpha)
     if u.size != prep.shape[1]:
@@ -536,11 +608,9 @@ def _solve(sample, alpha, config, kind: str) -> SolveReport:
             stop_reason="identical_rows",
         )
     fun, grad = _objective_closures(prep, u, kind)
-    # the sample mean is the cold start.  A VaR minimizer may sit on a data
-    # atom, where only the subdifferential test can certify it, so VaR solves
-    # get the nearest atom as a candidate.  On a traced path's view the solve
-    # starts where the path's _Curvature says, and leaves its own there.
     atom = prep.nearest_atom if kind == "quantile" else None
+    if kind == "expectile" and prep.curvature is not None:
+        prep.curvature.turn(u)
     report = minimize_convex(fun, grad, prep.mean, config, _nearest_atom=atom,
                              _curvature=prep.curvature)
     if kind == "quantile" and prep.collinear():

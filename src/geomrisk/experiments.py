@@ -7,7 +7,8 @@ indices through one predictor-corrector engine, ``_trace``: each solve
 after the first starts at the polynomial extrapolation of up to five
 previous minimizers (the secant when that turns too sharply; see
 :class:`~geomrisk.estimators._Curvature`), and from the inverse-Hessian
-estimate the previous one ended with.  Each
+estimate the previous one ended with (an expectile's turned with the
+index).  Each
 distinct sample is prepared once (validated, copied into
 the solver's column block, with its mean and rank tests; see
 :mod:`geomrisk.estimators`) and shared by every solve on it.  On top of
@@ -196,7 +197,8 @@ def _trace(sample, indices, measure: str, config: SolverConfig | None):
     A predictor-corrector continuation.  ``sample`` is prepared once (or
     passed in already prepared) and every solve of the path runs on one
     view of it, whose :class:`~geomrisk.estimators._Curvature` hands each
-    solve's minimizer and final inverse-Hessian estimate to the next.  The
+    solve's minimizer and final inverse-Hessian estimate to the next (an
+    expectile path turns the estimate with the index).  The
     first solve starts at the sample mean, and every later one at the
     equal-step extrapolation of the last k <= 5 minimizers: the first
     minimizer, then the secant prediction, up to order 5, with the secant

@@ -44,7 +44,11 @@ def _nonzero(norms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     Every gradient formula divides by it, so a row at (or, by underflow,
     next to) the origin has check-type subgradient ``0.5 u`` and squared-type
     gradient 0; a floor at the tiniest float would give it ~1e137 instead.
+    Without a zero it is ``norms`` itself, and no copy is made; else a
+    copy, into ``out`` when given.
     """
+    if norms.all():
+        return norms
     out = np.empty_like(norms) if out is None else out
     np.copyto(out, norms)
     out[norms == 0.0] = 1.0
@@ -176,8 +180,10 @@ def _expectile_value(u: np.ndarray, state: _PassState) -> float:
 def _expectile_grad(u: np.ndarray, state: _PassState) -> np.ndarray:
     n = state.norms.size
     mean_norm = float(state.norms.sum()) / n
-    weights = np.multiply(_nonzero(state.norms, out=state.scratch), 2.0, out=state.scratch)
-    np.divide(state.inner, weights, out=weights)
+    # 1 + inner / (2 norms); the halving is exact, so the bits are those of
+    # the division by 2 norms
+    weights = np.divide(state.inner, _nonzero(state.norms, out=state.scratch), out=state.scratch)
+    weights *= 0.5
     weights += 1.0
     return state.t @ weights / n + 0.5 * mean_norm * u
 

@@ -42,7 +42,7 @@ def solver_calls(monkeypatch) -> list[dict]:
     points each pass was asked for, the number of fresh pass states (calls
     of ``estimators._pass_state``, the state function the closures look
     up by name), the private curvature state with a copy of its ``h_inv``
-    on entry, and the result of the real solver."""
+    on entry and on exit, and the result of the real solver."""
     real = estimators.minimize_convex
     signature = inspect.signature(real)
     calls = []
@@ -78,6 +78,8 @@ def solver_calls(monkeypatch) -> list[dict]:
         before = fresh[0]
         record["result"] = real(*bound.args, **bound.kwargs)
         record["states"] = fresh[0] - before
+        h_inv = None if curvature is None else curvature.h_inv
+        record["h_inv_out"] = None if h_inv is None else h_inv.copy()
         calls.append(record)
         return record["result"]
 

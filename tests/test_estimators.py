@@ -550,6 +550,119 @@ def test_solve_does_not_write_the_path_estimate_in_place():
     np.testing.assert_array_equal(h_inv, kept)
 
 
+def _turned(h_inv, last, index):
+    """What ``_Curvature.turn`` leaves for ``h_inv`` when a path steps from ``last`` to ``index``."""
+    curvature = estimators._Curvature()
+    curvature.turn(np.asarray(last, dtype=float))  # no estimate yet: records the direction
+    curvature.h_inv = h_inv
+    curvature.turn(np.asarray(index, dtype=float))
+    return curvature.h_inv
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_rotation_takes_the_old_index_direction_onto_the_new(d):
+    rng = np.random.default_rng(60 + d)
+    eps = np.finfo(float).eps
+    for _ in range(20):
+        a, b = _unit(rng.standard_normal(d)), _unit(rng.standard_normal(d))
+        r = estimators._rotation(a, b)
+        # rounding grows as the directions near opposite, as eps / ||a + b||
+        tol = 16.0 * eps / np.linalg.norm(a + b)
+        assert np.linalg.norm(r @ a - b) <= tol
+        assert np.abs(r @ r.T - np.eye(d)).max() <= tol
+        assert np.linalg.det(r) == pytest.approx(1.0, abs=tol)
+        # a plane rotation: whatever is orthogonal to both directions stays put
+        basis = np.linalg.svd(np.vstack([a, b]))[2][2:]
+        for w in basis:
+            assert np.linalg.norm(r @ w - w) <= tol
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_turned_estimate_stays_symmetric_positive_definite(d):
+    # R H R^T is H seen from the turned frame: symmetric to rounding, with
+    # the eigenvalues of H
+    rng = np.random.default_rng(70 + d)
+    eps = np.finfo(float).eps
+    m = rng.standard_normal((d, d))
+    h_inv = m @ m.T + 0.1 * np.eye(d)
+    for _ in range(20):
+        a, b = rng.standard_normal((2, d)) * 0.3
+        turned = _turned(h_inv, a, b)
+        assert np.abs(turned - turned.T).max() <= 8.0 * eps * np.abs(h_inv).max()
+        np.testing.assert_allclose(np.linalg.eigvalsh(turned), np.linalg.eigvalsh(h_inv),
+                                   rtol=1e-13)
+        assert np.linalg.eigvalsh(turned).min() > 0.0
+
+
+@pytest.mark.parametrize("last, index", [
+    ([0.3, -0.4], [-0.3, 0.4]),
+    ([0.3, -0.4, 0.1], [-0.15, 0.2, -0.05]),
+    ([0.3, -0.4, 0.1], [-0.9, 1.2, -0.3]),
+    ([0.3, -0.4], [0.0, 0.0]),
+    ([0.0, 0.0, 0.0], [0.3, -0.4, 0.1]),
+    ([0.3], [-0.5]),
+], ids=["antiparallel", "antiparallel-3d", "antiparallel-rounded", "to-zero", "from-zero",
+        "d1-flipped"])
+def test_turn_is_the_identity_without_a_plane(last, index):
+    # opposite and zero indices single out no plane to turn in: the
+    # estimate is carried on as it is, the same array
+    if np.any(last) and np.any(index):
+        assert estimators._rotation(_unit(last), _unit(index)) is None
+    d = len(last)
+    h_inv = np.eye(d) + 0.25 * np.ones((d, d))
+    assert _turned(h_inv, last, index) is h_inv
+
+
+@pytest.mark.parametrize("last, index", [
+    ([0.3, -0.4], [0.15, -0.2]),
+    ([0.3, -0.4, 0.1], [0.6, -0.8, 0.2]),
+    ([0.3, -0.4, 0.1, 0.2], [0.09, -0.12, 0.03, 0.06]),
+    ([0.3], [0.6]),
+], ids=["parallel", "parallel-3d", "parallel-4d", "d1"])
+def test_turn_between_parallel_indices_is_the_identity(last, index):
+    # one direction, or a line, which has no other: R is I to rounding
+    d = len(last)
+    eps = np.finfo(float).eps
+    r = estimators._rotation(_unit(last), _unit(index))
+    assert np.abs(r - np.eye(d)).max() <= 4.0 * eps
+    h_inv = np.eye(d) + 0.25 * np.ones((d, d))
+    np.testing.assert_allclose(_turned(h_inv, last, index), h_inv, rtol=0, atol=16.0 * eps)
+
+
+def test_turn_does_not_write_the_carried_estimate():
+    h_inv = np.array([[2.0, 0.5], [0.5, 1.0]])
+    kept = h_inv.copy()
+    turned = _turned(h_inv, [0.5, 0.0], [0.0, 0.5])
+    assert turned is not h_inv
+    np.testing.assert_array_equal(h_inv, kept)
+    # a quarter turn swaps the axes and flips the coupling
+    np.testing.assert_allclose(turned, [[1.0, -0.5], [-0.5, 2.0]], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("measure", ["expectile", "var"])
+def test_path_turns_only_the_expectile_estimate(solver_calls, measure):
+    # each solve of a path starts from the estimate the solve before it left:
+    # a VaR solve bit for bit (its Hessian holds no index), an expectile solve
+    # turned from the last index to its own
+    sample = simulate(get_preset("X3"), 2000, substream(87, "turn"))
+    phi = np.linspace(0.0, 2.0 * np.pi, 17)[:-1]
+    indices = 0.95 * np.column_stack([np.cos(phi), np.sin(phi)])
+    _, converged = experiments._trace(sample, indices, measure, None)
+    assert converged.all() and len(solver_calls) == len(indices)
+    assert solver_calls[0]["h_inv_in"] is None
+    for k in range(1, len(indices)):
+        h_in, h_out = solver_calls[k]["h_inv_in"], solver_calls[k - 1]["h_inv_out"]
+        assert h_out is not None
+        if measure == "expectile":
+            h_out = _turned(h_out, indices[k - 1], indices[k])
+        assert h_in.tobytes() == h_out.tobytes()
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(grad_tolerance=0.0)

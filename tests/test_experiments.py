@@ -263,10 +263,10 @@ def test_predictor_corrector_saves_kernel_passes(solver_calls, measure, kind):
 
 
 def test_carried_curvature_costs_nothing_near_the_unit_sphere(solver_calls):
-    # on a coarse circle near the unit sphere the long axis of the carried
-    # estimate points the wrong way at the next index; it gets the unit step
-    # only, so the trace costs no more than the old chain (~1.13x without
-    # that rule)
+    # on a coarse circle near the unit sphere the carried estimate, even
+    # turned with the index, may not fit the next index; it gets the unit
+    # step only, so the trace costs no more than the old chain (~1.13x
+    # without that rule and without the turn)
     sample = ClaytonCopula(5.0, 2).sample(4000, substream(82, "near-sphere"))
     traced = chain = 0
     for r in (0.9995, 0.9999, 0.99999):
@@ -276,6 +276,31 @@ def test_carried_curvature_costs_nothing_near_the_unit_sphere(solver_calls):
         _old_chain(sample, path.indices()[1], "expectile")
         chain += _passes(solver_calls)
     assert traced <= 1.05 * chain
+
+
+def _x3_circle() -> None:
+    sample = simulate(get_preset("X3"), 10_000, substream(81, "x3-passes"))
+    assert trace_curve(sample, CirclePath(0.98, 64)).all_converged
+
+
+def _near_sphere_circles() -> None:
+    sample = ClaytonCopula(5.0, 2).sample(4000, substream(82, "near-sphere"))
+    for r in (0.9995, 0.9999, 0.99999):
+        assert trace_curve(sample, CirclePath(r, 16)).all_converged
+
+
+@pytest.mark.parametrize("curve", [_x3_circle, _near_sphere_circles],
+                         ids=["x3-circle", "clayton-near-sphere"])
+def test_turned_curvature_saves_kernel_passes(solver_calls, monkeypatch, curve):
+    # the expectile Hessian's anisotropic terms are linear in the index, so
+    # the carried estimate turns with it: 0.77x and 0.75x the passes of
+    # carrying it unturned (488 / 634 and 1,148 / 1,539)
+    curve()
+    turned = _passes(solver_calls)
+    with monkeypatch.context() as patched:
+        patched.setattr(estimators, "_rotation", lambda a, b: None)
+        curve()
+    assert turned <= 0.85 * _passes(solver_calls)
 
 
 def _secant_start(self, cold):
