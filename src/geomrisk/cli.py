@@ -474,7 +474,6 @@ def _cmd_match_magnitude(args) -> _Table:
         _direction(args, sample.shape[1]),
         args.theta,
         config=_solver_config(args),
-        tol=args.tol_search,
     )
     return ["theta", "matched_magnitude", "converged"], [[args.theta, m_star, bool(converged)]]
 
@@ -609,7 +608,6 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
             *sample_opts,
             _Opt("--direction", _conv_floats, None, "search direction (normalized)"),
             _Opt("--theta", float, None, "expectile index magnitude"),
-            _Opt("--tol-search", float, 1e-6, "search tolerance on m"),
             *_SOLVER,
         ],
         "value-at-risk magnitude matching a given expectile magnitude",

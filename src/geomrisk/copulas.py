@@ -33,44 +33,62 @@ __all__ = [
 # would otherwise map to infinite margin quantiles
 _UNIT_LO = 1e-15
 _UNIT_HI = 1.0 - 1e-16
+_LOG2 = float(np.log(2.0))
+# beyond |theta| = 700 a Frank sample's exp(-|theta|) terms leave the normal
+# floats (below 1e-304), and the frailty or the conditional inverse degenerates
+_FRANK_MAX = 700.0
 
 
 def _clip_unit(u: np.ndarray) -> np.ndarray:
     return np.clip(u, _UNIT_LO, _UNIT_HI)
 
 
-def _positive_stable(alpha: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Positive stable variates with Laplace transform exp(-s^alpha), 0 < alpha < 1.
+def _positive_stable_power(alpha: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``V^(-alpha)`` for positive stable V with Laplace transform exp(-s^alpha), 0 < alpha < 1.
 
     Chambers-Mallows-Stuck: with Theta ~ U(0, pi) and W ~ Exp(1),
     V = sin(alpha Theta) / sin(Theta)^(1/alpha)
-        * (sin((1-alpha) Theta) / W)^((1-alpha)/alpha).
+        * (sin((1-alpha) Theta) / W)^((1-alpha)/alpha),
+    so V^(-alpha) = sin(Theta) / sin(alpha Theta)^alpha
+        * (W / sin((1-alpha) Theta))^(1-alpha),
+    which has no 1/alpha power to overflow at small alpha.
     """
     theta = rng.uniform(0.0, np.pi, size=count)
     theta = np.clip(theta, 1e-10, np.pi - 1e-10)
     w = np.maximum(rng.standard_exponential(count), 1e-300)
-    ratio = np.sin(alpha * theta) / np.sin(theta) ** (1.0 / alpha)
-    return ratio * (np.sin((1.0 - alpha) * theta) / w) ** ((1.0 - alpha) / alpha)
+    ratio = np.sin(theta) / np.sin(alpha * theta) ** alpha
+    return ratio * (w / np.sin((1.0 - alpha) * theta)) ** (1.0 - alpha)
 
 
-def _log_series(p: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Logarithmic-series variates, pmf k -> -p^k / (k log(1-p)), k = 1, 2, ...
+def _log1mexp(x: np.ndarray) -> np.ndarray:
+    """``log(1 - exp(-x))`` for x >= 0, to full relative precision at both ends.
 
-    Kemp's LK sampler: with V, U iid U(0,1) and q = 1 - (1-p)^U,
-    return 1 if V >= p; else floor(1 + ln V / ln q) if V <= q^2;
-    else 2 if V <= q; else 1.
+    Below log 2 it is ``log(-expm1(-x))``, above it ``log1p(-exp(-x))``
+    (Maechler 2012): neither form rounds ``1 - exp(-x)`` through 1.
     """
+    with np.errstate(divide="ignore"):  # x = 0 gives -inf
+        return np.where(x < _LOG2, np.log(-np.expm1(-x)), np.log1p(-np.exp(-x)))
+
+
+def _log_series(theta: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Logarithmic-series variates with p = 1 - exp(-theta), pmf k -> -p^k / (k log(1-p)).
+
+    Kemp's LK sampler: with V, U iid U(0,1) and q = 1 - (1-p)^U = 1 -
+    exp(-U theta), return 1 if V >= p; else floor(1 + ln V / ln q) if
+    V <= q^2; else 2 if V <= q; else 1.  ``ln q`` comes from theta itself,
+    so it stays below 0 where q rounds to 1 (theta above ~37).
+    """
+    p = -np.expm1(-theta)
     v = np.maximum(rng.random(count), 1e-300)
     u = rng.random(count)
-    q = -np.expm1(u * np.log1p(-p))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k_tail = np.floor(1.0 + np.log(v) / np.log(q))
-    out = np.where(
+    log_v = np.log(v)
+    log_q = _log1mexp(u * theta)
+    k_tail = np.floor(1.0 + log_v / log_q)
+    return np.where(
         v >= p,
         1.0,
-        np.where(v <= q * q, k_tail, np.where(v <= q, 2.0, 1.0)),
+        np.where(log_v <= 2.0 * log_q, k_tail, np.where(log_v <= log_q, 2.0, 1.0)),
     )
-    return out
 
 
 @dataclass(frozen=True)
@@ -134,8 +152,8 @@ class GumbelCopula:
             # frailty degenerates to 1: independence
             u = np.exp(-e)
         else:
-            v = _positive_stable(alpha, count, rng)
-            u = np.exp(-((e / v[:, np.newaxis]) ** alpha))
+            v_power = _positive_stable_power(alpha, count, rng)
+            u = np.exp(-(e**alpha) * v_power[:, np.newaxis])
         return _clip_unit(u)
 
     def kendall_tau(self) -> float:
@@ -144,7 +162,7 @@ class GumbelCopula:
 
 @dataclass(frozen=True)
 class FrankCopula:
-    """Frank copula; theta < 0 (negative dependence) is bivariate only."""
+    """Frank copula, 0 < |theta| <= 700; theta < 0 (negative dependence) is bivariate only."""
 
     theta: float
     dim: int
@@ -152,6 +170,8 @@ class FrankCopula:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.theta) and self.theta != 0.0):
             raise ValueError("FrankCopula requires finite theta != 0 (use IndependenceCopula)")
+        if abs(self.theta) > _FRANK_MAX:
+            raise ValueError(f"FrankCopula requires |theta| <= {_FRANK_MAX:g}")
         if int(self.dim) < 2:
             raise ValueError("FrankCopula requires dim >= 2")
         if self.theta < 0.0 and int(self.dim) != 2:
@@ -160,10 +180,12 @@ class FrankCopula:
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         count = int(count)
         if self.theta > 0.0:
-            p = -np.expm1(-self.theta)
-            v = _log_series(p, count, rng)
+            v = _log_series(self.theta, count, rng)
             e = rng.standard_exponential((count, int(self.dim)))
-            u = -np.log1p(-p * np.exp(-e / v[:, np.newaxis])) / self.theta
+            # psi(t) = -log(1 - p exp(-t)) / theta, and p exp(-t) = exp(-(t + c))
+            # with c = -log(p): the log1mexp of t + c, which never forms 1 - p
+            c = -_log1mexp(self.theta)
+            u = -_log1mexp(e / v[:, np.newaxis] + c) / self.theta
             return _clip_unit(u)
         # theta < 0, dim = 2: invert v -> dC/du1(u1, v) at a uniform level
         u1 = rng.random(count)

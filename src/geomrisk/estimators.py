@@ -100,9 +100,6 @@ class SolverConfig:
     ``||grad|| <= grad_tolerance * (1 + |objective|)``.  A value-at-risk
     solve also stops, without slack, once a data atom satisfies the
     subdifferential optimality condition (see :class:`SolveReport`).
-    A solve starts at :func:`minimize_convex`'s ``x0`` (the sample mean
-    for the estimators), or on a traced path where :class:`_Curvature`
-    says.
     """
 
     grad_tolerance: float = 1e-8
@@ -166,15 +163,11 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
     solves pass the private ``_nearest_atom(x) -> (row, 0.5 m / n)``;
     after a backtracking step, on stagnation and at the iteration cap the
     row nearest the iterate is tested through ``fun`` and ``grad`` and,
-    when certified, returned exactly.  A solve starts at
-    ``_curvature.start(x0)``, from the inverse-Hessian estimate in its
-    ``h_inv`` (None: steepest descent) as it finds it, and leaves its
-    minimizer and final estimate there (none after a certified atom); the
-    private ``_curvature`` (:class:`_Curvature`) is a traced path's (whose
-    expectile solves turn ``h_inv`` with the index before they get here),
-    and a fresh one (which starts at ``x0``) when None.  A value-at-risk start equal to the
-    atom the path's last solve certified is tested first, before any line
-    search, and returned with 0 iterations when it passes.  A line search
+    when certified, returned exactly.  The private ``_curvature`` is a
+    traced path's :class:`_Curvature` (a fresh one, which starts at
+    ``x0``, when None): the solve starts where it says, from its
+    inverse-Hessian estimate (None: steepest descent), with a held atom
+    tested before any line search, and leaves its outcome there.  A line search
     that finds no descent along the secant direction is retried along
     steepest descent before the solve stops as stagnation; along a carried
     estimate's direction only the unit step is tried.
@@ -190,7 +183,7 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
         # there the gradient test cannot hold
         report = _certified_atom(fun, grad, candidate, 0)
         if report is not None:
-            return report
+            return curvature.leave(report, None, candidate)
     f = float(fun(x))
     g = np.asarray(grad(x), dtype=float)
     dim = x.size
@@ -273,14 +266,7 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
             converged=stop_reason == "converged",
             stop_reason=stop_reason,
         )
-    # near a data atom the secant pairs measure the kink, not the curvature
-    # of the objective: a certified atom hands on none, and is held for the
-    # next start instead
-    at_atom = report.stop_reason == "optimal_at_atom"
-    curvature.h_inv = None if at_atom else h_inv
-    curvature.atom = candidate if at_atom else None
-    curvature.past.append(report.argmin)
-    return report
+    return curvature.leave(report, h_inv, candidate)
 
 
 def _line_search(fun, grad, x, f: float, gnorm: float, p, slope: float,
@@ -438,9 +424,7 @@ class _Prepared:
         """A view of this sample for the solves of one traced path.
 
         It shares the arrays, the tests computed on first use and the
-        workspace, and carries a fresh :class:`_Curvature` that each of its
-        solves starts from and leaves to the next; the first starts at the
-        sample mean.
+        workspace, and carries a fresh :class:`_Curvature` for its solves.
         """
         view = copy.copy(self)
         view.curvature = _Curvature()
@@ -473,13 +457,21 @@ class _Prepared:
 
 
 class _Curvature:
-    """What the solves of one traced path hand to the next.
+    """What the solves of one traced path hand to the next: the path rule.
+
+    Each solve starts at :meth:`start` (the first at the cold start, the
+    sample mean for the estimators, and later ones at an extrapolation of
+    the minimizers before them), from the inverse-Hessian estimate
+    ``h_inv`` the solve before left (None until a solve leaves one:
+    steepest descent), which an expectile solve first turns with the index
+    (:meth:`turn`).  A value-at-risk start equal to the held ``atom`` is
+    tested with the subdifferential certificate before any line search,
+    and returned with 0 iterations when it passes.  Every solve then
+    records its outcome with :meth:`leave`.
 
     ``past`` holds the minimizers of its solves, oldest first (a list: the
     block a deque allocates made each direct expectile solve at n = 10k
-    ~2.5% slower).  ``h_inv`` is the inverse-Hessian estimate, None until
-    a solve leaves one; before each expectile solve :meth:`turn` turns it
-    with the index, and ``direction`` is the unit direction of the last
+    ~2.5% slower).  ``direction`` is the unit direction of the last
     expectile solve's index (None before the first, and after a zero
     index).  ``atom`` is the ``(row, 0.5 m / n)`` candidate of the data
     atom the last solve certified (its row is ``past[-1]``), and None after
@@ -518,6 +510,21 @@ class _Curvature:
         r = _rotation(last, self.direction)
         if r is not None:
             self.h_inv = r @ self.h_inv @ r.T
+
+    def leave(self, report: SolveReport, h_inv, candidate) -> SolveReport:
+        """Record a solve's ``report`` and final estimate ``h_inv``; return the report.
+
+        Every solve's minimizer joins ``past``, a held atom re-certified
+        at its start included.  Near a data atom the secant pairs measure
+        the kink, not the curvature of the objective: a solve certified on
+        an atom (``candidate``, the last one it tested) hands on no
+        estimate, and that atom is held for the next start instead.
+        """
+        at_atom = report.stop_reason == "optimal_at_atom"
+        self.h_inv = None if at_atom else h_inv
+        self.atom = candidate if at_atom else None
+        self.past.append(report.argmin)
+        return report
 
     def start(self, cold) -> np.ndarray:
         """The next solve's start, a new array.
@@ -588,10 +595,8 @@ def _solve(sample, alpha, config, kind: str) -> SolveReport:
     The sample mean is the cold start.  A VaR minimizer may sit on a data
     atom, where only the subdifferential test can certify it, so VaR solves
     get the nearest atom as a candidate.  On a traced path's view the solve
-    starts where the path's :class:`_Curvature` says and leaves its own
-    state there; an expectile solve first has it turn the carried estimate
-    from the last index to ``alpha`` (:meth:`_Curvature.turn`), a VaR solve
-    takes the estimate as it is.
+    runs on the path's :class:`_Curvature`, which an expectile solve first
+    turns to ``alpha``.
     """
     prep = _prepare(sample)
     u = as_index(alpha)

@@ -3,23 +3,20 @@
 A curve is the image of a one-parameter family of index vectors under a
 geometric risk measure of one fixed sample.  Adjacent indices have
 nearby minimizers on a smooth curve, so every experiment traces its
-indices through one predictor-corrector engine, ``_trace``: each solve
-after the first starts at the polynomial extrapolation of up to five
-previous minimizers (the secant when that turns too sharply; see
-:class:`~geomrisk.estimators._Curvature`), and from the inverse-Hessian
-estimate the previous one ended with (an expectile's turned with the
-index).  Each
-distinct sample is prepared once (validated, copied into
-the solver's column block, with its mean and rank tests; see
-:mod:`geomrisk.estimators`) and shared by every solve on it.  On top of
-curve tracing this module builds the standard checks: subadditivity
-region inclusion, univariate comparison, expectile/value-at-risk
-magnitude matching, marginalization inclusion, distance-from-mean
-profiles and the bounded-support stress test.
+indices through one predictor-corrector engine, ``_trace``, whose solves
+hand their minimizers and curvature on as
+:class:`~geomrisk.estimators._Curvature` says.  Each distinct sample is
+prepared once (validated, copied into the solver's column block, with its
+mean and rank tests; see :mod:`geomrisk.estimators`) and shared by every
+solve on it.  On top of curve tracing this module builds the standard
+checks: subadditivity region inclusion, univariate comparison,
+expectile/value-at-risk magnitude matching, marginalization inclusion,
+distance-from-mean profiles and the bounded-support stress test.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -196,14 +193,8 @@ def _trace(sample, indices, measure: str, config: SolverConfig | None):
 
     A predictor-corrector continuation.  ``sample`` is prepared once (or
     passed in already prepared) and every solve of the path runs on one
-    view of it, whose :class:`~geomrisk.estimators._Curvature` hands each
-    solve's minimizer and final inverse-Hessian estimate to the next (an
-    expectile path turns the estimate with the index).  The
-    first solve starts at the sample mean, and every later one at the
-    equal-step extrapolation of the last k <= 5 minimizers: the first
-    minimizer, then the secant prediction, up to order 5, with the secant
-    taken whenever the extrapolation lands farther than half a secant step
-    from it.
+    view of it (:meth:`~geomrisk.estimators._Prepared.on_path`), whose
+    :class:`~geomrisk.estimators._Curvature` sets each solve's start.
     """
     if measure not in _MEASURES:
         raise ValueError(f"measure must be one of {_MEASURES}")
@@ -227,10 +218,9 @@ def trace_curve(
 ) -> Curve:
     """Solve the risk measure along ``path`` by predictor-corrector continuation.
 
-    ``measure`` is ``"expectile"`` or ``"var"``.  The first solve starts
-    at the sample mean and every later one at an extrapolation of the
-    minimizers before it (see ``_trace``).  Points agree with cold solves
-    to the solver's tolerance.
+    ``measure`` is ``"expectile"`` or ``"var"``.  The path is one traced
+    path of ``_trace``; its points agree with cold solves to the solver's
+    tolerance.
     """
     if not isinstance(path, IndexPath):
         raise ValueError(f"unknown path type: {type(path).__name__}")
@@ -394,7 +384,6 @@ def match_magnitude(
     direction,
     theta: float,
     config: SolverConfig | None = None,
-    tol: float = 1e-6,
 ) -> tuple[float, list[tuple[float, float]], bool]:
     """Magnitude m* for which the geometric value-at-risk at ``m* direction``
     is closest to the geometric expectile at ``theta * direction``.
@@ -403,24 +392,18 @@ def match_magnitude(
     golden-section search on m in [0, 0.999].  Returns ``(m_star, trace,
     converged)``: the trace lists every evaluated ``(m, gap)`` so
     non-unimodal behavior is detectable, and ``converged`` is True when
-    every solve (the expectile and each value-at-risk) converged.  ``tol``,
-    the final bracket width on m, must be positive and finite.  It bounds
-    the bracket, not the error of m*, which is only as precise as the
-    value-at-risk solves: at the default config m* was within 8.0e-5 of a
-    ``grad_tolerance=1e-13`` search on ``cp-paper`` (n = 100), and within
-    2.7e-5 on X1-X4 (n = 10k) and Z-clayton5 (n = 20k); a smaller
-    ``grad_tolerance`` tightens it.  The expectile starts at the sample
-    mean, and so does the one traced path (see ``_trace``) of the search's
-    value-at-risk solves.
+    every solve (the expectile and each value-at-risk) converged.  m* is
+    only as precise as the value-at-risk solves, to about
+    ``sqrt(grad_tolerance)`` (the gap is quadratic in m near m*), so the
+    search stops at a bracket two orders below that,
+    ``sqrt(grad_tolerance) / 100``.  Its value-at-risk solves are one
+    traced path (see ``_trace``).
     """
     s = _prepare(sample)
     d = _unit_direction(direction, s.shape[1])
     th = float(theta)
     if not (0.0 <= th < 1.0):
         raise ValueError("theta must lie in [0, 1)")
-    tol = float(tol)
-    if not (0.0 < tol < np.inf):
-        raise ValueError("tol must be a positive finite number")
     expectile = geometric_expectile(s, th * d, config)
     path = s.on_path()
     reports = []
@@ -429,7 +412,8 @@ def match_magnitude(
         reports.append(geometric_var(path, m * d, config))
         return float(np.sum((reports[-1].argmin - expectile.argmin) ** 2))
 
-    m_star, trace = _golden_section(gap, 0.0, 0.999, tol)
+    tol = (config or SolverConfig()).grad_tolerance
+    m_star, trace = _golden_section(gap, 0.0, 0.999, math.sqrt(tol) / 100.0)
     return m_star, trace, all(rep.converged for rep in [expectile, *reports])
 
 
@@ -521,9 +505,8 @@ def bounded_support_check(
 
     Draws ``count`` bivariate Clayton(theta = 5) copula observations and
     traces the expectile circle curve at every radius in ``r_list``
-    (increasing).  Each radius's circle is one path of the
-    predictor-corrector engine (see :func:`trace_curve`), started at the
-    sample mean.  A row flags whether any curve point leaves the support box;
+    (increasing).  Each radius's circle is one traced path (see
+    ``_trace``).  A row flags whether any curve point leaves the support box;
     for radii near 1 the curve must eventually exit, illustrating that
     geometric expectiles need not respect bounded supports.
     """

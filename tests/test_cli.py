@@ -324,6 +324,18 @@ def test_unknown_config_key_is_line_numbered_error(tmp_path, capsys):
     assert ":2:" in err and "bogus" in err
 
 
+def test_match_magnitude_has_no_search_tolerance(tmp_path, capsys):
+    # the search's bracket follows --tol: neither a flag nor a config line sets it
+    args = ["match-magnitude", "--model", "X1", "--n", "200", "--direction", "1,0",
+            "--theta", "0.5", "--out", str(tmp_path / "m.csv")]
+    assert main([*args, "--tol-search", "1e-6"]) == 1
+    assert "--tol-search" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol-search = 1e-6\n")
+    assert main([*args, "--config", str(cfg)]) == 1
+    assert ":1:" in capsys.readouterr().err
+
+
 def test_threads_config_key_is_unknown(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 200\nthreads = 2\n")
@@ -365,9 +377,6 @@ def test_validation_failures_exit_one(tmp_path):
                  "--threads", "2", "--out", out]) == 1
     # no selftest subcommand
     assert main(["selftest"]) == 1
-    # a search tolerance that is not a positive finite number
-    assert main(["match-magnitude", "--model", "X1", "--n", "200", "--direction", "1,0",
-                 "--theta", "0.5", "--tol-search", "nan", "--out", out]) == 1
     # an inclusion test needs a polygon of at least 3 angles
     assert main(["subadd", "--model", "Z-clayton5", "--n", "200", "--nphi", "2",
                  "--out", out]) == 1

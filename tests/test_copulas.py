@@ -138,6 +138,31 @@ def test_marginal_uniformity_ks_at_one_percent(copula):
         assert stats.kstest(u[:, j], "uniform").statistic <= crit
 
 
+@pytest.mark.parametrize(
+    "copula",
+    [FrankCopula(38.0, 2), FrankCopula(50.0, 4), FrankCopula(200.0, 2), FrankCopula(700.0, 2),
+     GumbelCopula(80.0, 2), GumbelCopula(200.0, 4), GumbelCopula(1e3, 2), GumbelCopula(1e4, 2)],
+    ids=["frank38", "frank50-4d", "frank200", "frank700",
+         "gumbel80", "gumbel200-4d", "gumbel1e3", "gumbel1e4"],
+)
+def test_strong_dependence_keeps_uniform_margins_and_tau(copula):
+    # the frailty samplers stay in floating range up to the largest theta:
+    # Frank's p = 1 - exp(-theta) rounds to 1 above theta ~ 37.4, and
+    # Gumbel's stable frailty overflows its 1/alpha power above theta ~ 80
+    n = 20_000
+    u = copula.sample(n, substream(9, f"strong-{type(copula).__name__}-{copula.theta}-{copula.dim}"))
+    assert np.all((u > 0.0) & (u < 1.0))
+    crit = 1.63 / np.sqrt(n)  # 1% asymptotic critical value
+    for j in range(copula.dim):
+        assert stats.kstest(u[:, j], "uniform").statistic <= crit
+    # Var(tau_hat) <= 2 (1 - tau^2) / n
+    target = copula.kendall_tau()
+    bound = 4.0 * np.sqrt(2.0 * (1.0 - target**2) / n)
+    for i in range(copula.dim):
+        for j in range(i + 1, copula.dim):
+            assert abs(stats.kendalltau(u[:, i], u[:, j]).statistic - target) <= bound
+
+
 def test_samples_strictly_inside_unit_cube():
     for cop in (ClaytonCopula(5.0, 3), GumbelCopula(4.0, 2), FrankCopula(-8.0, 2)):
         u = cop.sample(20_000, substream(8, f"range-{type(cop).__name__}"))
@@ -179,6 +204,10 @@ _REJECTED = {
                          "IndependenceCopula requires dim >= 1"),
     "gumbel-dim": (lambda: GumbelCopula(2.0, 1), ValueError, "GumbelCopula requires dim >= 2"),
     "frank-dim": (lambda: FrankCopula(2.0, 1), ValueError, "FrankCopula requires dim >= 2"),
+    "frank-theta-above": (lambda: FrankCopula(700.5, 2), ValueError,
+                          "FrankCopula requires |theta| <= 700"),
+    "frank-theta-below": (lambda: FrankCopula(-701.0, 2), ValueError,
+                          "FrankCopula requires |theta| <= 700"),
 }
 
 

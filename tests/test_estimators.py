@@ -476,6 +476,19 @@ def test_traced_var_certifies_a_repeated_atom_in_one_pass(solver_calls):
         _assert_no_false_atom(sample, u, cold)
 
 
+def test_held_atom_solves_join_the_path_history():
+    # a solve that re-certifies the held atom at its start is one index step
+    # of the path like any other: its minimizer joins past, so the order-k
+    # start extrapolates minimizers one step apart
+    sample = _heavy_atom_sample()
+    phi = np.linspace(0.0, 2.0 * np.pi, 13)[:-1]
+    path = estimators._prepare(sample).on_path()
+    for u in 0.3 * np.column_stack([np.cos(phi), np.sin(phi)]):
+        assert geometric_var(path, u).stop_reason == "optimal_at_atom"
+    assert len(path.curvature.past) == 12
+    assert all(np.array_equal(c, [1.0, 2.0]) for c in path.curvature.past)
+
+
 def test_traced_var_leaves_a_held_atom_that_fails_the_test(solver_calls):
     # the third solve starts on the held atom, where ||grad|| exceeds
     # 0.5 m / n at its index: it iterates as usual to a point off the data

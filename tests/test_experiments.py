@@ -377,7 +377,7 @@ def test_each_sample_is_prepared_once(symmetric_sample, monkeypatch):
     subadditivity_sets(symmetric_sample, noise, r=0.4, measure="var", n_phi=8)
     assert len(calls) == 3
     calls.clear()
-    match_magnitude(symmetric_sample, np.array([1.0, 0.0]), 0.5, tol=1e-3)
+    match_magnitude(symmetric_sample, np.array([1.0, 0.0]), 0.5)
     assert len(calls) == 1
     calls.clear()
     for _ in range(2):
@@ -523,14 +523,14 @@ def test_match_magnitude_reports_a_target_solve_that_did_not_converge(
     symmetric_sample, monkeypatch
 ):
     direction = np.array([1.0, 0.0])
-    assert match_magnitude(symmetric_sample, direction, 0.5, tol=1e-2)[2]
+    assert match_magnitude(symmetric_sample, direction, 0.5)[2]
     solve = experiments.geometric_expectile
     monkeypatch.setattr(
         experiments,
         "geometric_expectile",
         lambda *args: dataclasses.replace(solve(*args), converged=False),
     )
-    assert not match_magnitude(symmetric_sample, direction, 0.5, tol=1e-2)[2]
+    assert not match_magnitude(symmetric_sample, direction, 0.5)[2]
 
 
 def test_match_magnitude_starts_its_var_path_at_the_sample_mean(symmetric_sample, solver_calls):
@@ -538,7 +538,7 @@ def test_match_magnitude_starts_its_var_path_at_the_sample_mean(symmetric_sample
     # search share one path, whose first solve starts at the mean, whose
     # second starts at the first VaR minimizer, and whose later solves carry
     # the estimate the one before left
-    match_magnitude(symmetric_sample, np.array([1.0, 0.0]), 0.5, tol=1e-3)
+    match_magnitude(symmetric_sample, np.array([1.0, 0.0]), 0.5)
     mean = estimators._prepare(symmetric_sample).mean
     target, first, second, *later = solver_calls
     assert target["curvature"] is None and np.array_equal(target["points"][0], mean)
@@ -574,9 +574,9 @@ def test_match_magnitude_searches_on_one_path(solver_calls):
     ("X1", 2000, range(1, 4), 1e-5),
 ], ids=["cp-paper", "X1"])
 def test_match_magnitude_is_as_precise_as_its_var_solves(name, n, seeds, bound):
-    # tol bounds the search bracket, not the error of m*: at the default
-    # config m* stays this near a search with grad_tolerance = 1e-13 (whose
-    # solves may stop as stagnation short of that tolerance)
+    # m* is only as precise as its VaR solves: at the default config it stays
+    # this near a search with grad_tolerance = 1e-13 (whose solves may stop
+    # as stagnation short of that tolerance)
     model = get_preset(name)
     draw = simulate_compound if name == "cp-paper" else simulate
     tight = SolverConfig(grad_tolerance=1e-13)
@@ -597,17 +597,28 @@ def test_match_magnitude_validates_direction(symmetric_sample):
         match_magnitude(symmetric_sample, np.array([1.0, 0.0]), 1.0)  # theta >= 1
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
-def test_match_magnitude_rejects_a_bad_search_tolerance(tol, symmetric_sample, monkeypatch):
-    # rejected before the first solve: a zero or negative width never ends the
-    # search, and a non-finite one skips it
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before the tolerance was checked")
+@pytest.mark.parametrize("grad_tolerance", [None, 1e-12, 1e-8, 1e-4])
+def test_match_magnitude_search_bracket_follows_grad_tolerance(
+    grad_tolerance, symmetric_sample, monkeypatch
+):
+    # m* is only as precise as the VaR solves, to about sqrt(grad_tolerance):
+    # the bracket stays two orders below that, 1e-6 at the default
+    brackets = []
 
-    monkeypatch.setattr(experiments, "geometric_expectile", no_solve)
-    monkeypatch.setattr(experiments, "geometric_var", no_solve)
-    with pytest.raises(ValueError, match="tol must be a positive finite number"):
-        match_magnitude(symmetric_sample, np.array([1.0, 0.0]), 0.5, tol=tol)
+    def golden(fun, lo, hi, tol):
+        brackets.append(tol)
+        return 0.5 * (lo + hi), []
+
+    monkeypatch.setattr(experiments, "_golden_section", golden)
+    config = None if grad_tolerance is None else SolverConfig(grad_tolerance=grad_tolerance)
+    match_magnitude(symmetric_sample, np.array([1.0, 0.0]), 0.5, config)
+    expected = 1e-6 if grad_tolerance is None else np.sqrt(grad_tolerance) / 100.0
+    assert brackets == [expected]
+
+
+def test_match_magnitude_takes_no_search_tolerance(symmetric_sample):
+    with pytest.raises(TypeError):
+        match_magnitude(symmetric_sample, np.array([1.0, 0.0]), 0.5, tol=1e-6)
 
 
 def test_golden_section_ends_at_rounding_below_a_tiny_tolerance():
