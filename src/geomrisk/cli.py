@@ -294,12 +294,16 @@ def _default_n(model_text: str) -> int:
     return PRESET_DEFAULT_N.get(model_text.strip(), 10_000)
 
 
+def _sample_size(n: int) -> int:
+    if n < 1:
+        raise ValueError("--n must be at least 1")
+    return n
+
+
 def _draw_sample(args) -> np.ndarray:
     """--n draws of --model from the 'simulate' substream of --seed."""
     model = _parse_model(args.model)
-    n = args.n if args.n is not None else _default_n(args.model)
-    if n < 1:
-        raise ValueError("--n must be at least 1")
+    n = _sample_size(args.n if args.n is not None else _default_n(args.model))
     rng = substream(args.seed, "simulate")
     if isinstance(model, CompoundPoissonModel):
         return simulate_compound(model, n, rng)
@@ -326,26 +330,17 @@ def _alpha_for(args, dim: int) -> np.ndarray:
     if has_alpha == has_level:
         raise ValueError("exactly one of --alpha or --level is required")
     if has_alpha:
-        alpha = np.asarray(args.alpha, dtype=float)
-        if alpha.size != dim:
-            raise ValueError(f"--alpha has {alpha.size} components but the sample has {dim}")
-        return alpha
+        return np.asarray(args.alpha, dtype=float)
     alpha = np.zeros(dim)
     alpha[0] = index_from_level(args.level)
     return alpha
 
 
-def _direction(args, dim: int) -> np.ndarray:
-    """--direction scaled to a unit vector; it must have ``dim`` components."""
+def _direction(args) -> tuple[float, ...]:
+    """--direction as given: the library scales it to unit length."""
     if args.direction is None:
         raise ValueError("--direction is required")
-    d = np.asarray(args.direction, dtype=float)
-    norm = np.linalg.norm(d)
-    if not np.all(np.isfinite(d)) or norm == 0.0:
-        raise ValueError("direction must be a finite nonzero vector")
-    if d.size != dim:
-        raise ValueError("--direction dimension must match the sample")
-    return d / norm
+    return args.direction
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +401,7 @@ def _unused(args, kind: str, *dests: str) -> None:
             raise ValueError(f"--{dest} does not apply to a {kind} path")
 
 
-def _build_path(args, dim: int):
+def _build_path(args):
     if args.path is None:
         raise ValueError(f"--path is required: {_PATH_FORMS}")
     kind, *radii = args.path.split(":")
@@ -414,7 +409,7 @@ def _build_path(args, dim: int):
         _unused(args, kind, "nphi")
         if args.magnitudes is None:
             raise ValueError("--magnitudes is required for a ray path")
-        return RayPath(_direction(args, dim), np.asarray(args.magnitudes, dtype=float))
+        return RayPath(_direction(args), np.asarray(args.magnitudes, dtype=float))
     if kind not in _ARCS:
         raise ValueError(f"unknown path {args.path!r}; use {_PATH_FORMS}")
     _unused(args, kind, "direction", "magnitudes")
@@ -430,7 +425,7 @@ def _build_path(args, dim: int):
 
 def _cmd_curve(args) -> _Table:
     sample = _get_sample(args)
-    path = _build_path(args, sample.shape[1])
+    path = _build_path(args)
     curve = trace_curve(sample, path, args.measure, _solver_config(args))
     return _curve_table([(None, curve)])
 
@@ -471,7 +466,7 @@ def _cmd_match_magnitude(args) -> _Table:
     sample = _get_sample(args)
     m_star, _, converged = match_magnitude(
         sample,
-        _direction(args, sample.shape[1]),
+        _direction(args),
         args.theta,
         config=_solver_config(args),
     )
@@ -498,7 +493,7 @@ def _cmd_distance(args) -> _Table:
     sample = _get_sample(args)
     curve = distance_curve(
         sample,
-        _direction(args, sample.shape[1]),
+        _direction(args),
         np.asarray(args.r_grid, dtype=float),
         _solver_config(args),
     )
@@ -507,12 +502,14 @@ def _cmd_distance(args) -> _Table:
 
 
 def _cmd_bounded_support(args) -> _Table:
+    # the paper's Clayton(5) copula sample, from its own substream of --seed
+    sample = ClaytonCopula(5.0, 2).sample(_sample_size(args.n),
+                                          substream(args.seed, "bounded-support"))
     rows = bounded_support_check(
-        args.n,
+        sample,
         r_list=np.asarray(args.r_list, dtype=float),
         n_phi=args.nphi,
         config=_solver_config(args),
-        rng=substream(args.seed, "bounded-support"),
     )
     return ["r", "exits_support", "converged"], [astuple(row) for row in rows]
 

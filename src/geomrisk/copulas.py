@@ -3,7 +3,8 @@
 Clayton, Gumbel and Frank (theta > 0) samples come from the
 Marshall-Olkin frailty construction ``U_j = psi(E_j / V)`` with iid
 standard exponentials E_j and a frailty V whose Laplace transform is the
-generator psi: a Gamma(1/theta) frailty for Clayton, a positive
+generator psi: a Gamma(1/theta) frailty for Clayton (drawn in log space,
+as the draw itself underflows at strong dependence), a positive
 alpha-stable frailty (Chambers-Mallows-Stuck sampler, alpha = 1/theta)
 for Gumbel, and a logarithmic-series frailty (Kemp's LK sampler) for
 Frank.  Negative-dependence Frank (theta < 0) exists only for d = 2 and
@@ -122,10 +123,15 @@ class ClaytonCopula:
             raise ValueError("ClaytonCopula requires dim >= 2")
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        v = np.maximum(rng.gamma(1.0 / self.theta, size=int(count)), 1e-300)
-        e = rng.standard_exponential((int(count), int(self.dim)))
-        u = (1.0 + e / v[:, np.newaxis]) ** (-1.0 / self.theta)
-        return _clip_unit(u)
+        count, theta = int(count), self.theta
+        # log V of V = G U^theta, G ~ Gamma(1 + 1/theta), U ~ U(0, 1] (Marsaglia
+        # and Tsang 2000), and psi(E / V) = exp(-softplus(log E - log V) / theta)
+        log_v = np.log(rng.gamma(1.0 + 1.0 / theta, size=count))
+        log_v += theta * np.log1p(-rng.random(count))
+        with np.errstate(divide="ignore"):  # E = 0 gives u = 1, as psi(0) is
+            x = np.log(rng.standard_exponential((count, int(self.dim)))) - log_v[:, np.newaxis]
+        softplus = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+        return _clip_unit(np.exp(-softplus / theta))
 
     def kendall_tau(self) -> float:
         return self.theta / (self.theta + 2.0)

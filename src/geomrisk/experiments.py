@@ -22,7 +22,6 @@ from typing import Union
 
 import numpy as np
 
-from .copulas import ClaytonCopula
 from .estimators import (
     SolverConfig,
     _prepare,
@@ -70,16 +69,13 @@ def _check_path(radii, n_phi: int, min_phi: int = 1) -> None:
         raise ValueError(f"n_phi must be at least {min_phi}")
 
 
-def _unit_direction(direction, dim: int | None = None) -> np.ndarray:
-    """``direction`` as a finite unit 1-D vector, of length ``dim`` when given."""
+def _unit_direction(direction) -> np.ndarray:
+    """``direction`` (finite, nonzero, 1-D) scaled to unit length; ``_solve`` checks its size."""
     d = np.asarray(direction, dtype=float)
-    if d.ndim != 1 or d.size == 0 or not np.all(np.isfinite(d)):
-        raise ValueError("direction must be a finite 1-D vector")
-    if dim is not None and d.size != dim:
-        raise ValueError("direction must match the sample dimension")
-    if abs(np.linalg.norm(d) - 1.0) > 1e-12:
-        raise ValueError("direction must be a unit vector")
-    return d
+    norm = np.linalg.norm(d)
+    if d.ndim != 1 or not np.isfinite(norm) or norm == 0.0:
+        raise ValueError("direction must be a finite nonzero vector")
+    return d / norm
 
 
 def _increasing(values, name: str) -> np.ndarray:
@@ -143,7 +139,7 @@ class QuarterCirclePath:
 
 @dataclass(frozen=True, eq=False)
 class RayPath:
-    """Indices m * direction for increasing magnitudes m in [0, 1)."""
+    """Indices m * direction (scaled to unit length) for increasing magnitudes m in [0, 1)."""
 
     direction: np.ndarray
     magnitudes: np.ndarray
@@ -200,8 +196,6 @@ def _trace(sample, indices, measure: str, config: SolverConfig | None):
         raise ValueError(f"measure must be one of {_MEASURES}")
     s = _prepare(sample).on_path()
     idx = np.asarray(indices, dtype=float)
-    if idx.ndim != 2 or idx.shape[1] != s.shape[1]:
-        raise ValueError("path index dimension must match the sample dimension")
     # looked up per call so the module-level solver names stay the entry points
     solver = geometric_expectile if measure == "expectile" else geometric_var
     points = np.empty(idx.shape)
@@ -388,6 +382,7 @@ def match_magnitude(
     """Magnitude m* for which the geometric value-at-risk at ``m* direction``
     is closest to the geometric expectile at ``theta * direction``.
 
+    ``direction`` is any finite nonzero vector; it is scaled to unit length.
     Minimizes the squared distance between the two minimizers by
     golden-section search on m in [0, 0.999].  Returns ``(m_star, trace,
     converged)``: the trace lists every evaluated ``(m, gap)`` so
@@ -400,7 +395,7 @@ def match_magnitude(
     traced path (see ``_trace``).
     """
     s = _prepare(sample)
-    d = _unit_direction(direction, s.shape[1])
+    d = _unit_direction(direction)
     th = float(theta)
     if not (0.0 <= th < 1.0):
         raise ValueError("theta must lie in [0, 1)")
@@ -474,8 +469,9 @@ class DistanceCurve:
 def distance_curve(sample, direction, r_grid, config: SolverConfig | None = None) -> DistanceCurve:
     """Distance ``||e(r u) - mean||`` as a function of the index magnitude r.
 
-    ``direction`` is a unit vector; ``r_grid`` is strictly increasing in
-    [0, 1).  The grid is traced as one path (see :func:`trace_curve`).
+    ``direction`` is any finite nonzero vector, scaled to unit length;
+    ``r_grid`` is strictly increasing in [0, 1).  The grid is traced as one
+    path (see :func:`trace_curve`).
     """
     s = _prepare(sample)
     radii, idx = RayPath(direction, r_grid).indices()
@@ -495,28 +491,26 @@ class BoundedSupportRow:
 
 
 def bounded_support_check(
-    count: int,
+    sample,
     r_list=DEFAULT_STRESS_RADII,
     n_phi: int = 64,
     config: SolverConfig | None = None,
-    rng: np.random.Generator | None = None,
 ) -> list[BoundedSupportRow]:
-    """Expectile curves of a Clayton(5) copula sample versus its [0,1]^2 support.
+    """Expectile curves of a bivariate sample on [0,1]^2 versus that support.
 
-    Draws ``count`` bivariate Clayton(theta = 5) copula observations and
-    traces the expectile circle curve at every radius in ``r_list``
-    (increasing).  Each radius's circle is one traced path (see
-    ``_trace``).  A row flags whether any curve point leaves the support box;
-    for radii near 1 the curve must eventually exit, illustrating that
-    geometric expectiles need not respect bounded supports.
+    ``sample`` is an (n, 2) sample whose rows lie in [0, 1]^2, such as the
+    paper's Clayton(theta = 5) copula sample.  Traces the expectile circle
+    curve at every radius in ``r_list`` (increasing).  Each radius's circle
+    is one traced path (see ``_trace``).  A row flags whether any curve
+    point leaves the support box; for radii near 1 the curve must
+    eventually exit, illustrating that geometric expectiles need not
+    respect bounded supports.
     """
-    if rng is None:
-        raise ValueError("an explicit numpy Generator is required for reproducibility")
-    if int(count) < 1:
-        raise ValueError(f"count (the sample size n) must be at least 1, got {count}")
+    sample = _prepare(sample)
+    if sample.shape[1] != 2 or np.any((sample.rows < 0.0) | (sample.rows > 1.0)):
+        raise ValueError("sample must be bivariate with rows in [0, 1]^2")
     radii = _increasing(r_list, "r_list")
     _check_path(radii, n_phi)
-    sample = _prepare(ClaytonCopula(5.0, 2).sample(int(count), rng))
     rows: list[BoundedSupportRow] = []
     for r in radii:
         _, idx = CirclePath(float(r), n_phi).indices()

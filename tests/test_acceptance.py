@@ -310,9 +310,8 @@ def test_criterion_10_distance_curve_monotone(frank4_20k):
 
 def test_criterion_11_bounded_support():
     t0 = time.perf_counter()
-    rows = bounded_support_check(
-        20_000, r_list=(0.1, 0.5, 0.99999), n_phi=64, rng=substream(1411, "c11")
-    )
+    sample = ClaytonCopula(5.0, 2).sample(20_000, substream(1411, "c11"))
+    rows = bounded_support_check(sample, r_list=(0.1, 0.5, 0.99999), n_phi=64)
     by_r = {row.r: row for row in rows}
     assert by_r[0.1].exits_support is False
     assert by_r[0.99999].exits_support is True

@@ -209,7 +209,7 @@ def test_bounded_support_output(tmp_path):
 
 def test_bounded_support_rejects_empty_sample(tmp_path, capsys):
     assert main(["bounded-support", "--n", "0", "--out", str(tmp_path / "b.csv")]) == 1
-    assert "sample size n" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --n must be at least 1\n"
 
 
 # ---------------------------------------------------------------------------
@@ -733,12 +733,28 @@ _CLI_REJECTED = {
                          "data file {tmp}/empty.csv must contain finite rows"),
     "n-zero": (["simulate", "--model", "X1", "--n", "0"], "--n must be at least 1"),
     "simulate-model": (["simulate"], "--model is required"),
+    # an index's length is checked once, by the solver, as in the library
     "alpha-components": (["expectile", *_PAIR, "--alpha", "0.1,0.1,0.1"],
-                         "--alpha has 3 components but the sample has 2"),
+                         "index dimension must match the sample dimension"),
+    "var-alpha-components": (["var", *_PAIR, "--alpha", "0.1,0.1,0.1"],
+                             "index dimension must match the sample dimension"),
     "direction-zero": (["distance", *_PAIR, "--direction", "0,0"],
                        "direction must be a finite nonzero vector"),
+    "direction-nan": (["distance", *_PAIR, "--direction", "nan,1"],
+                      "direction must be a finite nonzero vector"),
     "direction-dim": (["distance", *_PAIR, "--direction", "1,0,0"],
-                      "--direction dimension must match the sample"),
+                      "index dimension must match the sample dimension"),
+    "curve-direction-zero": (["curve", *_PAIR, "--path", "ray", "--direction", "0,0",
+                              "--magnitudes", "0:0.5:0.5"],
+                             "direction must be a finite nonzero vector"),
+    "curve-direction-dim": (["curve", *_PAIR, "--path", "ray", "--direction", "1,0,0",
+                             "--magnitudes", "0:0.5:0.5"],
+                            "index dimension must match the sample dimension"),
+    "match-direction-nan": (["match-magnitude", *_PAIR, "--direction", "nan,1", "--theta", "0.5"],
+                            "direction must be a finite nonzero vector"),
+    "match-direction-dim": (["match-magnitude", *_PAIR, "--direction", "1,0,0",
+                             "--theta", "0.5"],
+                            "index dimension must match the sample dimension"),
     "path-radius": (["curve", *_PAIR, "--path", "circle:abc"],
                     "bad inline path radius in 'circle:abc'"),
     "path-form": (["curve", *_PAIR, "--path", "ellipse:0.5"],

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from geomrisk import copulas
 from geomrisk import (
     ClaytonCopula,
     FrankCopula,
@@ -141,14 +142,17 @@ def test_marginal_uniformity_ks_at_one_percent(copula):
 @pytest.mark.parametrize(
     "copula",
     [FrankCopula(38.0, 2), FrankCopula(50.0, 4), FrankCopula(200.0, 2), FrankCopula(700.0, 2),
-     GumbelCopula(80.0, 2), GumbelCopula(200.0, 4), GumbelCopula(1e3, 2), GumbelCopula(1e4, 2)],
+     GumbelCopula(80.0, 2), GumbelCopula(200.0, 4), GumbelCopula(1e3, 2), GumbelCopula(1e4, 2),
+     ClaytonCopula(1e3, 2), ClaytonCopula(1e3, 4), ClaytonCopula(1e4, 2), ClaytonCopula(1e4, 4)],
     ids=["frank38", "frank50-4d", "frank200", "frank700",
-         "gumbel80", "gumbel200-4d", "gumbel1e3", "gumbel1e4"],
+         "gumbel80", "gumbel200-4d", "gumbel1e3", "gumbel1e4",
+         "clayton1e3", "clayton1e3-4d", "clayton1e4", "clayton1e4-4d"],
 )
 def test_strong_dependence_keeps_uniform_margins_and_tau(copula):
     # the frailty samplers stay in floating range up to the largest theta:
-    # Frank's p = 1 - exp(-theta) rounds to 1 above theta ~ 37.4, and
-    # Gumbel's stable frailty overflows its 1/alpha power above theta ~ 80
+    # Frank's p = 1 - exp(-theta) rounds to 1 above theta ~ 37.4, Gumbel's
+    # stable frailty overflows its 1/alpha power above theta ~ 80, and
+    # Clayton's Gamma(1/theta) frailty underflows above theta ~ 18
     n = 20_000
     u = copula.sample(n, substream(9, f"strong-{type(copula).__name__}-{copula.theta}-{copula.dim}"))
     assert np.all((u > 0.0) & (u < 1.0))
@@ -161,6 +165,21 @@ def test_strong_dependence_keeps_uniform_margins_and_tau(copula):
     for i in range(copula.dim):
         for j in range(i + 1, copula.dim):
             assert abs(stats.kendalltau(u[:, i], u[:, j]).statistic - target) <= bound
+
+
+def test_log1mexp_matches_mpmath_on_both_sides_of_log2():
+    # Frank's frailty and generator run through log(1 - exp(-x)): its two
+    # branches meet at log 2, and the ends lose everything if 1 - exp(-x)
+    # is rounded; below the normal floats (x > ~708) the answer is subnormal
+    mpmath = pytest.importorskip("mpmath")
+    around = copulas._LOG2 * (1.0 + np.arange(-4, 5) * np.finfo(float).eps)
+    x = np.concatenate([np.geomspace(1e-300, 745.0, 241), around])
+    got = copulas._log1mexp(x)
+    with mpmath.workdps(400):  # 1 - exp(-745) needs ~330 digits
+        ref = np.array([float(mpmath.log(-mpmath.expm1(-mpmath.mpf(v)))) for v in x])
+    normal = np.abs(ref) >= np.finfo(float).tiny
+    assert np.all(np.abs(got - ref)[normal] <= 2.0 * np.finfo(float).eps * np.abs(ref)[normal])
+    assert np.all(got[~normal] == ref[~normal])
 
 
 def test_samples_strictly_inside_unit_cube():

@@ -4,7 +4,10 @@ marginalization, distance curves, and the bounded-support sweep."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,7 +72,7 @@ def test_ray_path_indices_and_validation():
     np.testing.assert_allclose(params, mags, atol=0.0)
     np.testing.assert_allclose(idx, np.outer(mags, [1.0, 0.0]), atol=1e-12)
     with pytest.raises(ValueError):
-        RayPath(np.array([2.0, 0.0]), mags)  # not a unit vector
+        RayPath(np.array([0.0, 0.0]), mags)  # no direction
     with pytest.raises(ValueError):
         RayPath(np.array([1.0, 0.0]), np.array([0.4, 0.1]))  # not increasing
     with pytest.raises(ValueError):
@@ -204,10 +207,9 @@ def test_trace_starts_each_solve_at_the_extrapolated_prediction(symmetric_sample
 def test_bounded_support_starts_each_circle_at_the_sample_mean(solver_calls):
     # every circle is a path of its own: its first solve starts at the
     # sample mean, and its second at its own first minimizer
-    rows = bounded_support_check(300, r_list=(0.3, 0.6), n_phi=4,
-                                 rng=substream(85, "first-start"))
-    assert all(row.all_converged for row in rows) and len(solver_calls) == 8
     sample = ClaytonCopula(5.0, 2).sample(300, substream(85, "first-start"))
+    rows = bounded_support_check(sample, r_list=(0.3, 0.6), n_phi=4)
+    assert all(row.all_converged for row in rows) and len(solver_calls) == 8
     mean = estimators._prepare(sample).mean
     for first in (0, 4):
         assert np.array_equal(solver_calls[first]["points"][0], mean)
@@ -220,7 +222,8 @@ def test_each_trace_starts_without_curvature(symmetric_sample, solver_calls):
     subadditivity_sets(symmetric_sample, noise, r=0.4, measure="var", n_phi=8)
     full = substream(79, "curvature").standard_normal((400, 3))
     marginalization_curves(full, r=0.2, n_phi=8)
-    bounded_support_check(500, r_list=(0.3, 0.6), n_phi=8, rng=substream(80, "curvature"))
+    copula = ClaytonCopula(5.0, 2).sample(500, substream(80, "curvature"))
+    bounded_support_check(copula, r_list=(0.3, 0.6), n_phi=8)
     # group the solves by the curvature state they were handed; the records
     # keep every state alive, so no id is reused
     traces = {}
@@ -590,9 +593,23 @@ def test_match_magnitude_is_as_precise_as_its_var_solves(name, n, seeds, bound):
                 assert abs(m_star - m_tight) <= bound, (seed, direction, theta)
 
 
+@pytest.mark.parametrize("direction", [[3.0, 4.0], [1.0, 1.0]])
+def test_any_nonzero_direction_is_scaled_to_unit_length(direction, symmetric_sample):
+    # one direction rule for every experiment: the given vector, scaled
+    unit = np.asarray(direction) / np.linalg.norm(direction)
+    grid = np.array([0.0, 0.3, 0.6, 0.9])
+    np.testing.assert_allclose(RayPath(direction, grid).direction, unit, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(distance_curve(symmetric_sample, direction, grid).distances,
+                               distance_curve(symmetric_sample, unit, grid).distances,
+                               rtol=1e-12, atol=0.0)
+    m_scaled, _, ok = match_magnitude(symmetric_sample, direction, 0.5)
+    assert ok
+    assert abs(m_scaled - match_magnitude(symmetric_sample, unit, 0.5)[0]) <= 1e-6
+
+
 def test_match_magnitude_validates_direction(symmetric_sample):
     with pytest.raises(ValueError):
-        match_magnitude(symmetric_sample, np.array([1.0, 1.0]), 0.5)  # not unit norm
+        match_magnitude(symmetric_sample, np.array([0.0, 0.0]), 0.5)  # no direction
     with pytest.raises(ValueError):
         match_magnitude(symmetric_sample, np.array([1.0, 0.0]), 1.0)  # theta >= 1
 
@@ -678,7 +695,8 @@ def test_distance_curve_validates_grid(symmetric_sample):
 @pytest.mark.parametrize("r_list, n_phi", [((0.5, 1.0), 8), ((0.0, 0.5), 8), ((0.5,), 0)])
 def test_bounded_support_validates_its_path(r_list, n_phi):
     with pytest.raises(ValueError, match="radius must lie|n_phi must be at least 1"):
-        bounded_support_check(100, r_list=r_list, n_phi=n_phi, rng=substream(74, "bs-bad"))
+        bounded_support_check(ClaytonCopula(5.0, 2).sample(100, substream(74, "bs-bad")),
+                              r_list=r_list, n_phi=n_phi)
 
 
 @pytest.mark.parametrize("levels", [[0.5, 1.0], [0.0], [np.nan], [], [[0.5]]])
@@ -688,12 +706,23 @@ def test_compare_univariate_validates_levels(levels, symmetric_sample):
 
 
 def test_bounded_support_small_radius_stays_inside():
-    rows = bounded_support_check(4000, r_list=(0.1,), n_phi=16,
-                                 rng=substream(73, "bounded-small"))
+    sample = ClaytonCopula(5.0, 2).sample(4000, substream(73, "bounded-small"))
+    rows = bounded_support_check(sample, r_list=(0.1,), n_phi=16)
     assert len(rows) == 1
     assert rows[0].r == 0.1
     assert rows[0].exits_support is False
     assert rows[0].all_converged
+
+
+def test_experiments_draw_no_sample_of_their_own():
+    # every sample comes from the caller; the module reaches no sampler
+    tree = ast.parse(Path(experiments.__file__).read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not {m for m in modules if m and m.split(".")[-1] in ("copulas", "models")}
+    assert list(inspect.signature(bounded_support_check).parameters) == [
+        "sample", "r_list", "n_phi", "config"]
 
 
 def test_default_stress_radii_exposed():
@@ -710,12 +739,28 @@ _PAIR = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
 _SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 _REJECTED = {
+    # one direction rule (experiments._unit_direction) and one index-length
+    # check (estimators._solve), for every entry point
     "ray-direction": (lambda: RayPath([np.nan, 1.0], [0.1]), ValueError,
-                      "direction must be a finite 1-D vector"),
+                      "direction must be a finite nonzero vector"),
+    "ray-direction-zero": (lambda: RayPath([0.0, 0.0], [0.1]), ValueError,
+                           "direction must be a finite nonzero vector"),
+    "trace-direction-dim": (lambda: trace_curve(_PAIR, RayPath([1.0, 0.0, 0.0], [0.1])),
+                            ValueError, "index dimension must match the sample dimension"),
+    "distance-direction-zero": (lambda: distance_curve(_PAIR, [0.0, 0.0], [0.5]), ValueError,
+                                "direction must be a finite nonzero vector"),
+    "distance-direction-dim": (lambda: distance_curve(_PAIR, [1.0, 0.0, 0.0], [0.5]),
+                               ValueError, "index dimension must match the sample dimension"),
+    "match-direction-nan": (lambda: match_magnitude(_PAIR, [np.nan, 1.0], 0.5), ValueError,
+                            "direction must be a finite nonzero vector"),
     "ray-magnitudes": (lambda: RayPath([1.0, 0.0], []), ValueError,
                        "magnitudes must be a finite 1-D array"),
     "match-direction-dim": (lambda: match_magnitude(_PAIR, [1.0, 0.0, 0.0], 0.5), ValueError,
-                            "direction must match the sample dimension"),
+                            "index dimension must match the sample dimension"),
+    "expectile-index-dim": (lambda: geometric_expectile(_PAIR, [0.1, 0.1, 0.1]), ValueError,
+                            "index dimension must match the sample dimension"),
+    "var-index-dim": (lambda: geometric_var(_PAIR, [0.1, 0.1, 0.1]), ValueError,
+                      "index dimension must match the sample dimension"),
     "curve-converged": (lambda: Curve([0.0, 1.0], np.zeros((2, 2)), [True]), ValueError,
                         "converged must be a boolean array matching params"),
     "trace-measure": (lambda: trace_curve(_PAIR, CirclePath(0.5, 4), "median"), ValueError,
@@ -730,8 +775,10 @@ _REJECTED = {
                           "comparison requires a bivariate sample"),
     "search-not-finite": (lambda: experiments._golden_section(lambda m: np.inf, 0.5, 0.5, 1e-3),
                           ValueError, "search objective is not finite at m = 0.5"),
-    "bounded-support-rng": (lambda: bounded_support_check(10), ValueError,
-                            "an explicit numpy Generator is required for reproducibility"),
+    "bounded-support-dimension": (lambda: bounded_support_check(np.full((4, 3), 0.5)),
+                                  ValueError, "sample must be bivariate with rows in [0, 1]^2"),
+    "bounded-support-box": (lambda: bounded_support_check(_SQUARE + 0.5), ValueError,
+                            "sample must be bivariate with rows in [0, 1]^2"),
 }
 
 
