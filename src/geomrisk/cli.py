@@ -321,7 +321,7 @@ def _get_sample(args) -> np.ndarray:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(grad_tolerance=args.tol, max_iterations=args.max_iter)
+    return SolverConfig(grad_tolerance=args.tol)
 
 
 def _alpha_for(args, dim: int) -> np.ndarray:
@@ -352,13 +352,12 @@ _MODEL = _Opt("--model", str, None, "preset name or model JSON")
 _DATA = _Opt("--data", str, None, "CSV sample file (columns x1..xd)")
 _N = _Opt("--n", int, None, "sample size (default: preset's standard size)")
 _NPHI = _Opt("--nphi", int, 64, "number of angles")
+_ALPHA = _Opt("--alpha", _conv_floats, None, "index vector, comma separated")
+_DIRECTION = _Opt("--direction", _conv_floats, None, "nonzero direction, scaled to unit length")
 _MEASURE = _Opt(
     "--measure", str, "expectile", "risk measure: " + "|".join(_MEASURES), choices=_MEASURES
 )
-_SOLVER = (
-    _Opt("--tol", float, SolverConfig.grad_tolerance, "relative gradient tolerance"),
-    _Opt("--max-iter", int, SolverConfig.max_iterations, "maximum solver iterations"),
-)
+_SOLVER = _Opt("--tol", float, SolverConfig.grad_tolerance, "relative gradient tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +551,9 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
     sample_opts = [_MODEL, _DATA, _N, _SEED]
     solve_opts = [
         *sample_opts,
-        _Opt("--alpha", _conv_floats, None, "index vector, comma separated"),
+        _ALPHA,
         _Opt("--level", float, None, "classical level l; index (2l-1) e1"),
-        *_SOLVER,
+        _SOLVER,
     ]
     register("expectile", _cmd_expectile, solve_opts, "geometric expectile of a sample")
     register("var", _cmd_var, solve_opts, "geometric value-at-risk of a sample")
@@ -567,10 +566,10 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
             # each path kind's flags have no default, so that one set for
             # the other kind is seen and rejected
             _Opt("--nphi", int, None, f"arc path angles (default {_NPHI.default})"),
-            _Opt("--direction", _conv_floats, None, "ray direction (normalized)"),
+            _DIRECTION,
             _Opt("--magnitudes", _conv_grid, None, "ray magnitudes grid"),
             _MEASURE,
-            *_SOLVER,
+            _SOLVER,
         ],
         "trace a risk-measure curve along an index path",
     )
@@ -582,7 +581,7 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
             _Opt("--r", float, 0.2, "index circle radius"),
             _NPHI,
             _MEASURE,
-            *_SOLVER,
+            _SOLVER,
         ],
         "subadditivity region check on a 4-column sample (X = cols 1-2, Y = cols 3-4)",
     )
@@ -594,7 +593,7 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
             _Opt(
                 "--levels", _conv_floats, (0.8, 0.9, 0.95, 0.99), "comma-separated classical levels"
             ),
-            *_SOLVER,
+            _SOLVER,
         ],
         "geometric vs classical univariate measures of the first component",
     )
@@ -603,9 +602,9 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
         _cmd_match_magnitude,
         [
             *sample_opts,
-            _Opt("--direction", _conv_floats, None, "search direction (normalized)"),
+            _DIRECTION,
             _Opt("--theta", float, None, "expectile index magnitude"),
-            *_SOLVER,
+            _SOLVER,
         ],
         "value-at-risk magnitude matching a given expectile magnitude",
     )
@@ -616,7 +615,7 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
             *sample_opts,
             _Opt("--r", float, 0.1, "planar index radius"),
             _NPHI,
-            *_SOLVER,
+            _SOLVER,
         ],
         "marginal vs full-model expectile curves (first three sample columns)",
     )
@@ -625,9 +624,9 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
         _cmd_distance,
         [
             *sample_opts,
-            _Opt("--direction", _conv_floats, None, "index direction (normalized)"),
+            _DIRECTION,
             _Opt("--r-grid", _conv_grid, _conv_grid("0:0.995:0.005"), "magnitude grid"),
-            *_SOLVER,
+            _SOLVER,
         ],
         "distance from the mean to expectiles along one index direction",
     )
@@ -639,7 +638,7 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
             _SEED,
             _Opt("--r-list", _conv_grid, DEFAULT_STRESS_RADII, "stress radii"),
             _NPHI,
-            *_SOLVER,
+            _SOLVER,
         ],
         "expectile curves of a Clayton(5) copula sample vs its [0,1]^2 support",
     )
@@ -648,8 +647,8 @@ def _build_parser() -> tuple[_Parser, dict[str, dict[str, _Opt]]]:
         _cmd_uniform_analytic,
         [
             _Opt("--box", _conv_floats, (0.0, 1.0, 0.0, 1.0), "box a1,b1,a2,b2"),
-            _Opt("--alpha", _conv_floats, None, "index vector, comma separated"),
-            *_SOLVER,
+            _ALPHA,
+            _SOLVER,
         ],
         "closed-form geometric expectile of a bivariate uniform box",
     )

@@ -32,6 +32,7 @@ import copy
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -94,22 +95,22 @@ _READERS = {
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tuning knobs for :func:`minimize_convex`.
+    """The one knob of :func:`minimize_convex`: its stopping tolerance.
 
     ``grad_tolerance`` is relative: the iteration stops once
     ``||grad|| <= grad_tolerance * (1 + |objective|)``.  A value-at-risk
     solve also stops, without slack, once a data atom satisfies the
-    subdifferential optimality condition (see :class:`SolveReport`).
+    subdifferential optimality condition (see :class:`SolveReport`).  The
+    iteration cap ``max_iterations`` is a constant: the objectives are
+    convex, and a solve that cannot meet the tolerance stagnates far below it.
     """
 
     grad_tolerance: float = 1e-8
-    max_iterations: int = 500
+    max_iterations: ClassVar[int] = 500
 
     def __post_init__(self) -> None:
         if not (self.grad_tolerance > 0.0 and np.isfinite(self.grad_tolerance)):
             raise ValueError("grad_tolerance must be a positive finite number")
-        if int(self.max_iterations) < 1:
-            raise ValueError("max_iterations must be at least 1")
 
 
 _DEFAULT_CONFIG = SolverConfig()
@@ -170,7 +171,8 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
     tested before any line search, and leaves its outcome there.  A line search
     that finds no descent along the secant direction is retried along
     steepest descent before the solve stops as stagnation; along a carried
-    estimate's direction only the unit step is tried.
+    estimate's direction only the unit step is tried.  The iteration cap is
+    the constant ``SolverConfig.max_iterations``.
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
     curvature = _Curvature() if _curvature is None else _curvature
@@ -191,13 +193,12 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
     report = None
     backtracked = False
     stop_reason = "max_iterations"
-    cap = int(cfg.max_iterations)
-    for iterations in range(cap + 1):
+    for iterations in range(SolverConfig.max_iterations + 1):
         gnorm = _norm(g)
         if gnorm <= cfg.grad_tolerance * (1.0 + abs(f)):
             stop_reason = "converged"
             break
-        if iterations == cap:
+        if iterations == SolverConfig.max_iterations:
             break
         if backtracked and _nearest_atom is not None:
             candidate = _nearest_atom(x)

@@ -72,10 +72,12 @@ def _check_path(radii, n_phi: int, min_phi: int = 1) -> None:
 def _unit_direction(direction) -> np.ndarray:
     """``direction`` (finite, nonzero, 1-D) scaled to unit length; ``_solve`` checks its size."""
     d = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(d)
-    if d.ndim != 1 or not np.isfinite(norm) or norm == 0.0:
+    if d.ndim != 1 or not np.all(np.isfinite(d)) or not np.any(d):
         raise ValueError("direction must be a finite nonzero vector")
-    return d / norm
+    largest = np.abs(d).max()
+    if not 1e-150 < largest < 1e150:
+        d = d / largest  # so that the squared norm neither overflows nor loses digits
+    return d / np.linalg.norm(d)
 
 
 def _increasing(values, name: str) -> np.ndarray:

@@ -187,7 +187,7 @@ def test_criterion_04_equivariance_suite():
     rng = substream(1404, "c4")
     # The identities are exact; resolving them to 1e-6 absolute error at scale
     # sigma=100 needs solves tighter than the default relative tolerance.
-    cfg = SolverConfig(grad_tolerance=1e-12, max_iterations=2000)
+    cfg = SolverConfig(grad_tolerance=1e-12)
     for dim in (2, 3, 4):
         sample = rng.standard_normal((500, dim))
         alpha = _random_indices(rng, 1, dim, max_norm=0.8)[0]

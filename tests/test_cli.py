@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from geomrisk import (
     MarginSpec,
     Normal,
     SkewNormal,
+    SolverConfig,
     StudentT,
     cli,
 )
@@ -464,16 +466,17 @@ _CONVERGED_COLUMN = {
 
 
 @pytest.mark.parametrize("args", _CONVERGED_COLUMN.values(), ids=_CONVERGED_COLUMN.keys())
-def test_non_convergence_exits_two_but_writes_output(args, tmp_path):
-    def converged(extra, expect):
+def test_non_convergence_exits_two_but_writes_output(args, tmp_path, monkeypatch):
+    def converged(expect):
         out = tmp_path / "nc.csv"
-        assert main([*args, *extra, "--out", str(out)]) == expect
+        assert main([*args, "--out", str(out)]) == expect
         lines = out.read_text().strip().split("\n")
         column = lines[0].split(",").index("converged")
         return [line.split(",")[column] for line in lines[1:]]
 
-    assert "false" not in converged([], 0)
-    assert "false" in converged(["--max-iter", "1"], 2)
+    assert "false" not in converged(0)
+    monkeypatch.setattr(SolverConfig, "max_iterations", 1)
+    assert "false" in converged(2)
 
 
 def test_var_curve_on_atoms_converges(tmp_path):
@@ -493,17 +496,32 @@ def _child_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": path}
 
 
-def test_console_script_entry_point(tmp_path):
+# id -> (arguments, exit code, what the run writes: its output file, or its
+# error line on exit 1)
+_CHILD_RUNS = {
+    "exit-0": (["simulate", "--model", "X1", "--n", "10", "--seed", "1"], 0, "x1,x2\n"),
+    "exit-1": (["var", "--model", "X1", "--n", "200", "--alpha", "1,0"], 1,
+               "error: index must lie strictly inside the unit ball"),
+    "exit-2": (["curve", "--model", "X1", "--n", "200", "--path", "circle:0.5", "--nphi", "4",
+                "--tol", "1e-300"], 2, "param,x1,x2,converged\n"),
+}
+
+
+@pytest.mark.parametrize("args, code, start", _CHILD_RUNS.values(), ids=_CHILD_RUNS.keys())
+def test_console_script_entry_point(args, code, start, tmp_path):
+    # the exit code reaches the parent through a real process
     out = tmp_path / "cli.csv"
     proc = subprocess.run(
-        [sys.executable, "-m", "geomrisk.cli", "simulate", "--model", "X1",
-         "--n", "10", "--seed", "1", "--out", str(out)],
+        [sys.executable, "-m", "geomrisk.cli", *args, "--out", str(out)],
         capture_output=True,
         text=True,
         env=_child_env(),
     )
-    assert proc.returncode == 0
-    assert out.read_text().startswith("x1,x2")
+    assert proc.returncode == code
+    assert (proc.stderr if code == 1 else out.read_text()).startswith(start)
+    assert out.exists() == (code != 1)
+    if code == 2:
+        assert "false" in out.read_text()
 
 
 def test_curve_output_does_not_depend_on_the_blas_thread_count():
@@ -709,6 +727,7 @@ _FILES = {
     "alpha.cfg": "alpha = a,b\n",
     "grid.cfg": "r_grid = 0:1:-0.1\n",
     "hash.cfg": "alpha = 0.3,0.1#x\n",
+    "max-iter.cfg": "max-iter = 5\n",
 }
 _PAIR = ["--data", "{tmp}/pair.csv"]
 _INDEPENDENT = '"copula": {"type": "independence"}}'
@@ -808,6 +827,11 @@ _CLI_REJECTED = {
                  "invalid literal for int() with base 10: 'x'"),
     "subadd-polygon": (["subadd", "--model", "Z-clayton5", "--n", "200", "--nphi", "2"],
                        "n_phi must be at least 3"),
+    # the iteration cap is a constant of the solver, not an option
+    "max-iter-flag": (["expectile", *_PAIR, "--alpha", "0,0", "--max-iter", "5"],
+                      "unrecognized arguments: --max-iter 5"),
+    "max-iter-config": (["expectile", *_PAIR, "--alpha", "0,0", "--config", "{tmp}/max-iter.cfg"],
+                        "{tmp}/max-iter.cfg:1: unknown key 'max_iter'"),
 }
 
 
@@ -882,14 +906,16 @@ def test_csv_goes_to_stdout_without_an_out_file(out, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the README's examples run as written
+# the README's examples run as written, and its CLI section names the flags
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 def _readme_examples() -> list[tuple[str, list[str]]]:
     """``(comment, argv)`` of each ``geomrisk`` command in the ``sh`` block
     after "Examples:" in README.md: continuations joined, each command with
     the comment above it."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = text.split("Examples:", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = _README.read_text().split("Examples:", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     commands, comment = [], ""
     for line in block.replace("\\\n", " ").splitlines():
         line = line.strip()
@@ -913,3 +939,12 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
         if "byte-identical" in comment and argv[0] == "expectile":
             identical.append(out)
     assert len(identical) == 2 and identical[0] and identical[0] == identical[1]
+
+
+def test_readme_cli_section_names_exactly_the_parsers_flags():
+    # every flag of every subcommand is documented, and no other flag is
+    # named; `--flag` is the placeholder of the error-message example
+    section = _README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section)) - {"--flag"}
+    _, specs = cli._build_parser()
+    assert named == {opt.flag for spec in specs.values() for opt in spec.values()} | {"--config"}

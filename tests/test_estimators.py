@@ -4,6 +4,7 @@ order statistics)."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -106,8 +107,8 @@ def test_empirical_objective_grad_matches_central_differences():
     [(geometric_expectile, expectile_loss, expectile_loss_grad),
      (geometric_var, quantile_loss, quantile_loss_subgrad)],
 )
-def test_solver_closures_are_the_mean_public_kernel(solver_calls, estimator, loss, loss_grad,
-                                                    d, offset):
+def test_solver_closures_are_the_mean_public_kernel(solver_calls, monkeypatch, estimator, loss,
+                                                    loss_grad, d, offset):
     # the solver's passes run over a column block; they must agree with the
     # mean of the public row kernels up to the order of summation
     rng = np.random.default_rng(11 + d)
@@ -115,7 +116,8 @@ def test_solver_closures_are_the_mean_public_kernel(solver_calls, estimator, los
     u = np.linspace(0.4, -0.2, d)
     c = np.full(d, 0.8) + offset
     sample[17] = c  # one row at c exercises the t = 0 branch
-    estimator(sample, u, SolverConfig(max_iterations=1))
+    monkeypatch.setattr(SolverConfig, "max_iterations", 1)
+    estimator(sample, u)
     fun, grad = solver_calls[0]["closures"]
     np.testing.assert_allclose(fun(c), float(np.mean(loss(u, sample - c))), rtol=1e-12, atol=0)
     np.testing.assert_allclose(grad(c), -loss_grad(u, sample - c).mean(axis=0),
@@ -212,7 +214,7 @@ def test_minimize_convex_quadratic_exact():
     assert rep.iterations <= 50
 
 
-def test_minimize_convex_reports_non_convergence():
+def test_minimize_convex_reports_non_convergence(monkeypatch):
     # Ill-conditioned quadratic cannot meet a tight tolerance in two steps.
     scale = np.array([1.0, 1e4])
 
@@ -222,8 +224,8 @@ def test_minimize_convex_reports_non_convergence():
     def grad(x):
         return scale * x
 
-    cfg = SolverConfig(max_iterations=2, grad_tolerance=1e-12)
-    rep = minimize_convex(fun, grad, np.array([1.0, 1.0]), cfg)
+    monkeypatch.setattr(SolverConfig, "max_iterations", 2)
+    rep = minimize_convex(fun, grad, np.array([1.0, 1.0]), SolverConfig(grad_tolerance=1e-12))
     assert isinstance(rep, SolveReport)
     assert not rep.converged
     assert rep.iterations == 2
@@ -513,7 +515,7 @@ def test_traced_var_leaves_a_held_atom_that_fails_the_test(solver_calls):
 
 
 @pytest.mark.parametrize("carried", [False, True], ids=["scaled-identity", "carried"])
-def test_bfgs_update_keeps_the_secant_equation(carried):
+def test_bfgs_update_keeps_the_secant_equation(carried, monkeypatch):
     # one iteration at d = 4 on a quadratic: the updated estimate maps the
     # gradient change onto the step, and is symmetric and positive definite,
     # all to rounding; the estimate carried in keeps its values
@@ -535,7 +537,8 @@ def test_bfgs_update_keeps_the_secant_equation(carried):
     h_in = curvature.h_inv
     kept = None if h_in is None else h_in.copy()
     x0 = np.ones(4)
-    rep = minimize_convex(fun, grad, x0, SolverConfig(max_iterations=1), _curvature=curvature)
+    monkeypatch.setattr(SolverConfig, "max_iterations", 1)
+    rep = minimize_convex(fun, grad, x0, _curvature=curvature)
     assert rep.iterations == 1
     h_inv = curvature.h_inv
     s = rep.argmin - x0
@@ -679,8 +682,11 @@ def test_path_turns_only_the_expectile_estimate(solver_calls, measure):
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(grad_tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iterations=0)
+    # the tolerance is the one knob: the iteration cap is a class constant
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["grad_tolerance"]
+    assert SolverConfig.max_iterations == 500
+    with pytest.raises(TypeError):
+        SolverConfig(max_iterations=500)
     # a solve starts at x0, or on a traced path where the path says
     with pytest.raises(TypeError):
         SolverConfig(initial_point=np.zeros(2))
@@ -1133,12 +1139,14 @@ def test_var_of_two_points_is_the_endpoint_along_the_index():
     assert rep.note == "degenerate_possible"
 
 
-def test_var_does_not_certify_an_atom_that_fails_the_test():
+def test_var_does_not_certify_an_atom_that_fails_the_test(monkeypatch):
     # a smooth minimizer off the data: the nearest row is tried at the
     # iteration cap and must be rejected
     sample = np.random.default_rng(4).standard_normal((300, 2))
     u = [0.3, -0.2]
-    rep = geometric_var(sample, u, SolverConfig(max_iterations=2))
+    with monkeypatch.context() as patched:
+        patched.setattr(SolverConfig, "max_iterations", 2)
+        rep = geometric_var(sample, u)
     assert not rep.converged
     assert rep.stop_reason == "max_iterations"
     assert not np.any(np.all(sample == rep.argmin, axis=1))
@@ -1149,11 +1157,12 @@ def test_var_does_not_certify_an_atom_that_fails_the_test():
     assert not np.any(np.all(sample == full.argmin, axis=1))
 
 
-def test_iteration_cap_on_a_passing_gradient_reports_converged():
+def test_iteration_cap_on_a_passing_gradient_reports_converged(monkeypatch):
     # the one allowed step lands on the minimum; the cap ends the loop before
     # the gradient test runs, so the test after the loop decides
+    monkeypatch.setattr(SolverConfig, "max_iterations", 1)
     report = minimize_convex(lambda x: 0.5 * float(x @ x), lambda x: x.copy(),
-                             np.array([3.0, -4.0]), SolverConfig(max_iterations=1))
+                             np.array([3.0, -4.0]))
     assert (report.converged, report.stop_reason, report.iterations) == (True, "converged", 1)
     assert report.grad_norm == 0.0
 

@@ -136,8 +136,9 @@ def test_warm_start_matches_cold_start(symmetric_sample):
         np.testing.assert_allclose(curve.points[k], cold.argmin, atol=1e-6)
 
 
-def test_non_convergence_is_flagged(symmetric_sample):
-    cfg = SolverConfig(max_iterations=1, grad_tolerance=1e-14)
+def test_non_convergence_is_flagged(symmetric_sample, monkeypatch):
+    monkeypatch.setattr(SolverConfig, "max_iterations", 1)
+    cfg = SolverConfig(grad_tolerance=1e-14)
     curve = trace_curve(symmetric_sample, CirclePath(0.8, 4), config=cfg)
     assert not curve.all_converged
 
@@ -593,10 +594,18 @@ def test_match_magnitude_is_as_precise_as_its_var_solves(name, n, seeds, bound):
                 assert abs(m_star - m_tight) <= bound, (seed, direction, theta)
 
 
-@pytest.mark.parametrize("direction", [[3.0, 4.0], [1.0, 1.0]])
-def test_any_nonzero_direction_is_scaled_to_unit_length(direction, symmetric_sample):
+@pytest.mark.parametrize("direction, unit", [
+    ([3.0, 4.0], [0.6, 0.8]),
+    ([1.0, 1.0], [np.sqrt(0.5), np.sqrt(0.5)]),
+    # squared norms that overflow, underflow to zero or are subnormal
+    ([1e200, 1e200], [np.sqrt(0.5), np.sqrt(0.5)]),
+    ([1e-200, 0.0], [1.0, 0.0]),
+    ([3e-170, 4e-170], [0.6, 0.8]),
+    ([3e-160, 4e-160], [0.6, 0.8]),
+], ids=["3-4", "1-1", "square-overflows", "square-underflows", "squares-underflow",
+        "squares-subnormal"])
+def test_any_nonzero_direction_is_scaled_to_unit_length(direction, unit, symmetric_sample):
     # one direction rule for every experiment: the given vector, scaled
-    unit = np.asarray(direction) / np.linalg.norm(direction)
     grid = np.array([0.0, 0.3, 0.6, 0.9])
     np.testing.assert_allclose(RayPath(direction, grid).direction, unit, rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(distance_curve(symmetric_sample, direction, grid).distances,
@@ -749,6 +758,8 @@ _REJECTED = {
                             ValueError, "index dimension must match the sample dimension"),
     "distance-direction-zero": (lambda: distance_curve(_PAIR, [0.0, 0.0], [0.5]), ValueError,
                                 "direction must be a finite nonzero vector"),
+    "distance-direction-inf": (lambda: distance_curve(_PAIR, [np.inf, 1.0], [0.5]), ValueError,
+                               "direction must be a finite nonzero vector"),
     "distance-direction-dim": (lambda: distance_curve(_PAIR, [1.0, 0.0, 0.0], [0.5]),
                                ValueError, "index dimension must match the sample dimension"),
     "match-direction-nan": (lambda: match_magnitude(_PAIR, [np.nan, 1.0], 0.5), ValueError,
