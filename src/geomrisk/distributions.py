@@ -1,17 +1,16 @@
 """Univariate margin distributions for model building.
 
 Each margin is a small frozen dataclass exposing ``quantile``, ``cdf``,
-``mean``, ``var`` and ``sample``.  Quantiles are exact inverse cdfs, so
-copula samples can be pushed through them without bias: closed forms, the
-normal quantile by Wichura's AS 241 (within ~3 eps), the Student t quantile
-by Shaw's closed form for ``nu = 4`` (within ~2 eps) and for other ``nu`` by
-SciPy's ``stdtrit`` (within 1e-12 relative) and, next to the median, an
-inverse series (within ~2 eps), and for the skew normal a safeguarded
-Newton iteration on its cdf, bracketed by the normal and half-normal
-quantiles and started from an interpolant through a table of roots that
-is built once per shape (see ``SkewNormal``).  Sampling is
-inverse-transform for every margin except the skew normal, which uses its
-two-normal representation.
+``mean`` and ``var``; it draws nothing.  ``models.simulate`` is the one
+sampler: it pushes copula uniforms through each margin's ``quantile``.
+Quantiles are exact inverse cdfs, so those draws carry no bias: closed
+forms, the normal quantile by Wichura's AS 241 (within ~3 eps), the Student
+t quantile by Shaw's closed form for ``nu = 4`` (within ~2 eps) and for
+other ``nu`` by SciPy's ``stdtrit`` (within 1e-12 relative) and, next to
+the median, an inverse series (within ~2 eps), and for the skew normal a
+safeguarded Newton iteration on its cdf, bracketed by the normal and
+half-normal quantiles and started from an interpolant through a table of
+roots that is built once per shape (see ``SkewNormal``).
 
 The normal cdf and the skew-normal cdf are NumPy code too: one kernel gives
 the normal tail ``Q(x) = Phi(-x)`` within 5.5 eps relative on [0, 37.5]
@@ -42,9 +41,6 @@ __all__ = [
     "has_finite_second_moment",
 ]
 
-# floor for inverse-transform uniforms; random() can return exactly 0.0
-_U_FLOOR = 1e-300
-
 _EPS = np.finfo(float).eps
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -63,6 +59,8 @@ _TABLE_W = 6.0
 # the table's nodes start from the light-tail asymptote where |shape z| is
 # at least this, and from Cornish-Fisher elsewhere
 _LIGHT_TAIL_START = 1.5
+# bound on the skew-normal |shape| (see SkewNormal)
+_MAX_SHAPE = 1e100
 
 
 def _special(name: str):
@@ -387,15 +385,8 @@ def _scalar_like(out: np.ndarray, template) -> np.ndarray | float:
     return float(out) if np.ndim(template) == 0 else out
 
 
-class _InverseTransform:
-    """Inverse-transform sampling: uniforms pushed through ``quantile``."""
-
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return self.quantile(np.maximum(rng.random(int(count)), _U_FLOOR))
-
-
 @dataclass(frozen=True)
-class Normal(_InverseTransform):
+class Normal:
     """Normal distribution with mean ``mu`` and standard deviation ``sigma``."""
 
     mu: float = 0.0
@@ -420,7 +411,7 @@ class Normal(_InverseTransform):
 
 
 @dataclass(frozen=True)
-class StudentT(_InverseTransform):
+class StudentT:
     """Student t distribution with ``nu`` degrees of freedom (location 0, scale 1).
 
     For ``nu = 4`` the quantile is Shaw's closed form, within ~2 eps.  Other
@@ -466,10 +457,7 @@ class SkewNormal:
     """Skew-normal distribution with location ``xi``, scale ``omega``, shape ``shape``.
 
     With ``z = (x - xi) / omega`` the cdf is ``F(z) = Phi(z) - 2 T(z, shape)``
-    (Owen's T) and the density ``f(z) = 2 phi(z) Phi(shape z)``.  Sampling uses
-    the representation ``delta |Z0| + sqrt(1 - delta^2) Z1`` with
-    ``delta = shape / sqrt(1 + shape^2)`` and independent standard
-    normals Z0, Z1.
+    (Owen's T) and the density ``f(z) = 2 phi(z) Phi(shape z)``.
 
     The quantile is a safeguarded Newton iteration on ``F``.  For
     ``shape >= 0`` the stochastic order ``N(0, 1) <= SN(shape) <= |Z|``
@@ -504,6 +492,12 @@ class SkewNormal:
     probabilities, such as those below the copula floor of 1e-15, are only
     as good as the cdf there: ``SkewNormal(0, 1, 2).quantile(1e-300)`` is
     about -4.08, against a true quantile of -16.51.
+
+    ``|shape|`` is at most 1e100 (``_MAX_SHAPE``).  Past ~1e150 Owen's T
+    overflows, and from ~3e159 the quantile is silently wrong (shape 1e160
+    gives negative values).  The bound loses nothing: for ``|shape|`` from
+    1e20 to 1e149 every quantile of p in the copula's [1e-15, 1 - 1e-16] is
+    within ``4 eps max(1, |z|)`` of the half-normal limit's.
     """
 
     xi: float = 0.0
@@ -515,9 +509,11 @@ class SkewNormal:
             self.omega > 0.0
             and np.isfinite(self.omega)
             and np.isfinite(self.xi)
-            and np.isfinite(self.shape)
+            and abs(self.shape) <= _MAX_SHAPE
         ):
-            raise ValueError("SkewNormal requires finite xi and shape, omega > 0")
+            raise ValueError(
+                f"SkewNormal requires finite xi, omega > 0 and |shape| <= {_MAX_SHAPE:g}"
+            )
 
     @property
     def delta(self) -> float:
@@ -541,12 +537,6 @@ class SkewNormal:
 
     def var(self) -> float:
         return self.omega**2 * (1.0 - 2.0 * self.delta**2 / np.pi)
-
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        z0 = rng.standard_normal(int(count))
-        z1 = rng.standard_normal(int(count))
-        d = self.delta
-        return self.xi + self.omega * (d * np.abs(z0) + np.sqrt(1.0 - d * d) * z1)
 
 
 def _skew_normal_root(p: np.ndarray, a: float) -> np.ndarray:
@@ -689,7 +679,7 @@ def _newton_root(p: np.ndarray, w: np.ndarray, a: float, z: np.ndarray) -> np.nd
 
 
 @dataclass(frozen=True)
-class Gumbel(_InverseTransform):
+class Gumbel:
     """Gumbel (type-I extreme value) distribution, standard form by default."""
 
     loc: float = 0.0
@@ -714,7 +704,7 @@ class Gumbel(_InverseTransform):
 
 
 @dataclass(frozen=True)
-class Logistic(_InverseTransform):
+class Logistic:
     """Logistic distribution, standard form by default."""
 
     loc: float = 0.0
@@ -741,7 +731,7 @@ class Logistic(_InverseTransform):
 
 
 @dataclass(frozen=True)
-class Exponential(_InverseTransform):
+class Exponential:
     """Exponential distribution with rate ``rate`` (mean ``1 / rate``)."""
 
     rate: float
@@ -765,7 +755,7 @@ class Exponential(_InverseTransform):
 
 
 @dataclass(frozen=True)
-class Uniform(_InverseTransform):
+class Uniform:
     """Uniform distribution on the interval [a, b]."""
 
     a: float = 0.0

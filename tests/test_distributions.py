@@ -1,5 +1,6 @@
 """Margins: quantile/cdf round trips, closed-form moments, sampling laws
-(Kolmogorov-Smirnov and moment checks), independent scipy oracles."""
+(Kolmogorov-Smirnov and moment checks of draws through ``simulate``),
+independent scipy oracles."""
 
 from __future__ import annotations
 
@@ -14,12 +15,15 @@ import geomrisk.distributions as distributions_module
 from geomrisk import (
     Exponential,
     Gumbel,
+    IndependenceCopula,
+    JointModel,
     Logistic,
     Normal,
     SkewNormal,
     StudentT,
     Uniform,
     has_finite_second_moment,
+    simulate,
     substream,
 )
 
@@ -36,6 +40,11 @@ ALL_MARGINS = (
 )
 
 FINITE_FOURTH_MOMENT = tuple(m for m in ALL_MARGINS if not isinstance(m, StudentT))
+
+
+def _draw(margin, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` draws of ``margin`` the one way the package draws: through ``simulate``."""
+    return simulate(JointModel((margin,), IndependenceCopula(1)), n, rng)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -67,12 +76,36 @@ def test_skew_normal_mean_closed_form():
 
 
 def test_skew_normal_moments_at_a_huge_shape():
-    # shape**2 overflows a float past |shape| ~ 1.3e154; delta must still be 1
-    m = SkewNormal(0.0, 1.0, 1e160)
+    # shape**2 overflows a float at the shape bound; delta must still be 1
+    bound = distributions_module._MAX_SHAPE
+    m = SkewNormal(0.0, 1.0, bound)
     assert abs(m.mean() - np.sqrt(2.0 / np.pi)) <= 1e-15
     assert abs(m.var() - (1.0 - 2.0 / np.pi)) <= 1e-15
-    assert SkewNormal(0.0, 1.0, -1e160).delta == -1.0
-    assert np.all(m.sample(100, substream(1, "huge-shape")) >= 0.0)
+    assert SkewNormal(0.0, 1.0, -bound).delta == -1.0
+    assert np.all(_draw(m, 100, substream(1, "huge-shape")) >= 0.0)
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0), ids=("positive", "negative"))
+def test_skew_normal_draws_at_the_shape_bound_are_the_half_normal_limit(sign):
+    # the limit is sign |Z|, whose quantile is -Phi^-1((1 - p) / 2) for sign
+    # +1 and Phi^-1(p / 2) for -1; any warning fails (filterwarnings = error)
+    m = SkewNormal(0.0, 1.0, sign * distributions_module._MAX_SHAPE)
+    rng = substream(33, f"shape-bound-{sign}")
+    x = _draw(m, 10_000, rng)
+    u = IndependenceCopula(1).sample(10_000, substream(33, f"shape-bound-{sign}"))[:, 0]
+    limit = -ndtri(0.5 * (1.0 - u)) if sign > 0 else ndtri(0.5 * u)
+    assert np.all(np.sign(x) == sign)
+    assert np.all(np.abs(x - limit) <= 8.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(limit)))
+    p = np.array([1e-15, 1e-9, 0.01, 0.5, 0.99, 1.0 - 1e-9, 1.0 - 1e-16])
+    q = m.quantile(p)
+    limit = -ndtri(0.5 * (1.0 - p)) if sign > 0 else ndtri(0.5 * p)
+    assert np.all(np.abs(q - limit) <= 8.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(limit)))
+
+
+@pytest.mark.parametrize("shape", (1e160, -1e160, np.inf))
+def test_skew_normal_rejects_a_shape_past_the_bound(shape):
+    with pytest.raises(ValueError, match=r"\|shape\| <= 1e\+100"):
+        SkewNormal(0.0, 1.0, shape)
 
 
 def test_closed_form_variances():
@@ -724,7 +757,7 @@ def test_gumbel_and_logistic_cdf_forms():
 def test_sampling_kolmogorov_smirnov(margin):
     n = 10_000
     rng = substream(516, f"ks-{type(margin).__name__}-{hash(margin) & 0xffff}")
-    x = margin.sample(n, rng)
+    x = _draw(margin, n, rng)
     stat = stats.kstest(x, margin.cdf).statistic
     assert stat <= 1.36 / np.sqrt(n)  # 5% asymptotic critical value
 
@@ -733,7 +766,7 @@ def test_sampling_mean_within_four_se():
     n = 100_000
     for margin in ALL_MARGINS:
         rng = substream(616, f"mean-{type(margin).__name__}-{hash(margin) & 0xffff}")
-        x = margin.sample(n, rng)
+        x = _draw(margin, n, rng)
         se = x.std(ddof=1) / np.sqrt(n)
         assert abs(x.mean() - margin.mean()) <= 4.0 * se
 
@@ -743,7 +776,7 @@ def test_sampling_variance_within_four_se():
     n = 100_000
     for margin in FINITE_FOURTH_MOMENT:
         rng = substream(717, f"var-{type(margin).__name__}-{hash(margin) & 0xffff}")
-        x = margin.sample(n, rng)
+        x = _draw(margin, n, rng)
         s2 = x.var(ddof=1)
         m4 = np.mean((x - x.mean()) ** 4)
         se = np.sqrt(max(m4 - s2 * s2, 0.0) / n)
@@ -753,15 +786,15 @@ def test_sampling_variance_within_four_se():
 def test_skew_normal_sample_mean_within_three_se():
     m = SkewNormal(-1.0, 1.0, 2.0)
     n = 50_000
-    x = m.sample(n, substream(818, "sn-mean"))
+    x = _draw(m, n, substream(818, "sn-mean"))
     se = x.std(ddof=1) / np.sqrt(n)
     assert abs(x.mean() - m.mean()) <= 3.0 * se
 
 
 def test_sampling_is_deterministic():
     m = Normal(0.0, 1.0)
-    a = m.sample(100, substream(1, "same"))
-    b = m.sample(100, substream(1, "same"))
+    a = _draw(m, 100, substream(1, "same"))
+    b = _draw(m, 100, substream(1, "same"))
     np.testing.assert_array_equal(a, b)
 
 

@@ -5,6 +5,7 @@ package binds no other public name."""
 from __future__ import annotations
 
 import inspect
+import typing
 
 import geomrisk
 from geomrisk import cli, copulas, distributions, estimators, experiments, losses, models, uniform_exact
@@ -31,6 +32,13 @@ def test_margin_and_copula_operations_are_methods_only():
     for name in ("margin_quantile", "margin_cdf", "margin_mean", "margin_var",
                  "margin_sample", "copula_sample", "copula_kendall_tau"):
         assert not hasattr(geomrisk, name)
+    # a margin only describes its law; models.simulate draws, from copula uniforms
+    for margin in typing.get_args(distributions.MarginSpec):
+        assert not hasattr(margin, "sample")
+        for method in ("quantile", "cdf", "mean", "var"):
+            assert callable(getattr(margin, method))
+    for copula in typing.get_args(copulas.CopulaSpec):
+        assert callable(copula.sample)
 
 
 def test_cli_exports_only_main():
