@@ -225,7 +225,9 @@ def trace_curve(
     return Curve(params=params, points=points, converged=converged)
 
 
-_BOUNDARY_TOL = 1e-9  # distance to an edge that still counts as inside
+# distance to an edge that still counts as inside, relative to the diagonal
+# of the vertices' bounding box
+_BOUNDARY_TOL = 1e-9
 
 
 def point_in_polygon(point, vertices) -> bool:
@@ -234,7 +236,9 @@ def point_in_polygon(point, vertices) -> bool:
     ``vertices`` is a (k, 2) array of polygon corners in order; the edge
     from the last vertex back to the first is implicit.  Points within
     ``_BOUNDARY_TOL`` (1e-9, a module constant: no caller needs another
-    band) of any edge count as inside.
+    band) times the diagonal of the vertices' bounding box of any edge
+    count as inside, so the verdict does not change when point and
+    polygon are scaled together.
     """
     p = np.asarray(point, dtype=float)
     v = np.asarray(vertices, dtype=float)
@@ -248,7 +252,8 @@ def point_in_polygon(point, vertices) -> bool:
     denom = np.einsum("ij,ij->i", ab, ab)
     tpar = np.einsum("ij,ij->i", p - a, ab) / np.where(denom == 0.0, 1.0, denom)
     nearest = a + np.clip(tpar, 0.0, 1.0)[:, np.newaxis] * ab
-    if float(np.min(np.linalg.norm(p - nearest, axis=1))) <= _BOUNDARY_TOL:
+    band = _BOUNDARY_TOL * math.hypot(*np.ptp(v, axis=0))
+    if float(np.min(np.linalg.norm(p - nearest, axis=1))) <= band:
         return True
     ya, yb = a[:, 1], b[:, 1]
     crosses = (ya > p[1]) != (yb > p[1])

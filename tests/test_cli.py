@@ -741,6 +741,10 @@ _CLI_REJECTED = {
                      '{"margins": [{"type": "normal"}], "copula": {"type": "nope"}}'],
                     "unknown copula type 'nope'"),
     "json-invalid": (["simulate", "--model", "{bad"], "model JSON is invalid: "),
+    # past the bound the skew-normal quantile overflows and gives wrong rows
+    "skewnormal-shape": (["simulate", "--model", '{"margins": [{"type": "skewnormal", '
+                          '"shape": 1e160}, {"type": "normal"}], ' + _INDEPENDENT, "--n", "5"],
+                         "SkewNormal requires finite xi, omega > 0 and |shape| <= 1e+100"),
     "data-missing": (["expectile", "--data", "{tmp}/none.csv", "--alpha", "0,0"],
                      "cannot read data file {tmp}/none.csv: "),
     "data-text": (["expectile", "--data", "{tmp}/text.csv", "--alpha", "0,0"],
@@ -906,7 +910,8 @@ def test_csv_goes_to_stdout_without_an_out_file(out, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the README's examples run as written, and its CLI section names the flags
+# the README's examples and Python blocks run as written, and its CLI section
+# names the flags
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -939,6 +944,17 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
         if "byte-identical" in comment and argv[0] == "expectile":
             identical.append(out)
     assert len(identical) == 2 and identical[0] and identical[0] == identical[1]
+
+
+def test_readme_python_blocks_run(tmp_path):
+    # each block runs as written in a fresh interpreter, outside the checkout:
+    # the Quickstart, the one-margin draw and the bounded-support check
+    blocks = re.findall(r"```python\n(.*?)```", _README.read_text(), flags=re.S)
+    assert len(blocks) == 3
+    for block in blocks:
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", block], cwd=tmp_path,
+                              capture_output=True, text=True, env=_child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_readme_cli_section_names_exactly_the_parsers_flags():

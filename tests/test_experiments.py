@@ -420,22 +420,40 @@ def test_solves_see_the_callers_sample_through_the_module_names(symmetric_sample
 # ---------------------------------------------------------------------------
 # polygon inclusion
 
-def test_point_in_polygon_square_and_diamond():
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    diamond = np.array([[0.5, 0.1], [0.9, 0.5], [0.5, 0.9], [0.1, 0.5]])
+# the boundary band is relative to the polygon's size: every verdict holds at
+# any common scale of point and polygon
+_SCALES = pytest.mark.parametrize("s", (1e-12, 1.0, 1e12))
+
+
+@_SCALES
+def test_point_in_polygon_square_and_diamond(s):
+    square = s * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    diamond = s * np.array([[0.5, 0.1], [0.9, 0.5], [0.5, 0.9], [0.1, 0.5]])
     # Every diamond vertex is inside the square...
     assert all(point_in_polygon(v, square) for v in diamond)
     # ...but square corners are outside the diamond.
     assert not any(point_in_polygon(v, diamond) for v in square)
-    assert point_in_polygon([0.5, 0.5], diamond)
-    assert not point_in_polygon([1.5, 0.5], square)
+    assert point_in_polygon(s * np.array([0.5, 0.5]), diamond)
+    assert not point_in_polygon(s * np.array([1.5, 0.5]), square)
+    assert not point_in_polygon(s * np.array([0.5, -1e-6]), square)
 
 
-def test_point_on_boundary_counts_as_inside():
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    assert point_in_polygon([0.5, 0.0], square)  # edge midpoint
-    assert point_in_polygon([1.0, 1.0], square)  # vertex
-    assert point_in_polygon([0.5, 1e-12], square)  # within tolerance band
+@_SCALES
+def test_point_on_boundary_counts_as_inside(s):
+    square = s * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    assert point_in_polygon(s * np.array([0.5, 0.0]), square)  # edge midpoint
+    assert point_in_polygon(s * np.array([1.0, 1.0]), square)  # vertex
+    assert point_in_polygon(s * np.array([0.5, -1e-12]), square)  # within tolerance band
+    assert not point_in_polygon(s * np.array([1.0 + 1e-6, 0.5]), square)
+
+
+@pytest.mark.parametrize("s", (1e-9, 1.0))
+def test_subadditivity_verdict_does_not_depend_on_the_sample_scale(s):
+    # Z-clayton5 (seed 1) at the 0.86 VaR circle: the sum curve leaves the
+    # added polygon at every scale
+    sample = simulate(get_preset("Z-clayton5"), 20_000, substream(1, "simulate"))
+    res = subadditivity_sets(s * sample[:, :2], s * sample[:, 2:], 0.86, "var", n_phi=32)
+    assert res.included is False
 
 
 # ---------------------------------------------------------------------------
