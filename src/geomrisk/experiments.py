@@ -225,20 +225,18 @@ def trace_curve(
     return Curve(params=params, points=points, converged=converged)
 
 
-# distance to an edge that still counts as inside, relative to the diagonal
-# of the vertices' bounding box
-_BOUNDARY_TOL = 1e-9
+_BOUNDARY_TOL = 1e-9  # edge distance still inside, per unit of the polygon's size
 
 
 def point_in_polygon(point, vertices) -> bool:
     """Even-odd (ray casting) test of ``point`` against a closed polygon.
 
     ``vertices`` is a (k, 2) array of polygon corners in order; the edge
-    from the last vertex back to the first is implicit.  Points within
-    ``_BOUNDARY_TOL`` (1e-9, a module constant: no caller needs another
-    band) times the diagonal of the vertices' bounding box of any edge
-    count as inside, so the verdict does not change when point and
-    polygon are scaled together.
+    from the last vertex back to the first is implicit.  A point whose
+    distance to an edge is at most ``_BOUNDARY_TOL`` (1e-9, a module
+    constant: no caller needs another band) times the diagonal of the
+    vertices' bounding box counts as inside, so the verdict does not change
+    when point and polygon are scaled together.
     """
     p = np.asarray(point, dtype=float)
     v = np.asarray(vertices, dtype=float)
