@@ -88,7 +88,9 @@ def _conv_grid(text: str) -> tuple[float, ...]:
         if not np.isfinite(steps):
             raise ValueError(f"grid {text!r} does not have a finite number of points")
         n = int(np.floor(steps + 1e-9)) + 1
-        return tuple(start + k * step for k in range(n))
+        # a grid that lands on stop ends there, not an ulp off it (3 * 0.1 > 0.3)
+        last = stop if steps - (n - 1) <= 1e-9 else start + (n - 1) * step
+        return tuple(start + k * step for k in range(n - 1)) + (last,)
     return _conv_floats(text)
 
 
@@ -205,7 +207,7 @@ def _curve_table(curves: list, extra: Sequence[tuple[str, bool]] = ()) -> _Table
     named = curves[0][0] is not None
     header = (["curve"] if named else []) + ["param"] + _coords(curves[0][1].points.shape[1])
     header += ["converged"] + [column for column, _ in extra]
-    tail = [bool(value) for _, value in extra]
+    tail = [value for _, value in extra]
     rows = [
         ([name] if named else [])
         + [curve.params[i]]

@@ -228,45 +228,48 @@ def trace_curve(
 _BOUNDARY_TOL = 1e-9  # edge distance still inside, per unit of the polygon's size
 
 
-def point_in_polygon(point, vertices) -> bool:
+def point_in_polygon(point, vertices) -> bool | np.ndarray:
     """Even-odd (ray casting) test of ``point`` against a closed polygon.
 
-    ``vertices`` is a (k, 2) array of polygon corners in order; the edge
-    from the last vertex back to the first is implicit.  A point whose
-    distance to an edge is at most ``_BOUNDARY_TOL`` (1e-9, a module
-    constant: no caller needs another band) times the diagonal of the
-    vertices' bounding box counts as inside, so the verdict does not change
-    when point and polygon are scaled together.
+    ``point`` is a 2-vector (a ``bool`` verdict) or a (m, 2) batch (a (m,)
+    boolean array), as in the ``losses`` kernels.  ``vertices`` is a (k, 2)
+    array of polygon corners in order; the edge from the last vertex back
+    to the first is implicit.  A point whose distance to an edge is at most
+    ``_BOUNDARY_TOL`` (1e-9, a module constant: no caller needs another
+    band) times the diagonal of the vertices' bounding box counts as
+    inside, so the verdict does not change when point and polygon are
+    scaled together.
     """
     p = np.asarray(point, dtype=float)
     v = np.asarray(vertices, dtype=float)
-    if p.shape != (2,) or not np.all(np.isfinite(p)):
+    if p.ndim not in (1, 2) or p.shape[-1] != 2 or not np.all(np.isfinite(p)):
         raise ValueError("point must be a finite 2-vector")
     if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3 or not np.all(np.isfinite(v)):
         raise ValueError("vertices must be a finite (k, 2) array with k >= 3")
-    a = v
-    b = np.roll(v, -1, axis=0)
+    a, b = v, np.roll(v, -1, axis=0)  # edge i runs from a[i] to b[i]
     ab = b - a
     denom = np.einsum("ij,ij->i", ab, ab)
-    tpar = np.einsum("ij,ij->i", p - a, ab) / np.where(denom == 0.0, 1.0, denom)
-    nearest = a + np.clip(tpar, 0.0, 1.0)[:, np.newaxis] * ab
+    pts = np.atleast_2d(p)[:, np.newaxis, :]  # (m, 1, 2): every point against every edge
+    tpar = np.einsum("mki,ki->mk", pts - a, ab) / np.where(denom == 0.0, 1.0, denom)
+    nearest = a + np.clip(tpar, 0.0, 1.0)[..., np.newaxis] * ab
     band = _BOUNDARY_TOL * math.hypot(*np.ptp(v, axis=0))
-    if float(np.min(np.linalg.norm(p - nearest, axis=1))) <= band:
-        return True
+    on_edge = np.min(np.linalg.norm(pts - nearest, axis=2), axis=1) <= band
+    px, py = pts[..., 0], pts[..., 1]
     ya, yb = a[:, 1], b[:, 1]
-    crosses = (ya > p[1]) != (yb > p[1])
+    crosses = (ya > py) != (yb > py)
     dy = np.where(crosses, yb - ya, 1.0)
-    x_int = a[:, 0] + (p[1] - ya) / dy * (b[:, 0] - a[:, 0])
-    return bool(np.count_nonzero(crosses & (p[0] < x_int)) % 2)
+    x_int = a[:, 0] + (py - ya) / dy * (b[:, 0] - a[:, 0])
+    inside = on_edge | (np.count_nonzero(crosses & (px < x_int), axis=1) % 2 == 1)
+    return bool(inside[0]) if p.ndim == 1 else inside
 
 
 @dataclass(frozen=True, eq=False)
 class SubadditivityResult:
-    """Curves rho(X + Y) and rho(X) + rho(Y); ``included`` is None unless d = 2."""
+    """Curves rho(X + Y) and rho(X) + rho(Y) of bivariate X and Y; ``included`` is a bool."""
 
     curve_sum: Curve
     curve_add: Curve
-    included: bool | None
+    included: bool
 
 
 def subadditivity_sets(
@@ -279,31 +282,26 @@ def subadditivity_sets(
 ) -> SubadditivityResult:
     """Compare the risk set of X + Y against the sum of the X and Y risk sets.
 
-    Traces the measure of ``sample_x + sample_y`` and the pointwise sum
-    of the separate traces over the circle of radius ``r``; for d = 2,
-    ``included`` reports whether every point of the sum curve lies
-    inside the polygon spanned by the added curve.
+    Traces the measure of ``sample_x + sample_y`` and the pointwise sum of
+    the separate traces over the circle of radius ``r``; ``included``
+    reports whether every point of the sum curve lies inside the polygon
+    spanned by the added curve.  X and Y are paired bivariate samples: any
+    other dimension, or n_phi < 3, is rejected before any solve.
     """
     sx = _prepare(sample_x)
     sy = _prepare(sample_y)
     if sx.shape != sy.shape:
         raise ValueError("sample_x and sample_y must have identical shapes (paired samples)")
-    planar = sx.shape[1] == 2
-    if planar:
-        _check_path((r,), n_phi, min_phi=3)  # the inclusion test needs a polygon
-    if sx.shape[1] < 2:
-        raise ValueError("subadditivity circles need samples of dimension d >= 2")
-    # circles are planar; for d > 2 trace along the first two axes
-    params, circle = CirclePath(r, n_phi).indices()
-    idx = np.pad(circle, ((0, 0), (0, sx.shape[1] - 2)))
+    if sx.shape[1] != 2:
+        raise ValueError("subadditivity requires bivariate samples")
+    _check_path((r,), n_phi, min_phi=3)  # the inclusion test needs a polygon
+    params, idx = CirclePath(r, n_phi).indices()
     sum_pts, sum_ok = _trace(sx.rows + sy.rows, idx, measure, config)
     x_pts, x_ok = _trace(sx, idx, measure, config)
     y_pts, y_ok = _trace(sy, idx, measure, config)
     curve_sum = Curve(params=params, points=sum_pts, converged=sum_ok)
     curve_add = Curve(params=params, points=x_pts + y_pts, converged=x_ok & y_ok)
-    included: bool | None = None
-    if planar:
-        included = all(point_in_polygon(pt, curve_add.points) for pt in curve_sum.points)
+    included = bool(point_in_polygon(curve_sum.points, curve_add.points).all())
     return SubadditivityResult(curve_sum=curve_sum, curve_add=curve_add, included=included)
 
 
@@ -456,7 +454,7 @@ def marginalization_curves(
     margin_points, margin_converged = _trace(s.rows[:, :2], planar, "expectile", config)
     margin_curve = Curve(params=phi, points=margin_points, converged=margin_converged)
     full_curves = tuple(trace_height(z) for z in heights)
-    inclusion = all(point_in_polygon(pt, full_curves[3].points) for pt in margin_curve.points)
+    inclusion = bool(point_in_polygon(margin_curve.points, full_curves[3].points).all())
     return MarginalizationResult(
         margin_curve=margin_curve, full_curves=full_curves, inclusion_i4=inclusion
     )

@@ -102,8 +102,8 @@ def _check_level(level):
 
 
 # Row formulas of the multivariate losses for an (n, d) batch ``t``.  They do
-# no validation: the public kernels below and the estimators' solver
-# closures validate first and then share these.
+# no validation: the public kernels below and empirical_objective(_grad)
+# validate first and then share these; the solver reads the column-block ones.
 
 def _quantile_rows(u: np.ndarray, t: np.ndarray) -> np.ndarray:
     return 0.5 * (np.linalg.norm(t, axis=1) + t @ u)

@@ -107,6 +107,19 @@ def test_curve_ray_path(tmp_path):
     np.testing.assert_allclose(params, [0.0, 0.2, 0.4, 0.6, 0.8], atol=1e-12)
 
 
+@pytest.mark.parametrize("grid", ["0:0.3:0.1", "0.1:0.7:0.1", "0:0.9:0.3", "0:0.4:0.1",
+                                  "0:0.5:0.25", "0:0.8:0.2", "0:0.995:0.005"])
+def test_grid_ends_exactly_at_its_stop(grid, tmp_path):
+    # start + k step can miss stop by an ulp (3 * 0.1 = 0.30000000000000004);
+    # the last point is stop itself and the interior points stay start + k step
+    start, stop, step = (float(part) for part in grid.split(":"))
+    raw = run_cli(["curve", "--model", "X1", "--n", "50", "--path", "ray", "--direction", "1,0",
+                   "--magnitudes", grid], tmp_path)
+    params = [float(line.split(",")[0]) for line in raw.decode().strip().split("\n")[1:]]
+    assert params[-1] == stop
+    assert params[:-1] == [start + k * step for k in range(len(params) - 1)]
+
+
 def test_uniform_analytic_zero_index_midpoint(tmp_path):
     raw = run_cli(
         ["uniform-analytic", "--box", "0,1,0,1", "--alpha", "0,0"], tmp_path

@@ -7,6 +7,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import inspect
+import math
 from pathlib import Path
 
 import numpy as np
@@ -447,6 +448,77 @@ def test_point_on_boundary_counts_as_inside(s):
     assert not point_in_polygon(s * np.array([1.0 + 1e-6, 0.5]), square)
 
 
+def _one_point_verdict(point, vertices):
+    """The per-point rule in Python floats, one edge at a time: the oracle."""
+    px, py = (float(x) for x in point)
+    corners = [(float(x), float(y)) for x, y in vertices]
+    xs, ys = zip(*corners)
+    band = 1e-9 * math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    crossings = 0
+    for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
+        dx, dy = bx - ax, by - ay
+        denom = dx * dx + dy * dy
+        t = ((px - ax) * dx + (py - ay) * dy) / (denom if denom else 1.0)
+        t = min(max(t, 0.0), 1.0)
+        if math.hypot(px - (ax + t * dx), py - (ay + t * dy)) <= band:
+            return True
+        if (ay > py) != (by > py) and px < ax + (py - ay) / dy * dx:
+            crossings += 1
+    return crossings % 2 == 1
+
+
+def _probe_points(rng, vertices):
+    """Vertices, edge midpoints, points on each edge's line past its end,
+    points 0.999 and 1.001 bands off each edge midpoint, and uniform points
+    over a box twice the polygon's size."""
+    a, b = vertices, np.roll(vertices, -1, axis=0)
+    mid = 0.5 * (a + b)
+    edge = b - a
+    length = np.linalg.norm(edge, axis=1)
+    normal = np.column_stack([-edge[:, 1], edge[:, 0]]) / np.where(length, length, 1.0)[:, None]
+    band = 1e-9 * math.hypot(*np.ptp(vertices, axis=0))
+    near = [mid + f * band * normal for f in (0.999, -0.999, 1.001, -1.001)]
+    lo, hi = vertices.min(axis=0), vertices.max(axis=0)
+    spread = rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), size=(20, 2))
+    return np.vstack([vertices, mid, a + 1.5 * edge, *near, spread])
+
+
+@_SCALES
+def test_batch_and_single_verdicts_equal_the_per_point_rule(s, rng_factory):
+    rng = rng_factory("polygon-batch")
+    for _ in range(40):
+        vertices = rng.standard_normal((int(rng.integers(3, 12)), 2))
+        if rng.random() < 0.5:  # a repeated vertex: a zero-length edge
+            i = int(rng.integers(vertices.shape[0]))
+            vertices = np.insert(vertices, i, vertices[i], axis=0)
+        vertices = s * vertices
+        points = _probe_points(rng, vertices)
+        expected = [_one_point_verdict(p, vertices) for p in points]
+        batch = point_in_polygon(points, vertices)
+        assert batch.dtype == bool and batch.shape == (points.shape[0],)
+        assert batch.tolist() == expected
+        single = [point_in_polygon(p, vertices) for p in points]
+        assert all(type(v) is bool for v in single)
+        assert single == expected
+
+
+@pytest.mark.parametrize("run, verdict", [
+    (lambda s: subadditivity_sets(s[:, :2], s[:, 2:], r=0.2, n_phi=6), "included"),
+    (lambda s: marginalization_curves(s[:, :3], r=0.1, n_phi=6), "inclusion_i4"),
+], ids=["subadditivity", "marginalization"])
+def test_each_verdict_is_one_polygon_call(run, verdict, rng_factory, monkeypatch):
+    calls = []
+
+    def counted(point, vertices):
+        calls.append(np.shape(point))
+        return point_in_polygon(point, vertices)
+
+    monkeypatch.setattr(experiments, "point_in_polygon", counted)
+    result = run(rng_factory("one-verdict").standard_normal((300, 4)))
+    assert calls == [(6, 2)]
+    assert type(getattr(result, verdict)) is bool
+
+
 @pytest.mark.parametrize("s", (1e-9, 1.0))
 def test_subadditivity_verdict_does_not_depend_on_the_sample_scale(s):
     # Z-clayton5 (seed 1) at the 0.86 VaR circle: the sum curve leaves the
@@ -472,25 +544,21 @@ def test_subadditivity_requires_matching_lengths(symmetric_sample):
     with pytest.raises(ValueError):
         subadditivity_sets(symmetric_sample, symmetric_sample[:-1], r=0.2, n_phi=8)
     column = symmetric_sample[:, :1]
-    with pytest.raises(ValueError, match="dimension d >= 2"):
+    with pytest.raises(ValueError, match="subadditivity requires bivariate samples"):
         subadditivity_sets(column, column, r=0.2, n_phi=8)
 
 
-def test_planar_subadditivity_needs_a_polygon_before_any_solve(symmetric_sample, monkeypatch):
+def test_subadditivity_rejects_its_inputs_before_any_solve(symmetric_sample, monkeypatch):
     def no_solve(*args, **kwargs):
-        raise AssertionError("solved before the polygon was checked")
+        raise AssertionError("solved before the inputs were checked")
 
     monkeypatch.setattr(experiments, "geometric_expectile", no_solve)
     monkeypatch.setattr(experiments, "geometric_var", no_solve)
     with pytest.raises(ValueError, match="n_phi must be at least 3"):
         subadditivity_sets(symmetric_sample, symmetric_sample, r=0.2, n_phi=2)
-
-
-def test_subadditivity_inclusion_is_none_off_the_plane(rng_factory):
-    sample = rng_factory("trivariate").standard_normal((200, 3))
-    res = subadditivity_sets(sample, sample[::-1], r=0.2, n_phi=2)
-    assert res.included is None
-    assert res.curve_sum.points.shape == (2, 3)
+    trivariate = np.column_stack([symmetric_sample, symmetric_sample[:, 0]])
+    with pytest.raises(ValueError, match="subadditivity requires bivariate samples"):
+        subadditivity_sets(trivariate, trivariate[::-1], r=0.2, n_phi=8)
 
 
 def test_path_experiments_take_no_threads_keyword(symmetric_sample):
@@ -800,6 +868,8 @@ _REJECTED = {
                       "point must be a finite 2-vector"),
     "polygon-vertices": (lambda: point_in_polygon([0.0, 0.0], _SQUARE[:2]), ValueError,
                          "vertices must be a finite (k, 2) array with k >= 3"),
+    "subadditivity-dimension": (lambda: subadditivity_sets(np.eye(3), np.eye(3), 0.2),
+                                ValueError, "subadditivity requires bivariate samples"),
     "compare-dimension": (lambda: compare_univariate(np.eye(3), [0.9]), ValueError,
                           "comparison requires a bivariate sample"),
     "search-not-finite": (lambda: experiments._golden_section(lambda m: np.inf, 0.5, 0.5, 1e-3),
