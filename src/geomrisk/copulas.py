@@ -61,14 +61,33 @@ def _positive_stable_power(alpha: float, count: int, rng: np.random.Generator) -
     return ratio * (w / np.sin((1.0 - alpha) * theta)) ** (1.0 - alpha)
 
 
-def _log1mexp(x: np.ndarray) -> np.ndarray:
+def _log1mexp(x, out: np.ndarray | None = None) -> np.ndarray:
     """``log(1 - exp(-x))`` for x >= 0, to full relative precision at both ends.
 
     Below log 2 it is ``log(-expm1(-x))``, above it ``log1p(-exp(-x))``
-    (Maechler 2012): neither form rounds ``1 - exp(-x)`` through 1.
+    (Maechler 2012): neither form rounds ``1 - exp(-x)`` through 1.  Each
+    form runs on its own elements only, gathered by index and evaluated in
+    place; the result goes to ``out`` (C-contiguous, and it may be ``x``
+    itself), or to a new array.
     """
+    x = np.asarray(x, dtype=float, order="C")
+    out = np.empty_like(x) if out is None else out
+    flat, res = x.reshape(-1), out.reshape(-1)
+    below = flat < _LOG2
+    low, high = np.flatnonzero(below), np.flatnonzero(~below)
+    a, b = flat[low], flat[high]
+    np.negative(a, out=a)
+    np.expm1(a, out=a)
+    np.negative(a, out=a)
     with np.errstate(divide="ignore"):  # x = 0 gives -inf
-        return np.where(x < _LOG2, np.log(-np.expm1(-x)), np.log1p(-np.exp(-x)))
+        np.log(a, out=a)
+    np.negative(b, out=b)
+    np.exp(b, out=b)
+    np.negative(b, out=b)
+    np.log1p(b, out=b)
+    res[low] = a
+    res[high] = b
+    return out
 
 
 def _log_series(theta: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -83,7 +102,8 @@ def _log_series(theta: float, count: int, rng: np.random.Generator) -> np.ndarra
     v = np.maximum(rng.random(count), 1e-300)
     u = rng.random(count)
     log_v = np.log(v)
-    log_q = _log1mexp(u * theta)
+    log_q = u * theta
+    _log1mexp(log_q, out=log_q)
     k_tail = np.floor(1.0 + log_v / log_q)
     return np.where(
         v >= p,
@@ -130,8 +150,15 @@ class ClaytonCopula:
         log_v += theta * np.log1p(-rng.random(count))
         with np.errstate(divide="ignore"):  # E = 0 gives u = 1, as psi(0) is
             x = np.log(rng.standard_exponential((count, int(self.dim)))) - log_v[:, np.newaxis]
-        softplus = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-        return _clip_unit(np.exp(-softplus / theta))
+        # softplus(x) = max(x, 0) + log1p(exp(-|x|)), then exp(-softplus / theta), in place
+        tail = np.abs(x)
+        np.negative(tail, out=tail)
+        np.exp(tail, out=tail)
+        np.log1p(tail, out=tail)
+        np.maximum(x, 0.0, out=x)
+        x += tail
+        x /= -theta
+        return _clip_unit(np.exp(x, out=x))
 
     def kendall_tau(self) -> float:
         return self.theta / (self.theta + 2.0)
@@ -191,7 +218,10 @@ class FrankCopula:
             # psi(t) = -log(1 - p exp(-t)) / theta, and p exp(-t) = exp(-(t + c))
             # with c = -log(p): the log1mexp of t + c, which never forms 1 - p
             c = -_log1mexp(self.theta)
-            u = -_log1mexp(e / v[:, np.newaxis] + c) / self.theta
+            u = e / v[:, np.newaxis]
+            u += c
+            _log1mexp(u, out=u)
+            u /= -self.theta
             return _clip_unit(u)
         # theta < 0, dim = 2: invert v -> dC/du1(u1, v) at a uniform level
         u1 = rng.random(count)

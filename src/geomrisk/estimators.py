@@ -14,8 +14,9 @@ certified by the subdifferential test.
 A sample is validated once and copied once into a contiguous (d, n)
 column block, and every objective and gradient pass of the solver runs over
 that block with the column-block formulas of :mod:`geomrisk.losses`.  The
-private ``_Prepared`` sample holds the block with the cold-start mean, the
-all-rows-identical flag, and the lazily computed collinearity flag; a
+private ``_Prepared`` sample holds the block with its mean, the
+all-rows-identical flag, and the lazily computed collinearity flag and
+covariance, from which a value-at-risk solve predicts its start; a
 direct estimator call prepares its sample once per call, and the
 experiment layer prepares each sample once for every solve on it.  The sample also owns one workspace, allocated on its first solve,
 that holds the pass state of the last location evaluated (``x - c``, the
@@ -166,9 +167,11 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
     row nearest the iterate is tested through ``fun`` and ``grad`` and,
     when certified, returned exactly.  The private ``_curvature`` is a
     traced path's :class:`_Curvature` (a fresh one, which starts at
-    ``x0``, when None): the solve starts where it says, from its
-    inverse-Hessian estimate (None: steepest descent), with a held atom
-    tested before any line search, and leaves its outcome there.  A line search
+    ``x0``, when None): the solve starts where it says (a first solve at
+    ``x0`` or at the prediction it holds, whose value pass is the solve's
+    first), from its inverse-Hessian estimate (None: steepest descent),
+    with a held atom tested before any line search, and leaves its outcome
+    there.  A line search
     that finds no descent along the secant direction is retried along
     steepest descent before the solve stops as stagnation; along a carried
     estimate's direction only the unit step is tried.  The iteration cap is
@@ -176,7 +179,7 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
     curvature = _Curvature() if _curvature is None else _curvature
-    x = curvature.start(x0)
+    x, f = curvature.start(x0, fun)
     candidate = curvature.atom
     if candidate is not None and (x == candidate[0]).all():
         # a path's start after a solve that ended on an atom is that atom
@@ -186,7 +189,8 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
         report = _certified_atom(fun, grad, candidate, 0)
         if report is not None:
             return curvature.leave(report, None, candidate)
-    f = float(fun(x))
+    if f is None:
+        f = float(fun(x))
     g = np.asarray(grad(x), dtype=float)
     dim = x.size
     h_inv = curvature.h_inv
@@ -385,10 +389,13 @@ class _Prepared:
 
     Holds the validated (n, d) ``rows`` as a read-only view (the caller's
     array and its flags are untouched), the contiguous (d, n) column
-    ``block`` the solver's passes run over, the block ``mean`` (the cold
-    start), whether all rows are ``identical``, and, computed on first
-    use, whether they are collinear (``_collinear``: a d x d Gram
-    certificate clears most samples, and an SVD decides the rest).  To
+    ``block`` the solver's passes run over, the block ``mean`` (the
+    expectile's cold start), whether all rows are ``identical``, and,
+    computed on first use from one centring of the rows, whether they are
+    collinear (``_collinear``: a d x d Gram certificate clears most
+    samples, and an SVD decides the rest) with the 1/n covariance, that
+    Gram over n, and the mean distance to ``mean``, which
+    :meth:`asymptote` reads.  To
     numpy it is the (n, d) sample: it has ``ndim`` and ``shape``, and
     ``np.asarray`` gives the rows.  The one mutable part is the pass-state
     :meth:`workspace` of the solver's closures, allocated on the first
@@ -431,14 +438,53 @@ class _Prepared:
         view.curvature = _Curvature()
         return view
 
+    def _spread(self) -> tuple[bool, np.ndarray, float]:
+        """``(collinear, covariance, mean distance)`` of the rows, computed once per sample.
+
+        The rows are centred once, into one copy that the Gram matrix, the
+        distances and :func:`_collinear` all read: centred through
+        ``block.T``, they come out in Fortran order, which the SVD, when the
+        Gram certificate leaves it the verdict, reads 2-3x faster than the
+        C-ordered rows at n = 10k.  They are centred once more in place,
+        as :func:`_collinear` rules.
+        """
+        if "spread" not in self._lazy:
+            centred = self.block.T - self.mean
+            centred -= centred.mean(axis=0)
+            with np.errstate(over="ignore", invalid="ignore"):  # see _collinear
+                gram = centred.T @ centred
+                distance = float(np.sqrt(np.einsum("ij,ij->i", centred, centred)).mean())
+            self._lazy["spread"] = (_collinear(centred, gram), gram / self.shape[0], distance)
+        return self._lazy["spread"]
+
     def collinear(self) -> bool:
         """True when all rows lie on one line; the test runs once per sample."""
-        if "collinear" not in self._lazy:
-            # centred through block.T, the rows come out in Fortran order, which
-            # the SVD, when the Gram certificate leaves it the verdict, reads
-            # 2-3x faster than the C-ordered rows at n = 10k
-            self._lazy["collinear"] = _collinear(self.block.T - self.mean)
-        return self._lazy["collinear"]
+        return self._spread()[0]
+
+    def asymptote(self, u: np.ndarray) -> tuple[np.ndarray, float] | None:
+        """The value-at-risk start at ``u`` from the extreme-index asymptote, and the bar it must beat.
+
+        For a law with finite second moments the geometric quantile at
+        ``a v`` (v a unit vector) satisfies ``(1 - a) ||q - mean||^2 -> (tr S
+        - v^T S v) / 2`` and ``q / ||q|| -> v`` as a -> 1 (Girard and
+        Stupfler, REVSTAT 15, 2017), and a sample meets this with S its 1/n
+        covariance.  The start is ``mean + ||u|| r0 v``, ``r0 = sqrt((tr S
+        - v^T S v) / (2 (1 - ||u||)))``.  The bar is the objective at the
+        mean, ``0.5 mean ||x_i - mean||`` for every index, as ``mean(x_i -
+        mean) = 0``.  None at ``u = 0``, on a collinear sample, and where r0
+        is not a positive finite number: the solve starts at the mean.
+        """
+        collinear, cov, distance = self._spread()
+        norm = _norm(u)
+        if norm == 0.0 or collinear:
+            return None
+        v = u / norm
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed cov: inf or nan
+            across = 0.5 * float(np.trace(cov) - v @ cov @ v)
+        r0 = math.sqrt(across / (1.0 - norm)) if across > 0.0 else 0.0
+        if not 0.0 < r0 < math.inf:
+            return None
+        return self.mean + (norm * r0) * v, 0.5 * distance
 
     def workspace(self) -> _PassState:
         """The pass-state workspace of the solver's closures, allocated on first use."""
@@ -460,9 +506,14 @@ class _Prepared:
 class _Curvature:
     """What the solves of one traced path hand to the next: the path rule.
 
-    Each solve starts at :meth:`start` (the first at the cold start, the
-    sample mean for the estimators, and later ones at an extrapolation of
-    the minimizers before them), from the inverse-Hessian estimate
+    Each solve starts at :meth:`start`: the first at its cold start, and
+    later ones at an extrapolation of the minimizers before them.  A
+    solve's cold start is its measure's prediction: the sample mean for
+    the expectile, and for value-at-risk the extreme-index asymptote
+    (:meth:`_Prepared.asymptote`) where its objective is below the
+    objective at the mean, else the mean; ``_solve`` hands a path's first
+    VaR solve, and every direct one, its asymptote as ``prediction``.
+    Each solve starts from the inverse-Hessian estimate
     ``h_inv`` the solve before left (None until a solve leaves one:
     steepest descent), which an expectile solve first turns with the index
     (:meth:`turn`).  A value-at-risk start equal to the held ``atom`` is
@@ -476,16 +527,19 @@ class _Curvature:
     expectile solve's index (None before the first, and after a zero
     index).  ``atom`` is the ``(row, 0.5 m / n)`` candidate of the data
     atom the last solve certified (its row is ``past[-1]``), and None after
-    any other stop.  A direct solve gets a fresh one of its own.
+    any other stop.  ``prediction`` is the ``(point, bar)`` a first solve
+    tries before its cold start, or None.  A direct solve gets a fresh one
+    of its own.
     """
 
-    __slots__ = ("h_inv", "atom", "past", "direction")
+    __slots__ = ("h_inv", "atom", "past", "direction", "prediction")
 
     def __init__(self) -> None:
         self.h_inv = None
         self.atom = None
         self.past = []
         self.direction = None
+        self.prediction = None
 
     def turn(self, index: np.ndarray) -> None:
         """Turn ``h_inv`` from the last expectile solve's index to ``index``.
@@ -527,10 +581,13 @@ class _Curvature:
         self.past.append(report.argmin)
         return report
 
-    def start(self, cold) -> np.ndarray:
-        """The next solve's start, a new array.
+    def start(self, cold, fun) -> tuple[np.ndarray, float | None]:
+        """The next solve's start, a new array, and ``fun`` there when known.
 
-        The first solve starts at ``cold``.  Every later one starts at the
+        The first solve starts at the ``point`` of its ``prediction`` when
+        ``fun(point)``, the solve's first value pass, is below its ``bar``
+        (the value at ``cold``, which then costs no pass), and at ``cold``
+        otherwise.  Every later one starts at the
         equal-step extrapolation of the k = min(solves so far, ``_ORDER``)
         last minimizers: the degree k - 1 polynomial through them, read one
         step on.  The order ramps up from the first minimizer (k = 1) and
@@ -545,19 +602,24 @@ class _Curvature:
         """
         past = self.past[-_ORDER:]
         if not past:
-            return np.array(cold, dtype=float)
+            if self.prediction is not None:
+                point, bar = self.prediction
+                f = float(fun(point))
+                if f < bar:
+                    return point, f
+            return np.array(cold, dtype=float), None
         weights = _EXTRAPOLATION[len(past)]
         start = weights[0] * past[0]
         for w, c in zip(weights[1:], past[1:]):
             start += w * c
         if len(past) < 2:
-            return start
+            return start, None
         secant = 2.0 * past[-1] - past[-2]
         miss = start - secant
         step = past[-1] - past[-2]
         if (miss * miss).sum() < _GUARD * _GUARD * (step * step).sum():
-            return start
-        return secant
+            return start, None
+        return secant, None
 
 
 def _rotation(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -593,11 +655,14 @@ def _prepare(sample) -> _Prepared:
 def _solve(sample, alpha, config, kind: str) -> SolveReport:
     """Solve the ``kind`` objective of ``sample`` at index ``alpha``.
 
-    The sample mean is the cold start.  A VaR minimizer may sit on a data
-    atom, where only the subdifferential test can certify it, so VaR solves
-    get the nearest atom as a candidate.  On a traced path's view the solve
-    runs on the path's :class:`_Curvature`, which an expectile solve first
-    turns to ``alpha``.
+    The cold start is the measure's prediction (see :class:`_Curvature`):
+    the sample mean for the expectile, and for VaR the extreme-index
+    asymptote, taken where its objective is below the objective at the
+    mean.  A VaR minimizer may sit on a data atom, where only the
+    subdifferential test can certify it, so VaR solves get the nearest
+    atom as a candidate.  On a traced path's view the solve runs on the
+    path's :class:`_Curvature`, which an expectile solve first turns to
+    ``alpha``, and a VaR path's first solve starts at the prediction.
     """
     prep = _prepare(sample)
     u = as_index(alpha)
@@ -614,17 +679,23 @@ def _solve(sample, alpha, config, kind: str) -> SolveReport:
             stop_reason="identical_rows",
         )
     fun, grad = _objective_closures(prep, u, kind)
-    atom = prep.nearest_atom if kind == "quantile" else None
-    if kind == "expectile" and prep.curvature is not None:
-        prep.curvature.turn(u)
+    curvature, atom = prep.curvature, None
+    if kind == "expectile":
+        if curvature is not None:
+            curvature.turn(u)
+    else:
+        curvature = _Curvature() if curvature is None else curvature
+        if not curvature.past:
+            curvature.prediction = prep.asymptote(u)
+        atom = prep.nearest_atom
     report = minimize_convex(fun, grad, prep.mean, config, _nearest_atom=atom,
-                             _curvature=prep.curvature)
+                             _curvature=curvature)
     if kind == "quantile" and prep.collinear():
         report = dataclasses.replace(report, note="degenerate_possible")
     return report
 
 
-def _collinear(centred: np.ndarray) -> bool:
+def _collinear(centred: np.ndarray, gram: np.ndarray | None = None) -> bool:
     """True when the rows of a centred (n, d) sample lie on one line (non-unique minimizer).
 
     The test, ``sigma_2 <= 1e-12 sigma_1``, is relative to the largest
@@ -633,7 +704,8 @@ def _collinear(centred: np.ndarray) -> bool:
     n <= 2 is collinear by shape.  The rows are centred once more:
     a mean that is large against the spread leaves the rounding error of
     its computation in every row, off the line, and the verdict would
-    depend on how the caller centred.
+    depend on how the caller centred.  A caller that passes ``gram``, the
+    Gram matrix ``centred.T @ centred``, has centred them once more itself.
 
     The d x d Gram matrix ``G = C^T C`` clears most samples first: the sum
     ``e2`` of its 2 x 2 principal minors is at most ``C(d, 2) lambda_1
@@ -645,12 +717,13 @@ def _collinear(centred: np.ndarray) -> bool:
     n, d = centred.shape
     if n <= 2 or d == 1:
         return True
-    centred = centred - centred.mean(axis=0)  # keeps the Fortran order the SVD reads fast
     # e2 = ((tr G)^2 - ||G||_F^2) / 2.  A trace near underflow leaves G and
     # its squares to subnormal rounding; an overflow gives inf or nan, which
     # fails the comparison
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = centred.T @ centred
+        if gram is None:
+            centred = centred - centred.mean(axis=0)  # keeps the Fortran order the SVD reads fast
+            gram = centred.T @ centred
         trace = np.trace(gram)
         e2 = 0.5 * (trace * trace - np.vdot(gram, gram))
         if trace > 1e-150 and e2 > 0.5 * d * (d - 1) * 1e-6 * trace * trace:

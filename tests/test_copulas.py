@@ -182,6 +182,28 @@ def test_log1mexp_matches_mpmath_on_both_sides_of_log2():
     assert np.all(got[~normal] == ref[~normal])
 
 
+def test_log1mexp_equals_the_two_branch_form_bit_for_bit():
+    # each branch runs on its own elements, in place; the result must be the
+    # elementwise choice between both branches evaluated everywhere
+    def two_branch(x):
+        with np.errstate(divide="ignore"):
+            return np.where(x < copulas._LOG2, np.log(-np.expm1(-x)), np.log1p(-np.exp(-x)))
+
+    log2 = copulas._LOG2
+    edge = np.array([0.0, 5e-324, np.nextafter(log2, 0.0), log2, np.nextafter(log2, 1.0),
+                     700.0, 1e300])
+    rng = np.random.default_rng(31)
+    spread = rng.standard_exponential((500, 4)) * rng.choice([0.05, 1.0, 30.0], size=(500, 1))
+    for x in (edge, spread, np.empty(0), np.array(log2), np.array(3.0)):
+        want = two_branch(x)
+        got = copulas._log1mexp(x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        inplace = x.copy()
+        assert copulas._log1mexp(inplace, out=inplace) is inplace
+        assert inplace.tobytes() == want.tobytes()
+    assert copulas._log1mexp(3.0).tobytes() == two_branch(np.array(3.0)).tobytes()
+
+
 def test_samples_strictly_inside_unit_cube():
     for cop in (ClaytonCopula(5.0, 3), GumbelCopula(4.0, 2), FrankCopula(-8.0, 2)):
         u = cop.sample(20_000, substream(8, f"range-{type(cop).__name__}"))

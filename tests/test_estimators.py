@@ -14,8 +14,12 @@ from scipy import optimize, special
 
 from geomrisk import estimators, experiments
 from geomrisk import (
+    IndependenceCopula,
+    JointModel,
+    Normal,
     SolveReport,
     SolverConfig,
+    StudentT,
     as_sample,
     empirical_objective,
     empirical_objective_grad,
@@ -396,7 +400,7 @@ def test_path_start_extrapolates_a_polynomial_history_exactly(degree, solves):
     # a history of degree <= 4 is continued exactly, up to rounding (the
     # weights sum to 31 in absolute value); beyond five solves the oldest drop
     coef = _POLY[:degree + 1]
-    start = _history([_poly(coef, k) for k in range(solves)]).start(None)
+    start = _history([_poly(coef, k) for k in range(solves)]).start(None, None)[0]
     expected = _poly(coef, float(solves))
     np.testing.assert_allclose(start, expected, rtol=0.0,
                                atol=64.0 * np.finfo(float).eps * np.abs(expected).max())
@@ -406,11 +410,11 @@ def test_path_start_extrapolates_a_polynomial_history_exactly(degree, solves):
 def test_path_start_order_ramps_up_with_the_solves(solves):
     # after k <= 5 solves the start continues a history of degree k - 1
     # exactly, and one of degree k only to its k-th difference a_k k!
-    exact = _history([_poly(_POLY[:solves], k) for k in range(solves)]).start(None)
+    exact = _history([_poly(_POLY[:solves], k) for k in range(solves)]).start(None, None)[0]
     np.testing.assert_allclose(exact, _poly(_POLY[:solves], float(solves)), rtol=0.0,
                                atol=1e-12)
     coef = _POLY[:solves + 1]
-    missed = _history([_poly(coef, k) for k in range(solves)]).start(None)
+    missed = _history([_poly(coef, k) for k in range(solves)]).start(None, None)[0]
     np.testing.assert_allclose(_poly(coef, float(solves)) - missed,
                                coef[solves] * math.factorial(solves), rtol=1e-9)
 
@@ -420,7 +424,7 @@ def test_path_start_falls_back_to_the_secant_past_half_a_step(bend, guarded):
     # x = 0, 1, 2, 3, 4 + e: order 5 predicts 5 + 5e and the secant 5 + 2e,
     # 3e apart, against half a step of (1 + e) / 2: the guard trips at e = 0.2
     x = [0.0, 1.0, 2.0, 3.0, 4.0 + bend]
-    start = _history([[v, 0.0] for v in x]).start(None)
+    start = _history([[v, 0.0] for v in x]).start(None, None)[0]
     secant = 2.0 * x[4] - x[3]
     extrapolated = x[0] - 5.0 * x[1] + 10.0 * x[2] - 10.0 * x[3] + 5.0 * x[4]
     assert start[0] == (secant if guarded else extrapolated) and start[1] == 0.0
@@ -433,7 +437,7 @@ def test_path_start_after_two_equal_minimizers_is_that_point(solves):
     atom = np.array([0.1 + 0.2, 1.0 / 3.0])
     rng = np.random.default_rng(41)
     history = [*rng.standard_normal((solves - 2, 2)) * 3.0, atom, atom.copy()]
-    assert _history(history).start(None).tobytes() == atom.tobytes()
+    assert _history(history).start(None, None)[0].tobytes() == atom.tobytes()
 
 
 def test_certified_atom_hands_on_no_curvature():
@@ -1071,6 +1075,126 @@ def test_spread_samples_are_certified_without_the_svd(monkeypatch):
     for sample in (normal, clayton):
         u = np.full(sample.shape[1], 0.2)
         assert geometric_var(sample, u).note is None
+
+
+# ---------------------------------------------------------------------------
+# the cold start of a value-at-risk solve: the extreme-index asymptote,
+# taken where its objective is below the objective at the mean
+
+def _directions(count: int, offset: float = 0.0) -> list[np.ndarray]:
+    angles = offset + 2.0 * np.pi * np.arange(count) / count
+    return [np.array([np.cos(a), np.sin(a)]) for a in angles]
+
+
+def test_var_start_falls_back_to_the_mean_without_a_second_moment(solver_calls, monkeypatch):
+    # a t1 (Cauchy) margin: E||X||^2 is infinite and the asymptote does not
+    # exist.  Off the heavy axis its start lies above the objective at the
+    # mean, so the solve starts at the mean after the guard's one value pass
+    # (1.05-1.08x the pass states of a plain mean start here); along the
+    # heavy axis it wins in 4 of 6 solves (0.52-1.0x)
+    model = JointModel((StudentT(1.0), Normal()), IndependenceCopula(2))
+    prep = estimators._prepare(simulate(model, 10_000, substream(91, "cauchy")))
+    indices = [r * v for r in (0.3, 0.5, 0.9) for v in _directions(8)]
+    for alpha in indices:
+        assert geometric_var(prep, alpha).converged
+    guarded = [call["states"] for call in solver_calls]
+    heavy_axis = [abs(alpha[1]) < 1e-12 for alpha in indices]
+    for call, on_axis in zip(solver_calls, heavy_axis):
+        if not on_axis:
+            assert call["grad_points"][0].tobytes() == prep.mean.tobytes()
+    solver_calls.clear()
+    # without a prediction every VaR solve starts at the sample mean
+    monkeypatch.setattr(estimators._Prepared, "asymptote", lambda self, u: None)
+    for alpha in indices:
+        geometric_var(prep, alpha)
+    plain = [call["states"] for call in solver_calls]
+    assert all(g <= 1.25 * p for g, p in zip(guarded, plain)), (guarded, plain)
+
+
+def test_var_at_the_zero_index_starts_at_the_mean(solver_calls):
+    sample = np.random.default_rng(41).standard_normal((300, 2)) * [1.0, 3.0] + [5.0, -2.0]
+    prep = estimators._prepare(sample)
+    assert prep.asymptote(np.zeros(2)) is None
+    assert geometric_var(sample, [0.0, 0.0]).converged
+    assert solver_calls[0]["points"][0].tobytes() == prep.mean.tobytes()
+
+
+def test_var_on_a_line_starts_at_the_mean(solver_calls):
+    # identical rows never reach the solver; a collinear sample and d = 1
+    # have no spread across the line, and start at the mean, bit for bit
+    identical = np.tile([1.5, -0.25], (30, 1))
+    assert estimators._prepare(identical).asymptote(np.array([0.6, 0.3])) is None
+    assert geometric_var(identical, [0.6, 0.3]).stop_reason == "identical_rows"
+    assert not solver_calls
+    t = np.random.default_rng(42).standard_normal(200)
+    for sample, alpha in ((np.column_stack([t, 2.0 * t + 1.0]), np.array([0.6, 0.3])),
+                          (t[:, np.newaxis], np.array([0.9]))):
+        solver_calls.clear()
+        prep = estimators._prepare(sample)
+        assert prep.asymptote(alpha) is None
+        assert geometric_var(sample, alpha).note == "degenerate_possible"
+        assert solver_calls[0]["points"][0].tobytes() == prep.mean.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_var_start_maps_with_the_sample(scale):
+    # x -> s Q x + b with the index rotated alongside: the start maps the same
+    # way, to rounding (the measured error is <= 3e-14 of its offset from the
+    # mean), and the guard takes the same verdict
+    sample = simulate(get_preset("X3"), 2_000, substream(93, "start-map"))
+    turn = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+    shift = scale * np.array([30.0, -70.0])
+    base = estimators._prepare(sample)
+    moved = estimators._prepare(scale * sample @ turn.T + shift)
+    spread = math.sqrt(np.trace(np.cov(sample.T, ddof=0)))
+    for alpha in [r * v for r in (0.3, 0.9, 0.999) for v in _directions(6, 0.1)]:
+        start, bar = base.asymptote(alpha)
+        moved_start, moved_bar = moved.asymptote(turn @ alpha)
+        offset = np.linalg.norm(start - base.mean)
+        error = np.linalg.norm(moved_start - (scale * turn @ start + shift))
+        assert error <= 1e-12 * scale * (offset + spread)
+        fun, _ = estimators._objective_closures(base, alpha, "quantile")
+        moved_fun, _ = estimators._objective_closures(moved, turn @ alpha, "quantile")
+        assert (fun(start) < bar) == (moved_fun(moved_start) < moved_bar)
+
+
+def test_var_start_is_dropped_where_the_covariance_overflows():
+    # at 1e160 the Gram matrix overflows: no prediction, and no floating-point
+    # warning, and the solve from the mean still converges
+    sample = 1e160 * np.random.default_rng(43).standard_normal((200, 2))
+    assert estimators._prepare(sample).asymptote(np.array([0.3, 0.1])) is None
+    assert geometric_var(sample, [0.3, 0.1]).converged
+
+
+@pytest.mark.parametrize("name", ["X1", "X2", "X3", "X4"])
+def test_var_converges_next_to_the_unit_sphere(name):
+    # at ||u|| = 1 - 1e-12 the asymptote's start is within the tolerance
+    # (0 iterations here), and its objective is no higher than that of a
+    # solve from the mean (47-71 iterations), whose relative gradient test
+    # can stop far short of the minimizer: on X3 one stops 2.7e4 from the
+    # mean, where the asymptote's start lies 7.9e5 out, at 15x its objective
+    gap = 1e-12
+    prep = estimators._prepare(simulate(get_preset(name), 2_000, substream(95, f"sphere-{name}")))
+    for v in _directions(8, 0.2):
+        alpha = (1.0 - gap) * v
+        report = geometric_var(prep, alpha)
+        fun, grad = estimators._objective_closures(prep, alpha, "quantile")
+        from_mean = minimize_convex(fun, grad, prep.mean, _nearest_atom=prep.nearest_atom)
+        assert report.converged and from_mean.converged
+        assert report.objective <= from_mean.objective
+
+
+def test_cold_var_solves_keep_their_pass_count(solver_calls):
+    # fresh pass states of 48 cold VaR solves (X1-X4 at n = 2,000, ||u|| 0.5,
+    # 0.9 and 0.98, four directions): 422 from the asymptote's start, 614
+    # from the mean; the bound fails a change that loses the start
+    for name in ("X1", "X2", "X3", "X4"):
+        sample = simulate(get_preset(name), 2_000, substream(94, f"pinned-{name}"))
+        for r in (0.5, 0.9, 0.98):
+            for v in _directions(4, 0.3):
+                assert geometric_var(sample, r * v).converged
+    assert len(solver_calls) == 48
+    assert sum(call["states"] for call in solver_calls) <= 430
 
 
 # ---------------------------------------------------------------------------

@@ -175,18 +175,41 @@ def test_traced_curve_matches_cold_solves(symmetric_sample, measure, solver, kin
         assert curve.converged[k] == cold.converged
 
 
+def _asymptote_start(sample: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """``mean + ||u|| r0 v`` with ``r0 = sqrt((tr S - v^T S v) / (2 (1 - ||u||)))``,
+    S the 1/n covariance: the VaR start from the extreme-index asymptote."""
+    cov = np.cov(sample.T, ddof=0)
+    norm = np.linalg.norm(alpha)
+    v = alpha / norm
+    r0 = np.sqrt(0.5 * (np.trace(cov) - v @ cov @ v) / (1.0 - norm))
+    return sample.mean(axis=0) + norm * r0 * v
+
+
 @pytest.mark.parametrize("measure", ["expectile", "var"])
 def test_trace_starts_each_solve_at_the_extrapolated_prediction(symmetric_sample, solver_calls,
                                                                 measure):
-    # the first point a solve evaluates is its start: the sample mean for
-    # the path's first solve, the first minimizer for the second, and from
-    # the sixth on the order-5 extrapolation of the five minimizers before
-    # it, bit for bit, on a circle fine enough that none of them turns sharply
-    points, _ = experiments._trace(symmetric_sample, CirclePath(0.8, 64).indices()[1], measure,
-                                   None)
+    # the first point a solve evaluates is its start: the measure's cold
+    # prediction for the path's first solve (the sample mean for the
+    # expectile; for VaR the extreme-index asymptote, which wins its guard
+    # here and so is where the first gradient is taken), the first minimizer
+    # for the second, and from the sixth on the order-5 extrapolation of the
+    # five minimizers before it, bit for bit, on a circle fine enough that
+    # none of them turns sharply
+    indices = CirclePath(0.8, 64).indices()[1]
+    points, _ = experiments._trace(symmetric_sample, indices, measure, None)
     starts = [call["points"][0] for call in solver_calls]
     assert len(starts) == 64
-    assert np.array_equal(starts[0], estimators._prepare(symmetric_sample).mean)
+    prep = estimators._prepare(symmetric_sample)
+    if measure == "expectile":
+        assert np.array_equal(starts[0], prep.mean)
+    else:
+        predicted, bar = prep.asymptote(indices[0])
+        assert np.array_equal(starts[0], predicted)
+        np.testing.assert_allclose(starts[0], _asymptote_start(symmetric_sample, indices[0]),
+                                   rtol=1e-13)
+        assert bar == pytest.approx(
+            0.5 * np.linalg.norm(symmetric_sample - prep.mean, axis=1).mean(), rel=1e-14)
+        assert np.array_equal(solver_calls[0]["grad_points"][0], predicted)
     assert np.array_equal(starts[1], points[0])
     for k in range(5, 64):
         p = points[k - 5:k]
@@ -308,15 +331,16 @@ def test_turned_curvature_saves_kernel_passes(solver_calls, monkeypatch, curve):
     assert turned <= 0.85 * _passes(solver_calls)
 
 
-def _secant_start(self, cold):
-    """The start rule of a path before the order-5 predictor: ``cold``, the
-    first minimizer, then the secant prediction ``2 c[k-1] - c[k-2]``."""
+def _secant_start(self, cold, fun):
+    """The start rule of an expectile path before the order-5 predictor:
+    ``cold``, the first minimizer, then the secant prediction ``2 c[k-1] -
+    c[k-2]``, none with a known value."""
     past = self.past
     if not past:
-        return np.array(cold, dtype=float)
+        return np.array(cold, dtype=float), None
     if len(past) < 2:
-        return past[-1].copy()
-    return 2.0 * past[-1] - past[-2]
+        return past[-1].copy(), None
+    return 2.0 * past[-1] - past[-2], None
 
 
 def _secant_passes(monkeypatch, solver_calls, run) -> int:
@@ -370,9 +394,9 @@ def test_each_sample_is_prepared_once(symmetric_sample, monkeypatch):
     calls = []
     collinear = estimators._collinear
 
-    def counted(sample):
+    def counted(*args):
         calls.append(1)
-        return collinear(sample)
+        return collinear(*args)
 
     monkeypatch.setattr(estimators, "_collinear", counted)
     trace_curve(symmetric_sample, CirclePath(0.5, 16), "var")
@@ -623,19 +647,24 @@ def test_match_magnitude_reports_a_target_solve_that_did_not_converge(
     assert not match_magnitude(symmetric_sample, direction, 0.5)[2]
 
 
-def test_match_magnitude_starts_its_var_path_at_the_sample_mean(symmetric_sample, solver_calls):
+def test_match_magnitude_starts_its_var_path_at_the_asymptote(symmetric_sample, solver_calls):
     # the expectile target starts at the sample mean; the VaR solves of the
-    # search share one path, whose first solve starts at the mean, whose
+    # search share one path, whose first solve starts at the extreme-index
+    # asymptote of its index (below the objective at the mean here), whose
     # second starts at the first VaR minimizer, and whose later solves carry
     # the estimate the one before left
-    match_magnitude(symmetric_sample, np.array([1.0, 0.0]), 0.5)
-    mean = estimators._prepare(symmetric_sample).mean
+    _, trace, _ = match_magnitude(symmetric_sample, np.array([1.0, 0.0]), 0.5)
+    prep = estimators._prepare(symmetric_sample)
     target, first, second, *later = solver_calls
-    assert target["curvature"] is None and np.array_equal(target["points"][0], mean)
+    assert target["curvature"] is None and np.array_equal(target["points"][0], prep.mean)
     path = first["curvature"]
     assert path is not None and len(later) > 1
     assert all(call["curvature"] is path for call in (second, *later))
-    assert np.array_equal(first["points"][0], mean) and first["h_inv_in"] is None
+    alpha = np.array([trace[0][0], 0.0])
+    predicted, _ = prep.asymptote(alpha)
+    np.testing.assert_allclose(predicted, _asymptote_start(symmetric_sample, alpha), rtol=1e-13)
+    assert np.array_equal(first["points"][0], predicted) and first["h_inv_in"] is None
+    assert np.array_equal(first["grad_points"][0], predicted)
     assert np.array_equal(second["points"][0], first["result"].argmin)
     assert all(call["h_inv_in"] is not None for call in later)
 

@@ -24,6 +24,7 @@ import functools
 import numpy as np
 import pytest
 
+from geomrisk import estimators
 from geomrisk import (
     CirclePath,
     ClaytonCopula,
@@ -32,6 +33,7 @@ from geomrisk import (
     geometric_expectile,
     geometric_var,
     get_preset,
+    minimize_convex,
     simulate,
     simulate_compound,
     substream,
@@ -68,13 +70,22 @@ def test_var_meets_its_extreme_index_asymptote(name, gap):
     limit = 0.5 * (np.trace(cov) - np.einsum("ij,jk,ik->i", v, cov, v))
     direct = [geometric_var(s, alpha) for alpha in idx]
     assert all(report.converged for report in direct)
+    # a direct solve starts at the asymptote itself, and may stop there; the
+    # oracle also holds the solver's closures minimized from the sample mean
+    prep = estimators._prepare(s)
+    from_mean = []
+    for alpha in idx:
+        fun, grad = estimators._objective_closures(prep, alpha, "quantile")
+        from_mean.append(minimize_convex(fun, grad, prep.mean, _nearest_atom=prep.nearest_atom))
+    assert all(report.converged for report in from_mean)
     curve = trace_curve(s, CirclePath(1.0 - gap, 8), "var")
     assert curve.all_converged
     # measured on these samples: |ratio - 1| <= 16.4 sqrt(1 - a) (X4, whose
     # t4 margin has no fourth moment; 0.07 on X1), 1 - cos <= 4.1 (1 - a)^2
     # about the mean (X4) and <= 3.2 (1 - a) about the origin (Clayton(5),
     # whose mean is off the origin)
-    for q in (np.array([report.argmin for report in direct]), curve.points):
+    for q in (np.array([report.argmin for report in direct]),
+              np.array([report.argmin for report in from_mean]), curve.points):
         t = q - mean
         ratio = gap * np.einsum("ij,ij->i", t, t) / limit
         assert np.all(np.abs(ratio - 1.0) <= 25.0 * np.sqrt(gap)), ratio
