@@ -628,7 +628,7 @@ def test_scipy_special_loads_with_the_first_special_function(tmp_path):
     body = (
         "import geomrisk.cli\n"
         "d = geomrisk.cli.dist\n"
-        "tables = (d._tail_table, d._root_table, d._owens_t_rules)\n"
+        "tables = (d._tail_table, d._quintic_table, d._owens_t_rules)\n"
         "assert [t.cache_info().currsize for t in tables] == [0, 0, 0], 'built at import'\n"
         "polynomial = 'numpy.polynomial' in sys.modules  # NumPy < 2 imports it with numpy\n"
         "def loaded():\n"

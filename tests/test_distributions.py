@@ -397,8 +397,8 @@ P_GRID = np.concatenate(
     ]
 )
 
-# Elements with |Phi^-1(p)| <= _TABLE_W start from the table of roots,
-# the others from the Cornish-Fisher start; both grids hold both kinds.
+# Elements with |Phi^-1(p)| <= _TABLE_W take the table of roots (or start
+# from it), the others start from Cornish-Fisher; both grids hold both kinds.
 # The dense grid runs out to the copula clip bounds 1e-15 and 1 - 1e-16.
 TABLE_W = distributions_module._TABLE_W
 DENSE_P_GRID = np.concatenate(
@@ -511,18 +511,21 @@ def test_skew_normal_cdf_stays_in_unit_interval(shape):
 
 @pytest.mark.parametrize("shape", (2.0, -3.0, 20.0))
 def test_grids_take_both_starts(shape):
-    # inside the table's range the start is the interpolant through its
-    # roots, close enough to the root for about one cdf pass; outside it,
-    # the Cornish-Fisher expansion
+    # inside the table's range the interpolant through its roots is the
+    # root in a certified interval and Newton's start elsewhere; outside it,
+    # Newton starts from the Cornish-Fisher expansion
     for grid in (P_GRID, DENSE_P_GRID):
         w = distributions_module.ndtri(grid)
         inside = np.abs(w) <= TABLE_W
         assert inside.any() and not inside.all()
-        start = distributions_module._tabulated_start(w, shape)
+        start, rest = distributions_module._interpolated_root(w, shape)
         root = distributions_module._skew_normal_root(grid, shape)
         np.testing.assert_array_equal(start[~inside],
                                       distributions_module._cornish_fisher(w[~inside], shape))
         assert np.all(np.abs(start - root)[inside] <= 1e-4 * np.maximum(1.0, np.abs(root[inside])))
+        table = np.setdiff1d(np.arange(grid.size), rest)
+        assert table.size and np.all(inside[table])
+        np.testing.assert_array_equal(root[table], start[table])
     assert DENSE_P_GRID.min() <= 1e-15 and DENSE_P_GRID.max() >= 1.0 - 1e-16
 
 
@@ -619,16 +622,22 @@ def test_skew_normal_quantile_return_types():
 def test_skew_normal_quantile_owens_t_budget(special_calls, shape):
     # The cdf pass (two normal tails and Owen's T) is the whole cost of the
     # quantile; count the elements it sees.  Counts are stable from machine
-    # to machine, wall time is not.  The count includes building the
-    # shape's table of roots, as in the first quantile of a process.
+    # to machine, wall time is not.  The first count includes building the
+    # shape's table of roots, as in the first quantile of a process
+    # (measured: 0.263, 0.261 and 0.381 n); the second has it built (0.023,
+    # 0.022 and 0.127 n: only draws outside a certified interval run a pass).
     n = 10_000
     u = np.random.default_rng(6).random(n)
-    distributions_module._root_table.cache_clear()
-    SkewNormal(-1.0, 1.0, shape).quantile(u)
-    seen = _pass_sizes(special_calls)
-    assert sum(seen) <= 1.5 * n
-    # no element dithers at the cdf's resolution until the pass cap
-    assert len(seen) < distributions_module._NEWTON_MAX_ITER
+    m = SkewNormal(-1.0, 1.0, shape)
+    distributions_module._quintic_table.cache_clear()
+    for bound in {2.0: (0.27, 0.03), -3.0: (0.27, 0.03), 20.0: (0.40, 0.13)}[shape]:
+        special_calls.clear()
+        m.quantile(u)
+        seen = _pass_sizes(special_calls)
+        assert sum(seen) <= bound * n
+        # no element dithers at the cdf's resolution until the pass cap
+        assert len(seen) < distributions_module._NEWTON_MAX_ITER
+    assert len(seen) == 1
 
 
 @pytest.mark.parametrize("n", (1, 10_000), ids=("scalar", "draws"))
@@ -639,8 +648,10 @@ def test_skew_normal_root_one_cdf_ndtr_per_pass(special_calls, monkeypatch, shap
     # Phi(z) below it, and the density's Phi(a z); a normal cdf besides it
     # may see that set at most twice.  The shape's table of roots is built
     # before counting, so the count does not depend on which test ran first;
-    # with it built, a root runs no normal cdf outside its passes.
-    distributions_module._root_table(shape)
+    # with it built, a root runs no normal cdf outside its passes.  The
+    # scalar lies in the light tail, outside every certified interval, so
+    # that it runs Newton's passes at all.
+    distributions_module._quintic_table(shape)
     special_calls.clear()
     real = distributions_module._skew_normal_root
 
@@ -651,7 +662,7 @@ def test_skew_normal_root_one_cdf_ndtr_per_pass(special_calls, monkeypatch, shap
         return out
 
     monkeypatch.setattr(distributions_module, "_skew_normal_root", marked)
-    u = np.random.default_rng(2).random(n)
+    u = np.random.default_rng(2).random(n) if n > 1 else np.array([1e-6 if shape > 0 else 1.0 - 1e-6])
     SkewNormal(0.0, 1.0, shape).quantile(u)
     # a normal cdf after a solve's entry or exit, before its next cdf pass,
     # is set-up; after a cdf pass it belongs to that pass
@@ -674,10 +685,10 @@ def test_skew_normal_root_one_cdf_ndtr_per_pass(special_calls, monkeypatch, shap
 
 @pytest.mark.parametrize("shape", (2.0, -3.0, 20.0))
 def test_skew_normal_root_table_is_built_once_per_shape(special_calls, shape):
-    # the first quantile at a shape solves its table's nodes in a few passes
-    # (4, 4 and 8 at these shapes; 14, 19 and 21 with every node started
-    # from Cornish-Fisher); later quantiles at that shape reuse the table
-    table = distributions_module._root_table
+    # the first quantile at a shape solves its table's nodes and midpoints
+    # in a few passes (5, 5 and 10 at these shapes, 2,400-2,545 elements);
+    # later quantiles at that shape reuse the table
+    table = distributions_module._quintic_table
     table.cache_clear()
     m = SkewNormal(0.0, 1.0, shape)
     m.quantile(0.3)
@@ -695,19 +706,60 @@ def test_skew_normal_newton_step_past_an_unevaluated_end_stops_there(special_cal
     # at shape 20 the cdf root of this p sits at the half-normal start value
     # of the bracket's upper end; Newton steps from the Cornish-Fisher start
     # overshoot that end, which is never evaluated, so bisecting towards it
-    # took 26 cdf passes.  The public quantile starts it from the table.
+    # took 26 cdf passes.  The public quantile takes it from the table.
     p = np.array([0.7513557952504324])
     w = distributions_module.ndtri(p)
     start = distributions_module._cornish_fisher(w, 20.0)
-    z = distributions_module._newton_root(p, w, 20.0, start)
+    z = distributions_module._newton_root(1.0 - p, w, 20.0, start)
     assert len(_pass_sizes(special_calls)) <= 5
     m = SkewNormal(-1.0, 1.0, 20.0)
-    distributions_module._root_table(20.0)
+    distributions_module._quintic_table(20.0)
     special_calls.clear()
     m.quantile(p[0])
     assert len(_pass_sizes(special_calls)) <= 5
     assert abs(m.cdf(z[0] - 1.0) - p[0]) <= 4.0 * EPS
     assert abs(m.cdf(m.quantile(p[0])) - p[0]) <= 4.0 * EPS
+
+
+ORACLE_SHAPES = (2.0, -3.0, 20.0, 0.7, -0.7, 1e-9, 1e100, -1e100)
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES)
+def test_skew_normal_table_roots_agree_with_newton(shape):
+    # Oracle: the safeguarded Newton iteration from the same start.  A draw
+    # in a certified interval takes the interpolant, within a few units of
+    # the cdf's resolution eps max(1, |z|) + eps / f(z) of Newton's root
+    # (at most 2.5 units measured); every other draw is Newton's root, bit
+    # for bit.  At shape 2 at least 95% of draws take the table.
+    p = np.concatenate([np.random.default_rng(17).random(200_000), [1e-15, 0.5, 1.0 - 1e-16]])
+    w = distributions_module.ndtri(p)
+    start, rest = distributions_module._interpolated_root(w, shape)
+    z = distributions_module._skew_normal_root(p, shape)
+    newton = distributions_module._newton_root(np.where(w > 0.0, 1.0 - p, p), w, shape, start)
+    table = np.ones(p.size, dtype=bool)
+    table[rest] = False
+    np.testing.assert_array_equal(z[rest], newton[rest])
+    np.testing.assert_array_equal(z[table], start[table])
+    with np.errstate(divide="ignore"):
+        unit = EPS * np.maximum(1.0, np.abs(z)) + EPS / (2.0 * stats.norm.pdf(z) * ndtr(shape * z))
+    assert np.all(np.abs(z - newton)[table] <= 4.0 * unit[table])
+    assert table.mean() >= (0.95 if shape == 2.0 else 0.8)
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES)
+def test_skew_normal_quantile_is_monotone_across_certified_bounds(shape):
+    # where a certified interval meets one that is not (or the table's
+    # range ends), the quantile switches from the interpolant to Newton's
+    # root; it stays nondecreasing across each such node
+    _, certified = distributions_module._quintic_table(shape)
+    nodes = np.linspace(-TABLE_W, TABLE_W, distributions_module._TABLE_NODES)
+    flags = np.concatenate([[False], certified, [False]])
+    bounds = nodes[np.flatnonzero(flags[:-1] != flags[1:])]
+    offsets = np.array([-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3])
+    p = np.unique(ndtr((bounds[:, None] + offsets).ravel()))
+    assert bounds.size and p.size > bounds.size
+    q = SkewNormal(0.7, 2.5, shape).quantile(p)
+    assert np.all(np.diff(q) >= 0.0)
 
 
 @pytest.mark.parametrize("shape", (0.5, -0.5))
