@@ -10,6 +10,15 @@ for Gumbel, and a logarithmic-series frailty (Kemp's LK sampler) for
 Frank.  Negative-dependence Frank (theta < 0) exists only for d = 2 and
 uses conditional inversion of dC/du1.
 
+Each copula fills a C-contiguous (n, d) array in place (``_fill``): the
+exponentials or uniforms are drawn into it (``out=``), in the row-major
+order of an (n, d) draw, and every step after the draw runs on it.
+Clayton's softplus takes the calling thread's spare buffer
+(:mod:`geomrisk._scratch`) for its second array, and Frank's log1mexp
+gathers one of its two forms' elements at a time; the frailties are
+arrays of n floats.  The public ``sample`` allocates the array and fills
+it; :func:`geomrisk.models.simulate` fills a per-thread buffer instead.
+
 ``scipy.integrate`` is imported lazily, inside the Debye function that
 Frank's Kendall's tau integrates: nothing else in the package needs it, and
 importing it with the module would quadruple the CPU of ``import geomrisk.cli``.
@@ -21,6 +30,8 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+
+from . import _scratch
 
 __all__ = [
     "IndependenceCopula",
@@ -40,8 +51,8 @@ _LOG2 = float(np.log(2.0))
 _FRANK_MAX = 700.0
 
 
-def _clip_unit(u: np.ndarray) -> np.ndarray:
-    return np.clip(u, _UNIT_LO, _UNIT_HI)
+def _clip_unit(u: np.ndarray) -> None:
+    np.clip(u, _UNIT_LO, _UNIT_HI, out=u)
 
 
 def _positive_stable_power(alpha: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -52,40 +63,59 @@ def _positive_stable_power(alpha: float, count: int, rng: np.random.Generator) -
         * (sin((1-alpha) Theta) / W)^((1-alpha)/alpha),
     so V^(-alpha) = sin(Theta) / sin(alpha Theta)^alpha
         * (W / sin((1-alpha) Theta))^(1-alpha),
-    which has no 1/alpha power to overflow at small alpha.
+    which has no 1/alpha power to overflow at small alpha.  The steps run
+    in place on three arrays of ``count`` floats.
     """
     theta = rng.uniform(0.0, np.pi, size=count)
-    theta = np.clip(theta, 1e-10, np.pi - 1e-10)
-    w = np.maximum(rng.standard_exponential(count), 1e-300)
-    ratio = np.sin(theta) / np.sin(alpha * theta) ** alpha
-    return ratio * (w / np.sin((1.0 - alpha) * theta)) ** (1.0 - alpha)
+    np.clip(theta, 1e-10, np.pi - 1e-10, out=theta)
+    w = rng.standard_exponential(count)
+    np.maximum(w, 1e-300, out=w)
+    step = np.multiply(theta, 1.0 - alpha)
+    np.sin(step, out=step)
+    w /= step
+    w **= 1.0 - alpha
+    np.multiply(theta, alpha, out=step)
+    np.sin(step, out=step)
+    step **= alpha
+    np.sin(theta, out=theta)
+    theta /= step
+    theta *= w
+    return theta
 
 
-def _log1mexp(x, out: np.ndarray | None = None) -> np.ndarray:
+def _log1mexp(x, out: np.ndarray | None = None,
+              spare: np.ndarray | None = None) -> np.ndarray:
     """``log(1 - exp(-x))`` for x >= 0, to full relative precision at both ends.
 
     Below log 2 it is ``log(-expm1(-x))``, above it ``log1p(-exp(-x))``
     (Maechler 2012): neither form rounds ``1 - exp(-x)`` through 1.  Each
-    form runs on its own elements only, gathered by index and evaluated in
-    place; the result goes to ``out`` (C-contiguous, and it may be ``x``
-    itself), or to a new array.
+    form runs on its own elements only, gathered by index into ``spare`` (a
+    1-D float buffer of at least ``x.size``, or a new one) and evaluated in
+    place, one form after the other; the result goes to ``out``
+    (C-contiguous, and it may be ``x`` itself), or to a new array.
     """
     x = np.asarray(x, dtype=float, order="C")
     out = np.empty_like(x) if out is None else out
     flat, res = x.reshape(-1), out.reshape(-1)
+    gathered = np.empty(flat.size) if spare is None else spare
     below = flat < _LOG2
-    low, high = np.flatnonzero(below), np.flatnonzero(~below)
-    a, b = flat[low], flat[high]
+    low = np.flatnonzero(below)
+    # mode="clip" takes into out directly ("raise" would go through a copy)
+    a = np.take(flat, low, out=gathered[:low.size], mode="clip")
     np.negative(a, out=a)
     np.expm1(a, out=a)
     np.negative(a, out=a)
     with np.errstate(divide="ignore"):  # x = 0 gives -inf
         np.log(a, out=a)
+    res[low] = a
+    del low
+    # res may be flat itself: the elements above log 2 are not written yet
+    high = np.flatnonzero(~below)
+    b = np.take(flat, high, out=gathered[:high.size], mode="clip")
     np.negative(b, out=b)
     np.exp(b, out=b)
     np.negative(b, out=b)
     np.log1p(b, out=b)
-    res[low] = a
     res[high] = b
     return out
 
@@ -99,21 +129,32 @@ def _log_series(theta: float, count: int, rng: np.random.Generator) -> np.ndarra
     so it stays below 0 where q rounds to 1 (theta above ~37).
     """
     p = -np.expm1(-theta)
-    v = np.maximum(rng.random(count), 1e-300)
-    u = rng.random(count)
-    log_v = np.log(v)
-    log_q = u * theta
+    v = rng.random(count)
+    np.maximum(v, 1e-300, out=v)
+    log_q = rng.random(count)
+    log_q *= theta
     _log1mexp(log_q, out=log_q)
-    k_tail = np.floor(1.0 + log_v / log_q)
-    return np.where(
-        v >= p,
-        1.0,
-        np.where(log_v <= 2.0 * log_q, k_tail, np.where(log_v <= log_q, 2.0, 1.0)),
-    )
+    first = v >= p
+    log_v = np.log(v, out=v)
+    k_tail = np.divide(log_v, log_q)
+    k_tail += 1.0
+    np.floor(k_tail, out=k_tail)
+    short = np.where(log_v <= log_q, 2.0, 1.0)
+    log_q *= 2.0
+    return np.where(first, 1.0, np.where(log_v <= log_q, k_tail, short))
+
+
+class _Sampler:
+    """``sample``: a new C-contiguous (count, dim) array, filled by the copula's ``_fill``."""
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        out = np.empty((int(count), int(self.dim)))
+        self._fill(out, rng)
+        return out
 
 
 @dataclass(frozen=True)
-class IndependenceCopula:
+class IndependenceCopula(_Sampler):
     """Product copula in dimension ``dim``."""
 
     dim: int
@@ -122,15 +163,16 @@ class IndependenceCopula:
         if int(self.dim) < 1:
             raise ValueError("IndependenceCopula requires dim >= 1")
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return _clip_unit(rng.random((int(count), int(self.dim))))
+    def _fill(self, out: np.ndarray, rng: np.random.Generator) -> None:
+        rng.random(out=out)
+        _clip_unit(out)
 
     def kendall_tau(self) -> float:
         return 0.0
 
 
 @dataclass(frozen=True)
-class ClaytonCopula:
+class ClaytonCopula(_Sampler):
     """Clayton copula, generator psi(t) = (1 + t)^(-1/theta), theta > 0."""
 
     theta: float
@@ -142,30 +184,38 @@ class ClaytonCopula:
         if int(self.dim) < 2:
             raise ValueError("ClaytonCopula requires dim >= 2")
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        count, theta = int(count), self.theta
+    def _fill(self, out: np.ndarray, rng: np.random.Generator) -> None:
+        count, theta = out.shape[0], self.theta
         # log V of V = G U^theta, G ~ Gamma(1 + 1/theta), U ~ U(0, 1] (Marsaglia
         # and Tsang 2000), and psi(E / V) = exp(-softplus(log E - log V) / theta)
-        log_v = np.log(rng.gamma(1.0 + 1.0 / theta, size=count))
-        log_v += theta * np.log1p(-rng.random(count))
+        log_v = rng.gamma(1.0 + 1.0 / theta, size=count)
+        np.log(log_v, out=log_v)
+        log_u = rng.random(count)
+        np.negative(log_u, out=log_u)
+        np.log1p(log_u, out=log_u)
+        log_u *= theta
+        log_v += log_u
+        rng.standard_exponential(out=out)
         with np.errstate(divide="ignore"):  # E = 0 gives u = 1, as psi(0) is
-            x = np.log(rng.standard_exponential((count, int(self.dim)))) - log_v[:, np.newaxis]
-        # softplus(x) = max(x, 0) + log1p(exp(-|x|)), then exp(-softplus / theta), in place
-        tail = np.abs(x)
+            np.log(out, out=out)
+        out -= log_v[:, np.newaxis]
+        # softplus(x) = max(x, 0) + log1p(exp(-|x|)), then exp(-softplus / theta)
+        tail = np.abs(out, out=_scratch.spare(out.size).reshape(out.shape))
         np.negative(tail, out=tail)
         np.exp(tail, out=tail)
         np.log1p(tail, out=tail)
-        np.maximum(x, 0.0, out=x)
-        x += tail
-        x /= -theta
-        return _clip_unit(np.exp(x, out=x))
+        np.maximum(out, 0.0, out=out)
+        out += tail
+        out /= -theta
+        np.exp(out, out=out)
+        _clip_unit(out)
 
     def kendall_tau(self) -> float:
         return self.theta / (self.theta + 2.0)
 
 
 @dataclass(frozen=True)
-class GumbelCopula:
+class GumbelCopula(_Sampler):
     """Gumbel copula, generator psi(t) = exp(-t^(1/theta)), theta >= 1."""
 
     theta: float
@@ -177,24 +227,28 @@ class GumbelCopula:
         if int(self.dim) < 2:
             raise ValueError("GumbelCopula requires dim >= 2")
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        count = int(count)
+    def _fill(self, out: np.ndarray, rng: np.random.Generator) -> None:
         alpha = 1.0 / self.theta
-        e = rng.standard_exponential((count, int(self.dim)))
+        rng.standard_exponential(out=out)
         if self.theta == 1.0:
             # frailty degenerates to 1: independence
-            u = np.exp(-e)
+            np.negative(out, out=out)
         else:
-            v_power = _positive_stable_power(alpha, count, rng)
-            u = np.exp(-(e**alpha) * v_power[:, np.newaxis])
-        return _clip_unit(u)
+            # exp(-(E^alpha) V^-alpha); the power takes numpy's fast paths
+            # (a square root at theta = 2) in place as out of place
+            v_power = _positive_stable_power(alpha, out.shape[0], rng)
+            out **= alpha
+            np.negative(out, out=out)
+            out *= v_power[:, np.newaxis]
+        np.exp(out, out=out)
+        _clip_unit(out)
 
     def kendall_tau(self) -> float:
         return 1.0 - 1.0 / self.theta
 
 
 @dataclass(frozen=True)
-class FrankCopula:
+class FrankCopula(_Sampler):
     """Frank copula, 0 < |theta| <= 700; theta < 0 (negative dependence) is bivariate only."""
 
     theta: float
@@ -210,27 +264,28 @@ class FrankCopula:
         if self.theta < 0.0 and int(self.dim) != 2:
             raise ValueError("FrankCopula with theta < 0 exists only for dim = 2")
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        count = int(count)
+    def _fill(self, out: np.ndarray, rng: np.random.Generator) -> None:
+        count = out.shape[0]
         if self.theta > 0.0:
             v = _log_series(self.theta, count, rng)
-            e = rng.standard_exponential((count, int(self.dim)))
+            rng.standard_exponential(out=out)
             # psi(t) = -log(1 - p exp(-t)) / theta, and p exp(-t) = exp(-(t + c))
             # with c = -log(p): the log1mexp of t + c, which never forms 1 - p
             c = -_log1mexp(self.theta)
-            u = e / v[:, np.newaxis]
-            u += c
-            _log1mexp(u, out=u)
-            u /= -self.theta
-            return _clip_unit(u)
-        # theta < 0, dim = 2: invert v -> dC/du1(u1, v) at a uniform level
-        u1 = rng.random(count)
-        w = np.maximum(rng.random(count), 1e-300)
-        a = np.exp(-self.theta * u1)
-        d = np.expm1(-self.theta)
-        b = w * d / (a * (1.0 - w) + w)
-        u2 = -np.log1p(b) / self.theta
-        return _clip_unit(np.column_stack([u1, u2]))
+            out /= v[:, np.newaxis]
+            out += c
+            _log1mexp(out, out=out, spare=_scratch.spare(out.size))
+            out /= -self.theta
+        else:
+            # theta < 0, dim = 2: invert v -> dC/du1(u1, v) at a uniform level
+            u1 = rng.random(count)
+            w = np.maximum(rng.random(count), 1e-300)
+            a = np.exp(-self.theta * u1)
+            d = np.expm1(-self.theta)
+            b = w * d / (a * (1.0 - w) + w)
+            out[:, 0] = u1
+            out[:, 1] = -np.log1p(b) / self.theta
+        _clip_unit(out)
 
     def kendall_tau(self) -> float:
         return 1.0 + 4.0 * (_debye1(self.theta) - 1.0) / self.theta

@@ -11,17 +11,20 @@ safe on the nonsmooth value-at-risk objective as well.  A value-at-risk
 minimizer on a data atom, where the gradient test cannot hold, is
 certified by the subdifferential test.
 
-A sample is validated once and copied once into a contiguous (d, n)
-column block, and every objective and gradient pass of the solver runs over
-that block with the column-block formulas of :mod:`geomrisk.losses`.  The
-private ``_Prepared`` sample holds the block with its mean, the
-all-rows-identical flag, and the lazily computed collinearity flag and
-covariance, from which a value-at-risk solve predicts its start; a
-direct estimator call prepares its sample once per call, and the
-experiment layer prepares each sample once for every solve on it.  The sample also owns one workspace, allocated on its first solve,
-that holds the pass state of the last location evaluated (``x - c``, the
-norms and the inner products with the index): the value and the gradient
-at one location share a single sweep over the block.
+A sample is validated once and laid out once as a contiguous (d, n)
+column block (a view, for a sample that :func:`geomrisk.models.simulate`
+drew, or any other whose transpose is C-contiguous; a copy otherwise),
+and every objective and gradient pass of the solver runs over that block
+with the column-block formulas of :mod:`geomrisk.losses`.  The private
+``_Prepared`` sample holds the block with its mean, the all-rows-identical
+flag, and the lazily computed collinearity flag and covariance, from which
+a value-at-risk solve predicts its start; a direct estimator call prepares
+its sample once per call, and the experiment layer prepares each sample
+once for every solve on it.  Each solve claims its thread's workspace for
+the sample's shape (:mod:`geomrisk._scratch`), which holds the pass state
+of the last location evaluated (``x - c``, the norms and the inner products
+with the index): the value and the gradient at one location share a single
+sweep over the block.
 :func:`empirical_objective` and :func:`empirical_objective_grad` average
 the public kernels' row formulas instead; they are the reference that the
 solver's passes are tested against.
@@ -37,6 +40,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import _scratch
 from .losses import (
     _check_level,
     _expectile_grad,
@@ -329,14 +333,19 @@ def _certified_atom(fun, grad, candidate, iterations: int) -> SolveReport | None
 def _objective_closures(prep: _Prepared, u: np.ndarray, kind: str):
     """Solver objective/gradient closures over a prepared sample.
 
-    Both read the pass state of their location from the sample's one
-    workspace.  Its key is the exact bytes of ``(u, c)``, held on the
-    workspace itself, so a gradient at the point just valued reuses the
-    state, and closures of other indices on the same sample recompute it.
+    Both read the pass state of their location from the calling thread's
+    workspace for the sample's shape (:meth:`_Prepared.workspace`), which
+    taking the closures claims: the state it held, perhaps another
+    sample's, is dropped.  Its key is the exact bytes of ``(u, c)``, held
+    on the workspace itself, so a gradient at the point just valued reuses
+    the state, and closures of other indices on the same sample recompute
+    it.  Closures taken later in the thread on another sample of that
+    shape claim the workspace in turn, so every solve takes its own.
     """
     value, gradient = _READERS[kind]
     xt = prep.block
     state = prep.workspace()
+    state.key = None
     u_key = u.tobytes()
 
     def current(c):
@@ -389,18 +398,21 @@ class _Prepared:
 
     Holds the validated (n, d) ``rows`` as a read-only view (the caller's
     array and its flags are untouched), the contiguous (d, n) column
-    ``block`` the solver's passes run over, the block ``mean`` (the
-    expectile's cold start), whether all rows are ``identical``, and,
-    computed on first use from one centring of the rows, whether they are
-    collinear (``_collinear``: a d x d Gram certificate clears most
-    samples, and an SVD decides the rest) with the 1/n covariance, that
-    Gram over n, and the mean distance to ``mean``, which
-    :meth:`asymptote` reads.  To
-    numpy it is the (n, d) sample: it has ``ndim`` and ``shape``, and
-    ``np.asarray`` gives the rows.  The one mutable part is the pass-state
-    :meth:`workspace` of the solver's closures, allocated on the first
-    solve and shared with every view, so the solves on one prepared
-    sample must run one at a time.
+    ``block`` the solver's passes run over (a read-only view of ``rows.T``
+    when that is C-contiguous, as a sample from
+    :func:`~geomrisk.models.simulate` is, and a copy otherwise), the block
+    ``mean`` (the expectile's cold start), whether all rows are
+    ``identical``, and, computed on first use from one centring of the
+    rows, whether they are collinear (``_collinear``: a d x d Gram
+    certificate clears most samples, and an SVD decides the rest) with the
+    1/n covariance, that Gram over n, and the mean distance to ``mean``,
+    which :meth:`asymptote` reads.  To numpy it is the (n, d) sample: it has
+    ``ndim`` and ``shape``, and ``np.asarray`` gives the rows.  Beyond the
+    block it holds no buffer: the pass-state :meth:`workspace` of the
+    solver's closures, and the scratch of :meth:`_spread` and
+    :meth:`nearest_atom`, are the calling thread's, shared with its other
+    samples of the same shape.  A solve claims the workspace when it
+    starts, so a thread must finish one solve before it starts the next.
     ``curvature`` is None, except on the view that :meth:`on_path` makes
     for the solves of one traced path.
     """
@@ -431,8 +443,8 @@ class _Prepared:
     def on_path(self) -> _Prepared:
         """A view of this sample for the solves of one traced path.
 
-        It shares the arrays, the tests computed on first use and the
-        workspace, and carries a fresh :class:`_Curvature` for its solves.
+        It shares the arrays and the tests computed on first use, and
+        carries a fresh :class:`_Curvature` for its solves.
         """
         view = copy.copy(self)
         view.curvature = _Curvature()
@@ -441,19 +453,23 @@ class _Prepared:
     def _spread(self) -> tuple[bool, np.ndarray, float]:
         """``(collinear, covariance, mean distance)`` of the rows, computed once per sample.
 
-        The rows are centred once, into one copy that the Gram matrix, the
-        distances and :func:`_collinear` all read: centred through
-        ``block.T``, they come out in Fortran order, which the SVD, when the
-        Gram certificate leaves it the verdict, reads 2-3x faster than the
-        C-ordered rows at n = 10k.  They are centred once more in place,
-        as :func:`_collinear` rules.
+        The rows are centred once, into the ``t`` of the thread's
+        :meth:`workspace` (whose pass state is dropped), which the Gram
+        matrix, the distances and :func:`_collinear` all read: centred
+        through ``block.T``, they come out in Fortran order, which the SVD,
+        when the Gram certificate leaves it the verdict, reads 2-3x faster
+        than the C-ordered rows at n = 10k.  They are centred once more in
+        place, as :func:`_collinear` rules.
         """
         if "spread" not in self._lazy:
-            centred = self.block.T - self.mean
+            state = self.workspace()
+            state.key = None
+            centred = np.subtract(self.block.T, self.mean, out=state.t.T)
             centred -= centred.mean(axis=0)
             with np.errstate(over="ignore", invalid="ignore"):  # see _collinear
                 gram = centred.T @ centred
-                distance = float(np.sqrt(np.einsum("ij,ij->i", centred, centred)).mean())
+                distance = np.einsum("ij,ij->i", centred, centred, out=state.scratch)
+                distance = float(np.sqrt(distance, out=distance).mean())
             self._lazy["spread"] = (_collinear(centred, gram), gram / self.shape[0], distance)
         return self._lazy["spread"]
 
@@ -487,17 +503,22 @@ class _Prepared:
         return self.mean + (norm * r0) * v, 0.5 * distance
 
     def workspace(self) -> _PassState:
-        """The pass-state workspace of the solver's closures, allocated on first use."""
-        if "workspace" not in self._lazy:
-            self._lazy["workspace"] = _PassState(*self.block.shape)
-        return self._lazy["workspace"]
+        """The calling thread's pass-state workspace for this sample's (d, n) block shape.
+
+        It is made on the thread's first solve at that shape and kept for
+        the next (:mod:`geomrisk._scratch`); the solver's closures claim it
+        for each solve.
+        """
+        return _scratch.buffer("pass", _PassState, *self.block.shape)
 
     def nearest_atom(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """The row nearest ``x`` (an exact copy) and ``0.5 m / n``, m the rows equal to it.
 
-        The distances go to temporaries of their own, never to the workspace.
+        The differences go to the thread's spare buffer, never to the
+        workspace, whose pass state stays valid.
         """
-        t = self.block - x[:, np.newaxis]
+        t = _scratch.spare(self.block.size).reshape(self.block.shape)
+        np.subtract(self.block, x[:, np.newaxis], out=t)
         row = self.rows[int(np.argmin(np.einsum("ij,ij->j", t, t)))]
         m = np.count_nonzero((self.rows == row).all(axis=1))
         return row.copy(), 0.5 * float(m) / self.shape[0]

@@ -139,7 +139,10 @@ class _PassState:
 
     ``t``, ``norms`` and ``inner`` hold the state; ``scratch`` is the
     readers' temporary row.  ``key`` names the arguments the state was
-    computed for, and is None while no valid state is held.
+    computed for, and is None while no valid state is held.  The estimators
+    keep one per thread and block shape, for all the samples of that shape
+    (:mod:`geomrisk._scratch`): each solve claims it by setting ``key`` to
+    None, and so does a sample that centres itself into ``t``.
     """
 
     __slots__ = ("t", "norms", "inner", "scratch", "key")
@@ -150,6 +153,10 @@ class _PassState:
         self.inner = np.empty(n)
         self.scratch = np.empty(n)
         self.key = None
+
+    @property
+    def nbytes(self) -> int:
+        return self.t.nbytes + 3 * self.norms.nbytes
 
 
 def _pass_state(state: _PassState, u: np.ndarray, xt: np.ndarray, c: np.ndarray) -> None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _scratch
 from .copulas import (
     ClaytonCopula,
     CopulaSpec,
@@ -111,16 +112,31 @@ class CompoundPoissonModel:
 
 
 def simulate(model: JointModel, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` rows from ``model`` by inverse-transforming copula columns."""
+    """Draw ``count`` rows from ``model`` by inverse-transforming copula columns.
+
+    The result is a Fortran-ordered (count, d) array: the transpose of a
+    C-contiguous (d, count) block, the layout the solver's passes read,
+    so preparing it for a solve copies nothing.  Its values are those of
+    ``margin.quantile(copula.sample(count, rng)[:, j])`` for every column j,
+    bit for bit.  The copula fills the calling thread's draws buffer
+    (:mod:`geomrisk._scratch`), which is copied once, transposed, into the
+    thread's spare buffer; each margin's quantile replaces one contiguous
+    row of that, and the block is a copy of it.  The block is the only
+    array of count d floats that a call allocates, and it is allocated once
+    the quantiles' temporaries are freed.
+    """
     if not isinstance(model, JointModel):
         raise ValueError("simulate expects a JointModel; use simulate_compound for claims")
     if int(count) < 0:
         raise ValueError("count must be nonnegative")
-    u = model.copula.sample(int(count), rng)
-    out = np.empty((int(count), model.dim), dtype=float)
-    for j, margin in enumerate(model.margins):
-        out[:, j] = margin.quantile(u[:, j]) if count else 0.0
-    return out
+    count, dim = int(count), model.dim
+    draws = _scratch.buffer("draws", np.empty, (count, dim))
+    model.copula._fill(draws, rng)
+    rows = _scratch.spare(count * dim).reshape(dim, count)
+    np.copyto(rows, draws.T)
+    for row, margin in zip(rows, model.margins):
+        row[...] = margin.quantile(row)
+    return rows.copy().T
 
 
 def _poisson_counts(rate: float, count: int, rng: np.random.Generator) -> np.ndarray:

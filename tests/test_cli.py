@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import typing
 from pathlib import Path
 
@@ -679,6 +680,31 @@ def test_parser_is_built_once_and_shares_no_state(tmp_path, capsys):
     op = ["expectile", "--model", "X2", "--n", "500", "--seed", "3", "--alpha", "0.4,-0.2"]
     first = run_cli(op, tmp_path, "r1.csv")
     assert run_cli(op, tmp_path, "r2.csv") == first
+
+
+@pytest.mark.parametrize("measure", ["expectile", "var"])
+@pytest.mark.parametrize("model", ["Z-clayton5", "frank3-4d", "X3"])
+def test_a_repeated_cold_op_allocates_little_beyond_its_sample(capsys, model, measure):
+    # a cold op's only array of n d floats is the sample it draws: the
+    # copula's draws, the quantiles' rows and the solver's pass state live in
+    # buffers that the thread keeps, so the second of two identical ops
+    # peaks below 2.5 samples' worth of traced memory (the sample, the
+    # margin quantiles' temporaries of n floats, and the solver's), and
+    # prints the same bytes as the first
+    n, d = geomrisk.PRESET_DEFAULT_N[model], geomrisk.PRESETS[model].dim
+    alpha = ",".join(str(0.9 * v) for v in (0.6, -0.5, 0.4, 0.48)[:d])
+    op = [measure, "--model", model, "--seed", "11", f"--alpha={alpha}"]
+    assert main(op) == 0
+    first = capsys.readouterr().out
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(op) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == first
+    assert peak < 2.5 * n * d * 8
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ order statistics)."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -173,19 +176,26 @@ def test_solver_subgradient_is_bounded_next_to_a_row():
 
 def test_workspace_lifetime():
     sample = np.random.default_rng(6).standard_normal((50, 2))
-    # a prepared sample that is never solved allocates no workspace
+    # a prepared sample holds no buffer of its own, solved or not
     prep = estimators._prepare(sample)
     path = prep.on_path()
-    assert "workspace" not in prep._lazy
-    # nor does a sample of identical rows, which needs no pass at all
+    assert prep._lazy == {}
+    # a sample of identical rows needs no pass at all
     same = estimators._prepare(np.tile([1.0, 2.0], (20, 1)))
     assert geometric_expectile(same, [0.3, 0.1]).stop_reason == "identical_rows"
-    assert "workspace" not in same._lazy
-    # the views of a traced path share the workspace of their sample
+    assert same._lazy == {}
+    # the views of a traced path, and every sample of the same shape, share
+    # the thread's workspace for that shape; other shapes and threads have
+    # their own
     geometric_var(path, [0.3, 0.1])
+    assert set(prep._lazy) == {"spread"}
     workspace = prep.workspace()
     assert path.workspace() is workspace
     assert prep.on_path().workspace() is workspace
+    assert estimators._prepare(sample + 1.0).workspace() is workspace
+    assert estimators._prepare(sample[:40]).workspace() is not workspace
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        assert pool.submit(prep.workspace).result() is not workspace
     assert workspace.t.shape == prep.block.shape
     # nearest_atom computes its distances elsewhere: the state stays valid
     held = (workspace.key, workspace.t.copy(), workspace.norms.copy(), workspace.inner.copy())
@@ -193,6 +203,97 @@ def test_workspace_lifetime():
     assert workspace.key == held[0]
     for now, before in zip((workspace.t, workspace.norms, workspace.inner), held[1:]):
         assert np.array_equal(now, before)
+
+
+def test_a_simulated_sample_is_prepared_without_a_copy():
+    # simulate returns the transpose of a (d, n) block: the solver's block is
+    # a view of the caller's sample, which keeps its flags; a C-ordered copy
+    # of it is laid out anew, and solves on either give the same bits
+    sample = simulate(get_preset("Z-clayton5"), 500, substream(90, "no-copy"))
+    prep = estimators._Prepared(sample)
+    assert np.shares_memory(prep.block, sample)
+    assert prep.block.flags.c_contiguous and not prep.block.flags.writeable
+    assert sample.flags.writeable
+    rows = np.ascontiguousarray(sample)
+    copied = estimators._Prepared(rows)
+    assert not np.shares_memory(copied.block, rows)
+    assert copied.block.tobytes() == prep.block.tobytes()
+    u = np.array([0.5, -0.3, 0.2, 0.1])
+    for solver in (geometric_expectile, geometric_var):
+        assert solver(sample, u).argmin.tobytes() == solver(rows, u).argmin.tobytes()
+
+
+def _solve_bits(sample, indices) -> list:
+    prep = estimators._prepare(sample)
+    return [_report_bits(solver(prep, u)) for u in indices
+            for solver in (geometric_expectile, geometric_var)]
+
+
+def _report_bits(report: SolveReport) -> tuple:
+    return (report.argmin.tobytes(), report.objective, report.grad_norm, report.iterations,
+            report.stop_reason)
+
+
+_THREAD_INDICES = [np.array([0.3, -0.2]), np.array([-0.6, 0.5]), np.array([0.0, 0.9])]
+
+
+def _thread_work(seed: int) -> tuple:
+    # a draw, direct solves and a traced subadditivity run, on samples of one
+    # shape for every seed
+    model = get_preset("X4")
+    x = simulate(model, 1_500, substream(seed, "threads-x"))
+    y = simulate(model, 1_500, substream(seed, "threads-y"))
+    sets = experiments.subadditivity_sets(x, y, r=0.6, measure="var", n_phi=6)
+    return (x.tobytes(), _solve_bits(x, _THREAD_INDICES), _solve_bits(y, _THREAD_INDICES),
+            sets.curve_sum.points.tobytes(), sets.curve_add.points.tobytes(), sets.included)
+
+
+def test_threads_reuse_none_of_each_others_buffers():
+    # each thread draws and solves through buffers of its own: more threads
+    # than cores, switching often, running the same work on different
+    # same-shape samples concurrently give the bits of serial runs
+    seeds = (1, 2, 3, 4)
+    serial = {seed: _thread_work(seed) for seed in seeds}
+    barrier = threading.Barrier(len(seeds), timeout=60)
+
+    def run(seed):
+        barrier.wait()
+        return [_thread_work(seed) for _ in range(2)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(len(seeds)) as pool:
+            futures = {seed: pool.submit(run, seed) for seed in seeds}
+            for seed, future in futures.items():
+                assert all(got == serial[seed] for got in future.result(timeout=120)), seed
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_solves_alternating_between_same_shape_samples_match_separate_ones():
+    # subadditivity holds X, Y and X + Y prepared at once, and they share the
+    # thread's workspace: each solve claims it, so solves that alternate
+    # between two samples give the bits of solves on each alone
+    model = get_preset("X3")
+    x = simulate(model, 2_000, substream(91, "alternate-x"))
+    y = simulate(model, 2_000, substream(91, "alternate-y"))
+    want = {"x": _solve_bits(x, _THREAD_INDICES), "y": _solve_bits(y, _THREAD_INDICES)}
+    prepared = {"x": estimators._prepare(x), "y": estimators._prepare(y)}
+    got = {"x": [], "y": []}
+    for u in _THREAD_INDICES:
+        for solver in (geometric_expectile, geometric_var):
+            for name, prep in prepared.items():
+                got[name].append(_report_bits(solver(prep, u)))
+    assert got == want
+    # closures taken on y after a pass on x at the same (u, c) read y's state
+    u, c = _THREAD_INDICES[0], np.array([0.1, 0.2])
+    fun_x, _ = estimators._objective_closures(prepared["x"], u, "quantile")
+    at_x = fun_x(c)
+    fun_y, _ = estimators._objective_closures(prepared["y"], u, "quantile")
+    at_y = fun_y(c)
+    assert at_y == pytest.approx(empirical_objective(y, u, c, "quantile"), rel=1e-12, abs=0.0)
+    assert at_y != pytest.approx(at_x, rel=1e-6, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,12 @@ from scipy import stats
 
 import geomrisk.models as models_module
 
+from geomrisk import _scratch
 from geomrisk import (
     ClaytonCopula,
     CompoundPoissonModel,
     Exponential,
+    FrankCopula,
     GumbelCopula,
     IndependenceCopula,
     JointModel,
@@ -102,6 +104,45 @@ def test_simulate_is_deterministic():
     np.testing.assert_array_equal(a, b)
     c = simulate(model, 500, substream(35, "det"))
     assert not np.array_equal(a, c)
+
+
+_JOINT = {name: model for name, model in PRESETS.items() if isinstance(model, JointModel)}
+_JOINT["cp-paper-severity"] = PRESETS["cp-paper"].severity
+_JOINT["frank-negative"] = JointModel((Normal(), Exponential(2.0)), FrankCopula(-4.0, 2))
+
+
+@pytest.mark.parametrize("count", [0, 1, 2_000])
+@pytest.mark.parametrize("name", list(_JOINT))
+def test_simulate_is_the_margin_quantiles_of_the_copula_sample(name, count):
+    # simulate draws through a per-thread scratch, fills contiguous rows and
+    # returns a transposed block; the values are still those of the public
+    # copula sample pushed through each margin's quantile, bit for bit, and
+    # a second call, which reuses the scratch, draws the next values afresh
+    model = _JOINT[name]
+    rng_a, rng_b = np.random.default_rng(17), np.random.default_rng(17)
+    for _ in range(2):
+        got = simulate(model, count, rng_a)
+        u = model.copula.sample(count, rng_b)
+        assert u.flags.c_contiguous and u.flags.owndata
+        assert got.shape == (count, model.dim)
+        assert got.flags.f_contiguous and got.T.flags.c_contiguous
+        for j, margin in enumerate(model.margins):
+            assert got[:, j].tobytes() == margin.quantile(u[:, j]).tobytes(), (name, j)
+
+
+def test_samples_are_fresh_arrays():
+    # the arrays handed out never share memory with each other or with the
+    # buffers the sampler reuses
+    model = get_preset("Z-clayton5")
+    rng = substream(36, "fresh")
+    first, second = simulate(model, 300, rng), simulate(model, 300, rng)
+    u, v = model.copula.sample(300, rng), model.copula.sample(300, rng)
+    arrays = (first, second, u, v)
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+    held = [b for b in _scratch._HELD.buffers.values() if isinstance(b, np.ndarray)]
+    assert held and not any(np.shares_memory(a, b) for a in arrays for b in held)
 
 
 def test_model_mean_matches_margin_means():
