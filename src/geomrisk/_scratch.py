@@ -1,8 +1,8 @@
 """Per-thread scratch buffers, reused by the sampler and the solver from one call to the next.
 
 Besides the (n, d) sample it returns, a one-shot solve needs arrays of about
-n d floats: the copula's draws and a spare array (:func:`geomrisk.models.simulate`,
-the copulas' in-place steps, :meth:`geomrisk.estimators._Prepared.nearest_atom`)
+n d floats: the draws and a spare array (:func:`geomrisk.models.simulate`,
+which lends the spare to the copula, :meth:`geomrisk.estimators._Prepared.nearest_atom`)
 and the solver's pass state (:class:`geomrisk.losses._PassState`).
 Allocated afresh on every call, each is a fresh run of pages that the
 allocator faults in and hands back to the system.  Instead each thread

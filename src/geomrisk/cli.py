@@ -503,9 +503,9 @@ def _cmd_distance(args) -> _Table:
 
 
 def _cmd_bounded_support(args) -> _Table:
-    # the paper's Clayton(5) copula sample, from its own substream of --seed
-    sample = ClaytonCopula(5.0, 2).sample(_sample_size(args.n),
-                                          substream(args.seed, "bounded-support"))
+    # the paper's Clayton(5) copula sample (uniform margins), own substream of --seed
+    model = JointModel((dist.Uniform(), dist.Uniform()), ClaytonCopula(5.0, 2))
+    sample = simulate(model, _sample_size(args.n), substream(args.seed, "bounded-support"))
     rows = bounded_support_check(
         sample,
         r_list=np.asarray(args.r_list, dtype=float),

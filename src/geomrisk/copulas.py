@@ -1,4 +1,4 @@
-"""Archimedean copula samplers with closed-form Kendall's tau.
+"""Archimedean copulas: their laws, with closed-form Kendall's tau.
 
 Clayton, Gumbel and Frank (theta > 0) samples come from the
 Marshall-Olkin frailty construction ``U_j = psi(E_j / V)`` with iid
@@ -10,14 +10,12 @@ for Gumbel, and a logarithmic-series frailty (Kemp's LK sampler) for
 Frank.  Negative-dependence Frank (theta < 0) exists only for d = 2 and
 uses conditional inversion of dC/du1.
 
-Each copula fills a C-contiguous (n, d) array in place (``_fill``): the
-exponentials or uniforms are drawn into it (``out=``), in the row-major
-order of an (n, d) draw, and every step after the draw runs on it.
-Clayton's softplus takes the calling thread's spare buffer
-(:mod:`geomrisk._scratch`) for its second array, and Frank's log1mexp
-gathers one of its two forms' elements at a time; the frailties are
-arrays of n floats.  The public ``sample`` allocates the array and fills
-it; :func:`geomrisk.models.simulate` fills a per-thread buffer instead.
+A copula only describes its law; :func:`geomrisk.models.simulate`, the one
+sampler, clips its draws and lends its private ``_fill(out, rng, spare)`` a
+C-contiguous (n, d) ``out`` and a 1-D ``spare`` of n d floats.  The draw
+goes into ``out`` in the row-major order of an (n, d) draw, and every step
+after it runs there; Clayton's softplus and Frank's log1mexp gathers take
+``spare``.  The frailties are arrays of n floats.
 
 ``scipy.integrate`` is imported lazily, inside the Debye function that
 Frank's Kendall's tau integrates: nothing else in the package needs it, and
@@ -31,8 +29,6 @@ from typing import Union
 
 import numpy as np
 
-from . import _scratch
-
 __all__ = [
     "IndependenceCopula",
     "ClaytonCopula",
@@ -41,18 +37,12 @@ __all__ = [
     "CopulaSpec",
 ]
 
-# keep copula samples strictly inside (0,1): fp underflow at the tails
-# would otherwise map to infinite margin quantiles
-_UNIT_LO = 1e-15
-_UNIT_HI = 1.0 - 1e-16
 _LOG2 = float(np.log(2.0))
+# below the normal doubles Clayton's 1/theta overflows and Frank's draws tie
+_THETA_MIN = float(np.finfo(float).tiny)
 # beyond |theta| = 700 a Frank sample's exp(-|theta|) terms leave the normal
 # floats (below 1e-304), and the frailty or the conditional inverse degenerates
 _FRANK_MAX = 700.0
-
-
-def _clip_unit(u: np.ndarray) -> None:
-    np.clip(u, _UNIT_LO, _UNIT_HI, out=u)
 
 
 def _positive_stable_power(alpha: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -120,20 +110,22 @@ def _log1mexp(x, out: np.ndarray | None = None,
     return out
 
 
-def _log_series(theta: float, count: int, rng: np.random.Generator) -> np.ndarray:
+def _log_series(theta: float, count: int, rng: np.random.Generator,
+                spare: np.ndarray) -> np.ndarray:
     """Logarithmic-series variates with p = 1 - exp(-theta), pmf k -> -p^k / (k log(1-p)).
 
     Kemp's LK sampler: with V, U iid U(0,1) and q = 1 - (1-p)^U = 1 -
     exp(-U theta), return 1 if V >= p; else floor(1 + ln V / ln q) if
     V <= q^2; else 2 if V <= q; else 1.  ``ln q`` comes from theta itself,
-    so it stays below 0 where q rounds to 1 (theta above ~37).
+    so it stays below 0 where q rounds to 1 (theta above ~37); its log1mexp
+    gathers into ``spare``, a 1-D float buffer of at least ``count``.
     """
     p = -np.expm1(-theta)
     v = rng.random(count)
     np.maximum(v, 1e-300, out=v)
     log_q = rng.random(count)
     log_q *= theta
-    _log1mexp(log_q, out=log_q)
+    _log1mexp(log_q, out=log_q, spare=spare)
     first = v >= p
     log_v = np.log(v, out=v)
     k_tail = np.divide(log_v, log_q)
@@ -144,17 +136,8 @@ def _log_series(theta: float, count: int, rng: np.random.Generator) -> np.ndarra
     return np.where(first, 1.0, np.where(log_v <= log_q, k_tail, short))
 
 
-class _Sampler:
-    """``sample``: a new C-contiguous (count, dim) array, filled by the copula's ``_fill``."""
-
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        out = np.empty((int(count), int(self.dim)))
-        self._fill(out, rng)
-        return out
-
-
 @dataclass(frozen=True)
-class IndependenceCopula(_Sampler):
+class IndependenceCopula:
     """Product copula in dimension ``dim``."""
 
     dim: int
@@ -163,28 +146,27 @@ class IndependenceCopula(_Sampler):
         if int(self.dim) < 1:
             raise ValueError("IndependenceCopula requires dim >= 1")
 
-    def _fill(self, out: np.ndarray, rng: np.random.Generator) -> None:
+    def _fill(self, out: np.ndarray, rng: np.random.Generator, spare: np.ndarray) -> None:
         rng.random(out=out)
-        _clip_unit(out)
 
     def kendall_tau(self) -> float:
         return 0.0
 
 
 @dataclass(frozen=True)
-class ClaytonCopula(_Sampler):
-    """Clayton copula, generator psi(t) = (1 + t)^(-1/theta), theta > 0."""
+class ClaytonCopula:
+    """Clayton copula, generator psi(t) = (1 + t)^(-1/theta), theta normal (>= 2.2e-308)."""
 
     theta: float
     dim: int
 
     def __post_init__(self) -> None:
-        if not (self.theta > 0.0 and np.isfinite(self.theta)):
-            raise ValueError("ClaytonCopula requires theta > 0")
+        if not (self.theta >= _THETA_MIN and np.isfinite(self.theta)):
+            raise ValueError(f"ClaytonCopula requires theta >= {_THETA_MIN:g}, a normal double")
         if int(self.dim) < 2:
             raise ValueError("ClaytonCopula requires dim >= 2")
 
-    def _fill(self, out: np.ndarray, rng: np.random.Generator) -> None:
+    def _fill(self, out: np.ndarray, rng: np.random.Generator, spare: np.ndarray) -> None:
         count, theta = out.shape[0], self.theta
         # log V of V = G U^theta, G ~ Gamma(1 + 1/theta), U ~ U(0, 1] (Marsaglia
         # and Tsang 2000), and psi(E / V) = exp(-softplus(log E - log V) / theta)
@@ -200,7 +182,7 @@ class ClaytonCopula(_Sampler):
             np.log(out, out=out)
         out -= log_v[:, np.newaxis]
         # softplus(x) = max(x, 0) + log1p(exp(-|x|)), then exp(-softplus / theta)
-        tail = np.abs(out, out=_scratch.spare(out.size).reshape(out.shape))
+        tail = np.abs(out, out=spare.reshape(out.shape))
         np.negative(tail, out=tail)
         np.exp(tail, out=tail)
         np.log1p(tail, out=tail)
@@ -208,14 +190,13 @@ class ClaytonCopula(_Sampler):
         out += tail
         out /= -theta
         np.exp(out, out=out)
-        _clip_unit(out)
 
     def kendall_tau(self) -> float:
         return self.theta / (self.theta + 2.0)
 
 
 @dataclass(frozen=True)
-class GumbelCopula(_Sampler):
+class GumbelCopula:
     """Gumbel copula, generator psi(t) = exp(-t^(1/theta)), theta >= 1."""
 
     theta: float
@@ -227,7 +208,7 @@ class GumbelCopula(_Sampler):
         if int(self.dim) < 2:
             raise ValueError("GumbelCopula requires dim >= 2")
 
-    def _fill(self, out: np.ndarray, rng: np.random.Generator) -> None:
+    def _fill(self, out: np.ndarray, rng: np.random.Generator, spare: np.ndarray) -> None:
         alpha = 1.0 / self.theta
         rng.standard_exponential(out=out)
         if self.theta == 1.0:
@@ -241,15 +222,14 @@ class GumbelCopula(_Sampler):
             np.negative(out, out=out)
             out *= v_power[:, np.newaxis]
         np.exp(out, out=out)
-        _clip_unit(out)
 
     def kendall_tau(self) -> float:
         return 1.0 - 1.0 / self.theta
 
 
 @dataclass(frozen=True)
-class FrankCopula(_Sampler):
-    """Frank copula, 0 < |theta| <= 700; theta < 0 (negative dependence) is bivariate only."""
+class FrankCopula:
+    """Frank copula, 2.2e-308 <= |theta| <= 700; theta < 0 (negative dependence) is d = 2 only."""
 
     theta: float
     dim: int
@@ -257,6 +237,8 @@ class FrankCopula(_Sampler):
     def __post_init__(self) -> None:
         if not (np.isfinite(self.theta) and self.theta != 0.0):
             raise ValueError("FrankCopula requires finite theta != 0 (use IndependenceCopula)")
+        if abs(self.theta) < _THETA_MIN:
+            raise ValueError(f"FrankCopula requires |theta| >= {_THETA_MIN:g}, a normal double")
         if abs(self.theta) > _FRANK_MAX:
             raise ValueError(f"FrankCopula requires |theta| <= {_FRANK_MAX:g}")
         if int(self.dim) < 2:
@@ -264,17 +246,17 @@ class FrankCopula(_Sampler):
         if self.theta < 0.0 and int(self.dim) != 2:
             raise ValueError("FrankCopula with theta < 0 exists only for dim = 2")
 
-    def _fill(self, out: np.ndarray, rng: np.random.Generator) -> None:
+    def _fill(self, out: np.ndarray, rng: np.random.Generator, spare: np.ndarray) -> None:
         count = out.shape[0]
         if self.theta > 0.0:
-            v = _log_series(self.theta, count, rng)
+            v = _log_series(self.theta, count, rng, spare)
             rng.standard_exponential(out=out)
             # psi(t) = -log(1 - p exp(-t)) / theta, and p exp(-t) = exp(-(t + c))
             # with c = -log(p): the log1mexp of t + c, which never forms 1 - p
             c = -_log1mexp(self.theta)
             out /= v[:, np.newaxis]
             out += c
-            _log1mexp(out, out=out, spare=_scratch.spare(out.size))
+            _log1mexp(out, out=out, spare=spare)
             out /= -self.theta
         else:
             # theta < 0, dim = 2: invert v -> dC/du1(u1, v) at a uniform level
@@ -285,7 +267,6 @@ class FrankCopula(_Sampler):
             b = w * d / (a * (1.0 - w) + w)
             out[:, 0] = u1
             out[:, 1] = -np.log1p(b) / self.theta
-        _clip_unit(out)
 
     def kendall_tau(self) -> float:
         return 1.0 + 4.0 * (_debye1(self.theta) - 1.0) / self.theta

@@ -78,6 +78,10 @@ class JointModel:
         return len(self.margins)
 
 
+# keep copula draws strictly inside (0,1): fp underflow at the tails
+# would otherwise map to infinite margin quantiles
+_UNIT_LO, _UNIT_HI = 1e-15, 1.0 - 1e-16
+
 # the claim counts start from exp(-claim_rate), which must be a normal double
 _MAX_CLAIM_RATE = -np.log(np.finfo(float).tiny)
 
@@ -114,16 +118,14 @@ class CompoundPoissonModel:
 def simulate(model: JointModel, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` rows from ``model`` by inverse-transforming copula columns.
 
-    The result is a Fortran-ordered (count, d) array: the transpose of a
-    C-contiguous (d, count) block, the layout the solver's passes read,
-    so preparing it for a solve copies nothing.  Its values are those of
-    ``margin.quantile(copula.sample(count, rng)[:, j])`` for every column j,
-    bit for bit.  The copula fills the calling thread's draws buffer
-    (:mod:`geomrisk._scratch`), which is copied once, transposed, into the
-    thread's spare buffer; each margin's quantile replaces one contiguous
-    row of that, and the block is a copy of it.  The block is the only
-    array of count d floats that a call allocates, and it is allocated once
-    the quantiles' temporaries are freed.
+    The one sampler: the copula's ``_fill`` writes the thread's draws buffer
+    (:mod:`geomrisk._scratch`), lent the thread's spare buffer, which then
+    takes the draws in one transposing, clipping copy.  Each margin's
+    quantile replaces one contiguous row of that, and the result is a copy
+    of it, transposed: a Fortran-ordered (count, d) array whose (d, count)
+    block is the layout the solver's passes read, so preparing it for a
+    solve copies nothing.  The block is the only array of count d floats
+    that a call allocates, once the quantiles' temporaries are freed.
     """
     if not isinstance(model, JointModel):
         raise ValueError("simulate expects a JointModel; use simulate_compound for claims")
@@ -131,9 +133,10 @@ def simulate(model: JointModel, count: int, rng: np.random.Generator) -> np.ndar
         raise ValueError("count must be nonnegative")
     count, dim = int(count), model.dim
     draws = _scratch.buffer("draws", np.empty, (count, dim))
-    model.copula._fill(draws, rng)
-    rows = _scratch.spare(count * dim).reshape(dim, count)
-    np.copyto(rows, draws.T)
+    spare = _scratch.spare(count * dim)
+    model.copula._fill(draws, rng, spare)
+    rows = spare.reshape(dim, count)
+    np.clip(draws.T, _UNIT_LO, _UNIT_HI, out=rows)
     for row, margin in zip(rows, model.margins):
         row[...] = margin.quantile(row)
     return rows.copy().T

@@ -28,8 +28,11 @@ from geomrisk import (
     SolverConfig,
     StudentT,
     cli,
+    substream,
 )
 from geomrisk.cli import main
+
+from sampling import fresh_fill
 
 
 def run_cli(args, tmp_path, name="out.csv", expect=0):
@@ -226,6 +229,20 @@ def test_bounded_support_output(tmp_path):
 def test_bounded_support_rejects_empty_sample(tmp_path, capsys):
     assert main(["bounded-support", "--n", "0", "--out", str(tmp_path / "b.csv")]) == 1
     assert capsys.readouterr().err == "error: --n must be at least 1\n"
+
+
+def test_bounded_support_draws_through_simulate(monkeypatch, capsys):
+    # the Clayton(5) sample comes from simulate on uniform margins: the
+    # copula's own values, in the solver's (d, n) layout
+    seen = []
+    monkeypatch.setattr(cli, "bounded_support_check",
+                        lambda sample, **_: seen.append(sample) or [])
+    assert main(["bounded-support", "--n", "700", "--seed", "4"]) == 0
+    capsys.readouterr()
+    (sample,) = seen
+    assert sample.flags.f_contiguous and sample.T.flags.c_contiguous
+    want = fresh_fill(ClaytonCopula(5.0, 2), 700, substream(4, "bounded-support"))
+    assert sample.shape == want.shape and sample.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

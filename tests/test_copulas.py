@@ -17,6 +17,8 @@ from geomrisk import (
     substream,
 )
 
+from sampling import copula_sample
+
 N_BIG = 100_000
 
 
@@ -61,14 +63,14 @@ def test_frank_tau_sign_antisymmetry():
     ids=["clayton5", "gumbel2", "frank3", "frank-neg3", "independence"],
 )
 def test_sample_tau_matches_closed_form(copula, tol):
-    u = copula.sample(N_BIG, substream(2024, f"tau-{type(copula).__name__}-{copula.theta if hasattr(copula, 'theta') else 0}"))
+    u = copula_sample(copula, N_BIG, substream(2024, f"tau-{type(copula).__name__}-{copula.theta if hasattr(copula, 'theta') else 0}"))
     emp = stats.kendalltau(u[:, 0], u[:, 1]).statistic
     assert emp == pytest.approx(copula.kendall_tau(), abs=tol)
 
 
 def test_higher_dimension_pairwise_taus_are_exchangeable():
     cop = ClaytonCopula(5.0, 4)
-    u = cop.sample(40_000, substream(2025, "tau-4d"))
+    u = copula_sample(cop, 40_000, substream(2025, "tau-4d"))
     target = cop.kendall_tau()
     for i in range(4):
         for j in range(i + 1, 4):
@@ -80,7 +82,7 @@ def test_higher_dimension_pairwise_taus_are_exchangeable():
 # diagonal-probability oracles: P(U1<=u, U2<=u) has a closed form
 
 def _diag_check(copula, exact_fn, stage):
-    u = copula.sample(N_BIG, substream(99, stage))
+    u = copula_sample(copula, N_BIG, substream(99, stage))
     for q in (0.25, 0.5, 0.75):
         exact = exact_fn(q)
         emp = float(np.mean((u[:, 0] <= q) & (u[:, 1] <= q)))
@@ -116,7 +118,7 @@ def test_frank_diagonal_probability():
 
 
 def test_gumbel_theta_one_is_independence():
-    u = GumbelCopula(1.0, 2).sample(N_BIG, substream(99, "diag-gumbel1"))
+    u = copula_sample(GumbelCopula(1.0, 2), N_BIG, substream(99, "diag-gumbel1"))
     emp = float(np.mean((u[:, 0] <= 0.5) & (u[:, 1] <= 0.5)))
     se = np.sqrt(0.25 * 0.75 / N_BIG)
     assert abs(emp - 0.25) <= 4.0 * se
@@ -133,7 +135,7 @@ def test_gumbel_theta_one_is_independence():
 )
 def test_marginal_uniformity_ks_at_one_percent(copula):
     n = 50_000
-    u = copula.sample(n, substream(7, f"unif-{type(copula).__name__}-{copula.theta}-{copula.dim}"))
+    u = copula_sample(copula, n, substream(7, f"unif-{type(copula).__name__}-{copula.theta}-{copula.dim}"))
     crit = 1.63 / np.sqrt(n)  # 1% asymptotic critical value
     for j in range(u.shape[1]):
         assert stats.kstest(u[:, j], "uniform").statistic <= crit
@@ -154,7 +156,7 @@ def test_strong_dependence_keeps_uniform_margins_and_tau(copula):
     # stable frailty overflows its 1/alpha power above theta ~ 80, and
     # Clayton's Gamma(1/theta) frailty underflows above theta ~ 18
     n = 20_000
-    u = copula.sample(n, substream(9, f"strong-{type(copula).__name__}-{copula.theta}-{copula.dim}"))
+    u = copula_sample(copula, n, substream(9, f"strong-{type(copula).__name__}-{copula.theta}-{copula.dim}"))
     assert np.all((u > 0.0) & (u < 1.0))
     crit = 1.63 / np.sqrt(n)  # 1% asymptotic critical value
     for j in range(copula.dim):
@@ -206,7 +208,7 @@ def test_log1mexp_equals_the_two_branch_form_bit_for_bit():
 
 def test_samples_strictly_inside_unit_cube():
     for cop in (ClaytonCopula(5.0, 3), GumbelCopula(4.0, 2), FrankCopula(-8.0, 2)):
-        u = cop.sample(20_000, substream(8, f"range-{type(cop).__name__}"))
+        u = copula_sample(cop, 20_000, substream(8, f"range-{type(cop).__name__}"))
         assert np.all(u > 0.0)
         assert np.all(u < 1.0)
         assert u.shape == (20_000, cop.dim)
@@ -214,8 +216,8 @@ def test_samples_strictly_inside_unit_cube():
 
 def test_sampling_is_deterministic():
     cop = GumbelCopula(2.0, 2)
-    a = cop.sample(64, substream(5, "det"))
-    b = cop.sample(64, substream(5, "det"))
+    a = copula_sample(cop, 64, substream(5, "det"))
+    b = copula_sample(cop, 64, substream(5, "det"))
     np.testing.assert_array_equal(a, b)
 
 
@@ -235,6 +237,23 @@ def test_parameter_validation():
         FrankCopula(-3.0, 3)  # negative dependence only exists pairwise
     with pytest.raises(ValueError):
         ClaytonCopula(2.0, 1)
+
+
+def test_theta_must_be_a_normal_double():
+    # below the normal doubles Clayton's 1/theta overflows and its draws all
+    # sit at the upper floor, and Frank's draws tie; at the smallest normal
+    # theta both still draw distinct values inside the floor
+    tiny = np.finfo(float).tiny
+    for theta in (np.nextafter(tiny, 0.0), 5e-309, 1e-320, 5e-324):
+        with pytest.raises(ValueError, match="ClaytonCopula requires theta >= .*a normal double"):
+            ClaytonCopula(theta, 2)
+        for sign in (1.0, -1.0):
+            with pytest.raises(ValueError, match=r"FrankCopula requires \|theta\| >= "):
+                FrankCopula(sign * theta, 2)
+    for cop in (ClaytonCopula(tiny, 2), FrankCopula(tiny, 2), FrankCopula(-tiny, 2)):
+        u = copula_sample(cop, 20_000, substream(10, f"tiny-{type(cop).__name__}-{cop.theta}"))
+        assert np.unique(u).size == u.size
+        assert np.all((u >= 1e-15) & (u <= 1.0 - 1e-16))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ from geomrisk import (
     substream,
 )
 
+from sampling import copula_sample
+
 ALL_MARGINS = (
     Normal(0.0, 1.0),
     Normal(-2.0, 3.0),
@@ -95,7 +97,7 @@ def test_skew_normal_draws_at_the_shape_bound_are_the_half_normal_limit(sign):
     m = SkewNormal(0.0, 1.0, sign * distributions_module._MAX_SHAPE)
     x = _draw(m, 10_000, substream(33, "shape-bound"))
     # the same uniforms, and the ends of the copula's clip
-    u = IndependenceCopula(1).sample(10_000, substream(33, "shape-bound"))[:, 0]
+    u = copula_sample(IndependenceCopula(1), 10_000, substream(33, "shape-bound"))[:, 0]
     p = np.array([1e-15, 1.0 - 1e-16])
     assert np.all(np.sign(x) == sign)
     for got, want in ((x, limit(u)), (m.quantile(p), limit(p))):

@@ -41,6 +41,8 @@ from geomrisk import (
     univariate_quantile,
 )
 
+from sampling import copula_sample
+
 
 # ---------------------------------------------------------------------------
 # index paths
@@ -232,7 +234,7 @@ def test_trace_starts_each_solve_at_the_extrapolated_prediction(symmetric_sample
 def test_bounded_support_starts_each_circle_at_the_sample_mean(solver_calls):
     # every circle is a path of its own: its first solve starts at the
     # sample mean, and its second at its own first minimizer
-    sample = ClaytonCopula(5.0, 2).sample(300, substream(85, "first-start"))
+    sample = copula_sample(ClaytonCopula(5.0, 2), 300, substream(85, "first-start"))
     rows = bounded_support_check(sample, r_list=(0.3, 0.6), n_phi=4)
     assert all(row.all_converged for row in rows) and len(solver_calls) == 8
     mean = estimators._prepare(sample).mean
@@ -247,7 +249,7 @@ def test_each_trace_starts_without_curvature(symmetric_sample, solver_calls):
     subadditivity_sets(symmetric_sample, noise, r=0.4, measure="var", n_phi=8)
     full = substream(79, "curvature").standard_normal((400, 3))
     marginalization_curves(full, r=0.2, n_phi=8)
-    copula = ClaytonCopula(5.0, 2).sample(500, substream(80, "curvature"))
+    copula = copula_sample(ClaytonCopula(5.0, 2), 500, substream(80, "curvature"))
     bounded_support_check(copula, r_list=(0.3, 0.6), n_phi=8)
     # group the solves by the curvature state they were handed; the records
     # keep every state alive, so no id is reused
@@ -295,7 +297,7 @@ def test_carried_curvature_costs_nothing_near_the_unit_sphere(solver_calls):
     # turned with the index, may not fit the next index; it gets the unit
     # step only, so the trace costs no more than the old chain (~1.13x
     # without that rule and without the turn)
-    sample = ClaytonCopula(5.0, 2).sample(4000, substream(82, "near-sphere"))
+    sample = copula_sample(ClaytonCopula(5.0, 2), 4000, substream(82, "near-sphere"))
     traced = chain = 0
     for r in (0.9995, 0.9999, 0.99999):
         path = CirclePath(r, 16)
@@ -312,7 +314,7 @@ def _x3_circle() -> None:
 
 
 def _near_sphere_circles() -> None:
-    sample = ClaytonCopula(5.0, 2).sample(4000, substream(82, "near-sphere"))
+    sample = copula_sample(ClaytonCopula(5.0, 2), 4000, substream(82, "near-sphere"))
     for r in (0.9995, 0.9999, 0.99999):
         assert trace_curve(sample, CirclePath(r, 16)).all_converged
 
@@ -819,8 +821,8 @@ def test_distance_curve_validates_grid(symmetric_sample):
 @pytest.mark.parametrize("r_list, n_phi", [((0.5, 1.0), 8), ((0.0, 0.5), 8), ((0.5,), 0)])
 def test_bounded_support_validates_its_path(r_list, n_phi):
     with pytest.raises(ValueError, match="radius must lie|n_phi must be at least 1"):
-        bounded_support_check(ClaytonCopula(5.0, 2).sample(100, substream(74, "bs-bad")),
-                              r_list=r_list, n_phi=n_phi)
+        sample = copula_sample(ClaytonCopula(5.0, 2), 100, substream(74, "bs-bad"))
+        bounded_support_check(sample, r_list=r_list, n_phi=n_phi)
 
 
 @pytest.mark.parametrize("levels", [[0.5, 1.0], [0.0], [np.nan], [], [[0.5]]])
@@ -830,7 +832,7 @@ def test_compare_univariate_validates_levels(levels, symmetric_sample):
 
 
 def test_bounded_support_small_radius_stays_inside():
-    sample = ClaytonCopula(5.0, 2).sample(4000, substream(73, "bounded-small"))
+    sample = copula_sample(ClaytonCopula(5.0, 2), 4000, substream(73, "bounded-small"))
     rows = bounded_support_check(sample, r_list=(0.1,), n_phi=16)
     assert len(rows) == 1
     assert rows[0].r == 0.1

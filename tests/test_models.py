@@ -4,13 +4,15 @@ substream rule."""
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import geomrisk.models as models_module
 
-from geomrisk import _scratch
+from geomrisk import _scratch, copulas
 from geomrisk import (
     ClaytonCopula,
     CompoundPoissonModel,
@@ -22,12 +24,15 @@ from geomrisk import (
     Normal,
     PRESET_DEFAULT_N,
     PRESETS,
+    Uniform,
     get_preset,
     model_mean,
     simulate,
     simulate_compound,
     substream,
 )
+
+from sampling import fresh_fill
 
 
 # ---------------------------------------------------------------------------
@@ -109,21 +114,22 @@ def test_simulate_is_deterministic():
 _JOINT = {name: model for name, model in PRESETS.items() if isinstance(model, JointModel)}
 _JOINT["cp-paper-severity"] = PRESETS["cp-paper"].severity
 _JOINT["frank-negative"] = JointModel((Normal(), Exponential(2.0)), FrankCopula(-4.0, 2))
+_JOINT["uniform-clayton5"] = JointModel((Uniform(), Uniform()), ClaytonCopula(5.0, 2))
 
 
 @pytest.mark.parametrize("count", [0, 1, 2_000])
 @pytest.mark.parametrize("name", list(_JOINT))
 def test_simulate_is_the_margin_quantiles_of_the_copula_sample(name, count):
-    # simulate draws through a per-thread scratch, fills contiguous rows and
-    # returns a transposed block; the values are still those of the public
-    # copula sample pushed through each margin's quantile, bit for bit, and
-    # a second call, which reuses the scratch, draws the next values afresh
+    # simulate draws through a per-thread scratch, clips while it fills
+    # contiguous rows and returns a transposed block; the values are still
+    # those of the copula's draw into fresh memory, clipped, pushed through
+    # each margin's quantile, bit for bit, and a second call, which reuses
+    # the scratch, draws the next values afresh
     model = _JOINT[name]
     rng_a, rng_b = np.random.default_rng(17), np.random.default_rng(17)
     for _ in range(2):
         got = simulate(model, count, rng_a)
-        u = model.copula.sample(count, rng_b)
-        assert u.flags.c_contiguous and u.flags.owndata
+        u = fresh_fill(model.copula, count, rng_b)
         assert got.shape == (count, model.dim)
         assert got.flags.f_contiguous and got.T.flags.c_contiguous
         for j, margin in enumerate(model.margins):
@@ -135,14 +141,39 @@ def test_samples_are_fresh_arrays():
     # buffers the sampler reuses
     model = get_preset("Z-clayton5")
     rng = substream(36, "fresh")
-    first, second = simulate(model, 300, rng), simulate(model, 300, rng)
-    u, v = model.copula.sample(300, rng), model.copula.sample(300, rng)
-    arrays = (first, second, u, v)
-    for i, a in enumerate(arrays):
-        for b in arrays[i + 1:]:
-            assert not np.shares_memory(a, b)
+    arrays = (simulate(model, 300, rng), simulate(model, 300, rng))
+    assert not np.shares_memory(*arrays)
     held = [b for b in _scratch._HELD.buffers.values() if isinstance(b, np.ndarray)]
     assert held and not any(np.shares_memory(a, b) for a in arrays for b in held)
+
+
+def test_simulate_applies_the_unit_floor(monkeypatch):
+    # a copula's draw may touch 0 and 1; simulate alone clips it into the
+    # open interval that keeps margin quantiles finite
+    def edges(self, out, rng, spare):
+        out[0::2] = 0.0
+        out[1::2] = 1.0
+
+    monkeypatch.setattr(IndependenceCopula, "_fill", edges)
+    got = simulate(JointModel((Uniform(),), IndependenceCopula(1)), 4, substream(37, "floor"))
+    assert got[:, 0].tolist() == [1e-15, 1.0 - 1e-16] * 2
+
+
+def test_simulate_owns_the_sampling_buffers():
+    # copulas are handed their scratch: only simulate takes a thread's
+    # buffers, one draws array of the largest shape and one spare
+    assert not hasattr(copulas, "_scratch")
+    held = []
+
+    def run():
+        for name in ("Z-clayton5", "frank3-4d"):
+            simulate(get_preset(name), 500, substream(38, name))
+        held.extend((name, *shape) for name, shape in _scratch._HELD.buffers)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join()
+    assert sorted(held) == [("draws", (500, 4)), ("spare", 2000)]
 
 
 def test_model_mean_matches_margin_means():

@@ -32,13 +32,15 @@ def test_margin_and_copula_operations_are_methods_only():
     for name in ("margin_quantile", "margin_cdf", "margin_mean", "margin_var",
                  "margin_sample", "copula_sample", "copula_kendall_tau"):
         assert not hasattr(geomrisk, name)
-    # a margin only describes its law; models.simulate draws, from copula uniforms
+    # margins and copulas only describe their laws; models.simulate is the
+    # one sampler, and a copula's draw is its private _fill
     for margin in typing.get_args(distributions.MarginSpec):
         assert not hasattr(margin, "sample")
         for method in ("quantile", "cdf", "mean", "var"):
             assert callable(getattr(margin, method))
     for copula in typing.get_args(copulas.CopulaSpec):
-        assert callable(copula.sample)
+        assert not hasattr(copula, "sample")
+        assert callable(copula._fill) and callable(copula.kendall_tau)
 
 
 def test_cli_exports_only_main():

@@ -40,6 +40,8 @@ from geomrisk import (
     trace_curve,
 )
 
+from sampling import copula_sample
+
 _SAMPLES = ("X1", "X2", "X3", "X4", "cp-paper", "atoms", "clayton5")
 
 
@@ -50,7 +52,7 @@ def _sample(name: str) -> np.ndarray:
     (37 distinct rows) at n = 2k."""
     rng = substream(5, f"sphere-{name}")
     if name == "clayton5":
-        return ClaytonCopula(5.0, 2).sample(10_000, rng)
+        return copula_sample(ClaytonCopula(5.0, 2), 10_000, rng)
     if name == "atoms":
         return np.round(simulate(get_preset("X3"), 2_000, rng))
     model = get_preset(name)
