@@ -254,7 +254,10 @@ def _build_part(part, table: dict, what: str, **extra):
 
 def _build_joint(obj: dict) -> JointModel:
     margins = tuple(_build_part(m, _MARGINS, "margin") for m in obj["margins"])
-    return JointModel(margins, _build_part(obj["copula"], _COPULAS, "copula", dim=len(margins)))
+    copula = obj["copula"]
+    if isinstance(copula, dict) and "dim" in copula:
+        raise ValueError("model JSON copula takes no dim: it follows from the number of margins")
+    return JointModel(margins, _build_part(copula, _COPULAS, "copula", dim=len(margins)))
 
 
 def _parse_model(text: str):

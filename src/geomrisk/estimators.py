@@ -127,14 +127,13 @@ class SolveReport:
 
     ``converged`` is True exactly when the final gradient satisfied the
     relative tolerance, or when ``argmin`` is a data atom certified
-    optimal: with m of the n rows at ``argmin``, ``0`` lies in the
-    subdifferential, i.e. ``grad_norm <= 0.5 m / n`` (by the t = 0 rule
-    of ``losses._nonzero``, the gradient gives each atom row the value
-    ``-0.5 u / n``).  ``stop_reason`` says which rule ended the solve:
-    ``"converged"``, ``"optimal_at_atom"``, ``"max_iterations"``,
-    ``"stagnation"`` (no measurable descent left) or ``"identical_rows"``
-    (every row is the same point).  ``note`` carries a warning string (for
-    instance when a quantile minimizer may be non-unique), else None.
+    optimal: ``grad_norm <= 0.5 m / n`` with m of the n rows at ``argmin``,
+    so that 0 lies in the subdifferential.  ``stop_reason`` says which rule
+    ended the solve: ``"converged"``, ``"optimal_at_atom"``,
+    ``"max_iterations"``, ``"stagnation"`` (no measurable descent left) or
+    ``"identical_rows"`` (every row is the same point).  ``note`` carries a
+    warning string (for instance when a quantile minimizer may be
+    non-unique), else None.
     """
 
     argmin: np.ndarray
@@ -157,7 +156,7 @@ def as_sample(s) -> np.ndarray:
 
 
 def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
-                    _nearest_atom=None, _curvature=None) -> SolveReport:
+                    _curvature=None) -> SolveReport:
     """Minimize a convex function with damped quasi-Newton iterations.
 
     ``fun`` maps a d-vector to a float, ``grad`` to a d-vector (a
@@ -165,40 +164,28 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
     backtracking with halving; steps below 1e-14 stop the iteration as
     stagnation.  The objective never increases across accepted steps.
     ``converged`` means the relative gradient test held, or a data atom
-    was certified optimal (see :class:`SolveReport`).  Value-at-risk
-    solves pass the private ``_nearest_atom(x) -> (row, 0.5 m / n)``;
-    after a backtracking step, on stagnation and at the iteration cap the
-    row nearest the iterate is tested through ``fun`` and ``grad`` and,
-    when certified, returned exactly.  The private ``_curvature`` is a
-    traced path's :class:`_Curvature` (a fresh one, which starts at
-    ``x0``, when None): the solve starts where it says (a first solve at
-    ``x0`` or at the prediction it holds, whose value pass is the solve's
-    first), from its inverse-Hessian estimate (None: steepest descent),
-    with a held atom tested before any line search, and leaves its outcome
-    there.  A line search
-    that finds no descent along the secant direction is retried along
-    steepest descent before the solve stops as stagnation; along a carried
-    estimate's direction only the unit step is tried.  The iteration cap is
-    the constant ``SolverConfig.max_iterations``.
+    was certified optimal (see :class:`SolveReport`).  The private
+    ``_curvature`` is the path state, a :class:`_Curvature` (a fresh one,
+    which starts at ``x0`` and tests no atom, when None): the solve starts
+    where it says, from its inverse-Hessian estimate (None: steepest
+    descent), tests data atoms by its rule (:meth:`_Curvature.certify`),
+    and leaves its outcome there.  A line search that finds no descent
+    along the secant direction is retried along steepest descent before
+    the solve stops as stagnation; along a carried estimate's direction
+    only the unit step is tried.  The iteration cap is the constant
+    ``SolverConfig.max_iterations``.
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
     curvature = _Curvature() if _curvature is None else _curvature
     x, f = curvature.start(x0, fun)
-    candidate = curvature.atom
-    if candidate is not None and (x == candidate[0]).all():
-        # a path's start after a solve that ended on an atom is that atom
-        # exactly when the solve before ended there too (a zero secant step
-        # leaves the secant, and 2a - a is exact), or when it was the first;
-        # there the gradient test cannot hold
-        report = _certified_atom(fun, grad, candidate, 0)
-        if report is not None:
-            return curvature.leave(report, None, candidate)
+    report = curvature.certify(fun, grad, x, 0, at_start=True)
+    if report is not None:
+        return curvature.leave(report, None)
     if f is None:
         f = float(fun(x))
     g = np.asarray(grad(x), dtype=float)
     dim = x.size
     h_inv = curvature.h_inv
-    report = None
     backtracked = False
     stop_reason = "max_iterations"
     for iterations in range(SolverConfig.max_iterations + 1):
@@ -208,9 +195,8 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
             break
         if iterations == SolverConfig.max_iterations:
             break
-        if backtracked and _nearest_atom is not None:
-            candidate = _nearest_atom(x)
-            report = _certified_atom(fun, grad, candidate, iterations)
+        if backtracked:
+            report = curvature.certify(fun, grad, x, iterations)
             if report is not None:
                 break
         p = -g if h_inv is None else -h_inv.dot(g)
@@ -263,9 +249,8 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
         else:
             h_inv = None  # curvature unusable (kink crossed)
         x, f, g = x_new, f_new, g_new
-    if report is None and stop_reason != "converged" and _nearest_atom is not None:
-        candidate = _nearest_atom(x)
-        report = _certified_atom(fun, grad, candidate, iterations)
+    if report is None and stop_reason != "converged":
+        report = curvature.certify(fun, grad, x, iterations)
     if report is None:
         report = SolveReport(
             argmin=x,
@@ -275,7 +260,7 @@ def minimize_convex(fun, grad, x0, config: SolverConfig | None = None, *,
             converged=stop_reason == "converged",
             stop_reason=stop_reason,
         )
-    return curvature.leave(report, h_inv, candidate)
+    return curvature.leave(report, h_inv)
 
 
 def _line_search(fun, grad, x, f: float, gnorm: float, p, slope: float,
@@ -305,29 +290,6 @@ def _line_search(fun, grad, x, f: float, gnorm: float, p, slope: float,
                 return step, x_new, f_new, g_new
         step *= 0.5
     return None
-
-
-def _certified_atom(fun, grad, candidate, iterations: int) -> SolveReport | None:
-    """The report of a data atom certified optimal, or None if it is not.
-
-    ``candidate`` is ``(c, radius)``: a sample row and ``0.5 m / n`` for
-    the m rows equal to it.  Since ``grad`` gives each of those rows the
-    value ``-0.5 u / n`` (the t = 0 choice of ``losses._nonzero``), the
-    subdifferential at ``c`` is the ball of that radius around
-    ``grad(c)``, and ``c`` is a minimizer iff ``||grad(c)|| <= radius``.
-    """
-    c, radius = candidate
-    gnorm = _norm(grad(c))
-    if gnorm > radius:
-        return None
-    return SolveReport(
-        argmin=c,
-        objective=float(fun(c)),
-        grad_norm=gnorm,
-        iterations=iterations,
-        converged=True,
-        stop_reason="optimal_at_atom",
-    )
 
 
 def _objective_closures(prep: _Prepared, u: np.ndarray, kind: str):
@@ -473,10 +435,6 @@ class _Prepared:
             self._lazy["spread"] = (_collinear(centred, gram), gram / self.shape[0], distance)
         return self._lazy["spread"]
 
-    def collinear(self) -> bool:
-        """True when all rows lie on one line; the test runs once per sample."""
-        return self._spread()[0]
-
     def asymptote(self, u: np.ndarray) -> tuple[np.ndarray, float] | None:
         """The value-at-risk start at ``u`` from the extreme-index asymptote, and the bar it must beat.
 
@@ -525,7 +483,7 @@ class _Prepared:
 
 
 class _Curvature:
-    """What the solves of one traced path hand to the next: the path rule.
+    """The path state: what the solves of one traced path hand to the next, and its rules.
 
     Each solve starts at :meth:`start`: the first at its cold start, and
     later ones at an extrapolation of the minimizers before them.  A
@@ -534,33 +492,34 @@ class _Curvature:
     (:meth:`_Prepared.asymptote`) where its objective is below the
     objective at the mean, else the mean; ``_solve`` hands a path's first
     VaR solve, and every direct one, its asymptote as ``prediction``.
-    Each solve starts from the inverse-Hessian estimate
-    ``h_inv`` the solve before left (None until a solve leaves one:
-    steepest descent), which an expectile solve first turns with the index
-    (:meth:`turn`).  A value-at-risk start equal to the held ``atom`` is
-    tested with the subdifferential certificate before any line search,
-    and returned with 0 iterations when it passes.  Every solve then
-    records its outcome with :meth:`leave`.
+    Each solve starts from the inverse-Hessian estimate ``h_inv`` the
+    solve before left (None until a solve leaves one: steepest descent),
+    which an expectile solve first turns with the index (:meth:`turn`).
+    A value-at-risk solve tests data atoms by :meth:`certify`.  Every
+    solve then records its outcome with :meth:`leave`.
 
     ``past`` holds the minimizers of its solves, oldest first (a list: the
     block a deque allocates made each direct expectile solve at n = 10k
     ~2.5% slower).  ``direction`` is the unit direction of the last
     expectile solve's index (None before the first, and after a zero
-    index).  ``atom`` is the ``(row, 0.5 m / n)`` candidate of the data
-    atom the last solve certified (its row is ``past[-1]``), and None after
-    any other stop.  ``prediction`` is the ``(point, bar)`` a first solve
-    tries before its cold start, or None.  A direct solve gets a fresh one
-    of its own.
+    index).  ``atom`` is the ``(row, 0.5 m / n)`` of the data atom the last
+    solve certified (its row is ``past[-1]``), and None after any other
+    stop.  ``nearest_atom`` is the atom finder of the value-at-risk solve
+    under way (:meth:`_Prepared.nearest_atom`), which ``_solve`` sets and
+    :meth:`leave` drops, and None otherwise.  ``prediction`` is the
+    ``(point, bar)`` a first solve tries before its cold start, or None.  A
+    direct solve gets a fresh one of its own.
     """
 
-    __slots__ = ("h_inv", "atom", "past", "direction", "prediction")
+    __slots__ = ("h_inv", "atom", "past", "direction", "prediction", "nearest_atom")
 
-    def __init__(self) -> None:
+    def __init__(self, nearest_atom=None) -> None:
         self.h_inv = None
         self.atom = None
         self.past = []
         self.direction = None
         self.prediction = None
+        self.nearest_atom = nearest_atom
 
     def turn(self, index: np.ndarray) -> None:
         """Turn ``h_inv`` from the last expectile solve's index to ``index``.
@@ -587,19 +546,60 @@ class _Curvature:
         if r is not None:
             self.h_inv = r @ self.h_inv @ r.T
 
-    def leave(self, report: SolveReport, h_inv, candidate) -> SolveReport:
+    def certify(self, fun, grad, x, iterations: int, at_start: bool = False) -> SolveReport | None:
+        """The report of a data atom at ``x`` certified optimal, or None: the atom rule.
+
+        A value-at-risk minimizer may sit on a data atom, where the gradient
+        test cannot hold.  With m of the n rows at a row ``c``, ``grad``
+        gives each of them the value ``-0.5 u / n`` (the t = 0 choice of
+        ``losses._nonzero``), so ``c`` is a minimizer iff ``||grad(c)|| <=
+        0.5 m / n``; then ``c`` is returned exactly, and held in ``atom``.
+        The row tested is the held atom where ``x`` is that row, and no
+        other ``at_start``, before any line search: a path starts on the
+        atom its last solve ended on when the solve before ended there too,
+        or was the first (a zero secant step leaves the secant, and 2a - a
+        is exact).  Within a solve, after a backtracking step, on stagnation
+        and at the iteration cap, it is otherwise the row ``nearest_atom``
+        finds nearest ``x``; without a finder, none.
+        """
+        held = self.atom
+        if held is not None and (x == held[0]).all():
+            candidate = held
+        elif not at_start and self.nearest_atom is not None:
+            candidate = self.nearest_atom(x)
+        else:
+            return None
+        c, radius = candidate
+        gnorm = _norm(grad(c))
+        if gnorm > radius:
+            return None
+        self.atom = candidate
+        return SolveReport(
+            argmin=c,
+            objective=float(fun(c)),
+            grad_norm=gnorm,
+            iterations=iterations,
+            converged=True,
+            stop_reason="optimal_at_atom",
+        )
+
+    def leave(self, report: SolveReport, h_inv) -> SolveReport:
         """Record a solve's ``report`` and final estimate ``h_inv``; return the report.
 
         Every solve's minimizer joins ``past``, a held atom re-certified
         at its start included.  Near a data atom the secant pairs measure
         the kink, not the curvature of the objective: a solve certified on
-        an atom (``candidate``, the last one it tested) hands on no
-        estimate, and that atom is held for the next start instead.
+        an atom hands on no estimate, and keeps that atom held for the next
+        start instead; any other stop drops the held atom.  The finder goes
+        too: a method of the view that holds this state, it would keep the
+        sample alive in a reference cycle.
         """
-        at_atom = report.stop_reason == "optimal_at_atom"
-        self.h_inv = None if at_atom else h_inv
-        self.atom = candidate if at_atom else None
+        if report.stop_reason == "optimal_at_atom":
+            self.h_inv = None
+        else:
+            self.h_inv, self.atom = h_inv, None
         self.past.append(report.argmin)
+        self.nearest_atom = None
         return report
 
     def start(self, cold, fun) -> tuple[np.ndarray, float | None]:
@@ -676,14 +676,11 @@ def _prepare(sample) -> _Prepared:
 def _solve(sample, alpha, config, kind: str) -> SolveReport:
     """Solve the ``kind`` objective of ``sample`` at index ``alpha``.
 
-    The cold start is the measure's prediction (see :class:`_Curvature`):
-    the sample mean for the expectile, and for VaR the extreme-index
-    asymptote, taken where its objective is below the objective at the
-    mean.  A VaR minimizer may sit on a data atom, where only the
-    subdifferential test can certify it, so VaR solves get the nearest
-    atom as a candidate.  On a traced path's view the solve runs on the
-    path's :class:`_Curvature`, which an expectile solve first turns to
-    ``alpha``, and a VaR path's first solve starts at the prediction.
+    The solve runs on a path state, :class:`_Curvature`: the path's, on a
+    traced path's view, else a fresh one.  An expectile solve first turns
+    it to ``alpha``.  A VaR solve sets the sample's atom finder on it, so
+    that its minimizer may be certified on a data atom, and a first solve
+    on it gets the extreme-index asymptote as its prediction.
     """
     prep = _prepare(sample)
     u = as_index(alpha)
@@ -700,18 +697,15 @@ def _solve(sample, alpha, config, kind: str) -> SolveReport:
             stop_reason="identical_rows",
         )
     fun, grad = _objective_closures(prep, u, kind)
-    curvature, atom = prep.curvature, None
+    curvature = _Curvature() if prep.curvature is None else prep.curvature
     if kind == "expectile":
-        if curvature is not None:
-            curvature.turn(u)
+        curvature.turn(u)
     else:
-        curvature = _Curvature() if curvature is None else curvature
+        curvature.nearest_atom = prep.nearest_atom
         if not curvature.past:
             curvature.prediction = prep.asymptote(u)
-        atom = prep.nearest_atom
-    report = minimize_convex(fun, grad, prep.mean, config, _nearest_atom=atom,
-                             _curvature=curvature)
-    if kind == "quantile" and prep.collinear():
+    report = minimize_convex(fun, grad, prep.mean, config, _curvature=curvature)
+    if kind == "quantile" and prep._spread()[0]:
         report = dataclasses.replace(report, note="degenerate_possible")
     return report
 

@@ -555,22 +555,34 @@ def test_console_script_entry_point(args, code, start, tmp_path):
         assert "false" in out.read_text()
 
 
+# ops whose bytes must not depend on the process that runs them -> their
+# line count: a traced expectile path, a VaR path through held data atoms
+# (cp-paper, ~37% zero-claim rows) and a 4-D VaR solve on the thread's
+# reused sampling and solver buffers
+_FRESH_PROCESS_OPS = {
+    ("curve", "--model", "X3", "--path", "circle:0.9", "--nphi", "64"): 65,
+    ("curve", "--model", "cp-paper", "--path", "circle:0.5", "--measure", "var"): 65,
+    ("var", "--model", "frank3-4d", "--alpha=0.3,-0.5,0.2,0.6"): 2,
+}
+
+
 def test_curve_output_does_not_depend_on_the_blas_thread_count():
     # a traced path's starts are elementwise NumPy sums in a fixed order, so
-    # the curve's bytes are the same whatever BLAS threading the child gets
-    outputs = []
-    for threads in ("1", "2"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "geomrisk.cli", "curve", "--model", "X3",
-             "--path", "circle:0.9", "--nphi", "64"],
-            capture_output=True,
-            env={**_child_env(), "OPENBLAS_NUM_THREADS": threads},
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
-    assert outputs[0].count(b"\n") == 65
-    assert outputs[0] == outputs[1]
+    # each op prints the same bytes in two fresh processes, whatever BLAS
+    # threading and hash seed each gets
+    for args, lines in _FRESH_PROCESS_OPS.items():
+        outputs = []
+        for threads, hash_seed in (("1", "1"), ("2", "2")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "geomrisk.cli", *args],
+                capture_output=True,
+                env={**_child_env(), "OPENBLAS_NUM_THREADS": threads, "PYTHONHASHSEED": hash_seed},
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0].count(b"\n") == lines, args
+        assert outputs[0] == outputs[1], args
 
 
 def test_compare_uni_finishes_on_a_margin_of_scale_1e5(tmp_path):
@@ -796,6 +808,11 @@ _CLI_REJECTED = {
     "copula-type": (["simulate", "--model",
                      '{"margins": [{"type": "normal"}], "copula": {"type": "nope"}}'],
                     "unknown copula type 'nope'"),
+    # a copula's dimension is the number of margins, never a key of its own
+    "copula-dim": (["simulate", "--n", "3", "--model",
+                    '{"margins": [{"type": "normal"}, {"type": "normal"}], '
+                    '"copula": {"type": "frank", "theta": -4.0, "dim": 2}}'],
+                   "model JSON copula takes no dim: it follows from the number of margins"),
     "json-invalid": (["simulate", "--model", "{bad"], "model JSON is invalid: "),
     # past the bound the skew-normal quantile overflows and gives wrong rows
     "skewnormal-shape": (["simulate", "--model", '{"margins": [{"type": "skewnormal", '

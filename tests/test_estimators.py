@@ -6,9 +6,11 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import gc
 import math
 import sys
 import threading
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -449,7 +451,7 @@ def test_estimators_pass_their_closures_through_minimize_convex(solver_calls, es
         assert any(np.array_equal(x, report.argmin) for x in solver_calls[0]["grad_points"])
 
 
-def test_nearest_atom_counts_the_rows_equal_to_it():
+def test_atom_finder_counts_the_rows_equal_to_it():
     # -0.0 and 0.0 are one point; a row one ulp away is another
     sample = np.array([[1.0, 2.0], [3.0, 3.0], [1.0, 2.0], [0.0, -0.0], [-0.0, 0.0],
                        [1.0, np.nextafter(2.0, 3.0)], [1.0, 2.0]])
@@ -541,7 +543,7 @@ def test_path_start_after_two_equal_minimizers_is_that_point(solves):
     assert _history(history).start(None, None)[0].tobytes() == atom.tobytes()
 
 
-def test_certified_atom_hands_on_no_curvature():
+def test_solve_on_an_atom_hands_on_no_curvature():
     # near a data atom the secant pairs measure the kink, not the curvature
     # of the objective; the next solve of a path starts without them
     path = estimators._prepare(_heavy_atom_sample()).on_path()
@@ -549,6 +551,23 @@ def test_certified_atom_hands_on_no_curvature():
     report = geometric_var(path, [0.3, 0.2])
     assert report.stop_reason == "optimal_at_atom"
     assert path.curvature.h_inv is None
+
+
+def test_traced_var_path_leaves_no_reference_cycle():
+    # a VaR solve's atom finder is a method of the path's view, which holds
+    # the path state: the solve drops it from that state, so the sample is
+    # freed by reference counting, not left to the cyclic garbage collector
+    gc.disable()
+    try:
+        path = estimators._prepare(_heavy_atom_sample()).on_path()
+        block = weakref.ref(path.block)
+        for u in ([0.3, 0.2], [0.9, 0.0]):
+            geometric_var(path, u)
+        assert path.curvature.nearest_atom is None
+        del path
+        assert block() is None
+    finally:
+        gc.enable()
 
 
 def _assert_no_false_atom(sample, u, report):
@@ -1280,7 +1299,8 @@ def test_var_converges_next_to_the_unit_sphere(name):
         alpha = (1.0 - gap) * v
         report = geometric_var(prep, alpha)
         fun, grad = estimators._objective_closures(prep, alpha, "quantile")
-        from_mean = minimize_convex(fun, grad, prep.mean, _nearest_atom=prep.nearest_atom)
+        from_mean = minimize_convex(fun, grad, prep.mean,
+                                    _curvature=estimators._Curvature(prep.nearest_atom))
         assert report.converged and from_mean.converged
         assert report.objective <= from_mean.objective
 
@@ -1312,7 +1332,7 @@ def _subdifferential_residual(sample, u, c) -> float:
     return g - 0.5 * atoms / sample.shape[0]
 
 
-def _assert_certified_atom(sample, u, rep, multiplicity):
+def _assert_optimal_at_atom(sample, u, rep, multiplicity):
     assert rep.converged
     assert rep.stop_reason == "optimal_at_atom"
     assert int(np.count_nonzero(np.all(sample == rep.argmin, axis=1))) == multiplicity
@@ -1323,7 +1343,7 @@ def test_var_on_a_single_atom_equals_the_univariate_quantile():
     # n * level = 187.5 is not an integer: the minimizer is one data point
     x = np.random.default_rng(9).standard_normal(250)
     rep = geometric_var(x[:, None], [0.5])
-    _assert_certified_atom(x[:, None], [0.5], rep, 1)
+    _assert_optimal_at_atom(x[:, None], [0.5], rep, 1)
     assert rep.argmin[0] == univariate_quantile(x, 0.75)
     assert rep.iterations < SolverConfig().max_iterations
 
@@ -1331,7 +1351,7 @@ def test_var_on_a_single_atom_equals_the_univariate_quantile():
 def test_var_on_a_tied_integer_grid():
     grid = np.repeat(np.arange(4.0), 5)[:, None]
     rep = geometric_var(grid, [0.3])
-    _assert_certified_atom(grid, [0.3], rep, 5)
+    _assert_optimal_at_atom(grid, [0.3], rep, 5)
     assert rep.argmin[0] == univariate_quantile(grid[:, 0], 0.65) == 2.0
 
 
@@ -1350,16 +1370,34 @@ def test_var_on_a_heavy_atom_in_two_dimensions():
     sample = _heavy_atom_sample()
     for u in ([0.3, 0.2], [-0.4, 0.1], [0.0, 0.0]):
         rep = geometric_var(sample, u)
-        _assert_certified_atom(sample, u, rep, 60)
+        _assert_optimal_at_atom(sample, u, rep, 60)
         np.testing.assert_array_equal(rep.argmin, [1.0, 2.0])
         assert rep.note is None
+
+
+def test_bare_solve_tests_atoms_by_its_path_state(monkeypatch):
+    # the atom rule is the path state's: a bare minimize_convex whose state
+    # carries the sample's atom finder returns the heavy atom row exactly,
+    # and one whose state carries none looks for no atom, and stagnates there
+    prep = estimators._prepare(_heavy_atom_sample())
+    fun, grad = estimators._objective_closures(prep, np.array([0.3, 0.2]), "quantile")
+    found = []
+    real = estimators._Prepared.nearest_atom
+    monkeypatch.setattr(estimators._Prepared, "nearest_atom",
+                        lambda self, x: found.append(x.copy()) or real(self, x))
+    rep = minimize_convex(fun, grad, prep.mean, _curvature=estimators._Curvature(prep.nearest_atom))
+    assert found and rep.converged and rep.stop_reason == "optimal_at_atom"
+    assert rep.argmin.tobytes() == np.array([1.0, 2.0]).tobytes()
+    found.clear()
+    bare = minimize_convex(fun, grad, prep.mean)
+    assert not found and not bare.converged and bare.stop_reason == "stagnation"
 
 
 def test_var_of_two_points_is_the_endpoint_along_the_index():
     # on the segment the loss is linear in c, so the endpoint further along u wins
     sample = np.array([[0.0, 0.0], [1.0, 1.0]])
     rep = geometric_var(sample, [0.2, 0.1])
-    _assert_certified_atom(sample, [0.2, 0.1], rep, 1)
+    _assert_optimal_at_atom(sample, [0.2, 0.1], rep, 1)
     np.testing.assert_array_equal(rep.argmin, [1.0, 1.0])
     assert rep.note == "degenerate_possible"
 

@@ -278,7 +278,7 @@ def _old_chain(sample, indices, kind: str) -> None:
     atom = prep.nearest_atom if kind == "quantile" else None
     for alpha in indices:
         fun, grad = estimators._objective_closures(prep, np.asarray(alpha, dtype=float), kind)
-        x = estimators.minimize_convex(fun, grad, x, _nearest_atom=atom).argmin
+        x = estimators.minimize_convex(fun, grad, x, _curvature=estimators._Curvature(atom)).argmin
 
 
 @pytest.mark.parametrize("measure, kind", [("expectile", "expectile"), ("var", "quantile")])
@@ -382,6 +382,32 @@ def test_each_point_of_a_trace_costs_one_pass_state(solver_calls, measure):
     points = sum(len({x.tobytes() for x in call["points"]}) for call in solver_calls)
     passes = sum(call["fun"] + call["grad"] for call in solver_calls)
     assert states == points < passes
+
+
+def test_atom_paths_keep_their_pass_count(solver_calls):
+    # fresh pass states of the cp-paper VaR circles (n = 100, over a third
+    # of the rows on the zero-claim atom; radii 0.5 and 0.9, 64 angles, 8
+    # seeds): 5,229; 10,368 without the held atom's test at a solve's start,
+    # and 5,786 without the extrapolation's secant guard (5,456 where only
+    # equal last minimizers still give way to the secant).  The bound fails
+    # a change that loses either
+    for seed in range(8):
+        sample = simulate_compound(get_preset("cp-paper"), 100, substream(seed, "atom-paths"))
+        for r in (0.5, 0.9):
+            assert trace_curve(sample, CirclePath(r, 64), "var").all_converged
+    assert len(solver_calls) == 8 * 2 * 64
+    assert sum(call["states"] for call in solver_calls) <= 5_340
+
+
+def test_bounded_support_keeps_its_pass_count(solver_calls):
+    # fresh pass states of the bounded-support sweep on a Clayton(5) sample
+    # (n = 2,000, the 14 default radii, 16 angles): 1,475; 1,751 with the
+    # carried estimate not turned with the index (1,542 without the secant
+    # guard).  The bound fails a change that loses the turn
+    sample = copula_sample(ClaytonCopula(5.0, 2), 2000, substream(1, "bounded-passes"))
+    assert all(row.all_converged for row in bounded_support_check(sample, n_phi=16))
+    assert len(solver_calls) == len(DEFAULT_STRESS_RADII) * 16
+    assert sum(call["states"] for call in solver_calls) <= 1_520
 
 
 @pytest.mark.parametrize("measure", ["expectile", "var"])
@@ -650,16 +676,17 @@ def test_match_magnitude_reports_a_target_solve_that_did_not_converge(
 
 
 def test_match_magnitude_starts_its_var_path_at_the_asymptote(symmetric_sample, solver_calls):
-    # the expectile target starts at the sample mean; the VaR solves of the
-    # search share one path, whose first solve starts at the extreme-index
-    # asymptote of its index (below the objective at the mean here), whose
-    # second starts at the first VaR minimizer, and whose later solves carry
-    # the estimate the one before left
+    # the expectile target starts at the sample mean, on a fresh path state
+    # of its own; the VaR solves of the search share one path, whose first
+    # solve starts at the extreme-index asymptote of its index (below the
+    # objective at the mean here), whose second starts at the first VaR
+    # minimizer, and whose later solves carry the estimate the one before left
     _, trace, _ = match_magnitude(symmetric_sample, np.array([1.0, 0.0]), 0.5)
     prep = estimators._prepare(symmetric_sample)
     target, first, second, *later = solver_calls
-    assert target["curvature"] is None and np.array_equal(target["points"][0], prep.mean)
+    assert np.array_equal(target["points"][0], prep.mean)
     path = first["curvature"]
+    assert target["curvature"] is not path and len(target["curvature"].past) == 1
     assert path is not None and len(later) > 1
     assert all(call["curvature"] is path for call in (second, *later))
     alpha = np.array([trace[0][0], 0.0])

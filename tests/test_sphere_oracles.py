@@ -78,7 +78,8 @@ def test_var_meets_its_extreme_index_asymptote(name, gap):
     from_mean = []
     for alpha in idx:
         fun, grad = estimators._objective_closures(prep, alpha, "quantile")
-        from_mean.append(minimize_convex(fun, grad, prep.mean, _nearest_atom=prep.nearest_atom))
+        from_mean.append(minimize_convex(fun, grad, prep.mean,
+                                         _curvature=estimators._Curvature(prep.nearest_atom)))
     assert all(report.converged for report in from_mean)
     curve = trace_curve(s, CirclePath(1.0 - gap, 8), "var")
     assert curve.all_converged
